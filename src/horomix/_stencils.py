@@ -1,0 +1,99 @@
+"""Finite-difference stencils and tensor-product grids.
+
+One implementation of each primitive, shared by the eigenvalue model, the
+Euler-residual stencils of the correlation ODE, the Laplace quadrature and
+Morse-chart differentiation, and the character-lattice sweeps.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from .errors import LatticeSizeError
+
+GRID_CAP = 100_000_000
+
+
+def fornberg_weights(nodes: np.ndarray, x0: float, order: int) -> np.ndarray:
+    """Weights of the order-th derivative at x0 on arbitrary distinct nodes.
+
+    Fornberg's recursion (Math. Comp. 51, 1988): the stencil is exact for
+    polynomials of degree below ``nodes.size``.
+    """
+    n = nodes.size
+    c = np.zeros((n, order + 1))
+    c[0, 0] = 1.0
+    c1 = 1.0
+    c4 = nodes[0] - x0
+    for i in range(1, n):
+        mn = min(i, order)
+        c2 = 1.0
+        c5 = c4
+        c4 = nodes[i] - x0
+        for j in range(i):
+            c3 = nodes[i] - nodes[j]
+            c2 *= c3
+            if j == i - 1:
+                for k in range(mn, 0, -1):
+                    c[i, k] = c1 * (k * c[i - 1, k - 1] - c5 * c[i - 1, k]) / c2
+                c[i, 0] = -c1 * c5 * c[i - 1, 0] / c2
+            for k in range(mn, 0, -1):
+                c[j, k] = (c4 * c[j, k] - k * c[j, k - 1]) / c3
+            c[j, 0] = c4 * c[j, 0] / c3
+        c1 = c2
+    return c[:, order]
+
+
+def tensor_grid(axes, cap: int = GRID_CAP) -> np.ndarray:
+    """All points of the product of 1-d ``axes`` as an (N, d) array.
+
+    Points are in lex order (the last axis varies fastest).  A grid of more
+    than ``cap`` points is refused before anything is allocated.
+    """
+    size = math.prod(len(a) for a in axes)
+    if size > cap:
+        raise LatticeSizeError(f"tensor grid has {size} points, above the cap {cap}")
+    mesh = np.meshgrid(*axes, indexing="ij")
+    return np.stack([m.reshape(-1) for m in mesh], axis=-1)
+
+
+def finite_difference_gradient(fn, x0: np.ndarray, h: float = 1e-5) -> np.ndarray:
+    x0 = np.asarray(x0, dtype=float)
+    d = x0.size
+    grad = np.empty(d)
+    for i in range(d):
+        e = np.zeros(d)
+        e[i] = h
+        grad[i] = (float(fn(x0 + e)) - float(fn(x0 - e))) / (2 * h)
+    return grad
+
+
+def finite_difference_hessian(fn, x0: np.ndarray, h: float = 1e-4) -> np.ndarray:
+    """Central second differences, Richardson-refined once for robustness."""
+
+    def hess_at(step):
+        x0a = np.asarray(x0, dtype=float)
+        d = x0a.size
+        out = np.empty((d, d))
+        f0 = float(fn(x0a))
+        for i in range(d):
+            ei = np.zeros(d)
+            ei[i] = step
+            out[i, i] = (float(fn(x0a + ei)) - 2 * f0 + float(fn(x0a - ei))) / step**2
+            for j in range(i + 1, d):
+                ej = np.zeros(d)
+                ej[j] = step
+                mixed = (
+                    float(fn(x0a + ei + ej))
+                    - float(fn(x0a + ei - ej))
+                    - float(fn(x0a - ei + ej))
+                    + float(fn(x0a - ei - ej))
+                ) / (4 * step**2)
+                out[i, j] = out[j, i] = mixed
+        return out
+
+    coarse = hess_at(h)
+    fine = hess_at(h / 2)
+    return (4.0 * fine - coarse) / 3.0

@@ -254,7 +254,7 @@ def _cmd_cover(args) -> int:
 def _parse_amplitude(text: str):
     if text.startswith("const:"):
         try:
-            return None, float(text.split(":", 1)[1])
+            return float(text.split(":", 1)[1])
         except ValueError as exc:
             raise ConfigError(f"bad amplitude {text!r}") from exc
     try:
@@ -263,12 +263,12 @@ def _parse_amplitude(text: str):
         raise ConfigError(f"amplitude must be const:<val> or a JSON file: {exc}") from exc
     if doc.get("type") != "const":
         raise ConfigError("only constant amplitude documents are supported")
-    return None, float(doc["value"])
+    return float(doc["value"])
 
 
 def _cmd_mix(args) -> int:
     model = load_model(args.model)
-    _, vol = _parse_amplitude(args.amplitude)
+    vol = _parse_amplitude(args.amplitude)
     problem = mixing.MixingProblem(model=model, vol_product=vol)
     if args.log_t_min is not None:
         lo, hi = args.log_t_min, args.log_t_max

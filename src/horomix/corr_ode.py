@@ -34,6 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.integrate import quad
 
+from ._stencils import fornberg_weights
 from .errors import ConsistencyError, ConvergenceError, DomainError, TruncationError
 from .spectral_model import nu_of_lambda
 
@@ -480,9 +481,7 @@ class ForcingProfile:
         audit_points: int = 801,
         breakpoints: tuple = (),
     ) -> "ForcingProfile":
-        ts = np.logspace(0.0, math.log10(audit_t_max), audit_points)
-        env = np.array([abs(complex(fn(t))) * t for t in ts])
-        sup = float(env.max())
+        sup = _sampled_envelope(fn, audit_t_max, audit_points)
         if decay_c is None:
             decay_c = sup
         elif sup > decay_c * (1.0 + 1e-9):
@@ -530,9 +529,13 @@ class ForcingProfile:
             if t_max is not None:
                 mask &= self.grid <= t_max
             return float(np.max(np.abs(self.values[mask]) * self.grid[mask]))
-        hi = t_max if t_max is not None else 1e4
-        ts = np.logspace(0.0, math.log10(hi), 801)
-        return float(max(abs(complex(self.fn(t))) * t for t in ts))
+        return _sampled_envelope(self.fn, t_max if t_max is not None else 1e4)
+
+
+def _sampled_envelope(fn, t_max: float, points: int = 801) -> float:
+    """Max of t·|f(t)| over ``points`` log-spaced samples of [1, t_max]."""
+    ts = np.logspace(0.0, math.log10(t_max), points)
+    return float(max(abs(complex(fn(t))) * t for t in ts))
 
 
 # ---------------------------------------------------------------------------
@@ -620,32 +623,6 @@ def assemble_forcing(
     return profile
 
 
-def _fornberg_weights(nodes: np.ndarray, x0: float, order: int) -> np.ndarray:
-    """Finite-difference weights on arbitrary nodes (Fornberg's recursion)."""
-    n = nodes.size
-    c = np.zeros((n, order + 1))
-    c[0, 0] = 1.0
-    c1 = 1.0
-    c4 = nodes[0] - x0
-    for i in range(1, n):
-        mn = min(i, order)
-        c2 = 1.0
-        c5 = c4
-        c4 = nodes[i] - x0
-        for j in range(i):
-            c3 = nodes[i] - nodes[j]
-            c2 *= c3
-            if j == i - 1:
-                for k in range(mn, 0, -1):
-                    c[i, k] = c1 * (k * c[i - 1, k - 1] - c5 * c[i - 1, k]) / c2
-                c[i, 0] = -c1 * c5 * c[i - 1, 0] / c2
-            for k in range(mn, 0, -1):
-                c[j, k] = (c4 * c[j, k] - k * c[j, k - 1]) / c3
-            c[j, 0] = c4 * c[j, 0] / c3
-        c1 = c2
-    return c[:, order]
-
-
 def second_derivative_from_first(grid: np.ndarray, yprime: np.ndarray) -> np.ndarray:
     """y'' at interior nodes by 5-point stencils on y'.
 
@@ -660,16 +637,16 @@ def second_derivative_from_first(grid: np.ndarray, yprime: np.ndarray) -> np.nda
     for i in range(2, n - 2):
         if grid[i - 2] <= 0.0:
             tl = grid[i - 2 : i + 3]
-            w = _fornberg_weights(tl, grid[i], 1)
+            w = fornberg_weights(tl, grid[i], 1)
             out[i] = w @ yprime[i - 2 : i + 3]
             continue
         dts = np.diff(grid[i - 2 : i + 3])
         dtaus = np.diff(logt[i - 2 : i + 3])
         if dtaus.max() / dtaus.min() <= dts.max() / dts.min():
-            w = _fornberg_weights(logt[i - 2 : i + 3], logt[i], 1)
+            w = fornberg_weights(logt[i - 2 : i + 3], logt[i], 1)
             out[i] = (w @ yprime[i - 2 : i + 3]) / grid[i]
         else:
-            w = _fornberg_weights(grid[i - 2 : i + 3], grid[i], 1)
+            w = fornberg_weights(grid[i - 2 : i + 3], grid[i], 1)
             out[i] = w @ yprime[i - 2 : i + 3]
     return out
 
@@ -712,13 +689,18 @@ class TailEstimate:
     cutoff: float
 
 
+def _tail_bound(nu: float, decay_c: float, cutoff: float) -> float:
+    """Envelope bound decay_c·R^(−ν)/(2ν²) on |(1/2ν)∫_R^∞ r^(−ν) f dr|."""
+    return decay_c * cutoff ** (-nu) / (2.0 * nu * nu)
+
+
 def _tail_cutoff(nu: float, decay_c: float, tol: float, r_max: float) -> float:
     """Smallest R with envelope tail bound decay_c·R^{-ν}/(2ν²) ≤ tol."""
     if decay_c == 0.0:
         return 1.0
     r_req = (decay_c / (2.0 * nu * nu * tol)) ** (1.0 / nu)
     if r_req > r_max:
-        achieved = decay_c * r_max ** (-nu) / (2.0 * nu * nu)
+        achieved = _tail_bound(nu, decay_c, r_max)
         raise TruncationError(
             f"tail bound cannot reach {tol:.1e} within R_max={r_max:.1e} "
             f"(achieved {achieved:.3e})",
@@ -747,7 +729,7 @@ def asymptotic_constant(
         integral = power_weighted_integral(
             forcing.grid, forcing.values, -nu, a=1.0, b=cutoff
         )
-        bound = forcing.decay_c * cutoff ** (-nu) / (2.0 * nu * nu)
+        bound = _tail_bound(nu, forcing.decay_c, cutoff)
         if tol is not None and bound > tol:
             raise TruncationError(
                 f"sampled forcing ends at {cutoff:.3e}; tail bound {bound:.3e} "
@@ -760,7 +742,7 @@ def asymptotic_constant(
             lambda r: r ** (-nu) * forcing.fn(r), 1.0, cutoff,
             points=forcing.breakpoints,
         )
-        bound = forcing.decay_c * cutoff ** (-nu) / (2.0 * nu * nu)
+        bound = _tail_bound(nu, forcing.decay_c, cutoff)
     return TailEstimate(value=-integral / (2.0 * nu), tail_bound=bound, cutoff=cutoff)
 
 
@@ -783,7 +765,7 @@ def asymptotic_amplitude(
             raise DomainError("sampled forcing must start at t = 0")
         cutoff = forcing.t_max
         integral = power_weighted_integral(forcing.grid, forcing.values, -nu)
-        bound = forcing.decay_c * cutoff ** (-nu) / (2.0 * nu * nu)
+        bound = _tail_bound(nu, forcing.decay_c, cutoff)
         if tol is not None and bound > tol:
             raise TruncationError(
                 f"tail bound {bound:.3e} exceeds {tol:.1e}", achieved_bound=bound
@@ -801,7 +783,7 @@ def asymptotic_amplitude(
             points=forcing.breakpoints,
         )
         integral = head + tail
-        bound = forcing.decay_c * cutoff ** (-nu) / (2.0 * nu * nu)
+        bound = _tail_bound(nu, forcing.decay_c, cutoff)
     return TailEstimate(value=integral / (2.0 * nu), tail_bound=bound, cutoff=cutoff)
 
 
@@ -823,27 +805,34 @@ def particular_solution(
         raise DomainError(f"nu must lie in (0, 1], got {nu}")
     if t <= 0.0:
         raise DomainError("t must be positive")
+    if forcing.sampled and not forcing.grid[0] <= t <= forcing.grid[-1]:
+        raise DomainError("t outside the sampled range")
+    head, tail = _vop_integrals(nu, forcing, t, tol, r_max)
+    return -(t ** (nu - 1.0)) / (2 * nu) * tail - t ** (-nu - 1.0) / (2 * nu) * head
+
+
+def _vop_integrals(
+    nu: float, forcing: ForcingProfile, t: float, tol: float, r_max: float
+) -> tuple[complex, complex]:
+    """(head, tail) = (∫₀ᵗ r^ν f dr, ∫ₜ^∞ r^(−ν) f dr).
+
+    Sampled forcing integrates over its grid; callable forcing cuts the
+    tail at the certified cutoff for ``tol``.
+    """
     if forcing.sampled:
         grid, vals = forcing.grid, forcing.values
-        if not grid[0] <= t <= grid[-1]:
-            raise DomainError("t outside the sampled range")
         head = power_weighted_integral(grid, vals, nu, a=grid[0], b=t)
         tail = power_weighted_integral(grid, vals, -nu, a=t, b=grid[-1])
-        cutoff = forcing.t_max
-    else:
-        cutoff = _tail_cutoff(nu, forcing.decay_c, tol, r_max)
-        head = _quad_complex(
-            lambda r: r**nu * forcing.fn(r), 0.0, t, points=forcing.breakpoints
-        )
-        tail = (
-            _geometric_panels(
-                lambda r: r ** (-nu) * forcing.fn(r), t, cutoff,
-                points=forcing.breakpoints,
-            )
-            if t < cutoff
-            else 0.0
-        )
-    return -(t ** (nu - 1.0)) / (2 * nu) * tail - t ** (-nu - 1.0) / (2 * nu) * head
+        return head, tail
+    cutoff = _tail_cutoff(nu, forcing.decay_c, tol, r_max)
+    head = _quad_complex(
+        lambda r: r**nu * forcing.fn(r), 0.0, t, points=forcing.breakpoints
+    )
+    # the panel sum is empty (zero) once t reaches the cutoff
+    tail = _geometric_panels(
+        lambda r: r ** (-nu) * forcing.fn(r), t, cutoff, points=forcing.breakpoints
+    )
+    return head, tail
 
 
 def particular_trajectory(
@@ -860,22 +849,7 @@ def particular_trajectory(
     y = np.empty(grid.size, dtype=complex)
     yp = np.empty(grid.size, dtype=complex)
     for i, t in enumerate(grid):
-        if forcing.sampled:
-            head = power_weighted_integral(
-                forcing.grid, forcing.values, nu, a=forcing.grid[0], b=t
-            )
-            tail = power_weighted_integral(
-                forcing.grid, forcing.values, -nu, a=t, b=forcing.grid[-1]
-            )
-        else:
-            cutoff = _tail_cutoff(nu, forcing.decay_c, 1e-10, 1e280)
-            head = _quad_complex(
-                lambda r: r**nu * forcing.fn(r), 0.0, t, points=forcing.breakpoints
-            )
-            tail = _geometric_panels(
-                lambda r: r ** (-nu) * forcing.fn(r), t, max(cutoff, t),
-                points=forcing.breakpoints,
-            )
+        head, tail = _vop_integrals(nu, forcing, t, 1e-10, 1e280)
         y[i] = -(t ** (nu - 1.0)) / (2 * nu) * tail - t ** (-nu - 1.0) / (2 * nu) * head
         yp[i] = (
             -((nu - 1.0) * t ** (nu - 2.0)) / (2 * nu) * tail

@@ -12,17 +12,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import product
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.optimize import brentq
 
 from ._parallel import ordered_sum, parallel_map
-from .errors import DomainError, LatticeSizeError, ModelValidityError
+from ._stencils import GRID_CAP, tensor_grid
+from .errors import DomainError, ModelValidityError
 from .spectral_model import SpectralModel
 
-_DEFAULT_CAP = 100_000_000
 _BLOCK = 8192
 
 
@@ -48,21 +47,14 @@ def _centered_axis(n: int) -> np.ndarray:
     return np.sort(vals)
 
 
-def enumerate_characters(
-    lattice: CharacterLattice, cap: int = _DEFAULT_CAP
-) -> np.ndarray:
+def enumerate_characters(lattice: CharacterLattice, cap: int = GRID_CAP) -> np.ndarray:
     """All lattice characters as centered torus points, lex-ordered.
 
     Centered representatives keep sublevel sets of λ₀ near 0 away from
-    the fundamental-domain boundary.
+    the fundamental-domain boundary.  Lattices above ``cap`` points raise
+    LatticeSizeError.
     """
-    if lattice.size > cap:
-        raise LatticeSizeError(
-            f"lattice has {lattice.size} points, above the cap {cap}"
-        )
-    axes = [_centered_axis(n) for n in lattice.orders]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack([m.reshape(-1) for m in mesh], axis=-1)
+    return tensor_grid([_centered_axis(n) for n in lattice.orders], cap)
 
 
 @dataclass
@@ -158,44 +150,17 @@ def _unit_ball_volume(d: int) -> float:
     return math.pi ** (d / 2.0) / math.gamma(d / 2.0 + 1.0)
 
 
-def _radial_phi(model: SpectralModel):
-    """λ₀ = φ(q) with q the quadratic part, if the model is radial."""
-    if model.perturbation is None:
-        return (lambda q: q), (lambda q: np.ones_like(np.asarray(q, float)))
-    phi = model.perturbation.radial_phi()
-    if phi is not None:
-        phi_p = model.perturbation.radial_phi_prime()
-        return phi, phi_p
-    if model.rank_d == 1 and model.perturbation.name == "quartic":
-        # coeff·omega^4 = (coeff/qc^2)·q^2 in one dimension
-        c = model.perturbation.coeff / model.quad_coeff**2
-        return (lambda q: q + c * q * q), (lambda q: 1.0 + 2.0 * c * q)
-    return None, None
-
-
-def _sublevel_volume_and_density(model: SpectralModel, x: float):
-    """(Vol{λ₀ ≤ x}, ρ(x)) for radial-class models, exact reduction."""
-    d = model.rank_d
-    det_m = float(np.linalg.det(model.quad_coeff * model.gram))
-    vd = _unit_ball_volume(d)
-    phi, phi_p = _radial_phi(model)
-    if phi is None:
-        return None
+def _radial_density(profile, d: int, vd: float, root_det: float, x: float) -> float:
+    """ρ(x) for λ₀ = φ(q): the sublevel set {q ≤ q*} with φ(q*) = x is an
+    ellipsoid of volume q*^(d/2)·V_d/√det M, differentiated in x."""
+    phi, phi_p = profile
     if x == 0.0:
-        return 0.0, (math.inf if d == 1 else (vd / math.sqrt(det_m) if d == 2 else 0.0))
+        return math.inf if d == 1 else (vd / root_det if d == 2 else 0.0)
     hi = max(x, 1.0)
     while phi(hi) < x:
         hi *= 2.0
     qstar = brentq(lambda q: phi(q) - x, 0.0, hi, xtol=1e-16, rtol=8.9e-16)
-    vol = qstar ** (d / 2.0) * vd / math.sqrt(det_m)
-    rho = (
-        (d / 2.0)
-        * qstar ** (d / 2.0 - 1.0)
-        * vd
-        / math.sqrt(det_m)
-        / float(phi_p(qstar))
-    )
-    return vol, rho
+    return (d / 2.0) * qstar ** (d / 2.0 - 1.0) * vd / root_det / phi_p(qstar)
 
 
 def _angular_density_2d(model: SpectralModel, x: float, n_angles: int = 64) -> float:
@@ -229,9 +194,9 @@ def limit_density(
 ) -> DensityTable:
     """Pushforward density of torus Lebesgue measure under λ₀ on [0, ε].
 
-    Radial-class models (pure quadratic, radial quartic, any 1-d
-    perturbation of the supported presets) reduce exactly to one
-    dimension; other 2-d models integrate over level curves numerically.
+    Models with a :meth:`SpectralModel.radial_profile` (pure quadratic,
+    radial quartic, rank-1 quartic) reduce exactly to one dimension; other
+    2-d models integrate over level curves numerically.
     The x^(d/2−1) factor is split off into ``zeta_tilde``, which stays
     bounded near 0.
     """
@@ -241,29 +206,24 @@ def limit_density(
     if np.any(grid < 0.0) or np.any(grid > epsilon):
         raise DomainError("density grid must lie inside [0, epsilon]")
     d = model.rank_d
+    profile = model.radial_profile()
+    if profile is None and d != 2:
+        raise DomainError("general non-radial models are supported only in dimension 2")
     expo = d / 2.0 - 1.0
+    vd = _unit_ball_volume(d)
+    root_det = math.sqrt(float(np.linalg.det(model.quad_coeff * model.gram)))
     rho = np.empty(grid.size)
-    phi, _ = _radial_phi(model)
     for i, x in enumerate(grid):
-        if phi is not None:
-            rho[i] = _sublevel_volume_and_density(model, float(x))[1]
-        elif d == 2:
-            rho[i] = (
-                _angular_density_2d(model, float(x))
-                if x > 0.0
-                else _angular_density_2d(model, 1e-12 * epsilon)
-            )
+        if profile is not None:
+            rho[i] = _radial_density(profile, d, vd, root_det, float(x))
         else:
-            raise DomainError(
-                "general non-radial models are supported only in dimension 2"
-            )
+            rho[i] = _angular_density_2d(model, float(x) if x > 0.0 else 1e-12 * epsilon)
     with np.errstate(divide="ignore", invalid="ignore"):
         safe = np.where(grid > 0.0, grid, 1.0)
         zt = np.where(grid > 0.0, rho * safe ** (-expo), np.nan)
     if grid.size and grid[0] == 0.0:
         # small-x limit from the Hessian: (d/2) V_d / sqrt(det M)
-        det_m = float(np.linalg.det(model.quad_coeff * model.gram))
-        zt[0] = (d / 2.0) * _unit_ball_volume(d) / math.sqrt(det_m)
+        zt[0] = (d / 2.0) * vd / root_det
     return DensityTable(
         x=grid, density=rho, zeta_tilde=zt, exponent=expo, epsilon=epsilon
     )

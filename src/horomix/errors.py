@@ -55,7 +55,8 @@ class UnsupportedMorseClassError(HoromixError):
 
 
 class LatticeSizeError(HoromixError):
-    """A character lattice exceeds the configured enumeration cap."""
+    """A tensor grid (character lattice, validation sweep, quadrature mesh
+    or stencil) has more points than its cap; raised before allocation."""
 
 
 class ConfigError(HoromixError):

@@ -15,12 +15,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import product
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.optimize import brentq
 
+from ._stencils import finite_difference_hessian, fornberg_weights, tensor_grid
 from .errors import (
     ConditioningError,
     DomainError,
@@ -96,37 +96,16 @@ class PhaseProblem:
     def validate(self, grid_per_axis: int = 9) -> None:
         """Audit v < 0 off 0 on a grid and the Hessian against finite
         differences (relative tolerance 1e-6)."""
-        axes = [np.linspace(-u, u, grid_per_axis) for u in self.box]
-        pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, self.dim)
+        pts = tensor_grid([np.linspace(-u, u, grid_per_axis) for u in self.box])
         vals = self.v(pts)
         interior = np.any(pts != 0.0, axis=1)
         if np.any(vals[interior] >= 0.0):
             raise ModelValidityError("phase audit failed: v(xi) >= 0 off the origin")
-        fd = _fd_hessian_batch(self.v, self.dim)
+        fd = finite_difference_hessian(
+            lambda x: self.v(x.reshape(1, self.dim))[0], np.zeros(self.dim)
+        )
         if not np.allclose(-fd, self.hessian, rtol=1e-6, atol=1e-8):
             raise ModelValidityError("-D^2 v(0) does not match the declared hessian")
-
-
-def _fd_hessian_batch(v, dim: int, h: float = 1e-4) -> np.ndarray:
-    def value(x):
-        return float(v(np.asarray(x, dtype=float).reshape(1, dim))[0])
-
-    def at(step):
-        out = np.empty((dim, dim))
-        f0 = value(np.zeros(dim))
-        for i in range(dim):
-            ei = np.zeros(dim)
-            ei[i] = step
-            out[i, i] = (value(ei) - 2 * f0 + value(-ei)) / step**2
-            for j in range(i + 1, dim):
-                ej = np.zeros(dim)
-                ej[j] = step
-                out[i, j] = out[j, i] = (
-                    value(ei + ej) - value(ei - ej) - value(-ei + ej) + value(-ei - ej)
-                ) / (4 * step**2)
-        return out
-
-    return (4.0 * at(h / 2) - at(h)) / 3.0
 
 
 def quadratic_problem(hessian, a=None, box=None) -> PhaseProblem:
@@ -218,10 +197,8 @@ def _tensor_value(problem: PhaseProblem, T: float, nodes: int, ratio: float):
             pts.append(mid + half * x_ref)
             wts.append(half * w_ref)
         per_dim.append((np.concatenate(pts), np.concatenate(wts)))
-    mesh = np.meshgrid(*[p for p, _ in per_dim], indexing="ij")
-    pts = np.stack([m.reshape(-1) for m in mesh], axis=-1)
-    wmesh = np.meshgrid(*[w for _, w in per_dim], indexing="ij")
-    wts = np.prod(np.stack([m.reshape(-1) for m in wmesh], axis=-1), axis=-1)
+    pts = tensor_grid([p for p, _ in per_dim])
+    wts = np.prod(tensor_grid([w for _, w in per_dim]), axis=-1)
     integrand = np.exp(T * problem.v(pts)) * problem.a(pts)
     return float(np.dot(wts, integrand)), float(np.dot(np.abs(wts), np.abs(integrand)))
 
@@ -277,30 +254,6 @@ class ExpansionCoefficients:
         return out
 
 
-def _fornberg_1d(order: int, m: int, h: float) -> tuple[np.ndarray, np.ndarray]:
-    """Weights for the order-th derivative at 0 on nodes −m·h .. m·h."""
-    nodes = np.arange(-m, m + 1) * h
-    n = nodes.size
-    c = np.zeros((n, order + 1))
-    c[0, 0] = 1.0
-    c1, c4 = 1.0, nodes[0]
-    for i in range(1, n):
-        mn = min(i, order)
-        c2, c5, c4 = 1.0, c4, nodes[i]
-        for j in range(i):
-            c3 = nodes[i] - nodes[j]
-            c2 *= c3
-            if j == i - 1:
-                for k in range(mn, 0, -1):
-                    c[i, k] = c1 * (k * c[i - 1, k - 1] - c5 * c[i - 1, k]) / c2
-                c[i, 0] = -c1 * c5 * c[i - 1, 0] / c2
-            for k in range(mn, 0, -1):
-                c[j, k] = (c4 * c[j, k] - k * c[j, k - 1]) / c3
-            c[j, 0] = c4 * c[j, 0] / c3
-        c1 = c2
-    return nodes, c[:, order]
-
-
 def _tensor_derivative(fn, k: tuple, h: float) -> float:
     """D^k fn(0) by tensorized central stencils, Richardson-refined.
 
@@ -313,13 +266,11 @@ def _tensor_derivative(fn, k: tuple, h: float) -> float:
         axes, weights = [], []
         for ki in k:
             m = (ki + 4) // 2 + 1
-            nodes, w = _fornberg_1d(ki, m, step)
+            nodes = np.arange(-m, m + 1) * step
             axes.append(nodes)
-            weights.append(w)
-        mesh = np.meshgrid(*axes, indexing="ij")
-        pts = np.stack([mm.reshape(-1) for mm in mesh], axis=-1)
-        wmesh = np.meshgrid(*weights, indexing="ij")
-        wts = np.prod(np.stack([mm.reshape(-1) for mm in wmesh], axis=-1), axis=-1)
+            weights.append(fornberg_weights(nodes, 0.0, ki))
+        pts = tensor_grid(axes)
+        wts = np.prod(tensor_grid(weights), axis=-1)
         return float(np.dot(wts, fn(pts) - f0))
 
     coarse, fine = at(h), at(h / 2)

@@ -22,6 +22,7 @@ from itertools import product
 
 import numpy as np
 
+from ._stencils import finite_difference_gradient, finite_difference_hessian, tensor_grid
 from .errors import ConfigError, DomainError, ModelValidityError
 
 LAMBDA_MAX = 0.25
@@ -81,19 +82,6 @@ class Perturbation:
         if self.name == "quartic":
             return self.coeff * np.sum(pts**4, axis=-1)
         return self.coeff * quad_form**2
-
-    def radial_phi(self):
-        """λ₀ = φ(q) if the perturbed model is still a function of q alone."""
-        if self.name != "radial_quartic":
-            return None
-        c = self.coeff
-        return lambda q: q + c * q * q
-
-    def radial_phi_prime(self):
-        if self.name != "radial_quartic":
-            return None
-        c = self.coeff
-        return lambda q: 1.0 + 2.0 * c * q
 
     def to_json(self) -> dict:
         return {"name": self.name, "params": {"coeff": self.coeff}}
@@ -209,6 +197,25 @@ class SpectralModel:
         """D²λ₀(0) = (2π/(g−1)) G, exact for admissible perturbations."""
         return (2.0 * math.pi / (self.genus - 1)) * self.gram
 
+    def radial_profile(self):
+        """(φ, φ′) with λ₀ = φ(q), q the quadratic part, or None when λ₀ is
+        not a function of q alone.
+
+        φ(q) = q + c·q² covers the unperturbed model (c = 0), the radial
+        quartic (c = coeff) and the rank-1 quartic, where q = qc·g·ω² turns
+        coeff·ω⁴ into (coeff/(qc·g)²)·q².
+        """
+        pert = self.perturbation
+        if pert is None:
+            c = 0.0
+        elif pert.name == "radial_quartic":
+            c = pert.coeff
+        elif pert.name == "quartic" and self.rank_d == 1:
+            c = pert.coeff / (self.quad_coeff * self.gram[0, 0]) ** 2
+        else:
+            return None
+        return (lambda q: q + c * q * q), (lambda q: 1.0 + 2.0 * c * q)
+
     def mixing_hessian(self) -> np.ndarray:
         """Hessian 2 D²λ₀(0) of the mixing exponent 1 − ν₀ at the origin."""
         return 2.0 * self.hessian_lambda0()
@@ -245,8 +252,7 @@ class SpectralModel:
                 "Hessian check failed: finite differences of lambda0 at 0 "
                 "do not match (2*pi/(g-1)) * gram"
             )
-        axes = [np.linspace(-u, u, grid_per_axis) for u in self.domain_u]
-        mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
+        mesh = tensor_grid([np.linspace(-u, u, grid_per_axis) for u in self.domain_u])
         vals = self.lambda0_batch(mesh)
         nonzero = np.any(mesh != 0.0, axis=1)
         if np.any(vals[nonzero] <= 0.0):
@@ -290,61 +296,3 @@ class SpectralModel:
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"bad model document: {exc}") from exc
         return model
-
-
-# -- module-level operation aliases ------------------------------------------
-
-
-def lambda0_eval(model: SpectralModel, omega) -> float:
-    return model.lambda0(omega)
-
-
-def hessian_mixing(model: SpectralModel) -> np.ndarray:
-    return model.mixing_hessian()
-
-
-def sigma_constant(model: SpectralModel) -> float:
-    return model.sigma_constant()
-
-
-# -- finite differences --------------------------------------------------------
-
-
-def finite_difference_gradient(fn, x0: np.ndarray, h: float = 1e-5) -> np.ndarray:
-    x0 = np.asarray(x0, dtype=float)
-    d = x0.size
-    grad = np.empty(d)
-    for i in range(d):
-        e = np.zeros(d)
-        e[i] = h
-        grad[i] = (float(fn(x0 + e)) - float(fn(x0 - e))) / (2 * h)
-    return grad
-
-
-def finite_difference_hessian(fn, x0: np.ndarray, h: float = 1e-4) -> np.ndarray:
-    """Central second differences, Richardson-refined once for robustness."""
-
-    def hess_at(step):
-        x0a = np.asarray(x0, dtype=float)
-        d = x0a.size
-        out = np.empty((d, d))
-        f0 = float(fn(x0a))
-        for i in range(d):
-            ei = np.zeros(d)
-            ei[i] = step
-            out[i, i] = (float(fn(x0a + ei)) - 2 * f0 + float(fn(x0a - ei))) / step**2
-            for j in range(i + 1, d):
-                ej = np.zeros(d)
-                ej[j] = step
-                mixed = (
-                    float(fn(x0a + ei + ej))
-                    - float(fn(x0a + ei - ej))
-                    - float(fn(x0a - ei + ej))
-                    + float(fn(x0a - ei - ej))
-                ) / (4 * step**2)
-                out[i, j] = out[j, i] = mixed
-        return out
-
-    coarse = hess_at(h)
-    fine = hess_at(h / 2)
-    return (4.0 * fine - coarse) / 3.0

@@ -45,6 +45,11 @@ class TestEnumeration:
         with pytest.raises(LatticeSizeError):
             enumerate_characters(CharacterLattice((100000, 100000)))
 
+    def test_size_cap_passed_through(self):
+        assert enumerate_characters(CharacterLattice((4, 4)), cap=16).shape == (16, 2)
+        with pytest.raises(LatticeSizeError):
+            enumerate_characters(CharacterLattice((4, 4)), cap=15)
+
     def test_bad_orders(self):
         with pytest.raises(DomainError):
             CharacterLattice((0, 3))
@@ -130,6 +135,17 @@ class TestLimitDensity:
             vol_hi = _indicator_volume(m, x + h)
             vol_lo = _indicator_volume(m, x - h)
             assert rho == pytest.approx((vol_hi - vol_lo) / (2 * h), rel=2e-2)
+
+    def test_rank1_quartic_uses_gram(self):
+        # λ₀ = qc·g·ω² + ω⁴; the sublevel set {λ₀ ≤ ε} is [−ω*, ω*]
+        g, eps = 1.7, 0.05
+        m = SpectralModel(
+            genus=2, rank_d=1, gram=[[g]], perturbation=Perturbation("quartic", 1.0)
+        )
+        a = m.quad_coeff * g
+        w_star = math.sqrt(2.0 * eps / (a + math.sqrt(a * a + 4.0 * eps)))
+        got = limit_integral(m, ONE, eps)
+        assert got == pytest.approx(2.0 * w_star, rel=1e-12)
 
     def test_angular_route_matches_closed_form(self, model_d2):
         from horomix.cover_spectrum import _angular_density_2d

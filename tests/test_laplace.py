@@ -103,6 +103,27 @@ class TestQuadrature:
                 box=[1.0],
             )
 
+    def test_validation_rejects_wrong_declared_hessian(self):
+        # -D^2 v(0) = 2, declared 3: construction passes, validate must not
+        p = custom_problem(
+            1,
+            v=lambda pts: -pts[:, 0] ** 2,
+            a=lambda pts: np.ones(pts.shape[0]),
+            hessian=[[3.0]],
+            box=[1.0],
+        )
+        with pytest.raises(ModelValidityError, match="declared hessian"):
+            p.validate()
+
+    def test_validation_accepts_matching_hessian_2d(self):
+        custom_problem(
+            2,
+            v=lambda pts: -pts[:, 0] ** 2 - 0.5 * pts[:, 1] ** 2 - pts[:, 0] * pts[:, 1] / 4,
+            a=lambda pts: np.ones(pts.shape[0]),
+            hessian=[[2.0, 0.25], [0.25, 1.0]],
+            box=[1.0, 1.0],
+        ).validate()
+
 
 class TestExpansion:
     def test_quadratic_exact_any_dim(self):

@@ -5,17 +5,14 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from horomix.errors import ConfigError, DomainError, ModelValidityError
+from horomix.errors import ConfigError, DomainError, HoromixError, ModelValidityError
 from horomix.spectral_model import (
     CasimirPoint,
     Perturbation,
     SpectralModel,
     finite_difference_hessian,
-    hessian_mixing,
-    lambda0_eval,
     lambda_of_nu,
     nu_of_lambda,
-    sigma_constant,
 )
 
 
@@ -49,21 +46,21 @@ class TestCasimirMap:
 
 class TestBranchEvaluation:
     def test_minimum_at_origin(self, model_d1):
-        assert lambda0_eval(model_d1, [0.0]) == 0.0
+        assert model_d1.lambda0([0.0]) == 0.0
 
     def test_quadratic_value(self, model_d1):
         # direct evaluation of the quadratic model at w = 0.1
-        assert lambda0_eval(model_d1, [0.1]) == pytest.approx(
+        assert model_d1.lambda0([0.1]) == pytest.approx(
             math.pi * 0.01, rel=1e-14
         )
 
     def test_quartic_perturbation_adds(self, model_d1_quartic, model_d1):
-        got = lambda0_eval(model_d1_quartic, [0.1])
-        assert got == pytest.approx(lambda0_eval(model_d1, [0.1]) + 1e-4, rel=1e-12)
+        got = model_d1_quartic.lambda0([0.1])
+        assert got == pytest.approx(model_d1.lambda0([0.1]) + 1e-4, rel=1e-12)
 
     def test_outside_box_rejected(self, model_d1):
         with pytest.raises(DomainError):
-            lambda0_eval(model_d1, [model_d1.domain_u[0] * 1.5])
+            model_d1.lambda0([model_d1.domain_u[0] * 1.5])
 
     def test_above_quarter_rejected(self):
         # skip construction-time validation to probe the runtime guard
@@ -83,18 +80,18 @@ class TestBranchEvaluation:
 class TestHessians:
     def test_identity_gram_d1(self, model_d1):
         np.testing.assert_allclose(
-            hessian_mixing(model_d1), [[4 * math.pi]], rtol=1e-15
+            model_d1.mixing_hessian(), [[4 * math.pi]], rtol=1e-15
         )
 
     def test_diag_gram_g3(self):
         m = SpectralModel(genus=3, rank_d=2, gram=np.diag([2.0, 1.0]))
         np.testing.assert_allclose(
-            hessian_mixing(m), np.diag([4 * math.pi, 2 * math.pi]), rtol=1e-15
+            m.mixing_hessian(), np.diag([4 * math.pi, 2 * math.pi]), rtol=1e-15
         )
 
     def test_identity_gram_d2(self, model_d2):
         np.testing.assert_allclose(
-            hessian_mixing(model_d2), 4 * math.pi * np.eye(2), rtol=1e-15
+            model_d2.mixing_hessian(), 4 * math.pi * np.eye(2), rtol=1e-15
         )
 
     def test_fd_hessian_matches(self, model_d2):
@@ -107,20 +104,20 @@ class TestHessians:
 
     def test_mixing_is_twice_branch_hessian(self, model_d2):
         fd = finite_difference_hessian(model_d2.lambda0_batch, np.zeros(2))
-        np.testing.assert_allclose(hessian_mixing(model_d2), 2 * fd, rtol=1e-6)
+        np.testing.assert_allclose(model_d2.mixing_hessian(), 2 * fd, rtol=1e-6)
 
 
 class TestSigma:
     def test_identity(self, model_d2):
-        assert sigma_constant(model_d2) == 1.0
+        assert model_d2.sigma_constant() == 1.0
 
     def test_gram_four(self):
         m = SpectralModel(genus=2, rank_d=1, gram=[[4.0]])
-        assert sigma_constant(m) == pytest.approx(0.5, rel=1e-15)
+        assert m.sigma_constant() == pytest.approx(0.5, rel=1e-15)
 
     def test_identity_rank4(self):
         m = SpectralModel(genus=4, rank_d=4, gram=np.eye(4))
-        assert sigma_constant(m) == pytest.approx(1.0, rel=1e-12)
+        assert m.sigma_constant() == pytest.approx(1.0, rel=1e-12)
 
 
 class TestValidation:
@@ -174,6 +171,39 @@ class TestValidation:
              for sx in (-1, 1) for sy in (-1, 1)]
         )
         assert np.all(model_d2.lambda0_batch(corners) < 0.25)
+
+
+    def test_sweep_size_guard(self):
+        # 11^16 sweep points are refused before the grid is built
+        with pytest.raises(HoromixError):
+            SpectralModel(genus=8, rank_d=16, gram=np.eye(16)).validate()
+
+
+class TestRadialProfile:
+    @pytest.mark.parametrize(
+        "gram, pert",
+        [
+            ([[1.7]], None),
+            ([[1.7]], Perturbation("quartic", 1.0)),
+            ([[1.0, 0.2], [0.2, 0.8]], Perturbation("radial_quartic", 0.5)),
+        ],
+    )
+    def test_branch_is_function_of_quadratic_part(self, gram, pert):
+        m = SpectralModel(genus=2, rank_d=len(gram), gram=gram, perturbation=pert)
+        phi, phi_p = m.radial_profile()
+        pts = np.random.default_rng(0).uniform(-1, 1, (50, m.rank_d)) * m.domain_u
+        q = m.quadratic_part(pts)
+        np.testing.assert_allclose(phi(q), m.lambda0_batch(pts), rtol=1e-13)
+        h = 1e-6
+        np.testing.assert_allclose(
+            phi_p(q), (phi(q + h) - phi(q - h)) / (2 * h), rtol=1e-8
+        )
+
+    def test_quartic_d2_not_radial(self):
+        m = SpectralModel(
+            genus=2, rank_d=2, gram=np.eye(2), perturbation=Perturbation("quartic", 1.0)
+        )
+        assert m.radial_profile() is None
 
 
 class _CurvedPerturbation(Perturbation):
