@@ -14,6 +14,8 @@ import numpy as np
 from .errors import LatticeSizeError
 
 GRID_CAP = 100_000_000
+# Points a validation sweep may use: 11 per axis fit up to d = 5.
+SWEEP_BUDGET = 1_000_000
 
 
 def fornberg_weights(nodes: np.ndarray, x0: float, order: int) -> np.ndarray:
@@ -59,9 +61,25 @@ def tensor_grid(axes, cap: int = GRID_CAP) -> np.ndarray:
     return np.stack([m.reshape(-1) for m in mesh], axis=-1)
 
 
-def finite_difference_gradient(fn, x0: np.ndarray, h: float = 1e-5) -> np.ndarray:
+def sweep_grid(half_widths, per_axis: int) -> np.ndarray:
+    """Evenly spaced tensor grid over the box ∏[−u, u], for validation sweeps.
+
+    Keeps ``per_axis`` points on every axis while the grid fits
+    SWEEP_BUDGET; above that the per-axis count shrinks until it fits,
+    but never below 2 (the box vertices).  Where the 2^d vertices alone
+    exceed the budget (d ≥ 20) the sweep is refused before allocation.
+    """
+    d = len(half_widths)
+    n = per_axis
+    while n > 2 and n**d > SWEEP_BUDGET:
+        n -= 1
+    return tensor_grid([np.linspace(-u, u, n) for u in half_widths], SWEEP_BUDGET)
+
+
+def finite_difference_gradient(fn, x0: np.ndarray) -> np.ndarray:
     x0 = np.asarray(x0, dtype=float)
     d = x0.size
+    h = 1e-5
     grad = np.empty(d)
     for i in range(d):
         e = np.zeros(d)
@@ -70,7 +88,7 @@ def finite_difference_gradient(fn, x0: np.ndarray, h: float = 1e-5) -> np.ndarra
     return grad
 
 
-def finite_difference_hessian(fn, x0: np.ndarray, h: float = 1e-4) -> np.ndarray:
+def finite_difference_hessian(fn, x0: np.ndarray) -> np.ndarray:
     """Central second differences, Richardson-refined once for robustness."""
 
     def hess_at(step):
@@ -94,6 +112,7 @@ def finite_difference_hessian(fn, x0: np.ndarray, h: float = 1e-4) -> np.ndarray
                 out[i, j] = out[j, i] = mixed
         return out
 
+    h = 1e-4
     coarse = hess_at(h)
     fine = hess_at(h / 2)
     return (4.0 * fine - coarse) / 3.0

@@ -3,7 +3,8 @@
 Exit codes: 0 success, 1 usage or configuration error, 2 validation
 failure (a requested acceptance-style check did not pass).  Every run
 writes exactly one manifest next to its output file; outputs are
-byte-identical across worker counts and repeat runs.
+byte-identical across worker counts and repeat runs.  The worker count
+is read from HMIX_WORKERS, and the manifest records it.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ def _write_manifest(subcommand: str, config: dict, args, outputs: list[Path]) ->
         "subcommand": subcommand,
         "config_digest": _config_digest(config),
         "seed": args.seed,
-        "worker_count": worker_count(args.workers),
+        "worker_count": worker_count(),
         "tool_version": __version__,
         "outputs": [
             {"path": p.name, "sha256": _sha256(p)} for p in outputs
@@ -179,9 +180,7 @@ def _cmd_laplace(args) -> int:
     problem = _laplace_problem(args)
     problem.validate()
     T = corr_ode.log_grid(args.t_min, args.t_max, args.points_per_decade)
-    vals = parallel_map(
-        lambda t: laplace.laplace_quadrature(problem, t), T, args.workers
-    )
+    vals = parallel_map(lambda t: laplace.laplace_quadrature(problem, t), T)
     samples = np.column_stack([T, vals])
     try:
         coeffs = laplace.laplace_expand(problem, args.order)
@@ -330,8 +329,6 @@ def _cmd_selftest(args) -> int:
 
 def _build_parser() -> _Parser:
     parser = _Parser(prog="horomix", description=__doc__)
-    parser.add_argument("--workers", type=int, default=None,
-                        help="worker count (overrides HMIX_WORKERS)")
     parser.add_argument("--seed", type=int, default=0,
                         help="seed recorded in the manifest; only Monte Carlo "
                              "cross-checks would consume it")

@@ -40,6 +40,8 @@ from .spectral_model import nu_of_lambda
 
 _SERIES_T = 0.5          # series radius actually used (convergence radius is 2)
 _SERIES_TERMS = 40
+_CONSISTENCY_TOL = 1e-6  # master residual above which a trajectory is rejected
+_R_MAX = 1e280           # largest certified tail cutoff
 
 
 @dataclass(frozen=True)
@@ -83,7 +85,6 @@ class Trajectory:
     y: np.ndarray
     y_prime: np.ndarray
     meta: TrajectoryMeta
-    integral_h: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
         if np.any(np.diff(self.grid) <= 0):
@@ -97,14 +98,11 @@ class Trajectory:
 # ---------------------------------------------------------------------------
 
 
-def master_grid(
-    t_max: float, steps_per_decade: int = 400, lin_step: float = 1e-3
-) -> np.ndarray:
-    """Composite grid: uniform on [0, 1], uniform in log t on [1, t_max]."""
+def master_grid(t_max: float, steps_per_decade: int = 400) -> np.ndarray:
+    """Composite grid: step 1e-3 on [0, 1], uniform in log t on [1, t_max]."""
     if t_max <= 1.0:
         raise DomainError("t_max must exceed 1")
-    n_lin = max(2, round(1.0 / lin_step))
-    lin = np.linspace(0.0, 1.0, n_lin + 1)
+    lin = np.linspace(0.0, 1.0, 1001)
     decades = math.log10(t_max)
     n_log = max(2, round(decades * steps_per_decade))
     logpart = np.logspace(0.0, decades, n_log + 1)[1:]
@@ -127,7 +125,6 @@ def taylor_coefficients(
     lam: float,
     y0: complex,
     resonant_amplitude: complex = 0.0,
-    n_terms: int = _SERIES_TERMS,
 ) -> tuple[np.ndarray, np.ndarray, float]:
     """Startup expansion y = Σ a_k t^k + log t · Σ b_k t^k at the origin.
 
@@ -146,8 +143,8 @@ def taylor_coefficients(
     """
     mu, dsq = float(mode.mu), float(mode.dsq)
     k0 = mode.resonant_k
-    a = np.zeros(n_terms, dtype=complex)
-    b = np.zeros(n_terms, dtype=complex)
+    a = np.zeros(_SERIES_TERMS, dtype=complex)
+    b = np.zeros(_SERIES_TERMS, dtype=complex)
     a[0] = y0
     defect = 0.0
 
@@ -157,7 +154,7 @@ def taylor_coefficients(
             rhs -= c[k - 2] * (k * (k - 2) + 4.0 * lam)
         return rhs
 
-    for k in range(1, n_terms):
+    for k in range(1, _SERIES_TERMS):
         denom = 4.0 * k * k - dsq
         if dsq > 0 and k == k0:
             rhs = r_of(a, k)
@@ -253,16 +250,14 @@ def solve_master(
     n = grid.size
     y = np.zeros(n, dtype=complex)
     yp = np.zeros(n, dtype=complex)
-    integral = np.zeros(n, dtype=complex)
 
     start = max(int(np.searchsorted(grid, _SERIES_T, side="right")) - 1, 0)
     ys, yps, integs = _series_eval(a_ser, b_ser, grid[: start + 1])
     y[: start + 1] = ys
     yp[: start + 1] = yps
-    integral[: start + 1] = integs
     startup = "series" if consistent else "series+log"
 
-    yc, ic = y[start], integral[start]
+    yc, ic = y[start], integs[start]
     for k in range(start, n - 1):
         t, t_next = grid[k], grid[k + 1]
         h = t_next - t
@@ -277,7 +272,6 @@ def solve_master(
         yc = yc + h / 6 * (k1y + 2 * k2y + 2 * k3y + k4y)
         ic = ic + h / 6 * (k1i + 2 * k2i + 2 * k3i + k4i)
         y[k + 1] = yc
-        integral[k + 1] = ic
         yp[k + 1] = ic / (t_next * (t_next**2 + 4.0))
 
     meta = TrajectoryMeta(
@@ -289,7 +283,7 @@ def solve_master(
         startup=startup,
         inconsistency=defect,
     )
-    traj = Trajectory(grid=grid, y=y, y_prime=yp, meta=meta, integral_h=integral)
+    traj = Trajectory(grid=grid, y=y, y_prime=yp, meta=meta)
     meta.master_residual = master_relation_residual(traj, lam)
     if check_tol is not None and meta.master_residual > check_tol:
         raise ConvergenceError(
@@ -310,11 +304,9 @@ def oracle_trajectory(
     lam: float,
     y0: complex,
     grid: np.ndarray,
-    resonant_amplitude: complex = 1.0,
     tol: float = 1e-10,
-    max_levels: int = 5,
 ):
-    """Reference solution on ``grid`` by repeated step halving.
+    """Reference solution on ``grid`` by up to five step halvings.
 
     Returns (values at the nodes of ``grid``, error estimate).  The final
     answer is Richardson-extrapolated from the two finest levels assuming
@@ -322,13 +314,13 @@ def oracle_trajectory(
     """
     grid = np.asarray(grid, dtype=float)
     fine = grid
-    prev = solve_master(mode, lam, y0, fine, resonant_amplitude).y
+    prev = solve_master(mode, lam, y0, fine).y
     idx = np.arange(grid.size)
     err = float("inf")
-    for _ in range(max_levels):
+    for _ in range(5):
         fine = refine_grid(fine)
         idx = idx * 2
-        cur = solve_master(mode, lam, y0, fine, resonant_amplitude).y[idx]
+        cur = solve_master(mode, lam, y0, fine).y[idx]
         err = float(np.max(np.abs(cur - prev)))
         if err < tol:
             extrap = cur + (cur - prev) / 15.0
@@ -432,8 +424,8 @@ def power_weighted_integral(
     return total
 
 
-def _quad_complex(fn, a, b, points=None, limit=200):
-    kw = {"limit": limit}
+def _quad_complex(fn, a, b, points=None):
+    kw = {"limit": 200}
     if points:
         pts = [p for p in points if a < p < b]
         if pts:
@@ -443,13 +435,13 @@ def _quad_complex(fn, a, b, points=None, limit=200):
     return re + 1j * im
 
 
-def _geometric_panels(fn, a, r_stop, points=(), ratio=10.0):
-    """Σ of quad over panels [a, a·ratio, ...] up to r_stop; robust for
+def _geometric_panels(fn, a, r_stop, points=()):
+    """Σ of quad over panels [a, 10a, 100a, ...] up to r_stop; robust for
     integrands that die long before the certified cutoff."""
     total = 0.0 + 0.0j
     lo = a
     while lo < r_stop:
-        hi = min(lo * ratio, r_stop)
+        hi = min(lo * 10.0, r_stop)
         total += _quad_complex(fn, lo, hi, points=points)
         lo = hi
     return total
@@ -477,11 +469,9 @@ class ForcingProfile:
         cls,
         fn,
         decay_c: float | None = None,
-        audit_t_max: float = 1e4,
-        audit_points: int = 801,
         breakpoints: tuple = (),
     ) -> "ForcingProfile":
-        sup = _sampled_envelope(fn, audit_t_max, audit_points)
+        sup = _sampled_envelope(fn)
         if decay_c is None:
             decay_c = sup
         elif sup > decay_c * (1.0 + 1e-9):
@@ -522,19 +512,17 @@ class ForcingProfile:
             raise ConsistencyError("sampled forcing is not aligned with the grid")
         return np.array([complex(self.fn(t)) for t in np.asarray(grid, float)])
 
-    def envelope_audit(self, t_max: float | None = None) -> float:
+    def envelope_audit(self) -> float:
         """Max of t·|f(t)| on the audit range; must not exceed decay_c."""
         if self.sampled:
             mask = self.grid >= 1.0
-            if t_max is not None:
-                mask &= self.grid <= t_max
             return float(np.max(np.abs(self.values[mask]) * self.grid[mask]))
-        return _sampled_envelope(self.fn, t_max if t_max is not None else 1e4)
+        return _sampled_envelope(self.fn)
 
 
-def _sampled_envelope(fn, t_max: float, points: int = 801) -> float:
-    """Max of t·|f(t)| over ``points`` log-spaced samples of [1, t_max]."""
-    ts = np.logspace(0.0, math.log10(t_max), points)
+def _sampled_envelope(fn) -> float:
+    """Max of t·|f(t)| over 801 log-spaced samples of the audit range [1, 1e4]."""
+    ts = np.logspace(0.0, 4.0, 801)
     return float(max(abs(complex(fn(t))) * t for t in ts))
 
 
@@ -559,7 +547,6 @@ def assemble_forcing(
     mode: ModePair,
     traj: Trajectory,
     lam: float,
-    consistency_tol: float = 1e-6,
 ) -> ForcingProfile:
     """Sample f along a master trajectory and certify its decay envelope.
 
@@ -571,10 +558,10 @@ def assemble_forcing(
     f'(0) = (4−ν²) y'(0).
     """
     resid = master_relation_residual(traj, lam)
-    if resid > consistency_tol:
+    if resid > _CONSISTENCY_TOL:
         raise ConsistencyError(
             f"trajectory does not satisfy the master relation "
-            f"(residual {resid:.3e} > {consistency_tol:.1e})"
+            f"(residual {resid:.3e} > {_CONSISTENCY_TOL:.1e})"
         )
     t, y, yp = traj.grid, traj.y, traj.y_prime
     mode_mu, dsq = float(mode.mu), float(mode.dsq)
@@ -651,11 +638,9 @@ def second_derivative_from_first(grid: np.ndarray, yprime: np.ndarray) -> np.nda
     return out
 
 
-def euler_residual(
-    traj: Trajectory, forcing: ForcingProfile, lam: float, t_min: float = 0.0
-) -> float:
+def euler_residual(traj: Trajectory, forcing: ForcingProfile, lam: float) -> float:
     """sup over interior nodes of |t²y'' + 3ty' + 4λy − f|/(1 + max|y|)."""
-    per_point = euler_residual_pointwise(traj, forcing, lam, t_min)
+    per_point = euler_residual_pointwise(traj, forcing, lam)
     finite = per_point[np.isfinite(per_point)]
     if finite.size == 0:
         raise DomainError("grid too short for 5-point stencils")
@@ -663,7 +648,7 @@ def euler_residual(
 
 
 def euler_residual_pointwise(
-    traj: Trajectory, forcing: ForcingProfile, lam: float, t_min: float = 0.0
+    traj: Trajectory, forcing: ForcingProfile, lam: float
 ) -> np.ndarray:
     t, y, yp = traj.grid, traj.y, traj.y_prime
     f = forcing.values_on(t)
@@ -672,8 +657,6 @@ def euler_residual_pointwise(
     resid /= 1.0 + float(np.max(np.abs(y)))
     resid[~np.isfinite(ypp)] = np.nan
     resid[t <= 0.0] = np.nan
-    if t_min > 0.0:
-        resid[t < t_min] = np.nan
     return resid
 
 
@@ -713,7 +696,7 @@ def asymptotic_constant(
     nu: float,
     forcing: ForcingProfile,
     tol: float | None = 1e-9,
-    r_max: float = 1e280,
+    r_max: float = _R_MAX,
 ) -> TailEstimate:
     """Tail functional −(1/2ν) ∫₁^∞ r^(−ν) f(r) dr with a certified cutoff.
 
@@ -747,10 +730,7 @@ def asymptotic_constant(
 
 
 def asymptotic_amplitude(
-    nu: float,
-    forcing: ForcingProfile,
-    tol: float | None = None,
-    r_max: float = 1e280,
+    nu: float, forcing: ForcingProfile, tol: float | None = None
 ) -> TailEstimate:
     """Tail amplitude  (1/2ν) ∫₀^∞ r^(−ν) f(r) dr  of the bounded solution.
 
@@ -771,7 +751,7 @@ def asymptotic_amplitude(
                 f"tail bound {bound:.3e} exceeds {tol:.1e}", achieved_bound=bound
             )
     else:
-        cutoff = _tail_cutoff(nu, forcing.decay_c, tol if tol else 1e-9, r_max)
+        cutoff = _tail_cutoff(nu, forcing.decay_c, tol if tol else 1e-9, _R_MAX)
         # substitute r = s^(1/(1−ν)) on [0,1] to absorb the r^(−ν) weight
         power = 1.0 / (1.0 - nu)
         head = _quad_complex(
@@ -787,19 +767,14 @@ def asymptotic_amplitude(
     return TailEstimate(value=integral / (2.0 * nu), tail_bound=bound, cutoff=cutoff)
 
 
-def particular_solution(
-    nu: float,
-    forcing: ForcingProfile,
-    t: float,
-    tol: float = 1e-9,
-    r_max: float = 1e280,
-) -> complex:
+def particular_solution(nu: float, forcing: ForcingProfile, t: float) -> complex:
     """Variation-of-parameters value
 
         y(t) = −(t^(ν−1)/2ν) ∫_t^∞ r^(−ν) f dr − (t^(−ν−1)/2ν) ∫₀^t r^ν f dr.
 
     This is the particular solution that decays like 1/t; it differs from
-    the bounded-at-0 solution by a multiple of t^(ν−1).
+    the bounded-at-0 solution by a multiple of t^(ν−1).  Callable forcing
+    is cut where the envelope bounds the tail by 1e-9.
     """
     if not 0.0 < nu <= 1.0:
         raise DomainError(f"nu must lie in (0, 1], got {nu}")
@@ -807,12 +782,12 @@ def particular_solution(
         raise DomainError("t must be positive")
     if forcing.sampled and not forcing.grid[0] <= t <= forcing.grid[-1]:
         raise DomainError("t outside the sampled range")
-    head, tail = _vop_integrals(nu, forcing, t, tol, r_max)
+    head, tail = _vop_integrals(nu, forcing, t, 1e-9)
     return -(t ** (nu - 1.0)) / (2 * nu) * tail - t ** (-nu - 1.0) / (2 * nu) * head
 
 
 def _vop_integrals(
-    nu: float, forcing: ForcingProfile, t: float, tol: float, r_max: float
+    nu: float, forcing: ForcingProfile, t: float, tol: float
 ) -> tuple[complex, complex]:
     """(head, tail) = (∫₀ᵗ r^ν f dr, ∫ₜ^∞ r^(−ν) f dr).
 
@@ -824,7 +799,7 @@ def _vop_integrals(
         head = power_weighted_integral(grid, vals, nu, a=grid[0], b=t)
         tail = power_weighted_integral(grid, vals, -nu, a=t, b=grid[-1])
         return head, tail
-    cutoff = _tail_cutoff(nu, forcing.decay_c, tol, r_max)
+    cutoff = _tail_cutoff(nu, forcing.decay_c, tol, _R_MAX)
     head = _quad_complex(
         lambda r: r**nu * forcing.fn(r), 0.0, t, points=forcing.breakpoints
     )
@@ -849,7 +824,7 @@ def particular_trajectory(
     y = np.empty(grid.size, dtype=complex)
     yp = np.empty(grid.size, dtype=complex)
     for i, t in enumerate(grid):
-        head, tail = _vop_integrals(nu, forcing, t, 1e-10, 1e280)
+        head, tail = _vop_integrals(nu, forcing, t, 1e-10)
         y[i] = -(t ** (nu - 1.0)) / (2 * nu) * tail - t ** (-nu - 1.0) / (2 * nu) * head
         yp[i] = (
             -((nu - 1.0) * t ** (nu - 2.0)) / (2 * nu) * tail
@@ -872,19 +847,16 @@ class TailReport:
     sup: float
     slope: float
     bounded: bool
-    window: tuple
 
 
-def tail_remainder_check(
-    traj: Trajectory, a_const: complex, nu: float, t_min: float = 1.0
-) -> TailReport:
+def tail_remainder_check(traj: Trajectory, a_const: complex, nu: float) -> TailReport:
     """Check that t·|y(t) − A t^(ν−1)| stays bounded.
 
-    Returns the sup over t ≥ t_min and the log-log slope over the top
-    decade of the grid; ``bounded`` means slope < 0.05.  An unbounded
-    trend is reported, never raised.
+    Returns the sup over t ≥ 1 and the log-log slope over the top decade
+    of the grid; ``bounded`` means slope < 0.05.  An unbounded trend is
+    reported, never raised.
     """
-    mask = traj.grid >= t_min
+    mask = traj.grid >= 1.0
     t = traj.grid[mask]
     err = t * np.abs(traj.y[mask] - a_const * t ** (nu - 1.0))
     sup = float(np.max(err)) if err.size else 0.0
@@ -896,14 +868,13 @@ def tail_remainder_check(
     else:
         ew = np.maximum(ew, 1e-300)
         slope = float(np.polyfit(np.log(tw), np.log(ew), 1)[0])
-    return TailReport(sup=sup, slope=slope, bounded=slope < 0.05, window=(hi / 10.0, hi))
+    return TailReport(sup=sup, slope=slope, bounded=slope < 0.05)
 
 
-def fit_tail_amplitude(traj: Trajectory, nu: float, t_min: float | None = None) -> complex:
-    """Least-squares fit of y·t^(1−ν) = A + B·t^(−ν) over the top decades."""
+def fit_tail_amplitude(traj: Trajectory, nu: float) -> complex:
+    """Least-squares fit of y·t^(1−ν) = A + B·t^(−ν) over the top two decades."""
     hi = traj.grid[-1]
-    lo = hi / 100.0 if t_min is None else t_min
-    mask = (traj.grid >= lo) & (traj.grid <= hi)
+    mask = (traj.grid >= hi / 100.0) & (traj.grid <= hi)
     t = traj.grid[mask]
     target = traj.y[mask] * t ** (1.0 - nu)
     design = np.column_stack([np.ones_like(t), t ** (-nu)]).astype(complex)

@@ -17,7 +17,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.optimize import brentq
 
-from ._parallel import ordered_sum, parallel_map
+from ._parallel import parallel_map
 from ._stencils import GRID_CAP, tensor_grid
 from .errors import DomainError, ModelValidityError
 from .spectral_model import SpectralModel
@@ -129,7 +129,9 @@ def spectral_average(
     if lam.size == 0:
         return 0.0
     vals = np.asarray(f(lam), dtype=float)
-    return ordered_sum(vals.tolist()) / lattice.size
+    # fsum is exactly rounded, so the sum does not depend on the order or
+    # the blocking in which the kept values arrive.
+    return math.fsum(vals.tolist()) / lattice.size
 
 
 # ---------------------------------------------------------------------------
@@ -163,9 +165,10 @@ def _radial_density(profile, d: int, vd: float, root_det: float, x: float) -> fl
     return (d / 2.0) * qstar ** (d / 2.0 - 1.0) * vd / root_det / phi_p(qstar)
 
 
-def _angular_density_2d(model: SpectralModel, x: float, n_angles: int = 64) -> float:
-    """ρ(x) = ∫ r·(∂λ₀/∂r)⁻¹ dφ on the level curve, general 2-d models."""
-    nodes, weights = leggauss(n_angles)
+def _angular_density_2d(model: SpectralModel, x: float) -> float:
+    """ρ(x) = ∫ r·(∂λ₀/∂r)⁻¹ dφ on the level curve, general 2-d models,
+    by 64-point Gauss–Legendre in the angle."""
+    nodes, weights = leggauss(64)
     phis = math.pi * (nodes + 1.0)        # map [-1,1] -> [0, 2pi]
     wts = math.pi * weights
     total = 0.0
@@ -229,9 +232,10 @@ def limit_density(
     )
 
 
-def limit_integral(model: SpectralModel, f, epsilon: float, n_nodes: int = 200) -> float:
-    """∫₀^ε f(x) ρ(x) dx via the substitution x = s² (regular integrand)."""
-    nodes, weights = leggauss(n_nodes)
+def limit_integral(model: SpectralModel, f, epsilon: float) -> float:
+    """∫₀^ε f(x) ρ(x) dx via the substitution x = s² (regular integrand),
+    by 200-point Gauss–Legendre in s."""
+    nodes, weights = leggauss(200)
     s_hi = math.sqrt(epsilon)
     s = 0.5 * s_hi * (nodes + 1.0)
     w = 0.5 * s_hi * weights

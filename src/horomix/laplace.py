@@ -14,13 +14,18 @@ itself; and sequential Richardson extraction from sampled values.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.optimize import brentq
 
-from ._stencils import finite_difference_hessian, fornberg_weights, tensor_grid
+from ._stencils import (
+    finite_difference_hessian,
+    fornberg_weights,
+    sweep_grid,
+    tensor_grid,
+)
 from .errors import (
     ConditioningError,
     DomainError,
@@ -30,6 +35,9 @@ from .errors import (
 )
 
 _MAX_EXPANSION_ORDER = 4  # finite differences above D^8 b are not stable
+# Relative accuracy laplace_quadrature certifies; remainder_slope takes it
+# as the noise floor of sampled values.
+_QUAD_REL_TOL = 1e-10
 
 
 def _double_factorial(n: int) -> int:
@@ -93,10 +101,11 @@ class PhaseProblem:
         if abs(v0) > 1e-12:
             raise ModelValidityError(f"v(0) must vanish, got {v0}")
 
-    def validate(self, grid_per_axis: int = 9) -> None:
-        """Audit v < 0 off 0 on a grid and the Hessian against finite
-        differences (relative tolerance 1e-6)."""
-        pts = tensor_grid([np.linspace(-u, u, grid_per_axis) for u in self.box])
+    def validate(self) -> None:
+        """Audit v < 0 off 0 on a sweep of the box (9 points per axis while
+        the budget allows) and the Hessian against finite differences
+        (relative tolerance 1e-6)."""
+        pts = sweep_grid(self.box, 9)
         vals = self.v(pts)
         interior = np.any(pts != 0.0, axis=1)
         if np.any(vals[interior] >= 0.0):
@@ -108,18 +117,21 @@ class PhaseProblem:
             raise ModelValidityError("-D^2 v(0) does not match the declared hessian")
 
 
-def quadratic_problem(hessian, a=None, box=None) -> PhaseProblem:
+def _unit_amplitude(pts):
+    return np.ones(pts.shape[0])
+
+
+def quadratic_problem(hessian, a=None) -> PhaseProblem:
     """Exactly quadratic phase v = −½ ξᵀHξ."""
     hessian = np.atleast_2d(np.asarray(hessian, dtype=float))
     d = hessian.shape[0]
-    if box is None:
-        box = np.full(d, 8.0 / math.sqrt(np.linalg.eigvalsh(hessian)[0]))
+    box = np.full(d, 8.0 / math.sqrt(np.linalg.eigvalsh(hessian)[0]))
     v = lambda pts: -0.5 * np.einsum("ni,ij,nj->n", pts, hessian, pts)
-    a_fn = (lambda pts: np.ones(pts.shape[0])) if a is None else a
+    a_fn = _unit_amplitude if a is None else a
     return PhaseProblem(dim=d, v=v, a=a_fn, box=box, hessian=hessian, morse="quadratic")
 
 
-def radial_problem(hessian, phi, phi_prime, a=None, box=None) -> PhaseProblem:
+def radial_problem(hessian, phi, phi_prime, box=None) -> PhaseProblem:
     """Radial phase v = φ(q), q = ½ ξᵀHξ, with φ(0) = 0 and φ'(0) = −1."""
     hessian = np.atleast_2d(np.asarray(hessian, dtype=float))
     d = hessian.shape[0]
@@ -129,21 +141,20 @@ def radial_problem(hessian, phi, phi_prime, a=None, box=None) -> PhaseProblem:
         box = np.full(d, 8.0 / math.sqrt(np.linalg.eigvalsh(hessian)[0]))
     q = lambda pts: 0.5 * np.einsum("ni,ij,nj->n", pts, hessian, pts)
     v = lambda pts: phi(q(pts))
-    a_fn = (lambda pts: np.ones(pts.shape[0])) if a is None else a
     return PhaseProblem(
-        dim=d, v=v, a=a_fn, box=box, hessian=hessian,
+        dim=d, v=v, a=_unit_amplitude, box=box, hessian=hessian,
         morse="radial", phi=phi, phi_prime=phi_prime,
     )
 
 
-def oned_problem(v, hessian, a=None, box=None) -> PhaseProblem:
+def oned_problem(v, hessian, box=None) -> PhaseProblem:
     """General one-dimensional phase; normalized by θ(ξ) = sgn(ξ)√(−2v)."""
     h = float(np.atleast_2d(np.asarray(hessian, float))[0, 0])
     if box is None:
         box = np.array([8.0 / math.sqrt(h)])
-    a_fn = (lambda pts: np.ones(pts.shape[0])) if a is None else a
     return PhaseProblem(
-        dim=1, v=v, a=a_fn, box=np.atleast_1d(box), hessian=[[h]], morse="oned"
+        dim=1, v=v, a=_unit_amplitude, box=np.atleast_1d(box), hessian=[[h]],
+        morse="oned",
     )
 
 
@@ -206,14 +217,13 @@ def _tensor_value(problem: PhaseProblem, T: float, nodes: int, ratio: float):
 def laplace_quadrature(
     problem: PhaseProblem,
     t_value: float,
-    rel_tol: float = 1e-10,
     nodes: int = 24,
     panel_ratio: float = 1.0,
 ) -> float:
     """∫_U e^{T v} a dξ by Gauss–Legendre tensor panels refined toward 0.
 
     The result is certified by agreement of two refinement levels
-    (``nodes`` and ``nodes + 8`` points per panel) to ``rel_tol``,
+    (``nodes`` and ``nodes + 8`` points per panel) to ``_QUAD_REL_TOL``,
     measured against the integrand's L¹ mass so cancellation to an exact
     zero (odd amplitudes) certifies cleanly.
     """
@@ -222,12 +232,12 @@ def laplace_quadrature(
     coarse, _ = _tensor_value(problem, t_value, nodes, panel_ratio)
     fine, l1 = _tensor_value(problem, t_value, nodes + 8, panel_ratio)
     err = abs(fine - coarse)
-    allowance = rel_tol * abs(fine) + 5e-15 * l1  # roundoff floor on cancellation
+    allowance = _QUAD_REL_TOL * abs(fine) + 5e-15 * l1  # roundoff floor on cancellation
     if err > allowance:
         achieved = err / max(abs(fine), 1e-300)
         raise QuadratureError(
             f"refinement levels disagree at T={t_value}: "
-            f"relative deviation {achieved:.3e} > {rel_tol:.1e}",
+            f"relative deviation {achieved:.3e} > {_QUAD_REL_TOL:.1e}",
             achieved=achieved,
         )
     return fine
@@ -243,7 +253,6 @@ class ExpansionCoefficients:
     order_n: int
     c: np.ndarray
     fit_residual: float = 0.0
-    t_grid_used: list = field(default_factory=list)
     dim: int = 1
 
     def reconstruct(self, T) -> np.ndarray:
@@ -254,7 +263,7 @@ class ExpansionCoefficients:
         return out
 
 
-def _tensor_derivative(fn, k: tuple, h: float) -> float:
+def _tensor_derivative(fn, k: tuple) -> float:
     """D^k fn(0) by tensorized central stencils, Richardson-refined.
 
     The value at 0 is subtracted before the stencil is applied so the
@@ -273,6 +282,7 @@ def _tensor_derivative(fn, k: tuple, h: float) -> float:
         wts = np.prod(tensor_grid(weights), axis=-1)
         return float(np.dot(wts, fn(pts) - f0))
 
+    h = 0.05
     coarse, fine = at(h), at(h / 2)
     return (16.0 * fine - coarse) / 15.0
 
@@ -387,9 +397,7 @@ def _pushforward_amplitude(problem: PhaseProblem):
     )
 
 
-def laplace_expand(
-    problem: PhaseProblem, order_n: int, fd_step: float = 0.05
-) -> ExpansionCoefficients:
+def laplace_expand(problem: PhaseProblem, order_n: int) -> ExpansionCoefficients:
     """Expansion coefficients through the Morse chart.
 
     c_j pairs the even Taylor coefficients of the pushforward amplitude
@@ -410,7 +418,7 @@ def laplace_expand(
             moment = gaussian_moment(k)
             if moment == 0.0:
                 continue
-            deriv = _tensor_derivative(b, k, fd_step)
+            deriv = _tensor_derivative(b, k)
             fact = 1.0
             for ki in k:
                 fact *= math.factorial(ki)
@@ -424,18 +432,19 @@ def laplace_expand(
 # ---------------------------------------------------------------------------
 
 
-def _richardson_ladder(x: np.ndarray, g: np.ndarray, max_depth: int = 6):
+def _richardson_ladder(x: np.ndarray, g: np.ndarray):
     """Limit of g(x) = c₀ + c₁x + ... as x → 0 on a geometric ladder.
 
     Returns (estimate, first increment, best increment); the estimate is
-    the tableau entry at the depth where increments stop improving.
+    the tableau entry, at most six levels deep, where increments stop
+    improving.
     """
     ratios = x[:-1] / x[1:]
     rho = float(np.exp(np.mean(np.log(ratios))))
     if np.max(np.abs(ratios / rho - 1.0)) > 1e-6:
         raise ConditioningError("sample ladder is not geometric in T")
     tableau = [np.asarray(g, dtype=float)]
-    depth = min(max_depth, x.size - 1)
+    depth = min(6, x.size - 1)
     for mth in range(1, depth + 1):
         prev = tableau[-1]
         fac = rho**mth
@@ -510,19 +519,12 @@ def fit_expansion(samples, dim: int, order_n: int) -> ExpansionCoefficients:
             )
         coeffs[j] = est
         g = (g - est) * T
-    fit = ExpansionCoefficients(
-        order_n=order_n, c=coeffs, dim=dim, t_grid_used=[float(t) for t in T]
-    )
+    fit = ExpansionCoefficients(order_n=order_n, c=coeffs, dim=dim)
     fit.fit_residual = float(np.max(np.abs(fit.reconstruct(T) - vals)))
     return fit
 
 
-def remainder_slope(
-    samples,
-    coeffs: ExpansionCoefficients,
-    n_terms: int,
-    noise_rel: float = 1e-10,
-) -> float:
+def remainder_slope(samples, coeffs: ExpansionCoefficients, n_terms: int) -> float:
     """Log-log slope of |I(T) − Σ_{j<n_terms} c_j T^{−j−d/2}|.
 
     Measured over the highest sample decade whose remainder sits above
@@ -536,7 +538,7 @@ def remainder_slope(
         order_n=n_terms - 1, c=coeffs.c[:n_terms], dim=coeffs.dim
     )
     resid = np.abs(vals - partial.reconstruct(T))
-    above = resid > 20.0 * noise_rel * np.abs(vals)
+    above = resid > 20.0 * _QUAD_REL_TOL * np.abs(vals)
     if not np.any(above):
         return float("-inf")
     t_hi = T[above][-1]

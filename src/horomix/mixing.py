@@ -79,9 +79,7 @@ def induced_phase_problem(problem: MixingProblem) -> PhaseProblem:
     )
 
 
-def correlation_integral(
-    problem: MixingProblem, t_log: float, rel_tol: float = 1e-10
-) -> float:
+def correlation_integral(problem: MixingProblem, t_log: float) -> float:
     """∫_U A(ω) e^{−T(1−ν₀(ω))} dω at T = t_log.
 
     Runs the shared panel engine under a different panel layout than
@@ -91,9 +89,7 @@ def correlation_integral(
     if t_log < 0.0:
         raise DomainError("t_log must be nonnegative")
     induced = induced_phase_problem(problem)
-    return laplace_quadrature(
-        induced, t_log, rel_tol=rel_tol, nodes=32, panel_ratio=1.6
-    )
+    return laplace_quadrature(induced, t_log, nodes=32, panel_ratio=1.6)
 
 
 def leading_constant(model: SpectralModel, a0: float) -> float:
@@ -105,14 +101,10 @@ def leading_constant(model: SpectralModel, a0: float) -> float:
     )
 
 
-def sample_correlation(
-    problem: MixingProblem, t_log_grid: np.ndarray, rel_tol: float = 1e-10
-) -> np.ndarray:
+def sample_correlation(problem: MixingProblem, t_log_grid: np.ndarray) -> np.ndarray:
     """Correlation integral over a T grid, data-parallel in index order."""
     t_log_grid = np.asarray(t_log_grid, dtype=float)
-    vals = parallel_map(
-        lambda T: correlation_integral(problem, T, rel_tol=rel_tol), t_log_grid
-    )
+    vals = parallel_map(lambda T: correlation_integral(problem, T), t_log_grid)
     return np.asarray(vals, dtype=float)
 
 
@@ -120,7 +112,6 @@ def mixing_expansion(
     problem: MixingProblem,
     t_log_grid: np.ndarray,
     order_n: int,
-    rel_tol: float = 1e-10,
     values: np.ndarray | None = None,
 ) -> tuple[ExpansionCoefficients, dict]:
     """Fit the (log t)^(−j−d/2) expansion of the correlation integral.
@@ -132,7 +123,7 @@ def mixing_expansion(
     """
     t_log_grid = np.asarray(t_log_grid, dtype=float)
     vals = (
-        sample_correlation(problem, t_log_grid, rel_tol)
+        sample_correlation(problem, t_log_grid)
         if values is None
         else np.asarray(values, dtype=float)
     )

@@ -18,11 +18,15 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from itertools import product
 
 import numpy as np
 
-from ._stencils import finite_difference_gradient, finite_difference_hessian, tensor_grid
+from ._stencils import (
+    finite_difference_gradient,
+    finite_difference_hessian,
+    sweep_grid,
+    tensor_grid,
+)
 from .errors import ConfigError, DomainError, ModelValidityError
 
 LAMBDA_MAX = 0.25
@@ -94,17 +98,18 @@ class Perturbation:
             raise ConfigError(f"bad perturbation document: {doc!r}") from exc
 
 
-def _default_domain(genus: int, gram: np.ndarray, margin: float = 0.9) -> np.ndarray:
+def _default_domain(genus: int, gram: np.ndarray) -> np.ndarray:
     """Largest centered box on which the quadratic part stays below 1/4,
     shrunk by a 10% margin and capped at the torus half-width 1/2."""
     d = gram.shape[0]
     coeff = math.pi / (genus - 1)
     if d <= 16:
         # The quadratic form is convex: its max over the box sits at a vertex.
-        m = max(s @ gram @ s for s in product((-1.0, 1.0), repeat=d))
+        vertices = tensor_grid([(-1.0, 1.0)] * d)
+        m = np.max(((vertices @ gram) * vertices).sum(1))
     else:
         m = float(np.linalg.eigvalsh(gram)[-1]) * d
-    u = margin * math.sqrt(LAMBDA_MAX / (coeff * m))
+    u = 0.9 * math.sqrt(LAMBDA_MAX / (coeff * m))
     return np.full(d, min(u, 0.5))
 
 
@@ -231,9 +236,14 @@ class SpectralModel:
 
     # -- validation battery -------------------------------------------------
 
-    def validate(self, grid_per_axis: int = 11) -> None:
+    def validate(self) -> None:
         """Run the runtime invariants: Hessian identity, positivity sweep,
-        sub-1/4 sweep, and second-order vanishing of the perturbation."""
+        sub-1/4 sweep, and second-order vanishing of the perturbation.
+
+        The sweeps take 11 points per axis of U while the budget of
+        :func:`horomix._stencils.sweep_grid` allows (d ≤ 5), fewer above;
+        rank 20 and more raises LatticeSizeError.
+        """
         d = self.rank_d
         if self.perturbation is not None:
             p = lambda pts: self.perturbation(
@@ -252,7 +262,7 @@ class SpectralModel:
                 "Hessian check failed: finite differences of lambda0 at 0 "
                 "do not match (2*pi/(g-1)) * gram"
             )
-        mesh = tensor_grid([np.linspace(-u, u, grid_per_axis) for u in self.domain_u])
+        mesh = sweep_grid(self.domain_u, 11)
         vals = self.lambda0_batch(mesh)
         nonzero = np.any(mesh != 0.0, axis=1)
         if np.any(vals[nonzero] <= 0.0):

@@ -178,6 +178,16 @@ class TestDispatch:
         assert rows[0] == ["check", "status", "value", "reference"]
         assert all(r[1] == "PASS" for r in rows[1:])
 
+    def test_workers_flag_is_rejected(self, model_file, tmp_path, capsys):
+        # HMIX_WORKERS is the one worker setting
+        rc = dispatch([
+            "--workers", "2", "cover", "--model", str(model_file), "--orders", "64",
+            "--out", str(tmp_path / "w.csv"),
+        ])
+        assert rc == 1
+        assert "error" in capsys.readouterr().err
+        assert not (tmp_path / "w.csv").exists()
+
 
 class TestLoadModel:
     def test_valid(self, model_file):
@@ -234,3 +244,42 @@ class TestDeterminism:
         assert manifest["worker_count"] == 3
         assert manifest["tool_version"]
         assert manifest["seed"] == 0
+
+    @pytest.mark.parametrize("subcommand", ["mix", "laplace", "cover"])
+    def test_threaded_subcommands_byte_identical(
+        self, subcommand, model_file, tmp_path, monkeypatch
+    ):
+        # same bytes from one thread and from a two-thread pool; the
+        # manifests differ only in the recorded worker count.  The cover
+        # lattice spans three 8192-point blocks, so the pool does open.
+        runs = []
+        for workers in ("1", "2"):
+            monkeypatch.setenv("HMIX_WORKERS", workers)
+            out = tmp_path / f"{subcommand}_{workers}.csv"
+            if subcommand == "mix":
+                argv = [
+                    "mix", "--model", str(model_file), "--log-t-min", "100",
+                    "--log-t-max", "10000", "--points-per-decade", "6",
+                    "--order", "1", "--out", str(out),
+                ]
+                names = [out, Path(str(out) + ".verdict.json")]
+            elif subcommand == "cover":
+                argv = [
+                    "cover", "--model", str(model_file), "--orders", "20000",
+                    "--test-fn", "linear", "--out", str(out),
+                ]
+                names = [out]
+            else:
+                argv = [
+                    "laplace", "--preset", "quartic1d", "--order", "2",
+                    "--t-min", "100", "--t-max", "10000",
+                    "--points-per-decade", "6", "--out", str(out),
+                ]
+                names = [out]
+            assert dispatch(argv) == 0
+            manifest = json.loads(Path(str(out) + ".manifest.json").read_text())
+            assert manifest.pop("worker_count") == int(workers)
+            for entry in manifest["outputs"]:
+                entry["path"] = entry["path"].replace(f"_{workers}", "")
+            runs.append(([p.read_bytes() for p in names], manifest))
+        assert runs[0] == runs[1]

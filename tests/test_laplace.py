@@ -124,6 +124,20 @@ class TestQuadrature:
             box=[1.0, 1.0],
         ).validate()
 
+    def test_validation_sweep_fits_budget_in_8d(self):
+        # 9^8 = 4.3e7 sweep points would take 2.8 GB; the budgeted sweep
+        # audits 5 points per axis instead
+        quadratic_problem(np.eye(8)).validate()
+        bad = custom_problem(
+            8,
+            v=lambda pts: -0.5 * np.sum(pts**2, axis=1) + np.sum(pts**4, axis=1),
+            a=lambda pts: np.ones(pts.shape[0]),
+            hessian=np.eye(8),
+            box=np.full(8, 1.0),
+        )
+        with pytest.raises(ModelValidityError, match="v\\(xi\\) >= 0"):
+            bad.validate()
+
 
 class TestExpansion:
     def test_quadratic_exact_any_dim(self):

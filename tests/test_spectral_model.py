@@ -1,11 +1,13 @@
+import itertools
 import json
 import math
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from horomix.errors import ConfigError, DomainError, HoromixError, ModelValidityError
+from horomix.errors import ConfigError, DomainError, ModelValidityError
 from horomix.spectral_model import (
     CasimirPoint,
     Perturbation,
@@ -174,9 +176,37 @@ class TestValidation:
 
 
     def test_sweep_size_guard(self):
-        # 11^16 sweep points are refused before the grid is built
-        with pytest.raises(HoromixError):
-            SpectralModel(genus=8, rank_d=16, gram=np.eye(16)).validate()
+        # rank_d may reach 2g: instead of 11^16 points the sweep shrinks to
+        # its point budget (here the 2^16 box vertices) and still audits
+        model = SpectralModel(genus=8, rank_d=16, gram=np.eye(16))
+        start = time.perf_counter()
+        model.validate()
+        assert time.perf_counter() - start < 1.0
+        bad = SpectralModel(
+            genus=8, rank_d=16, gram=np.eye(16),
+            perturbation=Perturbation("quartic", -60.0),
+        )
+        with pytest.raises(ModelValidityError, match="positivity"):
+            bad.validate()
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_default_box_matches_vertex_loop(self, d):
+        # the box is sized by the largest vertex value of the form
+        rng = np.random.default_rng(d)
+        for _ in range(20):
+            a = rng.standard_normal((d, d))
+            gram = a @ a.T + 0.1 * np.eye(d)
+            ref = max(
+                np.array(s) @ gram @ np.array(s)
+                for s in itertools.product((-1.0, 1.0), repeat=d)
+            )
+            u = 0.9 * math.sqrt(0.25 / (math.pi * ref))
+            got = SpectralModel(genus=2, rank_d=d, gram=gram).domain_u
+            expected = np.full(d, min(u, 0.5))
+            if d <= 2:  # same sums in the same order: same bits
+                np.testing.assert_array_equal(got, expected)
+            else:
+                np.testing.assert_allclose(got, expected, rtol=1e-14)
 
 
 class TestRadialProfile:

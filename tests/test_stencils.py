@@ -4,7 +4,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from horomix._stencils import fornberg_weights, tensor_grid
+from horomix._stencils import SWEEP_BUDGET, fornberg_weights, sweep_grid, tensor_grid
 from horomix.errors import LatticeSizeError
 
 
@@ -39,3 +39,24 @@ class TestTensorGrid:
         assert tensor_grid([np.arange(3.0), np.arange(4.0)], cap=12).shape == (12, 2)
         with pytest.raises(LatticeSizeError):
             tensor_grid([np.arange(3.0), np.arange(4.0)], cap=11)
+
+
+class TestSweepGrid:
+    @pytest.mark.parametrize("d", range(1, 6))
+    def test_full_resolution_through_rank_5(self, d):
+        pts = sweep_grid(np.full(d, 0.3), 11)
+        assert pts.shape == (11**d, d)
+        np.testing.assert_array_equal(np.unique(pts[:, 0]), np.linspace(-0.3, 0.3, 11))
+
+    @pytest.mark.parametrize("d, per_axis", [(6, 10), (8, 5)])
+    def test_shrinks_to_budget(self, d, per_axis):
+        pts = sweep_grid(np.full(d, 0.3), 11)
+        assert pts.shape == (per_axis**d, d) and pts.shape[0] <= SWEEP_BUDGET
+
+    def test_box_vertices_are_the_floor(self):
+        # 3^13 > budget: only the vertices are left
+        pts = sweep_grid(np.full(13, 0.5), 9)
+        assert pts.shape == (2**13, 13) and set(np.unique(pts)) == {-0.5, 0.5}
+        # 2^20 vertices exceed the budget: refused before anything is allocated
+        with pytest.raises(LatticeSizeError, match=str(2**20)):
+            sweep_grid(np.full(20, 0.5), 9)
