@@ -455,7 +455,8 @@ def _geometric_panels(fn, a, r_stop, points=()):
 @dataclass
 class ForcingProfile:
     """A forcing f(t) with a certified decay envelope |f(t)| ≤ decay_c / t
-    for t ≥ 1.  Either a smooth callable or samples on a grid."""
+    for t ≥ 1.  Either a smooth callable or samples on a grid; only this
+    class branches on the form (see :meth:`_cutoff` and :meth:`_weighted`)."""
 
     fn: object = None
     grid: np.ndarray | None = None
@@ -471,37 +472,26 @@ class ForcingProfile:
         decay_c: float | None = None,
         breakpoints: tuple = (),
     ) -> "ForcingProfile":
-        sup = _sampled_envelope(fn)
+        profile = cls(fn=fn, breakpoints=tuple(breakpoints))
+        sup = profile.envelope_audit()
         if decay_c is None:
             decay_c = sup
         elif sup > decay_c * (1.0 + 1e-9):
             raise ConsistencyError(
                 f"claimed envelope {decay_c} violated: t|f(t)| reaches {sup}"
             )
-        return cls(fn=fn, decay_c=decay_c, breakpoints=tuple(breakpoints))
+        profile.decay_c = decay_c
+        return profile
 
     @classmethod
     def from_samples(cls, grid: np.ndarray, values: np.ndarray) -> "ForcingProfile":
-        grid = np.asarray(grid, dtype=float)
-        values = np.asarray(values, dtype=complex)
-        mask = grid >= 1.0
-        decay_c = float(np.max(np.abs(values[mask]) * grid[mask])) if mask.any() else 0.0
-        return cls(grid=grid, values=values, decay_c=decay_c)
+        profile = cls(grid=np.asarray(grid, float), values=np.asarray(values, complex))
+        profile.decay_c = profile.envelope_audit()
+        return profile
 
     @property
     def sampled(self) -> bool:
         return self.values is not None
-
-    @property
-    def t_max(self) -> float:
-        return float(self.grid[-1]) if self.sampled else math.inf
-
-    def __call__(self, t):
-        if self.fn is not None:
-            return self.fn(t)
-        re = np.interp(t, self.grid, self.values.real)
-        im = np.interp(t, self.grid, self.values.imag)
-        return re + 1j * im
 
     def values_on(self, grid: np.ndarray) -> np.ndarray:
         if self.sampled:
@@ -513,17 +503,81 @@ class ForcingProfile:
         return np.array([complex(self.fn(t)) for t in np.asarray(grid, float)])
 
     def envelope_audit(self) -> float:
-        """Max of t·|f(t)| on the audit range; must not exceed decay_c."""
+        """Max of t·|f(t)| over the samples at t ≥ 1 (0 if none), or over 801
+        log-spaced points of [1, 1e4] for a callable; must not exceed decay_c."""
         if self.sampled:
             mask = self.grid >= 1.0
-            return float(np.max(np.abs(self.values[mask]) * self.grid[mask]))
-        return _sampled_envelope(self.fn)
+            return float(np.max(np.abs(self.values[mask]) * self.grid[mask], initial=0.0))
+        ts = np.logspace(0.0, 4.0, 801)
+        return float(max(abs(complex(self.fn(t))) * t for t in ts))
 
+    def _cutoff(
+        self, nu: float, tol: float | None, r_max: float
+    ) -> tuple[float, float]:
+        """(R, envelope tail bound at R) for tail integrals stopped at R.
 
-def _sampled_envelope(fn) -> float:
-    """Max of t·|f(t)| over 801 log-spaced samples of the audit range [1, 1e4]."""
-    ts = np.logspace(0.0, 4.0, 801)
-    return float(max(abs(complex(fn(t))) * t for t in ts))
+        Samples stop at the last sample and raise :class:`TruncationError`
+        when the bound there exceeds ``tol`` (None certifies nothing).  A
+        callable stops at the smallest R ≤ r_max whose bound reaches ``tol``
+        (1e-9 when None) and raises when there is no such R.
+        """
+        if tol is not None and not tol >= 0.0:
+            raise DomainError(f"tol must be non-negative, got {tol}")
+        if not math.isfinite(self.decay_c):
+            raise DomainError("forcing must carry a finite decay envelope")
+        if self.sampled:
+            cutoff = float(self.grid[-1])
+            bound = _tail_bound(nu, self.decay_c, cutoff)
+            if tol is not None and bound > tol:
+                raise TruncationError(
+                    f"sampled forcing ends at {cutoff:.3e}; tail bound {bound:.3e} "
+                    f"exceeds {tol:.1e}",
+                    achieved_bound=bound,
+                )
+            return cutoff, bound
+        if self.decay_c == 0.0:
+            return 1.0, 0.0
+        tol = 1e-9 if tol is None else tol
+        try:
+            r_req = (self.decay_c / (2.0 * nu * nu * tol)) ** (1.0 / nu)
+        except (ZeroDivisionError, OverflowError):  # tol = 0, or R beyond any float
+            r_req = math.inf
+        if r_req > r_max:
+            achieved = _tail_bound(nu, self.decay_c, r_max)
+            raise TruncationError(
+                f"tail bound cannot reach {tol:.1e} within R_max={r_max:.1e} "
+                f"(achieved {achieved:.3e})",
+                achieved_bound=achieved,
+            )
+        cutoff = max(r_req, 1.0)
+        return cutoff, _tail_bound(nu, self.decay_c, cutoff)
+
+    def _weighted(self, p: float, a: float, b: float) -> complex:
+        """∫_a^b r^p f(r) dr.
+
+        Samples use :func:`power_weighted_integral`.  A callable is
+        integrated over geometric panels from a > 0; from a = 0 it takes one
+        adaptive pass on [0, b] when p ≥ 0, and for p < 0 (where b ≥ 1, the
+        callable cutoff) substitutes r = s^(1/(1+p)) on [0, 1] to absorb the
+        weight, then adds panels.
+        """
+        if self.sampled:
+            return power_weighted_integral(self.grid, self.values, p, a=a, b=b)
+        fn, points = self.fn, self.breakpoints
+
+        def integrand(r):
+            return r**p * fn(r)
+
+        if a > 0.0:
+            return _geometric_panels(integrand, a, b, points=points)
+        if p >= 0.0:
+            return _quad_complex(integrand, 0.0, b, points=points)
+        power = 1.0 / (1.0 + p)
+        head = _quad_complex(
+            lambda s: power * fn(s**power), 0.0, 1.0,
+            points=[x ** (1.0 + p) for x in points if 0 < x < 1],
+        )
+        return head + _geometric_panels(integrand, 1.0, b, points=points)
 
 
 # ---------------------------------------------------------------------------
@@ -677,21 +731,6 @@ def _tail_bound(nu: float, decay_c: float, cutoff: float) -> float:
     return decay_c * cutoff ** (-nu) / (2.0 * nu * nu)
 
 
-def _tail_cutoff(nu: float, decay_c: float, tol: float, r_max: float) -> float:
-    """Smallest R with envelope tail bound decay_c·R^{-ν}/(2ν²) ≤ tol."""
-    if decay_c == 0.0:
-        return 1.0
-    r_req = (decay_c / (2.0 * nu * nu * tol)) ** (1.0 / nu)
-    if r_req > r_max:
-        achieved = _tail_bound(nu, decay_c, r_max)
-        raise TruncationError(
-            f"tail bound cannot reach {tol:.1e} within R_max={r_max:.1e} "
-            f"(achieved {achieved:.3e})",
-            achieved_bound=achieved,
-        )
-    return max(r_req, 1.0)
-
-
 def asymptotic_constant(
     nu: float,
     forcing: ForcingProfile,
@@ -705,27 +744,8 @@ def asymptotic_constant(
     """
     if not 0.0 < nu <= 1.0:
         raise DomainError(f"nu must lie in (0, 1], got {nu}")
-    if not math.isfinite(forcing.decay_c):
-        raise DomainError("forcing must carry a finite decay envelope")
-    if forcing.sampled:
-        cutoff = forcing.t_max
-        integral = power_weighted_integral(
-            forcing.grid, forcing.values, -nu, a=1.0, b=cutoff
-        )
-        bound = _tail_bound(nu, forcing.decay_c, cutoff)
-        if tol is not None and bound > tol:
-            raise TruncationError(
-                f"sampled forcing ends at {cutoff:.3e}; tail bound {bound:.3e} "
-                f"exceeds {tol:.1e}",
-                achieved_bound=bound,
-            )
-    else:
-        cutoff = _tail_cutoff(nu, forcing.decay_c, tol if tol else 1e-9, r_max)
-        integral = _geometric_panels(
-            lambda r: r ** (-nu) * forcing.fn(r), 1.0, cutoff,
-            points=forcing.breakpoints,
-        )
-        bound = _tail_bound(nu, forcing.decay_c, cutoff)
+    cutoff, bound = forcing._cutoff(nu, tol, r_max)
+    integral = forcing._weighted(-nu, 1.0, cutoff)
     return TailEstimate(value=-integral / (2.0 * nu), tail_bound=bound, cutoff=cutoff)
 
 
@@ -736,95 +756,48 @@ def asymptotic_amplitude(
 
     The unique solution of the Euler equation that stays bounded at t = 0
     satisfies y(t)·t^(1−ν) → this value; see the module notes.  Requires
-    ν < 1 so the weight is integrable at 0.
+    ν < 1 so the weight is integrable at 0, and sampled forcing to start
+    at t = 0.
     """
     if not 0.0 < nu < 1.0:
         raise DomainError(f"nu must lie in (0, 1) for the amplitude, got {nu}")
-    if forcing.sampled:
-        if forcing.grid[0] > 0.0:
-            raise DomainError("sampled forcing must start at t = 0")
-        cutoff = forcing.t_max
-        integral = power_weighted_integral(forcing.grid, forcing.values, -nu)
-        bound = _tail_bound(nu, forcing.decay_c, cutoff)
-        if tol is not None and bound > tol:
-            raise TruncationError(
-                f"tail bound {bound:.3e} exceeds {tol:.1e}", achieved_bound=bound
-            )
-    else:
-        cutoff = _tail_cutoff(nu, forcing.decay_c, tol if tol else 1e-9, _R_MAX)
-        # substitute r = s^(1/(1−ν)) on [0,1] to absorb the r^(−ν) weight
-        power = 1.0 / (1.0 - nu)
-        head = _quad_complex(
-            lambda s: power * forcing.fn(s**power), 0.0, 1.0,
-            points=[b ** (1.0 - nu) for b in forcing.breakpoints if 0 < b < 1],
-        )
-        tail = _geometric_panels(
-            lambda r: r ** (-nu) * forcing.fn(r), 1.0, cutoff,
-            points=forcing.breakpoints,
-        )
-        integral = head + tail
-        bound = _tail_bound(nu, forcing.decay_c, cutoff)
+    cutoff, bound = forcing._cutoff(nu, tol, _R_MAX)
+    integral = forcing._weighted(-nu, 0.0, cutoff)
     return TailEstimate(value=integral / (2.0 * nu), tail_bound=bound, cutoff=cutoff)
 
 
 def particular_solution(nu: float, forcing: ForcingProfile, t: float) -> complex:
-    """Variation-of-parameters value
-
-        y(t) = −(t^(ν−1)/2ν) ∫_t^∞ r^(−ν) f dr − (t^(−ν−1)/2ν) ∫₀^t r^ν f dr.
-
-    This is the particular solution that decays like 1/t; it differs from
-    the bounded-at-0 solution by a multiple of t^(ν−1).  Callable forcing
-    is cut where the envelope bounds the tail by 1e-9.
-    """
-    if not 0.0 < nu <= 1.0:
-        raise DomainError(f"nu must lie in (0, 1], got {nu}")
-    if t <= 0.0:
-        raise DomainError("t must be positive")
-    if forcing.sampled and not forcing.grid[0] <= t <= forcing.grid[-1]:
-        raise DomainError("t outside the sampled range")
-    head, tail = _vop_integrals(nu, forcing, t, 1e-9)
-    return -(t ** (nu - 1.0)) / (2 * nu) * tail - t ** (-nu - 1.0) / (2 * nu) * head
-
-
-def _vop_integrals(
-    nu: float, forcing: ForcingProfile, t: float, tol: float
-) -> tuple[complex, complex]:
-    """(head, tail) = (∫₀ᵗ r^ν f dr, ∫ₜ^∞ r^(−ν) f dr).
-
-    Sampled forcing integrates over its grid; callable forcing cuts the
-    tail at the certified cutoff for ``tol``.
-    """
-    if forcing.sampled:
-        grid, vals = forcing.grid, forcing.values
-        head = power_weighted_integral(grid, vals, nu, a=grid[0], b=t)
-        tail = power_weighted_integral(grid, vals, -nu, a=t, b=grid[-1])
-        return head, tail
-    cutoff = _tail_cutoff(nu, forcing.decay_c, tol, _R_MAX)
-    head = _quad_complex(
-        lambda r: r**nu * forcing.fn(r), 0.0, t, points=forcing.breakpoints
-    )
-    # the panel sum is empty (zero) once t reaches the cutoff
-    tail = _geometric_panels(
-        lambda r: r ** (-nu) * forcing.fn(r), t, cutoff, points=forcing.breakpoints
-    )
-    return head, tail
+    """Variation-of-parameters value at ``t``; see :func:`particular_trajectory`."""
+    return complex(particular_trajectory(nu, forcing, [t]).y[0])
 
 
 def particular_trajectory(
     nu: float, forcing: ForcingProfile, grid: np.ndarray
 ) -> Trajectory:
-    """Sample the variation-of-parameters solution and its derivative.
+    """Sample the variation-of-parameters solution and its derivative,
 
-    The derivative is analytic in the two running integrals:
+        y(t) = −(t^(ν−1)/2ν) P(t) − (t^(−ν−1)/2ν) Q(t),
+        P(t) = ∫_t^∞ r^(−ν) f dr,   Q(t) = ∫₀^t r^ν f dr.
+
+    This is the particular solution that decays like 1/t; it differs from
+    the bounded-at-0 solution by a multiple of t^(ν−1).  Sampled forcing
+    must start at t = 0 and is integrated to its last sample; callable
+    forcing is cut where the envelope bounds the tail by 1e-9.  The
+    derivative is analytic in the two running integrals:
         y' = −((ν−1) t^(ν−2)/2ν) P(t) + ((1+ν) t^(−ν−2)/2ν) Q(t).
     """
+    if not 0.0 < nu <= 1.0:
+        raise DomainError(f"nu must lie in (0, 1], got {nu}")
     grid = np.asarray(grid, dtype=float)
     if grid[0] <= 0.0:
         raise DomainError("formula trajectories need a positive grid")
+    cutoff, _ = forcing._cutoff(nu, None, _R_MAX)
     y = np.empty(grid.size, dtype=complex)
     yp = np.empty(grid.size, dtype=complex)
     for i, t in enumerate(grid):
-        head, tail = _vop_integrals(nu, forcing, t, 1e-10)
+        head = forcing._weighted(nu, 0.0, t)
+        # the callable panel sum is empty (zero) once t reaches the cutoff
+        tail = forcing._weighted(-nu, t, cutoff)
         y[i] = -(t ** (nu - 1.0)) / (2 * nu) * tail - t ** (-nu - 1.0) / (2 * nu) * head
         yp[i] = (
             -((nu - 1.0) * t ** (nu - 2.0)) / (2 * nu) * tail

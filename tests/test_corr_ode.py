@@ -57,6 +57,18 @@ def _anchor_forcing(t):
     return (3.0 - 2.0 * t * t) / (4.0 * (1.0 + t * t) ** 2.25) + 0.0j
 
 
+def _slow_forcing(t):
+    return 0.3 / (1.0 + t) ** 2 + 0j
+
+
+# the same forcing in both forms, with a nonzero envelope; samples start at 0
+_SLOW_GRID = np.linspace(0.0, 10.0, 101)
+SLOW_FORMS = {
+    "callable": ForcingProfile.from_callable(_slow_forcing),
+    "sampled": ForcingProfile.from_samples(_SLOW_GRID, _slow_forcing(_SLOW_GRID)),
+}
+
+
 class TestSolveMaster:
     def test_constant_solution(self):
         grid = master_grid(100.0, steps_per_decade=200)
@@ -261,6 +273,19 @@ class TestParticularSolution:
             2.0 * particular_solution(0.5, fp, 2.0), rel=1e-12
         )
 
+    @pytest.mark.parametrize("form", sorted(SLOW_FORMS))
+    def test_returns_python_complex(self, form):
+        assert type(particular_solution(0.5, SLOW_FORMS[form], 2.0)) is complex
+
+    def test_samples_must_start_at_zero(self):
+        # the head integral runs from 0; a grid starting at 1 cannot supply it
+        n = 2001
+        fp = ForcingProfile.from_samples(np.linspace(1.0, 10.0, n), np.ones(n, complex))
+        with pytest.raises(DomainError):
+            particular_solution(0.5, fp, 2.0)
+        with pytest.raises(DomainError):
+            particular_trajectory(0.5, fp, np.array([2.0, 3.0]))
+
     def test_formula_trajectory_solves_the_ode(self):
         # verified as an ODE solution, not asserted equal to the master one
         fp = ForcingProfile.from_callable(_anchor_forcing)
@@ -315,9 +340,86 @@ class TestTailConstants:
         direct = quad(lambda r: r**-0.5 * _anchor_forcing(r).real, 0, np.inf)[0]
         assert abs(direct - 1.0) < 1e-9
 
+    # tol = 0 has no finite cutoff; at tol = 1e-300 and nu = 0.1 the cutoff
+    # overflows a float
+    @pytest.mark.parametrize("nu, tol", [(0.5, 0.0), (0.1, 1e-300)])
+    @pytest.mark.parametrize("tail_fn", [asymptotic_constant, asymptotic_amplitude])
+    def test_unreachable_tol_on_callable_raises_at_r_max(self, tail_fn, nu, tol):
+        fp = SLOW_FORMS["callable"]
+        with pytest.raises(TruncationError) as info:
+            tail_fn(nu, fp, tol=tol)
+        expected = fp.decay_c * 1e280**-nu / (2.0 * nu * nu)
+        assert info.value.achieved_bound == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("tail_fn", [asymptotic_constant, asymptotic_amplitude])
+    def test_zero_tol_on_sampled_raises_at_grid_end(self, tail_fn):
+        fp = SLOW_FORMS["sampled"]
+        bound = tail_fn(0.5, fp, tol=None).tail_bound
+        assert bound > 0.0
+        with pytest.raises(TruncationError) as info:
+            tail_fn(0.5, fp, tol=0.0)
+        assert info.value.achieved_bound == bound
+
+    @pytest.mark.parametrize("tail_fn", [asymptotic_constant, asymptotic_amplitude])
+    def test_zero_tol_without_envelope_is_exact(self, tail_fn):
+        sampled_zero = ForcingProfile.from_samples(_SLOW_GRID, np.zeros(101, complex))
+        for fp in (ZERO_FORCING, sampled_zero):
+            got = tail_fn(0.5, fp, tol=0.0)
+            assert got.value == 0.0 and got.tail_bound == 0.0
+
+    @pytest.mark.parametrize("form", sorted(SLOW_FORMS))
+    @pytest.mark.parametrize("tail_fn", [asymptotic_constant, asymptotic_amplitude])
+    @pytest.mark.parametrize("tol", [-1e-9, float("nan")])
+    def test_negative_or_nan_tol_rejected(self, tail_fn, form, tol):
+        with pytest.raises(DomainError):
+            tail_fn(0.5, SLOW_FORMS[form], tol=tol)
+
+    @pytest.mark.parametrize("tail_fn", [asymptotic_constant, asymptotic_amplitude])
+    def test_none_tol_means_1e_9_on_callable(self, tail_fn):
+        got = tail_fn(0.5, SLOW_FORMS["callable"], tol=None)
+        assert got.tail_bound == pytest.approx(1e-9, rel=1e-12)
+
+    @pytest.mark.parametrize("tail_fn", [asymptotic_constant, asymptotic_amplitude])
+    def test_infinite_envelope_rejected(self, tail_fn):
+        fp = ForcingProfile.from_callable(_slow_forcing, decay_c=math.inf)
+        with pytest.raises(DomainError):
+            tail_fn(0.5, fp, tol=1e-9)
+
     def test_amplitude_requires_nu_below_one(self):
         with pytest.raises(DomainError):
             asymptotic_amplitude(1.0, ZERO_FORCING)
+
+
+@pytest.fixture(scope="module")
+def anchor_forms():
+    grid = master_grid(1e3, steps_per_decade=400)
+    sampled = ForcingProfile.from_samples(grid, _anchor_forcing(grid))
+    return grid, sampled, ForcingProfile.from_callable(_anchor_forcing)
+
+
+class TestSampledAgainstCallable:
+    """The anchor forcing sampled on a master grid against its closed form."""
+
+    @pytest.mark.parametrize("tail_fn", [asymptotic_amplitude, asymptotic_constant])
+    def test_tail_functionals_agree_within_sampled_bound(self, anchor_forms, tail_fn):
+        grid, sampled, exact = anchor_forms
+        got = tail_fn(0.5, sampled, tol=None)
+        assert got.cutoff == grid[-1]
+        assert abs(got.value - tail_fn(0.5, exact, tol=1e-12).value) <= got.tail_bound
+
+    def test_formula_trajectories_agree(self, anchor_forms):
+        grid, sampled, exact = anchor_forms
+        t = grid[(grid >= 2.0) & (grid <= 50.0)][::20]
+        diff = particular_trajectory(0.5, sampled, t).y - particular_trajectory(0.5, exact, t).y
+        assert np.max(np.abs(diff)) < 1e-6
+
+    def test_short_grid_constant_raises_with_its_bound(self, anchor_forms):
+        _, sampled, _ = anchor_forms
+        bound = asymptotic_constant(0.5, sampled, tol=None).tail_bound
+        assert 1e-3 < bound < 1e-2
+        with pytest.raises(TruncationError) as info:
+            asymptotic_constant(0.5, sampled, tol=1e-3)
+        assert info.value.achieved_bound == bound
 
 
 class TestTailChecks:
@@ -368,6 +470,10 @@ class TestForcingProfile:
         fp = ForcingProfile.from_callable(lambda t: 0.3 / t + 0j)
         assert fp.decay_c == pytest.approx(0.3, rel=1e-12)
         assert fp.envelope_audit() <= fp.decay_c * (1 + 1e-12)
+
+    def test_envelope_audit_of_samples_below_one(self):
+        fp = ForcingProfile.from_samples(np.linspace(0.0, 0.9, 10), np.ones(10, complex))
+        assert fp.envelope_audit() == 0.0 == fp.decay_c
 
     def test_sampled_profile_alignment(self):
         grid = np.linspace(0.0, 10.0, 101)
