@@ -1,0 +1,104 @@
+#!/usr/bin/env python3
+"""SHA-256 digests of a fixed set of CLI runs, at one and at two workers.
+
+    python3 scripts/cli_digests.py
+
+Runs every command of RUNS against the ``src/`` of the checkout this script
+sits in, in a temporary directory, once with HMIX_WORKERS=1 and once with
+HMIX_WORKERS=2 (BLAS pinned to one thread), and prints one
+``sha256  w<workers>/<file>`` line per output file, manifests included.  Two
+checkouts whose outputs agree print the same lines, so comparing the output
+of this script at two commits checks that a change keeps the CLI bytes.
+
+Exits 1 if a run fails, or if any CSV or verdict differs between the two
+worker counts (the manifests record the worker count, so they may differ).
+Uses the standard library only.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+# model documents, written into the run directory; domain_u takes its default
+MODELS = {
+    "identity.json": None,
+    "radial_quartic.json": {"name": "radial_quartic", "params": {"coeff": 0.5}},
+    # non-radial, so the cover limit takes the angular route
+    "quartic.json": {"name": "quartic", "params": {"coeff": 0.2}},
+}
+
+# (output CSV, CLI arguments before --out)
+RUNS = [
+    ("selftest.csv", ["selftest"]),
+    ("ode-0-0.csv", ["ode", "--n", "0", "--m", "0", "--y0-re", "1", "--lambda", "0.04",
+                     "--t-max", "1e5"]),
+    ("ode-2-6.csv", ["ode", "--n", "2", "--m", "6", "--y0-re", "0", "--lambda", "0.1",
+                     "--t-max", "1e5"]),
+    ("ode-4-0.csv", ["ode", "--n", "4", "--m", "0", "--y0-re", "1", "--lambda", "0.2",
+                     "--t-max", "1e5"]),
+    ("ode-m2-2.csv", ["ode", "--n", "-2", "--m", "2", "--y0-re", "0", "--lambda", "0.05",
+                      "--t-max", "1e5"]),
+    ("laplace-quartic1d.csv", ["laplace", "--preset", "quartic1d"]),
+    ("laplace-gauss1d.csv", ["laplace", "--preset", "gauss1d"]),
+    ("cover-identity.csv", ["cover", "--model", "identity.json", "--orders", "64,64"]),
+    ("cover-radial-quartic-study.csv",
+     ["cover", "--model", "radial_quartic.json", "--orders", "64,64", "--study"]),
+    ("cover-quartic.csv", ["cover", "--model", "quartic.json", "--orders", "64,64"]),
+    ("mix-identity.csv",
+     ["mix", "--model", "identity.json", "--log-t-min", "1e2", "--log-t-max", "1e4"]),
+]
+
+
+def _write_models(workdir: Path) -> None:
+    for name, perturbation in MODELS.items():
+        doc = {"genus": 2, "rank_d": 2, "gram": [1.0, 0.0, 0.0, 1.0],
+               "perturbation": perturbation}
+        (workdir / name).write_text(json.dumps(doc, sort_keys=True))
+
+
+def _run_all(workdir: Path, workers: int) -> dict[str, str]:
+    """Run every command in ``workdir``; return {file name: sha256}."""
+    env = dict(os.environ, PYTHONPATH=str(SRC), HMIX_WORKERS=str(workers),
+               OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    for out, args in RUNS:
+        cmd = [sys.executable, "-m", "horomix.cli", *args, "--out", out]
+        done = subprocess.run(cmd, cwd=workdir, env=env, capture_output=True, text=True)
+        if done.returncode != 0:
+            sys.stderr.write(done.stderr)
+            raise SystemExit(f"{' '.join(args)} exited {done.returncode}")
+    return {
+        p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+        for p in sorted(workdir.iterdir())
+        if p.name not in MODELS
+    }
+
+
+def main() -> int:
+    digests = {}
+    for workers in (1, 2):
+        with tempfile.TemporaryDirectory(prefix="cli-digests-") as tmp:
+            workdir = Path(tmp)
+            _write_models(workdir)
+            digests[workers] = _run_all(workdir, workers)
+        for name, digest in digests[workers].items():
+            print(f"{digest}  w{workers}/{name}")
+    differ = [
+        name for name in sorted(digests[1].keys() | digests[2].keys())
+        if not name.endswith(".manifest.json")
+        and digests[1].get(name) != digests[2].get(name)
+    ]
+    for name in differ:
+        print(f"differs between 1 and 2 workers: {name}", file=sys.stderr)
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

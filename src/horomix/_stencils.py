@@ -1,8 +1,9 @@
-"""Finite-difference stencils and tensor-product grids.
+"""Finite-difference stencils, Gauss–Legendre rules and tensor-product grids.
 
 One implementation of each primitive, shared by the eigenvalue model, the
 Euler-residual stencils of the correlation ODE, the Laplace quadrature and
-Morse-chart differentiation, and the character-lattice sweeps.
+Morse-chart differentiation, the cover-density quadratures and the
+character-lattice sweeps.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from numpy.polynomial.legendre import leggauss
 
 from .errors import LatticeSizeError
 
@@ -74,6 +76,13 @@ def sweep_grid(half_widths, per_axis: int) -> np.ndarray:
     while n > 2 and n**d > SWEEP_BUDGET:
         n -= 1
     return tensor_grid([np.linspace(-u, u, n) for u in half_widths], SWEEP_BUDGET)
+
+
+def gauss_legendre(lo: float, hi: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """n-point Gauss–Legendre nodes and weights on [lo, hi]."""
+    x, w = leggauss(n)
+    half = 0.5 * (hi - lo)
+    return lo + half * (x + 1.0), half * w
 
 
 def finite_difference_gradient(fn, x0: np.ndarray) -> np.ndarray:

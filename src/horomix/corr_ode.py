@@ -199,15 +199,19 @@ def _series_eval(a: np.ndarray, b: np.ndarray, t: np.ndarray):
 # ---------------------------------------------------------------------------
 
 
-def _rhs(t, y, integral, lam, mu, dsq, y0, yp_at_zero):
-    if t == 0.0:
-        yp = yp_at_zero
-        return yp, 1j * mu * y0 + dsq * yp
-    yp = integral / (t * (t * t + 4.0))
+def _master_integrand(t, y, yp, lam, mu, dsq, y0):
+    """h(t) = −4λ t y + 2iμ t y' + iμ y + D (y − y0)/t at t > 0 (scalars or arrays)."""
     h = -4.0 * lam * t * y + 2j * mu * t * yp + 1j * mu * y
     if dsq:
-        h += dsq * (y - y0) / t
-    return yp, h
+        h = h + dsq * (y - y0) / t
+    return h
+
+
+def _rhs(t, y, integral, lam, mu, dsq, y0, yp_at_zero):
+    if t == 0.0:
+        return yp_at_zero, 1j * mu * y0 + dsq * yp_at_zero
+    yp = integral / (t * (t * t + 4.0))
+    return yp, _master_integrand(t, y, yp, lam, mu, dsq, y0)
 
 
 def solve_master(
@@ -332,20 +336,17 @@ def oracle_trajectory(
 def master_relation_residual(traj: Trajectory, lam: float) -> float:
     """Residual of y'(t)(t³+4t) = ∫₀ᵗ h, recomputed from the samples.
 
-    The integral is rebuilt by piecewise-quadratic quadrature of the
-    integrand, independently of the solver's internal running state, so a
-    trajectory that was not produced by the master relation is caught.
+    The integral is rebuilt by local quartic quadrature of the integrand
+    (:func:`cumulative_quadratic`), independently of the solver's running
+    state, so a trajectory not produced by the master relation is caught.
     """
     t, y, yp = traj.grid, traj.y, traj.y_prime
     mode, y0 = traj.meta.mode, traj.meta.y0
     mu, dsq = float(mode.mu), float(mode.dsq)
-    h = -4.0 * lam * t * y + 2j * mu * t * yp + 1j * mu * y
-    if dsq:
-        pos = t > 0.0
-        sing = np.empty_like(y)
-        sing[pos] = dsq * (y[pos] - y0) / t[pos]
-        sing[~pos] = dsq * yp[~pos]  # limit of (y(s) − y0)/s
-        h = h + sing
+    pos = t > 0.0
+    h = np.empty(t.size, dtype=complex)
+    h[pos] = _master_integrand(t[pos], y[pos], yp[pos], lam, mu, dsq, y0)
+    h[~pos] = 1j * mu * y[~pos] + dsq * yp[~pos]  # D·y' is the limit of D(y − y0)/s
     integral = cumulative_quadratic(t, h)
     lhs = yp * (t**3 + 4.0 * t)
     denom = 1.0 + np.abs(lhs) + np.abs(integral)
@@ -385,43 +386,31 @@ def power_weighted_integral(
 ) -> complex:
     """∫ r^p f(r) dr over [a, b] ⊆ [grid[0], grid[-1]] for sampled f.
 
-    The interpolant is piecewise quadratic and the weight r^p is integrated
-    exactly per cell, so integrable endpoint singularities (p > −1 with
-    grid[0] = 0) cost no accuracy.
+    The interpolant is quadratic through three samples per cell and r^p is
+    integrated exactly per cell, so integrable endpoint singularities
+    (p > −1 with grid[0] = 0) cost no accuracy.  An empty range gives 0.
     """
     p = float(exponent)
     if p <= -1.0:
         raise DomainError("exponent must exceed -1 for an integrable weight")
     lo = grid[0] if a is None else a
     hi = grid[-1] if b is None else b
-    if not (grid[0] - 1e-12 <= lo < hi <= grid[-1] + 1e-12):
+    if not (grid[0] - 1e-12 <= lo <= hi <= grid[-1] + 1e-12):
         raise DomainError("integration range must lie within the sample grid")
-    n = grid.size
-    total = 0.0 + 0.0j
-
-    def moment(q, lo_, hi_):
-        # ∫ r^q dr with q > -1
-        return (hi_ ** (q + 1.0) - lo_ ** (q + 1.0)) / (q + 1.0)
-
-    for k in range(n - 1):
-        seg_a = max(lo, grid[k])
-        seg_b = min(hi, grid[k + 1])
-        if seg_b <= seg_a:
-            continue
-        j = min(max(k, 1), n - 2)
-        x0, x1, x2 = grid[j - 1], grid[j], grid[j + 1]
-        f0, f1, f2 = values[j - 1], values[j], values[j + 1]
-        d0 = (x0 - x1) * (x0 - x2)
-        d1 = (x1 - x0) * (x1 - x2)
-        d2 = (x2 - x0) * (x2 - x1)
-        mp = moment(p, seg_a, seg_b)
-        mp1 = moment(p + 1.0, seg_a, seg_b)
-        mp2 = moment(p + 2.0, seg_a, seg_b)
-        w0 = (mp2 - (x1 + x2) * mp1 + x1 * x2 * mp) / d0
-        w1 = (mp2 - (x0 + x2) * mp1 + x0 * x2 * mp) / d1
-        w2 = (mp2 - (x0 + x1) * mp1 + x0 * x1 * mp) / d2
-        total += w0 * f0 + w1 * f1 + w2 * f2
-    return total
+    # cell k clipped to [lo, hi]; cells outside it have zero length
+    seg_a, seg_b = np.clip(grid[:-1], lo, hi), np.clip(grid[1:], lo, hi)
+    j = np.clip(np.arange(grid.size - 1), 1, grid.size - 2)
+    x0, x1, x2 = grid[j - 1], grid[j], grid[j + 1]
+    f0, f1, f2 = values[j - 1], values[j], values[j + 1]
+    d0 = (x0 - x1) * (x0 - x2)
+    d1 = (x1 - x0) * (x1 - x2)
+    d2 = (x2 - x0) * (x2 - x1)
+    q1 = np.array([p, p + 1.0, p + 2.0])[:, None] + 1.0  # ∫ r^q dr per cell, q > −1
+    mp, mp1, mp2 = (seg_b**q1 - seg_a**q1) / q1
+    w0 = (mp2 - (x1 + x2) * mp1 + x1 * x2 * mp) / d0
+    w1 = (mp2 - (x0 + x2) * mp1 + x0 * x2 * mp) / d1
+    w2 = (mp2 - (x0 + x1) * mp1 + x0 * x1 * mp) / d2
+    return np.sum(w0 * f0 + w1 * f1 + w2 * f2)
 
 
 def _quad_complex(fn, a, b, points=None):
@@ -485,7 +474,16 @@ class ForcingProfile:
 
     @classmethod
     def from_samples(cls, grid: np.ndarray, values: np.ndarray) -> "ForcingProfile":
-        profile = cls(grid=np.asarray(grid, float), values=np.asarray(values, complex))
+        """Samples of f at ``grid``: at least 3 finite 1-d samples on a
+        strictly increasing grid, as the quadratic rule needs."""
+        grid, values = np.asarray(grid, float), np.asarray(values, complex)
+        if grid.ndim != 1 or values.shape != grid.shape or grid.size < 3:
+            raise DomainError("forcing needs at least 3 samples, 1-d, as many values as nodes")
+        if not (np.all(np.isfinite(grid)) and np.all(np.isfinite(values))):
+            raise DomainError("forcing samples must be finite")
+        if np.any(np.diff(grid) <= 0.0):
+            raise DomainError("forcing sample grid must be strictly increasing")
+        profile = cls(grid=grid, values=values)
         profile.decay_c = profile.envelope_audit()
         return profile
 
@@ -623,13 +621,7 @@ def assemble_forcing(
 
     pos = t > 0.0
     tp = t[pos]
-    h = (
-        -4.0 * lam * tp * y[pos]
-        + 2j * mode_mu * tp * yp[pos]
-        + 1j * mode_mu * y[pos]
-    )
-    if dsq:
-        h = h + dsq * (y[pos] - y0) / tp
+    h = _master_integrand(tp, y[pos], yp[pos], lam, mode_mu, dsq, y0)
     ypp = (h - (3.0 * tp**2 + 4.0) * yp[pos]) / (tp**3 + 4.0 * tp)
 
     f = (

@@ -14,11 +14,10 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 from scipy.optimize import brentq
 
 from ._parallel import parallel_map
-from ._stencils import GRID_CAP, tensor_grid
+from ._stencils import GRID_CAP, gauss_legendre, tensor_grid
 from .errors import DomainError, ModelValidityError
 from .spectral_model import SpectralModel
 
@@ -168,9 +167,7 @@ def _radial_density(profile, d: int, vd: float, root_det: float, x: float) -> fl
 def _angular_density_2d(model: SpectralModel, x: float) -> float:
     """ρ(x) = ∫ r·(∂λ₀/∂r)⁻¹ dφ on the level curve, general 2-d models,
     by 64-point Gauss–Legendre in the angle."""
-    nodes, weights = leggauss(64)
-    phis = math.pi * (nodes + 1.0)        # map [-1,1] -> [0, 2pi]
-    wts = math.pi * weights
+    phis, wts = gauss_legendre(0.0, 2.0 * math.pi, 64)
     total = 0.0
     rmax = float(np.min(model.domain_u))
     for phi_ang, w in zip(phis, wts):
@@ -235,10 +232,7 @@ def limit_density(
 def limit_integral(model: SpectralModel, f, epsilon: float) -> float:
     """∫₀^ε f(x) ρ(x) dx via the substitution x = s² (regular integrand),
     by 200-point Gauss–Legendre in s."""
-    nodes, weights = leggauss(200)
-    s_hi = math.sqrt(epsilon)
-    s = 0.5 * s_hi * (nodes + 1.0)
-    w = 0.5 * s_hi * weights
+    s, w = gauss_legendre(0.0, math.sqrt(epsilon), 200)
     x = s * s
     table = limit_density(model, epsilon, x)
     vals = np.asarray(f(x), dtype=float) * table.density * 2.0 * s

@@ -204,6 +204,8 @@ def _tensor_value(problem: PhaseProblem, T: float, nodes: int, ratio: float):
         edges = _panel_edges(problem.box[i], core[i])
         pts, wts = [], []
         for lo, hi in zip(edges[:-1], edges[1:]):
+            # not _stencils.gauss_legendre: mid + half·x makes the nodes of
+            # mirrored panels exact negatives, and the output bits rely on it
             mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
             pts.append(mid + half * x_ref)
             wts.append(half * w_ref)

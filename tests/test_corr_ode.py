@@ -286,6 +286,15 @@ class TestParticularSolution:
         with pytest.raises(DomainError):
             particular_trajectory(0.5, fp, np.array([2.0, 3.0]))
 
+    def test_value_at_the_last_sample(self):
+        # the tail integral over the empty range [g[-1], g[-1]] is 0
+        g = master_grid(1e3, steps_per_decade=400)
+        v = 1.0 / (1.0 + g) + 0j
+        nu, t = 0.5, g[-1]
+        head = power_weighted_integral(g, v, nu)
+        got = particular_solution(nu, ForcingProfile.from_samples(g, v), t)
+        assert got == pytest.approx(-(t ** (-nu - 1.0)) / (2 * nu) * head, rel=1e-14)
+
     def test_formula_trajectory_solves_the_ode(self):
         # verified as an ODE solution, not asserted equal to the master one
         fp = ForcingProfile.from_callable(_anchor_forcing)
@@ -475,6 +484,22 @@ class TestForcingProfile:
         fp = ForcingProfile.from_samples(np.linspace(0.0, 0.9, 10), np.ones(10, complex))
         assert fp.envelope_audit() == 0.0 == fp.decay_c
 
+    @pytest.mark.parametrize(
+        "grid, values",
+        [
+            pytest.param([0.0, 1.0], np.ones(2), id="two-samples"),
+            pytest.param([0.0, 1.0, 1.0, 2.0], np.ones(4), id="repeated-node"),
+            pytest.param([0.0, 2.0, 1.0, 3.0], np.ones(4), id="unsorted"),
+            pytest.param([0.0, 1.0, np.nan, 3.0], np.ones(4), id="nan-node"),
+            pytest.param([0.0, 1.0, 2.0], [1.0, np.nan, 1.0], id="nan-value"),
+            pytest.param([0.0, 1.0, 2.0], np.ones(4), id="length-mismatch"),
+            pytest.param(np.zeros((3, 3)), np.ones((3, 3)), id="two-dimensional"),
+        ],
+    )
+    def test_from_samples_rejects_grids_the_rule_cannot_integrate(self, grid, values):
+        with pytest.raises(DomainError):
+            ForcingProfile.from_samples(np.array(grid), np.array(values, complex))
+
     def test_sampled_profile_alignment(self):
         grid = np.linspace(0.0, 10.0, 101)
         fp = ForcingProfile.from_samples(grid, np.ones(101, complex))
@@ -483,13 +508,35 @@ class TestForcingProfile:
             fp.values_on(np.linspace(0.0, 10.0, 50))
 
 
+_UNIFORM = np.linspace(0.0, 2.0, 401)
+_GRADED = master_grid(1e2, steps_per_decade=100)
+_QUADRATIC = tuple(c * (1 + 2j) for c in (1.0, 2.0, -0.5))  # (1 + 2r − r²/2)(1 + 2i)
+
+
 class TestSampleQuadrature:
-    def test_power_weighted_integral_exact_on_powers(self):
-        grid = np.linspace(0.0, 2.0, 401)
-        vals = grid**2 + 0j
-        got = power_weighted_integral(grid, vals, -0.5)
-        exact = 2.0 ** 2.5 / 2.5
-        assert abs(got - exact) < 1e-10  # interpolation exact; roundoff only
+    @pytest.mark.parametrize(
+        "grid, coef, p, lo, hi",
+        [pytest.param(_UNIFORM, (0.0, 0.0, 1.0), -0.5, 0.0, 2.0, id="uniform")]
+        + [
+            pytest.param(_GRADED, _QUADRATIC, p, lo, hi, id=f"graded-{p}-{lo}-{hi}")
+            for p in (-0.5, 0.7)
+            # the whole grid, ends inside cells, and one partial cell
+            for lo, hi in ((0.0, 100.0), (0.0123, 37.7), (1.0005, 1.0006))
+        ],
+    )
+    def test_power_weighted_integral_exact_on_powers(self, grid, coef, p, lo, hi):
+        vals = sum(c * grid**k for k, c in enumerate(coef)) + 0j
+        got = power_weighted_integral(grid, vals, p, a=lo, b=hi)
+        exact = sum(
+            c * (hi ** (p + k + 1) - lo ** (p + k + 1)) / (p + k + 1)
+            for k, c in enumerate(coef)
+        )
+        assert abs(got - exact) <= 1e-11 * abs(exact)  # interpolation exact; roundoff only
+
+    @pytest.mark.parametrize("x", [0.0, 0.37, 1.0, 100.0])
+    def test_empty_range_is_zero(self, x):
+        vals = 1.0 / (1.0 + _GRADED) + 0j
+        assert power_weighted_integral(_GRADED, vals, -0.5, a=x, b=x) == 0
 
     def test_master_residual_flags_foreign_data(self):
         grid = log_grid(1.0, 100.0, steps_per_decade=200)

@@ -4,8 +4,33 @@ from itertools import product
 import numpy as np
 import pytest
 
-from horomix._stencils import SWEEP_BUDGET, fornberg_weights, sweep_grid, tensor_grid
+from horomix._stencils import (
+    SWEEP_BUDGET,
+    fornberg_weights,
+    gauss_legendre,
+    sweep_grid,
+    tensor_grid,
+)
 from horomix.errors import LatticeSizeError
+
+
+class TestGaussLegendre:
+    def test_exact_on_polynomials_below_twice_the_node_count(self):
+        x, w = gauss_legendre(-0.3, 1.7, 4)
+        for k in range(8):
+            exact = (1.7 ** (k + 1) - (-0.3) ** (k + 1)) / (k + 1)
+            assert np.dot(w, x**k) == pytest.approx(exact, rel=1e-13, abs=1e-14)
+
+    @pytest.mark.parametrize(
+        "n, hi",
+        [(64, 2.0 * math.pi)] + [(200, math.sqrt(eps)) for eps in (1e-4, 0.01, 0.0625, 0.2)],
+    )
+    def test_same_bits_as_the_maps_it_replaced(self, n, hi):
+        # the cover-density maps on [0, 2π] and [0, √ε]: (hi/2)·(x + 1), (hi/2)·w
+        ref_x, ref_w = np.polynomial.legendre.leggauss(n)
+        x, w = gauss_legendre(0.0, hi, n)
+        assert np.array_equal(x, 0.5 * hi * (ref_x + 1.0))
+        assert np.array_equal(w, 0.5 * hi * ref_w)
 
 
 class TestFornbergWeights:
