@@ -32,7 +32,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
 
 from ._stencils import fornberg_weights
 from .errors import ConsistencyError, ConvergenceError, DomainError, TruncationError
@@ -380,6 +379,17 @@ def cumulative_quadratic(grid: np.ndarray, values: np.ndarray) -> np.ndarray:
     return out
 
 
+def _check_samples(grid: np.ndarray, values: np.ndarray) -> None:
+    """Refuse samples the quadratic rule cannot integrate: fewer than 3,
+    not 1-d, unequal lengths, non-finite, or a grid not strictly increasing."""
+    if grid.ndim != 1 or values.shape != grid.shape or grid.size < 3:
+        raise DomainError("forcing needs at least 3 samples, 1-d, as many values as nodes")
+    if not (np.all(np.isfinite(grid)) and np.all(np.isfinite(values))):
+        raise DomainError("forcing samples must be finite")
+    if np.any(np.diff(grid) <= 0.0):
+        raise DomainError("forcing sample grid must be strictly increasing")
+
+
 def power_weighted_integral(
     grid: np.ndarray, values: np.ndarray, exponent: float,
     a: float | None = None, b: float | None = None,
@@ -389,7 +399,10 @@ def power_weighted_integral(
     The interpolant is quadratic through three samples per cell and r^p is
     integrated exactly per cell, so integrable endpoint singularities
     (p > −1 with grid[0] = 0) cost no accuracy.  An empty range gives 0.
+    Samples the rule cannot integrate raise DomainError, as in
+    :meth:`ForcingProfile.from_samples`.
     """
+    _check_samples(grid, values)
     p = float(exponent)
     if p <= -1.0:
         raise DomainError("exponent must exceed -1 for an integrable weight")
@@ -414,6 +427,10 @@ def power_weighted_integral(
 
 
 def _quad_complex(fn, a, b, points=None):
+    # imported here: only callable forcings need scipy, so importing the
+    # package does not load it
+    from scipy.integrate import quad
+
     kw = {"limit": 200}
     if points:
         pts = [p for p in points if a < p < b]
@@ -477,12 +494,7 @@ class ForcingProfile:
         """Samples of f at ``grid``: at least 3 finite 1-d samples on a
         strictly increasing grid, as the quadratic rule needs."""
         grid, values = np.asarray(grid, float), np.asarray(values, complex)
-        if grid.ndim != 1 or values.shape != grid.shape or grid.size < 3:
-            raise DomainError("forcing needs at least 3 samples, 1-d, as many values as nodes")
-        if not (np.all(np.isfinite(grid)) and np.all(np.isfinite(values))):
-            raise DomainError("forcing samples must be finite")
-        if np.any(np.diff(grid) <= 0.0):
-            raise DomainError("forcing sample grid must be strictly increasing")
+        _check_samples(grid, values)
         profile = cls(grid=grid, values=values)
         profile.decay_c = profile.envelope_audit()
         return profile

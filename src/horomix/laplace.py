@@ -18,11 +18,12 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.optimize import brentq
 
 from ._stencils import (
+    bracketed_roots,
     finite_difference_hessian,
     fornberg_weights,
+    monotone_inverse,
     sweep_grid,
     tensor_grid,
 )
@@ -323,34 +324,18 @@ def _pushforward_amplitude(problem: PhaseProblem):
     if problem.morse == "radial":
         phi, phi_p = problem.phi, problem.phi_prime
 
-        def q_inverse(target):
-            # solve phi(q) = target (phi decreasing, target <= 0)
-            if target == 0.0:
-                return 0.0
-            hi = 1.0
-            while phi(hi) > target:
-                hi *= 2.0
-                if hi > 1e12:
-                    raise DomainError("radial phase cannot reach requested level")
-            return brentq(lambda qq: phi(qq) - target, 0.0, hi, xtol=1e-15, rtol=1e-15)
-
         def b(theta):
-            out = np.empty(theta.shape[0])
-            for idx in range(theta.shape[0]):
-                th = theta[idx]
-                s = float(np.linalg.norm(th))
-                if s < 1e-300:
-                    out[idx] = float(problem.a(np.zeros((1, d)))[0]) * det_fac
-                    continue
-                qhat = q_inverse(-0.5 * s * s)
-                r = math.sqrt(2.0 * qhat)
-                g = r / s
-                rp = -s / (phi_p(qhat) * r)
-                xi = (th * g) @ l_inv
-                out[idx] = float(problem.a(xi.reshape(1, d))[0]) * det_fac * g ** (
-                    d - 1
-                ) * rp
-            return out
+            # ξ = g·θ·L⁻¹ with ½|ξ|²_H = q̂, where φ(q̂) = −½|θ|² (φ decreasing)
+            s = np.linalg.norm(theta, axis=1)
+            qhat = monotone_inverse(
+                lambda q: -phi(q), 0.5 * s * s, xtol=1e-15, rtol=1e-15
+            )
+            with np.errstate(divide="ignore", invalid="ignore"):
+                r = np.sqrt(2.0 * qhat)
+                g = np.where(s < 1e-300, 1.0, r / s)
+                rp = np.where(s < 1e-300, 1.0, -s / (phi_p(qhat) * r))
+            xi = (theta * g[:, None]) @ l_inv
+            return problem.a(xi) * det_fac * g ** (d - 1) * rp
 
         return b
 
@@ -358,38 +343,25 @@ def _pushforward_amplitude(problem: PhaseProblem):
         vfun = problem.v
         u = float(problem.box[0])
 
-        def theta_of_xi(xi):
-            val = float(vfun(np.array([[xi]]))[0])
-            return math.copysign(math.sqrt(max(-2.0 * val, 0.0)), xi)
-
-        def rho(theta):
-            if theta == 0.0:
-                return 0.0
-            lo, hi = (0.0, u) if theta > 0 else (-u, 0.0)
-            return brentq(
-                lambda xi: theta_of_xi(xi) - theta, lo, hi, xtol=1e-15, rtol=8.9e-16
-            )
+        def v_at(xi):
+            return vfun(xi[:, None])
 
         def b(theta):
-            out = np.empty(theta.shape[0])
+            # ξ = ρ(θ) solves sgn(ξ)·√(−2v(ξ)) = θ on the half-box of θ's sign
+            th = theta[:, 0]
+            xi = bracketed_roots(
+                lambda x: np.copysign(np.sqrt(np.maximum(-2.0 * v_at(x), 0.0)), x) - th,
+                np.where(th > 0.0, 0.0, -u), np.where(th > 0.0, u, 0.0),
+                xtol=1e-15, rtol=8.9e-16,
+            )
             h_fd = 1e-6
-            for idx in range(theta.shape[0]):
-                th = float(theta[idx, 0])
-                if abs(th) < 1e-300:
-                    h0 = math.sqrt(float(H[0, 0]))
-                    out[idx] = float(problem.a(np.zeros((1, 1)))[0]) / h0
-                    continue
-                xi = rho(th)
-                vp = (
-                    float(vfun(np.array([[xi + h_fd]]))[0])
-                    - float(vfun(np.array([[xi - h_fd]]))[0])
-                ) / (2 * h_fd)
-                # theta'(xi) = -v' / (sgn(xi)·sqrt(-2v)); rho'(theta) = 1/theta'
-                tp = -vp / math.copysign(
-                    math.sqrt(-2.0 * float(vfun(np.array([[xi]]))[0])), xi
-                )
-                out[idx] = float(problem.a(np.array([[xi]]))[0]) / tp
-            return out
+            vp = (v_at(xi + h_fd) - v_at(xi - h_fd)) / (2 * h_fd)
+            # theta'(xi) = -v' / (sgn(xi)·sqrt(-2v)); rho'(theta) = 1/theta'
+            with np.errstate(divide="ignore", invalid="ignore"):
+                tp = -vp / np.copysign(np.sqrt(-2.0 * v_at(xi)), xi)
+                out = problem.a(xi[:, None]) / tp
+            at_zero = float(problem.a(np.zeros((1, 1)))[0]) / math.sqrt(float(H[0, 0]))
+            return np.where(np.abs(th) < 1e-300, at_zero, out)
 
         return b
 

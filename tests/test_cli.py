@@ -1,6 +1,9 @@
 import csv
 import math
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -283,3 +286,33 @@ class TestDeterminism:
                 entry["path"] = entry["path"].replace(f"_{workers}", "")
             runs.append(([p.read_bytes() for p in names], manifest))
         assert runs[0] == runs[1]
+
+
+_SCIPY_FREE = """
+import sys
+import numpy as np
+import horomix, horomix.cli
+from horomix.cover_spectrum import limit_integral, make_test_function
+from horomix.laplace import laplace_expand, preset_quartic1d
+from horomix.spectral_model import Perturbation, SpectralModel
+
+model = SpectralModel(
+    genus=2, rank_d=2, gram=np.eye(2), perturbation=Perturbation("quartic", 0.2)
+)
+limit_integral(model, make_test_function("one", 0.05), 0.05)
+laplace_expand(preset_quartic1d(), 2)
+loaded = sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
+assert "scipy" not in sys.modules and not loaded, loaded
+"""
+
+
+def test_cli_paths_run_without_scipy():
+    """Importing the package and the CLI, the angular limit density and the
+    radial Morse chart load no scipy module (only callable forcings do)."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    done = subprocess.run(
+        [sys.executable, "-c", _SCIPY_FREE], env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr

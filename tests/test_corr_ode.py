@@ -470,6 +470,18 @@ class TestTailChecks:
         assert split["residual"] < 1e-6
 
 
+# sample sets the quadratic rule of power_weighted_integral cannot integrate
+_UNINTEGRABLE_SAMPLES = [
+    pytest.param([0.0, 1.0], np.ones(2), id="two-samples"),
+    pytest.param([0.0, 1.0, 1.0, 2.0], np.ones(4), id="repeated-node"),
+    pytest.param([0.0, 2.0, 1.0, 3.0], np.ones(4), id="unsorted"),
+    pytest.param([0.0, 1.0, np.nan, 3.0], np.ones(4), id="nan-node"),
+    pytest.param([0.0, 1.0, 2.0], [1.0, np.nan, 1.0], id="nan-value"),
+    pytest.param([0.0, 1.0, 2.0], np.ones(4), id="length-mismatch"),
+    pytest.param(np.zeros((3, 3)), np.ones((3, 3)), id="two-dimensional"),
+]
+
+
 class TestForcingProfile:
     def test_claimed_envelope_is_audited(self):
         with pytest.raises(ConsistencyError):
@@ -484,18 +496,7 @@ class TestForcingProfile:
         fp = ForcingProfile.from_samples(np.linspace(0.0, 0.9, 10), np.ones(10, complex))
         assert fp.envelope_audit() == 0.0 == fp.decay_c
 
-    @pytest.mark.parametrize(
-        "grid, values",
-        [
-            pytest.param([0.0, 1.0], np.ones(2), id="two-samples"),
-            pytest.param([0.0, 1.0, 1.0, 2.0], np.ones(4), id="repeated-node"),
-            pytest.param([0.0, 2.0, 1.0, 3.0], np.ones(4), id="unsorted"),
-            pytest.param([0.0, 1.0, np.nan, 3.0], np.ones(4), id="nan-node"),
-            pytest.param([0.0, 1.0, 2.0], [1.0, np.nan, 1.0], id="nan-value"),
-            pytest.param([0.0, 1.0, 2.0], np.ones(4), id="length-mismatch"),
-            pytest.param(np.zeros((3, 3)), np.ones((3, 3)), id="two-dimensional"),
-        ],
-    )
+    @pytest.mark.parametrize("grid, values", _UNINTEGRABLE_SAMPLES)
     def test_from_samples_rejects_grids_the_rule_cannot_integrate(self, grid, values):
         with pytest.raises(DomainError):
             ForcingProfile.from_samples(np.array(grid), np.array(values, complex))
@@ -537,6 +538,12 @@ class TestSampleQuadrature:
     def test_empty_range_is_zero(self, x):
         vals = 1.0 / (1.0 + _GRADED) + 0j
         assert power_weighted_integral(_GRADED, vals, -0.5, a=x, b=x) == 0
+
+    @pytest.mark.parametrize("grid, values", _UNINTEGRABLE_SAMPLES)
+    def test_rejects_samples_the_rule_cannot_integrate(self, grid, values):
+        # the two-node grid returned -inf+nanj before the rule checked its grid
+        with pytest.raises(DomainError):
+            power_weighted_integral(np.array(grid), np.array(values, complex), 0.0)
 
     def test_master_residual_flags_foreign_data(self):
         grid = log_grid(1.0, 100.0, steps_per_decade=200)

@@ -150,8 +150,38 @@ class TestLimitDensity:
     def test_angular_route_matches_closed_form(self, model_d2):
         from horomix.cover_spectrum import _angular_density_2d
 
-        for x in (0.01, 0.03):
-            assert _angular_density_2d(model_d2, x) == pytest.approx(1.0, rel=1e-9)
+        got = _angular_density_2d(model_d2, np.array([0.01, 0.03]))
+        assert got == pytest.approx([1.0, 1.0], rel=1e-9)
+
+    @pytest.mark.parametrize(
+        "gram, pert",
+        [
+            (np.eye(2), Perturbation("radial_quartic", 0.5)),
+            ([[1.0, 0.2], [0.2, 0.9]], Perturbation("radial_quartic", 0.3)),
+            ([[1.0, 0.2], [0.2, 0.9]], None),
+        ],
+        ids=["radial-quartic", "gram-radial-quartic", "gram-quadratic"],
+    )
+    def test_batched_angular_route_matches_radial_closed_form(self, gram, pert):
+        # the angular route does not use the radial profile, so on radial
+        # models the closed form φ(q*) = x is an independent oracle
+        from horomix.cover_spectrum import (
+            _angular_density_2d, _radial_density, _unit_ball_volume,
+        )
+
+        m = SpectralModel(genus=2, rank_d=2, gram=gram, perturbation=pert, gap_delta=0.1)
+        xs = np.geomspace(1e-6, 0.05, 40)
+        root_det = math.sqrt(float(np.linalg.det(m.quad_coeff * m.gram)))
+        closed = _radial_density(m.radial_profile(), 2, _unit_ball_volume(2), root_det, xs)
+        assert _angular_density_2d(m, xs) == pytest.approx(closed, rel=1e-9)
+
+    def test_angular_route_refuses_level_sets_leaving_the_box(self):
+        m = SpectralModel(
+            genus=2, rank_d=2, gram=np.eye(2),
+            perturbation=Perturbation("quartic", 0.2), gap_delta=0.2,
+        )
+        with pytest.raises(DomainError, match="working box"):
+            limit_density(m, 0.2, np.array([0.01, 0.19]))
 
     def test_consistency_of_density_and_torus_quadrature(self, model_d2):
         # int f(x) x^(d/2-1) zeta(x) dx == int_{lambda0 <= eps} f(lambda0) dw

@@ -3,15 +3,19 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.optimize import brentq
 
 from horomix._stencils import (
     SWEEP_BUDGET,
+    bracketed_roots,
     fornberg_weights,
     gauss_legendre,
+    monotone_inverse,
     sweep_grid,
     tensor_grid,
 )
-from horomix.errors import LatticeSizeError
+from horomix.errors import DomainError, LatticeSizeError
 
 
 class TestGaussLegendre:
@@ -85,3 +89,74 @@ class TestSweepGrid:
         # 2^20 vertices exceed the budget: refused before anything is allocated
         with pytest.raises(LatticeSizeError, match=str(2**20)):
             sweep_grid(np.full(20, 0.5), 9)
+
+
+# s·(a(x − r) + b(x − r)³) is strictly monotone with its only root at r exactly
+_MONOTONE = st.tuples(
+    st.floats(-10.0, 10.0),                        # r
+    st.floats(1e-3, 1e3),                          # a
+    st.floats(0.0, 1e3),                           # b
+    st.sampled_from([-1.0, 1.0]),                  # s
+    st.floats(1e-3, 10.0), st.floats(1e-3, 10.0),  # bracket offsets below / above r
+)
+
+
+class TestBracketedRoots:
+    @settings(deadline=None, max_examples=60)
+    @given(
+        st.lists(_MONOTONE, min_size=1, max_size=8),
+        st.floats(1e-16, 1e-6),
+        st.sampled_from([8.9e-16, 1e-12, 1e-8]),
+    )
+    def test_agrees_with_brentq(self, cases, xtol, rtol):
+        r, a, b, sgn, below, above = (np.array(c) for c in zip(*cases))
+
+        def fn(x):
+            return sgn * (a * (x - r) + b * (x - r) ** 3)
+
+        lo, hi = r - below, r + above
+        got = bracketed_roots(fn, lo, hi, xtol, rtol)
+        for i in range(r.size):
+            ref = brentq(lambda x: float(fn(np.full(r.size, x))[i]), lo[i], hi[i],
+                         xtol=xtol, rtol=rtol)
+            tol = xtol + rtol * abs(r[i]) + 2.0 * np.spacing(r[i])
+            assert abs(got[i] - r[i]) <= tol
+            assert abs(got[i] - ref) <= 2.0 * tol
+
+    def test_no_sign_change_raises(self):
+        fn = lambda x: x * x + 1.0
+        with pytest.raises(DomainError):
+            bracketed_roots(fn, -1.0, 1.0, 1e-12, 1e-12)
+        # one bad bracket in a batch is enough
+        with pytest.raises(DomainError):
+            bracketed_roots(lambda x: x - 0.5, [0.0, 0.6], [1.0, 1.0], 1e-12, 1e-12)
+
+    def test_root_at_a_bracket_end(self):
+        got = bracketed_roots(lambda x: x - 0.25, [0.25, -1.0], [1.0, 0.25], 1e-12, 1e-12)
+        np.testing.assert_array_equal(got, [0.25, 0.25])
+
+    @pytest.mark.parametrize("root", [1e3 + 1.0 / 3.0, 1e-3 / 7.0, -2.5e5 / 3.0])
+    def test_stops_at_adjacent_floats_below_one_ulp(self, root):
+        # xtol far below one ulp of the root: only adjacent floats end it
+        calls = []
+
+        def fn(x):
+            calls.append(1)
+            return np.tanh(x - root)
+
+        got = bracketed_roots(fn, root - 1.0, root + 2.0, xtol=1e-300, rtol=0.0)
+        assert abs(got - root) <= np.spacing(abs(root))
+        assert len(calls) < 200
+
+
+class TestMonotoneInverse:
+    def test_inverts_quadratic_profile(self):
+        c = 0.5
+        x = np.array([0.0, 1e-10, 0.05, 3.0, 1e5])
+        q = monotone_inverse(lambda q: q + c * q * q, x, xtol=1e-16, rtol=8.9e-16)
+        exact = 2.0 * x / (1.0 + np.sqrt(1.0 + 4.0 * c * x))
+        np.testing.assert_allclose(q, exact, rtol=4e-16, atol=0.0)
+
+    def test_unreachable_level_raises(self):
+        with pytest.raises(DomainError):
+            monotone_inverse(np.tanh, np.array([0.5, 2.0]), xtol=1e-15, rtol=1e-15)
