@@ -82,34 +82,35 @@ def monotone_inverse(psi, target, xtol: float, rtol: float) -> np.ndarray:
     return bracketed_roots(lambda q: psi(q) - target, 0.0, hi, xtol, rtol)
 
 
-def fornberg_weights(nodes: np.ndarray, x0: float, order: int) -> np.ndarray:
-    """Weights of the order-th derivative at x0 on arbitrary distinct nodes.
+def fornberg_weights(nodes, x0, order: int) -> np.ndarray:
+    """Stencil table of derivative orders 0..order at x0 on distinct nodes.
 
-    Fornberg's recursion (Math. Comp. 51, 1988): the stencil is exact for
-    polynomials of degree below ``nodes.size``.
+    ``nodes`` has shape (..., n) and ``x0`` broadcasts over its leading axes;
+    column k of the (..., n, order + 1) result weighs the k-th derivative.
+    Fornberg's recursion (Math. Comp. 51, 1988): exact for polynomials of
+    degree below n, and each window of a batch gets the bits it gets alone.
     """
-    n = nodes.size
-    c = np.zeros((n, order + 1))
-    c[0, 0] = 1.0
-    c1 = 1.0
-    c4 = nodes[0] - x0
-    for i in range(1, n):
-        mn = min(i, order)
-        c2 = 1.0
-        c5 = c4
-        c4 = nodes[i] - x0
-        for j in range(i):
-            c3 = nodes[i] - nodes[j]
-            c2 *= c3
-            if j == i - 1:
-                for k in range(mn, 0, -1):
-                    c[i, k] = c1 * (k * c[i - 1, k - 1] - c5 * c[i - 1, k]) / c2
-                c[i, 0] = -c1 * c5 * c[i - 1, 0] / c2
-            for k in range(mn, 0, -1):
-                c[j, k] = (c4 * c[j, k] - k * c[j, k - 1]) / c3
-            c[j, 0] = c4 * c[j, 0] / c3
+    nodes, x0 = np.asarray(nodes, float), np.asarray(x0, float)[..., None]
+    batch = np.broadcast_shapes(nodes.shape[:-1], x0.shape[:-1])
+    nodes = np.broadcast_to(nodes, batch + nodes.shape[-1:])
+    c = np.zeros(nodes.shape + (order + 1,))
+    c[..., 0, 0] = 1.0
+    c1, c4 = np.ones(batch + (1,)), nodes[..., :1] - x0
+    for i in range(1, nodes.shape[-1]):
+        ks = np.arange(1.0, min(i, order) + 1.0)
+        c5, c4 = c4, nodes[..., i : i + 1] - x0
+        c3 = nodes[..., i : i + 1] - nodes[..., :i]
+        c2 = np.cumprod(c3, axis=-1)[..., -1:]
+        # row i from the old row i − 1, then rows 0..i−1 at once: the scalar
+        # recursion's j- and downward k-loops read only old values
+        old, rows = c[..., i - 1, : ks.size + 1], c[..., :i, : ks.size + 1]
+        c[..., i, 1 : ks.size + 1] = c1 * (ks * old[..., :-1] - c5 * old[..., 1:]) / c2
+        c[..., i, :1] = -c1 * c5 * old[..., :1] / c2
+        shifted = c4[..., None] * rows[..., 1:] - ks * rows[..., :-1]
+        rows[..., 1:] = shifted / c3[..., None]
+        rows[..., 0] = c4 * rows[..., 0] / c3
         c1 = c2
-    return c[:, order]
+    return c
 
 
 def tensor_grid(axes, cap: int = GRID_CAP) -> np.ndarray:

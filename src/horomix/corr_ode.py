@@ -336,8 +336,10 @@ def master_relation_residual(traj: Trajectory, lam: float) -> float:
     """Residual of y'(t)(t³+4t) = ∫₀ᵗ h, recomputed from the samples.
 
     The integral is rebuilt by local quartic quadrature of the integrand
-    (:func:`cumulative_quadratic`), independently of the solver's running
-    state, so a trajectory not produced by the master relation is caught.
+    (:func:`cumulative_quadratic`, one array pass), independently of the
+    solver's running state, so a trajectory not produced by the master
+    relation is caught.  :func:`assemble_forcing` re-runs it on every
+    trajectory it is given, whatever its source.
     """
     t, y, yp = traj.grid, traj.y, traj.y_prime
     mode, y0 = traj.meta.mode, traj.meta.y0
@@ -360,23 +362,22 @@ def master_relation_residual(traj: Trajectory, lam: float) -> float:
 def cumulative_quadratic(grid: np.ndarray, values: np.ndarray) -> np.ndarray:
     """Cumulative ∫ from grid[0] by local degree-4 interpolatory quadrature.
 
-    Each cell integrates the quartic through its five nearest samples;
-    nodes are shifted and scaled per cell so the small Vandermonde solves
-    stay well conditioned on strongly graded grids.
+    Each cell [t_k, t_(k+1)] integrates the quartic through its five
+    nearest samples (fewer on shorter grids), as the Taylor sum at t_k:
+    ∫ p = Σ_m p⁽ᵐ⁾(t_k)·hᵐ⁺¹/(m+1)!, with the derivatives from the
+    :func:`fornberg_weights` table of the cell's window.
     """
     n = grid.size
-    out = np.zeros(n, dtype=complex)
     width = min(5, n)
-    for k in range(n - 1):
-        j0 = min(max(k - (width - 1) // 2, 0), n - width)
-        nodes = grid[j0 : j0 + width] - grid[k]
-        scale = float(np.max(np.abs(nodes))) or 1.0
-        b = (grid[k + 1] - grid[k]) / scale
-        moments = np.array([b ** (q + 1) / (q + 1) for q in range(width)])
-        vander = np.vander(nodes / scale, width, increasing=True).T
-        w = np.linalg.solve(vander, moments) * scale
-        out[k + 1] = out[k] + w @ values[j0 : j0 + width]
-    return out
+    cells = np.arange(n - 1)
+    start = np.clip(cells - (width - 1) // 2, 0, n - width)
+    window = start[:, None] + np.arange(width)
+    table = fornberg_weights(grid[window], grid[cells], width - 1)
+    powers = np.arange(1, width + 1)
+    taylor = np.diff(grid)[:, None] ** powers / np.cumprod(powers)
+    w = np.matmul(table, taylor[:, :, None])[:, :, 0]
+    steps = np.matmul(w[:, None, :], values[window][:, :, None])[:, 0, 0]
+    return np.concatenate([[0.0 + 0.0j], np.cumsum(steps)])
 
 
 def _check_samples(grid: np.ndarray, values: np.ndarray) -> None:
@@ -595,18 +596,6 @@ class ForcingProfile:
 # ---------------------------------------------------------------------------
 
 
-def _extrapolate_to_zero(ts: np.ndarray, vals: np.ndarray) -> complex:
-    """Value at 0 of the degree-(len−1) polynomial through (ts, vals)."""
-    total = 0.0 + 0.0j
-    for j in range(ts.size):
-        w = 1.0
-        for i in range(ts.size):
-            if i != j:
-                w *= ts[i] / (ts[i] - ts[j])
-        total += w * vals[j]
-    return total
-
-
 def assemble_forcing(
     mode: ModePair,
     traj: Trajectory,
@@ -616,11 +605,17 @@ def assemble_forcing(
 
     The second derivative is recovered algebraically from the master
     relation (y'' = (h − (3t²+4) y')/(t³+4t)), which is first re-verified
-    from the samples; trajectories that do not satisfy the master relation
-    are rejected.  f(0) is filled by polynomial extrapolation and reported
-    against the endpoint identities f(0) = 4λ y(0) and
+    from the samples; trajectories that do not satisfy the master relation,
+    or were solved for another mode, are rejected.  f(0) is filled by
+    polynomial extrapolation (the order-0 :func:`fornberg_weights` at 0)
+    and reported against the endpoint identities f(0) = 4λ y(0) and
     f'(0) = (4−ν²) y'(0).
     """
+    if mode != traj.meta.mode:
+        raise ConsistencyError(
+            f"trajectory was solved for mode {(traj.meta.mode.n, traj.meta.mode.m)}, "
+            f"not {(mode.n, mode.m)}"
+        )
     resid = master_relation_residual(traj, lam)
     if resid > _CONSISTENCY_TOL:
         raise ConsistencyError(
@@ -649,9 +644,10 @@ def assemble_forcing(
     values[pos] = f
     if t[0] == 0.0:
         k = min(5, f.size)
-        f0 = _extrapolate_to_zero(tp[:k], f[:k])
+        at_zero = fornberg_weights(tp[:k], 0.0, 0)[:, 0]
+        f0 = at_zero @ f[:k]
         values[0] = f0
-        fp0 = _extrapolate_to_zero(tp[:k], (f[:k] - f0) / tp[:k])
+        fp0 = at_zero @ ((f[:k] - f0) / tp[:k])
     else:
         f0 = values[0]
         fp0 = complex("nan")
@@ -678,21 +674,19 @@ def second_derivative_from_first(grid: np.ndarray, yprime: np.ndarray) -> np.nda
     """
     n = grid.size
     out = np.full(n, np.nan, dtype=complex)
-    logt = np.log(grid, out=np.full(n, -np.inf), where=grid > 0)
-    for i in range(2, n - 2):
-        if grid[i - 2] <= 0.0:
-            tl = grid[i - 2 : i + 3]
-            w = fornberg_weights(tl, grid[i], 1)
-            out[i] = w @ yprime[i - 2 : i + 3]
-            continue
-        dts = np.diff(grid[i - 2 : i + 3])
-        dtaus = np.diff(logt[i - 2 : i + 3])
-        if dtaus.max() / dtaus.min() <= dts.max() / dts.min():
-            w = fornberg_weights(logt[i - 2 : i + 3], logt[i], 1)
-            out[i] = (w @ yprime[i - 2 : i + 3]) / grid[i]
-        else:
-            w = fornberg_weights(grid[i - 2 : i + 3], grid[i], 1)
-            out[i] = w @ yprime[i - 2 : i + 3]
+    window = np.arange(max(n - 4, 0))[:, None] + np.arange(5)
+    t = grid[window]
+    # windows reaching t ≤ 0 stay in t; the 1.0 placeholder is never used
+    use_log = t[:, 0] > 0.0
+    logt = np.log(np.where(use_log[:, None], t, 1.0))
+    dt, dtau = np.diff(t[use_log]), np.diff(logt[use_log])
+    use_log[use_log] = dtau.max(1) / dtau.min(1) <= dt.max(1) / dt.min(1)
+    coords = np.where(use_log[:, None], logt, t)
+    w = fornberg_weights(coords, coords[:, 2], 1)[..., 1]
+    # matmul keeps the bits of one dot product per node
+    d = np.matmul(w[:, None, :], yprime[window][:, :, None])[:, 0, 0]
+    d[use_log] /= t[use_log, 2]
+    out[2 : n - 2] = d
     return out
 
 

@@ -19,6 +19,7 @@ from ._parallel import parallel_map
 from ._stencils import (
     GRID_CAP,
     bracketed_roots,
+    fornberg_weights,
     gauss_legendre,
     monotone_inverse,
     tensor_grid,
@@ -180,7 +181,8 @@ def _radial_density(profile, d: int, vd: float, root_det: float, x) -> np.ndarra
 def _angular_density_2d(model: SpectralModel, x: np.ndarray) -> np.ndarray:
     """ρ(x) = ∫ r·(∂λ₀/∂r)⁻¹ dφ on the level curves of general 2-d models,
     by 64-point Gauss–Legendre in the angle; all len(x) × 64 radii are found
-    in one batch of bisection steps."""
+    in one batch of bisection steps, and ∂λ₀/∂r comes from one 5-point
+    stencil evaluation."""
     phis, wts = gauss_legendre(0.0, 2.0 * math.pi, 64)
     directions = np.stack([np.cos(phis), np.sin(phis)], axis=-1)
     rmax = float(np.min(model.domain_u))
@@ -195,10 +197,10 @@ def _angular_density_2d(model: SpectralModel, x: np.ndarray) -> np.ndarray:
         lambda r: lam_r(r) - level, 0.0, np.full((level.size, phis.size), rmax),
         xtol=1e-15, rtol=8.9e-16,
     )
-    h = np.maximum(1e-7, 1e-7 * r_root)
-    dlam = (lam_r(r_root + h) - lam_r(np.maximum(r_root - h, 0.0))) / (
-        h + np.minimum(h, r_root)
-    )
+    # ∂λ₀/∂r by the 5-point stencil at step 1e-3·r (every level, so r, is > 0)
+    offsets, step = np.arange(-2.0, 3.0), 1e-3 * r_root
+    on_nodes = lam_r(r_root + step * offsets[:, None, None])
+    dlam = np.tensordot(fornberg_weights(offsets, 0.0, 1)[:, 1], on_nodes, axes=1) / step
     return (wts * r_root / dlam).sum(axis=1)
 
 

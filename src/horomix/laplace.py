@@ -280,7 +280,7 @@ def _tensor_derivative(fn, k: tuple) -> float:
             m = (ki + 4) // 2 + 1
             nodes = np.arange(-m, m + 1) * step
             axes.append(nodes)
-            weights.append(fornberg_weights(nodes, 0.0, ki))
+            weights.append(fornberg_weights(nodes, 0.0, ki)[:, ki])
         pts = tensor_grid(axes)
         wts = np.prod(tensor_grid(weights), axis=-1)
         return float(np.dot(wts, fn(pts) - f0))

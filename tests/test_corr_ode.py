@@ -5,6 +5,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import gamma, gammaincc
 
+from horomix._stencils import fornberg_weights
 from horomix.corr_ode import (
     ForcingProfile,
     ModePair,
@@ -13,6 +14,7 @@ from horomix.corr_ode import (
     assemble_forcing,
     asymptotic_amplitude,
     asymptotic_constant,
+    cumulative_quadratic,
     euler_residual,
     fit_tail_amplitude,
     homogeneous_split,
@@ -23,6 +25,7 @@ from horomix.corr_ode import (
     particular_solution,
     particular_trajectory,
     power_weighted_integral,
+    second_derivative_from_first,
     solve_master,
     tail_remainder_check,
     taylor_coefficients,
@@ -199,6 +202,35 @@ class TestAssembleForcing:
         with pytest.raises(ConsistencyError):
             assemble_forcing(ModePair(0, 0), traj, 3.0 / 16.0)
 
+    def test_rejects_trajectory_of_another_mode(self):
+        # the residual check reads the trajectory's own mode, so it passes;
+        # f built from the other mode would be wrong (decay_c 2.84, not 0.103)
+        traj = solve_master(ModePair(0, 0), 0.04, 1.0, master_grid(1e3, 400))
+        with pytest.raises(ConsistencyError, match="mode"):
+            assemble_forcing(ModePair(0, 4), traj, 0.04)
+
+
+class TestCumulativeQuadratic:
+    def test_exact_on_a_complex_quartic_over_a_graded_grid(self):
+        # roots spread over the grid, so the integrand changes sign along it
+        poly = np.polynomial.polynomial
+        coef = (1.0 - 2.0j) * poly.polyfromroots([0.3, 2.0 + 1.0j, 50.0, 3e4])
+        grid = master_grid(1e6, 400)
+        exact = poly.polyval(grid, poly.polyint(coef))
+        got = cumulative_quadratic(grid, poly.polyval(grid, coef))
+        assert got[0] == 0.0
+        assert np.all(np.abs(got[1:] - exact[1:]) <= 1e-11 * np.abs(exact[1:]))
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_exact_below_the_node_count_on_short_grids(self, n):
+        poly = np.polynomial.polynomial
+        grid = np.array([0.0, 0.3, 0.45, 1.2, 2.0])[:n]
+        for degree in range(n):
+            coef = np.arange(1.0, degree + 2.0) * (1.0 + 0.5j)
+            exact = poly.polyval(grid, poly.polyint(coef))
+            got = cumulative_quadratic(grid, poly.polyval(grid, coef))
+            np.testing.assert_allclose(got, exact, rtol=1e-13, atol=1e-14)
+
 
 class TestEulerResidual:
     @pytest.mark.parametrize("nu", [0.1, 0.3, 0.5, 0.7, 0.9, 1.0])
@@ -236,6 +268,22 @@ class TestEulerResidual:
         traj = solve_master(ModePair(0, 0), lam, 1.0, grid)
         prof = assemble_forcing(ModePair(0, 0), traj, lam)
         assert euler_residual(traj, prof, lam) <= 1e-6
+
+    def test_stencils_keep_the_bits_of_the_per_node_loop(self):
+        # master_grid holds windows through t = 0 (kept in t), linear windows
+        # (t wins) and log-uniform windows (log t wins)
+        grid = master_grid(1e3, steps_per_decade=400)
+        yp = np.exp(-grid) * (np.cos(grid) + 1j * np.sin(3.0 * grid))
+        ref = np.full(grid.size, np.nan, dtype=complex)
+        for i in range(2, grid.size - 2):
+            t = grid[i - 2 : i + 3]
+            ref[i] = fornberg_weights(t, t[2], 1)[:, 1] @ yp[i - 2 : i + 3]
+            if t[0] > 0.0:
+                dt, dtau = np.diff(t), np.diff(np.log(t))
+                if dtau.max() / dtau.min() <= dt.max() / dt.min():
+                    w = fornberg_weights(np.log(t), np.log(t[2]), 1)[:, 1]
+                    ref[i] = (w @ yp[i - 2 : i + 3]) / t[2]
+        np.testing.assert_array_equal(second_derivative_from_first(grid, yp), ref)
 
     def test_short_grid_rejected(self):
         grid = np.array([1.0, 2.0, 3.0])

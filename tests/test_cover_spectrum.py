@@ -173,7 +173,7 @@ class TestLimitDensity:
         xs = np.geomspace(1e-6, 0.05, 40)
         root_det = math.sqrt(float(np.linalg.det(m.quad_coeff * m.gram)))
         closed = _radial_density(m.radial_profile(), 2, _unit_ball_volume(2), root_det, xs)
-        assert _angular_density_2d(m, xs) == pytest.approx(closed, rel=1e-9)
+        assert _angular_density_2d(m, xs) == pytest.approx(closed, rel=1e-12)
 
     def test_angular_route_refuses_level_sets_leaving_the_box(self):
         m = SpectralModel(

@@ -37,6 +37,29 @@ class TestGaussLegendre:
         assert np.array_equal(w, 0.5 * hi * ref_w)
 
 
+def _scalar_fornberg(nodes, x0, order):
+    """Fornberg's recursion as published, one window and one weight at a time."""
+    n = nodes.size
+    c = np.zeros((n, order + 1))
+    c[0, 0] = 1.0
+    c1, c4 = 1.0, nodes[0] - x0
+    for i in range(1, n):
+        mn = min(i, order)
+        c2, c5, c4 = 1.0, c4, nodes[i] - x0
+        for j in range(i):
+            c3 = nodes[i] - nodes[j]
+            c2 *= c3
+            if j == i - 1:
+                for k in range(mn, 0, -1):
+                    c[i, k] = c1 * (k * c[i - 1, k - 1] - c5 * c[i - 1, k]) / c2
+                c[i, 0] = -c1 * c5 * c[i - 1, 0] / c2
+            for k in range(mn, 0, -1):
+                c[j, k] = (c4 * c[j, k] - k * c[j, k - 1]) / c3
+            c[j, 0] = c4 * c[j, 0] / c3
+        c1 = c2
+    return c
+
+
 class TestFornbergWeights:
     NODES = np.array([-0.7, -0.25, 0.1, 0.55, 1.3, 2.0])  # non-uniform
     X0 = 0.37  # off every node
@@ -44,13 +67,42 @@ class TestFornbergWeights:
     @pytest.mark.parametrize("order", range(6))
     @pytest.mark.parametrize("degree", range(6))
     def test_exact_on_polynomials_below_node_count(self, order, degree):
-        w = fornberg_weights(self.NODES, self.X0, order)
+        w = fornberg_weights(self.NODES, self.X0, order)[:, order]
         exact = (
             math.factorial(degree) / math.factorial(degree - order) * self.X0 ** (degree - order)
             if order <= degree
             else 0.0
         )
         assert w @ self.NODES**degree == pytest.approx(exact, rel=1e-10, abs=1e-10)
+
+    def test_batch_has_the_bits_of_single_windows(self):
+        # sliding 5-point windows of a graded grid, in t and in log t, with
+        # x0 at the window centre and off every node
+        t = np.geomspace(1e-2, 1e4, 40)
+        win = np.arange(t.size - 4)[:, None] + np.arange(5)
+        for nodes in (t[win], np.log(t[win])):
+            for x0 in (nodes[:, 2], 0.37 * nodes[:, 1] + 0.63 * nodes[:, 2]):
+                table = fornberg_weights(nodes, x0, 4)
+                assert table.shape == (win.shape[0], 5, 5)
+                for b in range(win.shape[0]):
+                    assert np.array_equal(table[b], fornberg_weights(nodes[b], x0[b], 4))
+
+    @pytest.mark.parametrize("order", [0, 1, 4, 9])
+    def test_same_bits_as_the_scalar_recursion(self, order):
+        rng = np.random.default_rng(order)
+        for n in range(1, 13):
+            nodes = np.sort(rng.normal(size=(4, n)) * 10.0 ** rng.integers(-3, 4), axis=1)
+            x0 = rng.normal(size=4)
+            table = fornberg_weights(nodes, x0, order)
+            for b in range(4):
+                assert np.array_equal(table[b], _scalar_fornberg(nodes[b], x0[b], order))
+
+    def test_x0_broadcasts_over_shared_nodes(self):
+        x0 = np.array([[0.0, 0.37], [1.1, -0.7]])
+        table = fornberg_weights(self.NODES, x0, 2)
+        assert table.shape == (2, 2, self.NODES.size, 3)
+        for idx in np.ndindex(x0.shape):
+            assert np.array_equal(table[idx], fornberg_weights(self.NODES, x0[idx], 2))
 
 
 class TestTensorGrid:
