@@ -48,6 +48,8 @@ RUNS = [
                       "--t-max", "1e5"]),
     ("laplace-quartic1d.csv", ["laplace", "--preset", "quartic1d"]),
     ("laplace-gauss1d.csv", ["laplace", "--preset", "gauss1d"]),
+    # the one d = 2 tensor quadrature of the set
+    ("laplace-gauss2d.csv", ["laplace", "--preset", "gauss2d"]),
     ("cover-identity.csv", ["cover", "--model", "identity.json", "--orders", "64,64"]),
     ("cover-radial-quartic-study.csv",
      ["cover", "--model", "radial_quartic.json", "--orders", "64,64", "--study"]),

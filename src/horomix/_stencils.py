@@ -9,6 +9,7 @@ character-lattice sweeps.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -141,9 +142,18 @@ def sweep_grid(half_widths, per_axis: int) -> np.ndarray:
     return tensor_grid([np.linspace(-u, u, n) for u in half_widths], SWEEP_BUDGET)
 
 
+@functools.lru_cache(maxsize=16)
+def legendre_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """n-point Gauss–Legendre nodes and weights on [−1, 1], computed once per
+    n and shared read-only."""
+    x, w = leggauss(n)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
 def gauss_legendre(lo: float, hi: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     """n-point Gauss–Legendre nodes and weights on [lo, hi]."""
-    x, w = leggauss(n)
+    x, w = legendre_rule(n)
     half = 0.5 * (hi - lo)
     return lo + half * (x + 1.0), half * w
 

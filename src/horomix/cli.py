@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, corr_ode, cover_spectrum, laplace, mixing
-from ._parallel import parallel_map, worker_count
+from ._parallel import worker_count
 from .errors import ConfigError, HoromixError
 from .selftest import run_selftest
 from .spectral_model import SpectralModel
@@ -180,7 +180,7 @@ def _cmd_laplace(args) -> int:
     problem = _laplace_problem(args)
     problem.validate()
     T = corr_ode.log_grid(args.t_min, args.t_max, args.points_per_decade)
-    vals = parallel_map(lambda t: laplace.laplace_quadrature(problem, t), T)
+    vals = laplace.laplace_quadrature(problem, T)
     samples = np.column_stack([T, vals])
     try:
         coeffs = laplace.laplace_expand(problem, args.order)

@@ -109,6 +109,9 @@ def master_grid(t_max: float, steps_per_decade: int = 400) -> np.ndarray:
 
 
 def log_grid(t_min: float, t_max: float, steps_per_decade: int = 400) -> np.ndarray:
+    """Geometric grid from t_min to t_max; needs finite 0 < t_min < t_max."""
+    if not (math.isfinite(t_min) and math.isfinite(t_max) and 0.0 < t_min < t_max):
+        raise DomainError(f"log grid needs finite 0 < t_min < t_max, got {t_min}, {t_max}")
     decades = math.log10(t_max / t_min)
     n = max(2, round(decades * steps_per_decade))
     return np.logspace(math.log10(t_min), math.log10(t_max), n + 1)
@@ -825,14 +828,16 @@ def tail_remainder_check(traj: Trajectory, a_const: complex, nu: float) -> TailR
 
     Returns the sup over t ≥ 1 and the log-log slope over the top decade
     of the grid; ``bounded`` means slope < 0.05.  An unbounded trend is
-    reported, never raised.
+    reported, never raised; a grid with fewer than two nodes in that
+    decade raises DomainError.
     """
     mask = traj.grid >= 1.0
     t = traj.grid[mask]
+    win = t >= traj.grid[-1] / 10.0
+    if np.count_nonzero(win) < 2:
+        raise DomainError("tail check needs two grid nodes in the top decade of t >= 1")
     err = t * np.abs(traj.y[mask] - a_const * t ** (nu - 1.0))
-    sup = float(np.max(err)) if err.size else 0.0
-    hi = t[-1]
-    win = (t >= hi / 10.0)
+    sup = float(np.max(err))
     tw, ew = t[win], err[win]
     if np.max(ew, initial=0.0) < 1e-300:
         slope = float("-inf")

@@ -17,12 +17,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from ._stencils import (
     bracketed_roots,
     finite_difference_hessian,
     fornberg_weights,
+    legendre_rule,
     monotone_inverse,
     sweep_grid,
     tensor_grid,
@@ -194,56 +194,61 @@ def _panel_edges(half_width: float, core: float) -> np.ndarray:
     return np.concatenate([-pos[::-1][:-1], pos])
 
 
-def _tensor_value(problem: PhaseProblem, T: float, nodes: int, ratio: float):
-    """Panel tensor quadrature value and the L¹ mass of the integrand."""
-    d = problem.dim
+def _tensor_value(problem: PhaseProblem, T: np.ndarray, nodes: int, ratio: float):
+    """Panel tensor quadrature values and integrand L¹ masses on the ladder T,
+    from one grid graded for its largest T where v and a are evaluated once."""
     diag = np.sqrt(np.diag(problem.hessian))
-    core = ratio / (diag * math.sqrt(max(T, 1.0)))
-    x_ref, w_ref = leggauss(nodes)
-    per_dim = []
-    for i in range(d):
+    core = ratio / (diag * math.sqrt(T.max(initial=1.0)))
+    x_ref, w_ref = legendre_rule(nodes)
+    axes, weights = [], []
+    for i in range(problem.dim):
         edges = _panel_edges(problem.box[i], core[i])
-        pts, wts = [], []
-        for lo, hi in zip(edges[:-1], edges[1:]):
-            # not _stencils.gauss_legendre: mid + half·x makes the nodes of
-            # mirrored panels exact negatives, and the output bits rely on it
-            mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
-            pts.append(mid + half * x_ref)
-            wts.append(half * w_ref)
-        per_dim.append((np.concatenate(pts), np.concatenate(wts)))
-    pts = tensor_grid([p for p, _ in per_dim])
-    wts = np.prod(tensor_grid([w for _, w in per_dim]), axis=-1)
-    integrand = np.exp(T * problem.v(pts)) * problem.a(pts)
-    return float(np.dot(wts, integrand)), float(np.dot(np.abs(wts), np.abs(integrand)))
+        # not _stencils.gauss_legendre: mid + half·x makes the nodes of
+        # mirrored panels exact negatives, and the output bits rely on it
+        mid, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * (edges[1:] - edges[:-1])
+        axes.append((mid[:, None] + half[:, None] * x_ref).ravel())
+        weights.append((half[:, None] * w_ref).ravel())
+    pts = tensor_grid(axes)
+    wts = np.prod(tensor_grid(weights), axis=-1)
+    v, a = problem.v(pts), problem.a(pts)
+    value, l1 = np.empty_like(T), np.empty_like(T)
+    for k, t in enumerate(T):
+        integrand = np.exp(t * v) * a
+        value[k], l1[k] = np.dot(wts, integrand), np.dot(np.abs(wts), np.abs(integrand))
+    return value, l1
 
 
 def laplace_quadrature(
     problem: PhaseProblem,
-    t_value: float,
+    t_value,
     nodes: int = 24,
     panel_ratio: float = 1.0,
-) -> float:
+):
     """∫_U e^{T v} a dξ by Gauss–Legendre tensor panels refined toward 0.
 
     The result is certified by agreement of two refinement levels
     (``nodes`` and ``nodes + 8`` points per panel) to ``_QUAD_REL_TOL``,
     measured against the integrand's L¹ mass so cancellation to an exact
-    zero (odd amplitudes) certifies cleanly.
+    zero (odd amplitudes) certifies cleanly.  A ladder of T values shares
+    one grid per level and returns an array; each T keeps its certificate.
     """
-    if t_value < 0.0:
-        raise DomainError("t_value must be nonnegative")
-    coarse, _ = _tensor_value(problem, t_value, nodes, panel_ratio)
-    fine, l1 = _tensor_value(problem, t_value, nodes + 8, panel_ratio)
-    err = abs(fine - coarse)
-    allowance = _QUAD_REL_TOL * abs(fine) + 5e-15 * l1  # roundoff floor on cancellation
-    if err > allowance:
-        achieved = err / max(abs(fine), 1e-300)
+    T = np.asarray(t_value, dtype=float)
+    if not np.all(np.isfinite(T) & (T >= 0.0)):
+        raise DomainError("t_value must be finite and nonnegative")
+    ladder = T.reshape(-1)
+    coarse, _ = _tensor_value(problem, ladder, nodes, panel_ratio)
+    fine, l1 = _tensor_value(problem, ladder, nodes + 8, panel_ratio)
+    err = np.abs(fine - coarse)
+    allowance = _QUAD_REL_TOL * np.abs(fine) + 5e-15 * l1  # roundoff floor on cancellation
+    if np.any(err > allowance):
+        k = np.flatnonzero(err > allowance)[0]
+        achieved = float(err[k] / max(abs(fine[k]), 1e-300))
         raise QuadratureError(
-            f"refinement levels disagree at T={t_value}: "
+            f"refinement levels disagree at T={ladder[k]}: "
             f"relative deviation {achieved:.3e} > {_QUAD_REL_TOL:.1e}",
             achieved=achieved,
         )
-    return fine
+    return float(fine[0]) if T.ndim == 0 else fine.reshape(T.shape)
 
 
 # ---------------------------------------------------------------------------

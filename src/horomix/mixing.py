@@ -22,8 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._parallel import parallel_map
-from .errors import DomainError, ModelValidityError
+from .errors import ModelValidityError
 from .laplace import (
     ExpansionCoefficients,
     PhaseProblem,
@@ -79,15 +78,13 @@ def induced_phase_problem(problem: MixingProblem) -> PhaseProblem:
     )
 
 
-def correlation_integral(problem: MixingProblem, t_log: float) -> float:
-    """∫_U A(ω) e^{−T(1−ν₀(ω))} dω at T = t_log.
+def correlation_integral(problem: MixingProblem, t_log):
+    """∫_U A(ω) e^{−T(1−ν₀(ω))} dω at T = t_log, one T or a ladder.
 
     Runs the shared panel engine under a different panel layout than
     :func:`horomix.laplace.laplace_quadrature` defaults, so agreement of
     the two routes is a meaningful cross-check rather than a tautology.
     """
-    if t_log < 0.0:
-        raise DomainError("t_log must be nonnegative")
     induced = induced_phase_problem(problem)
     return laplace_quadrature(induced, t_log, nodes=32, panel_ratio=1.6)
 
@@ -102,10 +99,8 @@ def leading_constant(model: SpectralModel, a0: float) -> float:
 
 
 def sample_correlation(problem: MixingProblem, t_log_grid: np.ndarray) -> np.ndarray:
-    """Correlation integral over a T grid, data-parallel in index order."""
-    t_log_grid = np.asarray(t_log_grid, dtype=float)
-    vals = parallel_map(lambda T: correlation_integral(problem, T), t_log_grid)
-    return np.asarray(vals, dtype=float)
+    """Correlation integral over a T grid, on one quadrature grid per level."""
+    return correlation_integral(problem, t_log_grid)
 
 
 def mixing_expansion(

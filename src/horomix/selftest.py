@@ -210,7 +210,7 @@ def run_selftest() -> list[CheckResult]:
     check("leading_g3", _close(mixing.leading_constant(mg3, 2.0), 2.0),
           mixing.leading_constant(mg3, 2.0), 2.0)
 
-    # -- one short fitted run exercising the parallel T sweep
+    # -- one short fitted run over a T ladder
     grid = np.logspace(2.0, 4.0, 9)
     _, verdict = mixing.mixing_expansion(prob, grid, 1)
     check("mixing_c0_d1", verdict["rel_dev"] <= 5e-3,

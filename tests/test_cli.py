@@ -71,6 +71,21 @@ class TestDispatch:
         assert rows[0] == ["T", "I_quadrature", "I_reconstructed", "abs_err"]
         assert all(float(r[3]) < 1e-12 for r in rows[1:])
 
+    @pytest.mark.parametrize(
+        "t_min, t_max", [("0", "1e4"), ("-5", "1e4"), ("1e6", "1e2")],
+        ids=["zero", "negative", "descending"],
+    )
+    def test_laplace_bad_t_range_refused(self, tmp_path, capsys, t_min, t_max):
+        out = tmp_path / "lap.csv"
+        rc = dispatch([
+            "laplace", "--preset", "gauss1d", "--t-min", t_min, "--t-max", t_max,
+            "--out", str(out),
+        ])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error:") and "Traceback" not in err
+        assert not out.exists()
+
     def test_laplace_custom_json(self, tmp_path):
         doc = {
             "dim": 1,

@@ -72,6 +72,17 @@ SLOW_FORMS = {
 }
 
 
+class TestLogGrid:
+    @pytest.mark.parametrize(
+        "t_min, t_max",
+        [(0.0, 1e2), (-5.0, 1e2), (1e6, 1e2), (1e2, 1e2), (math.nan, 1e2), (1e2, math.inf)],
+        ids=["zero", "negative", "descending", "equal", "nan", "inf"],
+    )
+    def test_refuses_bad_range(self, t_min, t_max):
+        with pytest.raises(DomainError):
+            log_grid(t_min, t_max, 8)
+
+
 class TestSolveMaster:
     def test_constant_solution(self):
         grid = master_grid(100.0, steps_per_decade=200)
@@ -480,6 +491,15 @@ class TestSampledAgainstCallable:
 
 
 class TestTailChecks:
+    @pytest.mark.parametrize(
+        "grid", [[0.1, 0.5, 0.9], [0.5, 1.0, 100.0]], ids=["no-node-at-1", "one-top-node"]
+    )
+    def test_refuses_grid_without_two_top_decade_nodes(self, grid):
+        # no node at t >= 1 has no top decade; one node in it has no slope
+        traj = _power_trajectory(0.5, np.array(grid), coef=0.7)
+        with pytest.raises(DomainError):
+            tail_remainder_check(traj, 0.7, 0.5)
+
     def test_exact_power_sup_zero(self):
         grid = log_grid(1.0, 1e4, steps_per_decade=100)
         traj = _power_trajectory(0.5, grid, coef=0.7)

@@ -4,10 +4,12 @@ from itertools import product
 import numpy as np
 import pytest
 
+from horomix.corr_ode import log_grid
 from horomix.errors import (
     ConditioningError,
     DomainError,
     ModelValidityError,
+    QuadratureError,
     UnsupportedMorseClassError,
 )
 from horomix.laplace import (
@@ -84,6 +86,38 @@ class TestQuadrature:
     def test_negative_t_rejected(self):
         with pytest.raises(DomainError):
             laplace_quadrature(preset_gauss1d(), -1.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, [1e2, np.nan], [1e2, -1.0]])
+    def test_non_finite_or_negative_t_rejected(self, bad):
+        with pytest.raises(DomainError):
+            laplace_quadrature(preset_gauss1d(), bad)
+
+    @pytest.mark.parametrize("preset", [preset_gauss1d, preset_gauss2d, preset_quartic1d])
+    def test_ladder_matches_scalar_calls(self, preset):
+        # one grid graded for the largest T serves the whole ladder
+        p = preset()
+        T = log_grid(1e2, 1e6, 2)
+        ladder = laplace_quadrature(p, T)
+        scalar = np.array([laplace_quadrature(p, t) for t in T])
+        assert isinstance(ladder, np.ndarray) and ladder.shape == T.shape
+        np.testing.assert_allclose(ladder, scalar, rtol=1e-10, atol=0)
+
+    def test_scalar_call_returns_python_float(self):
+        assert type(laplace_quadrature(preset_gauss2d(), 100.0)) is float
+        assert type(laplace_quadrature(preset_gauss1d(), np.float64(100.0))) is float
+
+    def test_empty_ladder_returns_empty_array(self):
+        out = laplace_quadrature(preset_gauss1d(), np.array([]))
+        assert isinstance(out, np.ndarray) and out.shape == (0,)
+
+    def test_failing_ladder_names_first_failing_t(self):
+        # cos(40ξ) is unresolved on the wide outer panels, which only small T reach
+        p = quadratic_problem([[1.0]], a=lambda x: np.cos(40.0 * x[:, 0]))
+        T = np.array([1e4, 100.0])
+        exact = np.sqrt(2.0 * math.pi / T) * np.exp(-800.0 / T)
+        assert laplace_quadrature(p, T) == pytest.approx(exact, rel=1e-10)
+        with pytest.raises(QuadratureError, match=r"at T=4\.0:"):
+            laplace_quadrature(p, [1e4, 4.0, 1.0])
 
     @pytest.mark.parametrize("T", [10.0, 100.0, 1000.0])
     def test_gaussian_exactness_invariant(self, T):

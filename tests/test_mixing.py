@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from horomix.corr_ode import log_grid
 from horomix.errors import DomainError
 from horomix.laplace import fit_expansion, laplace_quadrature, remainder_slope
 from horomix.mixing import (
@@ -13,7 +14,7 @@ from horomix.mixing import (
     mixing_expansion,
     sample_correlation,
 )
-from horomix.spectral_model import SpectralModel
+from horomix.spectral_model import Perturbation, SpectralModel
 
 
 class TestCorrelationIntegral:
@@ -29,6 +30,29 @@ class TestCorrelationIntegral:
     def test_negative_t_rejected(self, model_d1):
         with pytest.raises(DomainError):
             correlation_integral(MixingProblem(model=model_d1), -1.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, [1e2, np.nan], [1e2, -1.0]])
+    def test_nan_or_negative_t_rejected(self, model_d1, bad):
+        with pytest.raises(DomainError):
+            correlation_integral(MixingProblem(model=model_d1), bad)
+
+    def test_scalar_call_returns_python_float(self, model_d1):
+        assert type(correlation_integral(MixingProblem(model=model_d1), 100.0)) is float
+
+    def test_ladder_matches_scalar_calls_d2_quartic(self):
+        m = SpectralModel(
+            genus=2, rank_d=2, gram=[[1.3, -0.5], [-0.5, 1.8]],
+            perturbation=Perturbation("quartic", 0.2), gap_delta=0.1,
+        )
+        problem = MixingProblem(model=m)
+        T = log_grid(1e2, 1e6, 2)
+        ladder = sample_correlation(problem, T)
+        scalar = np.array([correlation_integral(problem, t) for t in T])
+        np.testing.assert_allclose(ladder, scalar, rtol=1e-10, atol=0)
+
+    def test_empty_ladder_returns_empty_array(self, model_d1):
+        out = sample_correlation(MixingProblem(model=model_d1), [])
+        assert isinstance(out, np.ndarray) and out.shape == (0,)
 
     @pytest.mark.parametrize("T", [1e2, 1e3, 1e4])
     def test_cross_module_identity(self, model_d1, T):

@@ -11,6 +11,7 @@ from horomix._stencils import (
     bracketed_roots,
     fornberg_weights,
     gauss_legendre,
+    legendre_rule,
     monotone_inverse,
     sweep_grid,
     tensor_grid,
@@ -35,6 +36,17 @@ class TestGaussLegendre:
         x, w = gauss_legendre(0.0, hi, n)
         assert np.array_equal(x, 0.5 * hi * (ref_x + 1.0))
         assert np.array_equal(w, 0.5 * hi * ref_w)
+
+    def test_reference_rule_is_cached_and_read_only(self):
+        x, w = legendre_rule(24)
+        again = legendre_rule(24)
+        assert again[0] is x and again[1] is w
+        ref_x, ref_w = np.polynomial.legendre.leggauss(24)
+        assert np.array_equal(x, ref_x) and np.array_equal(w, ref_w)
+        with pytest.raises(ValueError):
+            x[0] = 0.0
+        with pytest.raises(ValueError):
+            w[0] = 0.0
 
 
 def _scalar_fornberg(nodes, x0, order):
