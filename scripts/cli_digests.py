@@ -27,12 +27,18 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
-# model documents, written into the run directory; domain_u takes its default
+# model documents (gram, perturbation), written into the run directory;
+# domain_u takes its default
+IDENTITY = [1.0, 0.0, 0.0, 1.0]
 MODELS = {
-    "identity.json": None,
-    "radial_quartic.json": {"name": "radial_quartic", "params": {"coeff": 0.5}},
+    "identity.json": (IDENTITY, None),
+    "radial_quartic.json": (IDENTITY, {"name": "radial_quartic", "params": {"coeff": 0.5}}),
     # non-radial, so the cover limit takes the angular route
-    "quartic.json": {"name": "quartic", "params": {"coeff": 0.2}},
+    "quartic.json": (IDENTITY, {"name": "quartic", "params": {"coeff": 0.2}}),
+    # (G⁻¹)ᵢᵢ ≠ 1/Gᵢᵢ: the lattice sweep box is not read off the diagonal
+    "correlated.json": ([1.0, 0.4, 0.4, 1.2], None),
+    # negative coefficient: the lattice sweep box is the whole torus
+    "negative_quartic.json": (IDENTITY, {"name": "quartic", "params": {"coeff": -0.5}}),
 }
 
 # (output CSV, CLI arguments before --out)
@@ -54,15 +60,18 @@ RUNS = [
     ("cover-radial-quartic-study.csv",
      ["cover", "--model", "radial_quartic.json", "--orders", "64,64", "--study"]),
     ("cover-quartic.csv", ["cover", "--model", "quartic.json", "--orders", "64,64"]),
+    ("cover-correlated.csv", ["cover", "--model", "correlated.json", "--orders", "256,256",
+                              "--test-fn", "linear"]),
+    ("cover-negative-quartic.csv", ["cover", "--model", "negative_quartic.json",
+                                    "--orders", "256,256", "--test-fn", "linear"]),
     ("mix-identity.csv",
      ["mix", "--model", "identity.json", "--log-t-min", "1e2", "--log-t-max", "1e4"]),
 ]
 
 
 def _write_models(workdir: Path) -> None:
-    for name, perturbation in MODELS.items():
-        doc = {"genus": 2, "rank_d": 2, "gram": [1.0, 0.0, 0.0, 1.0],
-               "perturbation": perturbation}
+    for name, (gram, perturbation) in MODELS.items():
+        doc = {"genus": 2, "rank_d": 2, "gram": gram, "perturbation": perturbation}
         (workdir / name).write_text(json.dumps(doc, sort_keys=True))
 
 

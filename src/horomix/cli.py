@@ -3,8 +3,8 @@
 Exit codes: 0 success, 1 usage or configuration error, 2 validation
 failure (a requested acceptance-style check did not pass).  Every run
 writes exactly one manifest next to its output file; outputs are
-byte-identical across worker counts and repeat runs.  The worker count
-is read from HMIX_WORKERS, and the manifest records it.
+byte-identical across worker counts and repeat runs: no computation uses
+threads, and the manifest records the HMIX_WORKERS setting as given.
 """
 
 from __future__ import annotations
@@ -14,13 +14,13 @@ import csv
 import hashlib
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__, corr_ode, cover_spectrum, laplace, mixing
-from ._parallel import worker_count
 from .errors import ConfigError, HoromixError
 from .selftest import run_selftest
 from .spectral_model import SpectralModel
@@ -41,6 +41,13 @@ def _sha256(path: Path) -> str:
     return h.hexdigest()
 
 
+def _worker_count() -> int:
+    try:
+        return max(1, int(os.environ.get("HMIX_WORKERS", "")))
+    except ValueError:
+        return 1
+
+
 def _config_digest(config: dict) -> str:
     canon = json.dumps(config, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canon.encode()).hexdigest()
@@ -51,7 +58,7 @@ def _write_manifest(subcommand: str, config: dict, args, outputs: list[Path]) ->
         "subcommand": subcommand,
         "config_digest": _config_digest(config),
         "seed": args.seed,
-        "worker_count": worker_count(),
+        "worker_count": _worker_count(),
         "tool_version": __version__,
         "outputs": [
             {"path": p.name, "sha256": _sha256(p)} for p in outputs
@@ -269,9 +276,11 @@ def _cmd_mix(args) -> int:
     model = load_model(args.model)
     vol = _parse_amplitude(args.amplitude)
     problem = mixing.MixingProblem(model=model, vol_product=vol)
-    if args.log_t_min is not None:
+    if args.log_t_min is not None and args.log_t_max is not None:
         lo, hi = args.log_t_min, args.log_t_max
-    elif args.t_min is not None:
+    elif args.t_min is not None and args.t_max is not None:
+        if min(args.t_min, args.t_max) <= 0.0:
+            raise ConfigError("need 0 < t-min < t-max")
         # convert once through log; e^T is never formed anywhere
         lo, hi = math.log(args.t_min), math.log(args.t_max)
     else:

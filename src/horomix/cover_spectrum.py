@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._parallel import parallel_map
 from ._stencils import (
     GRID_CAP,
     bracketed_roots,
@@ -24,7 +23,7 @@ from ._stencils import (
     monotone_inverse,
     tensor_grid,
 )
-from .errors import DomainError, ModelValidityError
+from .errors import DomainError, LatticeSizeError, ModelValidityError
 from .spectral_model import SpectralModel
 
 _BLOCK = 8192
@@ -55,11 +54,30 @@ class CharacterLattice:
         return math.prod(self.orders)
 
 
-def _centered_axis(n: int) -> np.ndarray:
-    """Representatives a/n shifted into [−1/2, 1/2), sorted ascending."""
-    vals = np.arange(n, dtype=float) / n
+def _index_range(n: int, half: float) -> range:
+    """Signed indices j, one per class of Z/n, of the representatives j/n
+    in [−1/2, 1/2) with |j/n| ≤ half (give or take one index per end)."""
+    top = math.ceil(half * n)
+    return range(max(-(n // 2), -top), min((n + 1) // 2, top + 1))
+
+
+def _centered_axis(n: int, half: float) -> np.ndarray:
+    """Representatives a/n, a = j mod n, shifted into [−1/2, 1/2), for the
+    indices of :func:`_index_range`; ascending."""
+    idx = _index_range(n, half)
+    vals = np.arange(idx.start, idx.stop) % n / n
     vals[vals >= 0.5] -= 1.0
-    return np.sort(vals)
+    return vals
+
+
+def _box_characters(lattice: CharacterLattice, halves, cap: int) -> np.ndarray:
+    """Lattice characters inside the box ∏[−hᵢ, hᵢ], lex-ordered.  A box of
+    more than ``cap`` points raises LatticeSizeError before any allocation."""
+    box = list(zip(lattice.orders, halves))
+    size = math.prod(len(_index_range(n, h)) for n, h in box)
+    if size > cap:
+        raise LatticeSizeError(f"lattice box has {size} points, above the cap {cap}")
+    return tensor_grid([_centered_axis(n, h) for n, h in box], cap)
 
 
 def enumerate_characters(lattice: CharacterLattice, cap: int = GRID_CAP) -> np.ndarray:
@@ -69,7 +87,7 @@ def enumerate_characters(lattice: CharacterLattice, cap: int = GRID_CAP) -> np.n
     the fundamental-domain boundary.  Lattices above ``cap`` points raise
     LatticeSizeError.
     """
-    return tensor_grid([_centered_axis(n) for n in lattice.orders], cap)
+    return _box_characters(lattice, [0.5] * len(lattice.orders), cap)
 
 
 @dataclass
@@ -101,31 +119,27 @@ def build_histogram(
 def _branch_values(
     model: SpectralModel, lattice: CharacterLattice, epsilon: float
 ) -> np.ndarray:
-    """λ₀ at all lattice points with λ₀ ≤ ε, evaluated in fixed blocks."""
+    """λ₀ ≤ ε at the lattice points, evaluated in fixed blocks over the box
+    around the ellipsoid {q ≤ ε}, q the quadratic part.  Both presets add
+    coeff × a non-negative term, so λ₀ ≥ q unless coeff < 0 (whole torus)."""
     if not 0.0 < epsilon <= model.gap_delta:
         raise DomainError(
             f"epsilon must lie in (0, gap_delta = {model.gap_delta}], got {epsilon}"
         )
-    pts = enumerate_characters(lattice)
-    blocks = [pts[i : i + _BLOCK] for i in range(0, pts.shape[0], _BLOCK)]
-
-    def work(block):
-        lam = model.lambda0_batch(block)
-        keep = lam <= epsilon
-        return lam[keep], block[keep]
-
-    kept_lam, kept_pts = [], []
-    for lam, p in parallel_map(work, blocks):
-        kept_lam.append(lam)
-        kept_pts.append(p)
-    lam = np.concatenate(kept_lam) if kept_lam else np.empty(0)
-    sel = np.concatenate(kept_pts) if kept_pts else np.empty((0, model.rank_d))
-    if sel.size and np.any(np.abs(sel) > model.domain_u + 1e-12):
+    pert = model.perturbation
+    reach = epsilon if pert is None or pert.coeff >= 0.0 else math.inf
+    radii = np.sqrt(reach * np.diag(np.linalg.inv(model.gram)) / model.quad_coeff)
+    pts = _box_characters(lattice, np.minimum(radii * (1.0 + 1e-9), 0.5), GRID_CAP)
+    lam = np.concatenate(
+        [model.lambda0_batch(pts[i : i + _BLOCK]) for i in range(0, len(pts), _BLOCK)]
+    )
+    keep = lam <= epsilon
+    if np.any(np.abs(pts[keep]) > model.domain_u + 1e-12):
         raise ModelValidityError(
             "epsilon sublevel set leaves the working box U; the branch model "
             "does not control those characters"
         )
-    return lam
+    return lam[keep]
 
 
 def spectral_average(

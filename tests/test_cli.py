@@ -86,6 +86,30 @@ class TestDispatch:
         assert err.startswith("error:") and "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "t_min, t_max", [("0", "1e4"), ("-5", "1e4"), ("1e6", "1e2")],
+        ids=["zero", "negative", "descending"],
+    )
+    def test_mix_bad_t_range_refused(self, model_file, tmp_path, capsys, t_min, t_max):
+        out = tmp_path / "mix.csv"
+        rc = dispatch([
+            "mix", "--model", str(model_file), "--t-min", t_min, "--t-max", t_max,
+            "--out", str(out),
+        ])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error:") and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag, value", [("--t-min", "100"), ("--log-t-min", "5")])
+    def test_mix_half_t_range_refused(self, model_file, tmp_path, capsys, flag, value):
+        out = tmp_path / "mix.csv"
+        rc = dispatch(["mix", "--model", str(model_file), flag, value, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error:") and "Traceback" not in err
+        assert not out.exists()
+
     def test_laplace_custom_json(self, tmp_path):
         doc = {
             "dim": 1,
@@ -126,6 +150,20 @@ class TestDispatch:
         assert len(rows) > 3
         mins = [int(r[0]) for r in rows[1:]]
         assert mins == sorted(mins)
+
+    def test_cover_sublevel_set_leaving_u_refused(self, tmp_path, capsys):
+        model = SpectralModel(genus=2, rank_d=2, gram=np.eye(2), domain_u=[0.05, 0.05])
+        path = tmp_path / "narrow_u.json"
+        path.write_text(model.to_json())
+        out = tmp_path / "cov_u.csv"
+        rc = dispatch([
+            "cover", "--model", str(path), "--orders", "64,64",
+            "--epsilon", "0.05", "--out", str(out),
+        ])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error:") and "working box U" in err
+        assert not out.exists()
 
     def test_mix_run_and_verdict(self, model_file, tmp_path, capsys):
         out = tmp_path / "mix.csv"
@@ -267,9 +305,8 @@ class TestDeterminism:
     def test_threaded_subcommands_byte_identical(
         self, subcommand, model_file, tmp_path, monkeypatch
     ):
-        # same bytes from one thread and from a two-thread pool; the
-        # manifests differ only in the recorded worker count.  The cover
-        # lattice spans three 8192-point blocks, so the pool does open.
+        # same bytes at HMIX_WORKERS 1 and 2: no computation uses threads,
+        # and the manifests differ only in the recorded worker count.
         runs = []
         for workers in ("1", "2"):
             monkeypatch.setenv("HMIX_WORKERS", workers)

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from horomix.cover_spectrum import (
     spectral_average,
     make_test_function,
 )
-from horomix.errors import DomainError, LatticeSizeError
+from horomix.errors import DomainError, LatticeSizeError, ModelValidityError
 from horomix.spectral_model import Perturbation, SpectralModel
 
 ONE = make_test_function("one", 0.05)
@@ -40,6 +41,14 @@ class TestEnumeration:
     def test_representatives_centered(self):
         pts = enumerate_characters(CharacterLattice((5, 7)))
         assert np.all(pts >= -0.5) and np.all(pts < 0.5)
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 255, 256, 4097])
+    def test_axis_bits_are_the_shifted_fractions(self, n):
+        # a/n for a = 0..n−1, minus 1 at or above 1/2, sorted
+        ref = np.arange(n, dtype=float) / n
+        ref[ref >= 0.5] -= 1.0
+        pts = enumerate_characters(CharacterLattice((n,)))
+        assert pts.ravel().tobytes() == np.sort(ref).tobytes()
 
     def test_size_cap(self):
         with pytest.raises(LatticeSizeError):
@@ -90,6 +99,71 @@ class TestSpectralAverage:
         assert hist.mass == pytest.approx(49.0 / 1024.0, abs=1e-15)
         assert np.all(np.diff(hist.values) >= 0.0)
         assert 0.0 < hist.moments[0] < 0.05
+
+
+def _model(gram, pert=None, validate=False):
+    gram = np.atleast_2d(gram)
+    model = SpectralModel(genus=2, rank_d=gram.shape[0], gram=gram, perturbation=pert)
+    if validate:
+        model.validate()
+    return model
+
+
+BOX_MODELS = {
+    "identity_d1": _model([[1.0]]),
+    "identity_d2": _model(np.eye(2)),
+    "correlated_gram": _model([[1.0, 0.4], [0.4, 1.2]]),
+    "quartic": _model(np.eye(2), Perturbation("quartic", 0.2)),
+    "radial_quartic": _model(np.eye(2), Perturbation("radial_quartic", 0.5)),
+    "rank1_quartic_gram": _model([[1.7]], Perturbation("quartic", 1.0)),
+    "negative_quartic": _model(np.eye(2), Perturbation("quartic", -0.5), validate=True),
+}
+
+
+class TestSweepBox:
+    @pytest.mark.parametrize("orders", [(1, 1), (2, 3), (255, 256), (64, 64)])
+    @pytest.mark.parametrize("name", sorted(BOX_MODELS))
+    def test_box_keeps_the_full_sweep_bits(self, name, orders):
+        # reference: every character, one λ₀ call, then the ≤ ε filter
+        model = BOX_MODELS[name]
+        if model.rank_d == 1:
+            orders = (math.prod(orders),)
+        lattice = CharacterLattice(orders)
+        full = model.lambda0_batch(enumerate_characters(lattice))
+        reference = np.sort(full[full <= 0.05])
+        kept = build_histogram(model, lattice, 0.05).values
+        assert kept.size > 0
+        assert kept.tobytes() == reference.tobytes()
+
+    def test_lattice_above_cap_with_small_box_is_swept(self, model_d2):
+        # 1.21e8 characters, above GRID_CAP; the box holds under 1e6 of them
+        avg = spectral_average(
+            model_d2, CharacterLattice((11000, 11000)),
+            make_test_function("one", 0.005), 0.005,
+        )
+        assert abs(avg - 0.005) <= 2.0 / 11000.0
+
+    def test_box_above_cap_refused(self, model_d2):
+        with pytest.raises(LatticeSizeError):
+            spectral_average(model_d2, CharacterLattice((10**6, 10**6)), ONE, 0.05)
+
+    def test_huge_lattice_refused_before_allocation(self, model_d1):
+        lattice = CharacterLattice((10**12,))
+        start = time.perf_counter()
+        with pytest.raises(LatticeSizeError):
+            enumerate_characters(lattice)
+        with pytest.raises(LatticeSizeError):
+            spectral_average(model_d1, lattice, ONE, 0.05)
+        assert time.perf_counter() - start < 1.0
+
+    def test_sublevel_set_leaving_u_refused(self):
+        # {π|ω|² ≤ 0.05} has radius 0.126, beyond the box U of half-width 0.05
+        model = SpectralModel(genus=2, rank_d=2, gram=np.eye(2), domain_u=[0.05, 0.05])
+        lattice = CharacterLattice((64, 64))
+        with pytest.raises(ModelValidityError, match="leaves the working box U"):
+            spectral_average(model, lattice, ONE, 0.05)
+        with pytest.raises(ModelValidityError, match="leaves the working box U"):
+            build_histogram(model, lattice, 0.05)
 
 
 class TestLimitDensity:
