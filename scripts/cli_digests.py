@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -27,8 +28,8 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
-# model documents (gram, perturbation), written into the run directory;
-# domain_u takes its default
+# model documents (gram, perturbation), written into the run directory; the
+# rank is that of the flattened d × d Gram, and domain_u takes its default
 IDENTITY = [1.0, 0.0, 0.0, 1.0]
 MODELS = {
     "identity.json": (IDENTITY, None),
@@ -39,6 +40,7 @@ MODELS = {
     "correlated.json": ([1.0, 0.4, 0.4, 1.2], None),
     # negative coefficient: the lattice sweep box is the whole torus
     "negative_quartic.json": (IDENTITY, {"name": "quartic", "params": {"coeff": -0.5}}),
+    "rank1_quartic.json": ([1.0], {"name": "quartic", "params": {"coeff": 1.0}}),
 }
 
 # (output CSV, CLI arguments before --out)
@@ -64,6 +66,12 @@ RUNS = [
                               "--test-fn", "linear"]),
     ("cover-negative-quartic.csv", ["cover", "--model", "negative_quartic.json",
                                     "--orders", "256,256", "--test-fn", "linear"]),
+    # a sum that is not exactly rounded (np.sum) moves the last digit of
+    # `empirical` in these two
+    ("cover-identity-bump.csv", ["cover", "--model", "identity.json", "--orders", "512,512",
+                                 "--test-fn", "bump"]),
+    ("cover-rank1-quartic.csv", ["cover", "--model", "rank1_quartic.json",
+                                 "--orders", "1000000", "--test-fn", "linear"]),
     ("mix-identity.csv",
      ["mix", "--model", "identity.json", "--log-t-min", "1e2", "--log-t-max", "1e4"]),
 ]
@@ -71,7 +79,8 @@ RUNS = [
 
 def _write_models(workdir: Path) -> None:
     for name, (gram, perturbation) in MODELS.items():
-        doc = {"genus": 2, "rank_d": 2, "gram": gram, "perturbation": perturbation}
+        doc = {"genus": 2, "rank_d": math.isqrt(len(gram)), "gram": gram,
+               "perturbation": perturbation}
         (workdir / name).write_text(json.dumps(doc, sort_keys=True))
 
 

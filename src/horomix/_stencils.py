@@ -1,10 +1,10 @@
-"""Finite-difference stencils, Gauss–Legendre rules, tensor-product grids and
-bracketed root finding.
+"""Finite-difference stencils, Gauss–Legendre rules, tensor-product grids,
+bracketed root finding and exactly rounded summation.
 
 One implementation of each primitive, shared by the eigenvalue model, the
 Euler-residual stencils of the correlation ODE, the Laplace quadrature and
 Morse-chart differentiation, the cover-density quadratures and the
-character-lattice sweeps.
+character-lattice sweeps and averages.
 """
 
 from __future__ import annotations
@@ -20,6 +20,9 @@ from .errors import DomainError, LatticeSizeError
 GRID_CAP = 100_000_000
 # Points a validation sweep may use: 11 per axis fit up to d = 5.
 SWEEP_BUDGET = 1_000_000
+# Values per exact_sum pass: the per-exponent sums stay exact integers in
+# float64 while _SUM_CHUNK · 2²⁷ ≤ 2⁵³, and the temporaries stay O(chunk).
+_SUM_CHUNK = 1 << 20
 
 
 def bracketed_roots(fn, lo, hi, xtol: float, rtol: float) -> np.ndarray:
@@ -63,6 +66,40 @@ def bracketed_roots(fn, lo, hi, xtol: float, rtol: float) -> np.ndarray:
         secant = lo - f_lo * (hi - lo) / span
     inside = (span != 0.0) & (lo <= secant) & (secant <= hi)
     return np.where(inside, secant, 0.5 * lo + 0.5 * hi)
+
+
+def exact_sum(values) -> float:
+    """The exactly rounded (half to even) sum of a float64 array, computed
+    in numpy: bit for bit what ``math.fsum`` returns.
+
+    Each value is m·2^e with m·2²⁷ = whole + frac, |whole| < 2²⁷ and frac
+    a multiple of 2⁻²⁶.  Both parts are summed per exponent e with
+    ``np.bincount``, exactly, one chunk of at most _SUM_CHUNK values at a
+    time; the per-exponent sums fold into one Python integer in units of
+    2⁻¹¹²⁶, and one int/int true division rounds it, subnormals included.
+    An empty array and any exact cancellation sum to 0.0, not −0.0.
+    Non-finite values raise DomainError before anything is summed, and so
+    does a sum that overflows float64.  Where only fsum's partial sums
+    overflow (1e308 + 1e308 − 1e308), fsum raises and this returns the sum.
+    """
+    x = np.asarray(values, dtype=float).ravel()
+    if not np.all(np.isfinite(x)):
+        raise DomainError("cannot sum non-finite values (nan or ±inf)")
+    total = 0
+    for start in range(0, x.size, _SUM_CHUNK):
+        m, e = np.frexp(x[start : start + _SUM_CHUNK])
+        m *= 2.0**27
+        whole = np.trunc(m)
+        m -= whole
+        bucket = np.add(e, 1073, dtype=np.intp)  # frexp exponents start at −1073
+        whole_sums = np.bincount(bucket, weights=whole)
+        frac_sums = np.bincount(bucket, weights=m) * 2.0**26
+        for k in np.flatnonzero((whole_sums != 0.0) | (frac_sums != 0.0)).tolist():
+            total += ((int(whole_sums[k]) << 26) + int(frac_sums[k])) << k
+    try:
+        return total / (1 << 1126)
+    except OverflowError:
+        raise DomainError("the exact sum overflows float64") from None
 
 
 def monotone_inverse(psi, target, xtol: float, rtol: float) -> np.ndarray:

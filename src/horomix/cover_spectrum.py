@@ -18,6 +18,7 @@ import numpy as np
 from ._stencils import (
     GRID_CAP,
     bracketed_roots,
+    exact_sum,
     fornberg_weights,
     gauss_legendre,
     monotone_inverse,
@@ -152,15 +153,15 @@ def spectral_average(
 
     ``f`` must be vectorized on arrays of branch values and supported in
     [0, ε); ε may not exceed the branch gap, above which unmodeled
-    eigenvalue branches would contribute.
+    eigenvalue branches would contribute.  A non-finite value of ``f``, or
+    a sum that overflows float64, raises DomainError.
     """
     lam = _branch_values(model, lattice, epsilon)
     if lam.size == 0:
         return 0.0
-    vals = np.asarray(f(lam), dtype=float)
-    # fsum is exactly rounded, so the sum does not depend on the order or
-    # the blocking in which the kept values arrive.
-    return math.fsum(vals.tolist()) / lattice.size
+    # exact_sum is exactly rounded, so the sum does not depend on the order
+    # or the blocking in which the kept values arrive.
+    return exact_sum(f(lam)) / lattice.size
 
 
 # ---------------------------------------------------------------------------

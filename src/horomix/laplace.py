@@ -36,7 +36,7 @@ from .errors import (
 )
 
 _MAX_EXPANSION_ORDER = 4  # finite differences above D^8 b are not stable
-# Relative accuracy laplace_quadrature certifies; remainder_slope takes it
+# Relative refinement gap laplace_quadrature accepts; remainder_slope takes it
 # as the noise floor of sampled values.
 _QUAD_REL_TOL = 1e-10
 
@@ -226,11 +226,12 @@ def laplace_quadrature(
 ):
     """∫_U e^{T v} a dξ by Gauss–Legendre tensor panels refined toward 0.
 
-    The result is certified by agreement of two refinement levels
-    (``nodes`` and ``nodes + 8`` points per panel) to ``_QUAD_REL_TOL``,
-    measured against the integrand's L¹ mass so cancellation to an exact
-    zero (odd amplitudes) certifies cleanly.  A ladder of T values shares
-    one grid per level and returns an array; each T keeps its certificate.
+    The accuracy is a refinement-gap estimate, not a proven bound: two
+    refinement levels (``nodes`` and ``nodes + 8`` points per panel) must
+    agree to ``_QUAD_REL_TOL``, measured against the integrand's L¹ mass so
+    cancellation to an exact zero (odd amplitudes) passes cleanly.  A ladder
+    of T values shares one grid per level and returns an array; each T
+    keeps its own refinement-gap estimate.
     """
     T = np.asarray(t_value, dtype=float)
     if not np.all(np.isfinite(T) & (T >= 0.0)):

@@ -93,6 +93,15 @@ class TestSpectralAverage:
             avg = spectral_average(model_d2, CharacterLattice((n, n)), ONE, 0.05)
             assert 0.0 <= avg <= 1.0
 
+    @pytest.mark.parametrize("f", [
+        pytest.param(lambda lam: np.where(lam > 0.01, np.nan, lam), id="nan"),
+        pytest.param(lambda lam: np.where(lam > 0.01, np.inf, -np.inf), id="inf-and-minus-inf"),
+        pytest.param(lambda lam: np.full_like(lam, 1e308), id="overflowing-total"),
+    ])
+    def test_non_finite_sum_refused(self, model_d2, f):
+        with pytest.raises(DomainError):
+            spectral_average(model_d2, CharacterLattice((64, 64)), f, 0.05)
+
     def test_histogram_summary(self, model_d2):
         hist = build_histogram(model_d2, CharacterLattice((32, 32)), 0.05)
         assert hist.count == 49  # frozen exact count at N=32
@@ -118,22 +127,53 @@ BOX_MODELS = {
     "rank1_quartic_gram": _model([[1.7]], Perturbation("quartic", 1.0)),
     "negative_quartic": _model(np.eye(2), Perturbation("quartic", -0.5), validate=True),
 }
+BOX_ORDERS = [(1, 1), (2, 3), (255, 256), (64, 64)]
+
+
+def _box_lattice(model, orders):
+    return CharacterLattice((math.prod(orders),) if model.rank_d == 1 else orders)
+
+
+def _full_sweep_kept(model, lattice):
+    """Reference: every character, one λ₀ call, then the ≤ ε filter."""
+    full = model.lambda0_batch(enumerate_characters(lattice))
+    return full[full <= 0.05]
 
 
 class TestSweepBox:
-    @pytest.mark.parametrize("orders", [(1, 1), (2, 3), (255, 256), (64, 64)])
+    @pytest.mark.parametrize("orders", BOX_ORDERS)
     @pytest.mark.parametrize("name", sorted(BOX_MODELS))
     def test_box_keeps_the_full_sweep_bits(self, name, orders):
-        # reference: every character, one λ₀ call, then the ≤ ε filter
         model = BOX_MODELS[name]
-        if model.rank_d == 1:
-            orders = (math.prod(orders),)
-        lattice = CharacterLattice(orders)
-        full = model.lambda0_batch(enumerate_characters(lattice))
-        reference = np.sort(full[full <= 0.05])
+        lattice = _box_lattice(model, orders)
+        reference = np.sort(_full_sweep_kept(model, lattice))
         kept = build_histogram(model, lattice, 0.05).values
         assert kept.size > 0
         assert kept.tobytes() == reference.tobytes()
+
+    @pytest.mark.parametrize("fn", ["one", "linear", "bump"])
+    @pytest.mark.parametrize("orders", BOX_ORDERS)
+    @pytest.mark.parametrize("name", sorted(BOX_MODELS))
+    def test_average_is_the_exactly_rounded_sum(self, name, orders, fn):
+        model = BOX_MODELS[name]
+        lattice = _box_lattice(model, orders)
+        f = make_test_function(fn, 0.05)
+        reference = math.fsum(f(_full_sweep_kept(model, lattice)).tolist()) / lattice.size
+        assert spectral_average(model, lattice, f, 0.05) == reference
+
+    @pytest.mark.parametrize("model, orders, fn, expected", [
+        # np.sum of the same values gives 0.020182631884715918
+        pytest.param(_model(np.eye(2)), (512, 512), "bump", 0.02018263188471592,
+                     id="identity-512x512-bump"),
+        # np.sum of the same values gives 0.008397739602985316
+        pytest.param(_model([[1.0]], Perturbation("quartic", 1.0)), (10**6,), "linear",
+                     0.008397739602985317, id="rank1-quartic-1e6-linear"),
+    ])
+    def test_average_where_a_pairwise_sum_is_one_ulp_off(self, model, orders, fn, expected):
+        lattice = CharacterLattice(orders)
+        f = make_test_function(fn, 0.05)
+        assert math.fsum(f(_full_sweep_kept(model, lattice)).tolist()) / lattice.size == expected
+        assert spectral_average(model, lattice, f, 0.05) == expected
 
     def test_lattice_above_cap_with_small_box_is_swept(self, model_d2):
         # 1.21e8 characters, above GRID_CAP; the box holds under 1e6 of them

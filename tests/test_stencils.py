@@ -1,14 +1,18 @@
 import math
+from fractions import Fraction
 from itertools import product
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy.optimize import brentq
 
+from horomix import _stencils
 from horomix._stencils import (
     SWEEP_BUDGET,
     bracketed_roots,
+    exact_sum,
     fornberg_weights,
     gauss_legendre,
     legendre_rule,
@@ -224,3 +228,84 @@ class TestMonotoneInverse:
     def test_unreachable_level_raises(self):
         with pytest.raises(DomainError):
             monotone_inverse(np.tanh, np.array([0.5, 2.0]), xtol=1e-15, rtol=1e-15)
+
+
+_DBL_MAX = np.finfo(float).max
+
+
+def _same_sum_as_fsum(x):
+    """exact_sum(x) has the bits of math.fsum(x).  Where only fsum's partial
+    sums overflow it raises, and the exact Fraction sum, rounded by
+    float(), is the reference; where that overflows too, DomainError."""
+    try:
+        try:
+            ref = math.fsum(x.tolist())
+        except OverflowError:
+            ref = float(sum(map(Fraction, x.tolist()), Fraction(0)))
+    except OverflowError:
+        with pytest.raises(DomainError, match="overflows"):
+            exact_sum(x)
+        return
+    assert np.float64(exact_sum(x)).tobytes() == np.float64(ref).tobytes()
+
+
+class TestExactSum:
+    @settings(deadline=None, max_examples=300)
+    @given(
+        # st.floats spans the whole exponent range, subnormals and both signs
+        hnp.arrays(np.float64, st.integers(0, 40),
+                   elements=st.floats(allow_nan=False, allow_infinity=False)),
+        st.sampled_from([1, 2, 3, 7, _stencils._SUM_CHUNK]),
+    )
+    def test_has_the_bits_of_fsum(self, x, chunk):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(_stencils, "_SUM_CHUNK", chunk)
+            _same_sum_as_fsum(x)
+            cancelled = np.concatenate([x, -x[::-1]])
+            assert np.float64(exact_sum(cancelled)).tobytes() == np.float64(0.0).tobytes()
+            _same_sum_as_fsum(cancelled)
+
+    @pytest.mark.parametrize("x", [
+        pytest.param([], id="empty"),
+        pytest.param([-0.0], id="negative-zero"),
+        pytest.param([2.5], id="single"),
+        pytest.param([5e-324] * 3, id="subnormals"),
+        pytest.param([2.0**-1022, -5e-324], id="largest-subnormal"),
+        pytest.param([1.0, 2.0**-53], id="tie-to-even-down"),
+        pytest.param([1.0 + 2.0**-52, 2.0**-53], id="tie-to-even-up"),
+        pytest.param([1.0, 2.0**-53, 2.0**-1074], id="just-above-tie"),
+        pytest.param([_DBL_MAX, -_DBL_MAX, 1.0], id="huge-cancellation"),
+        pytest.param([1e100, 1.0, -1e100, 1e-100], id="small-after-cancellation"),
+    ])
+    def test_edge_cases(self, x):
+        _same_sum_as_fsum(np.array(x, dtype=float))
+
+    def test_empty_and_negative_zero_give_positive_zero(self):
+        for x in ([], [-0.0], [-0.0, -0.0]):
+            assert np.float64(exact_sum(np.array(x))).tobytes() == np.float64(0.0).tobytes()
+
+    def test_bump_tails_over_many_chunks(self, monkeypatch):
+        # the bump test function's values, from 1 down past 1e-300
+        eps = 0.05
+        x = np.linspace(0.0, eps, 5001)[:-1]
+        vals = np.exp(1.0 - eps / (eps - x))
+        assert np.min(vals[vals > 0.0]) < 1e-300
+        vals = np.concatenate([vals, -vals[::3] / 3.0])
+        monkeypatch.setattr(_stencils, "_SUM_CHUNK", 64)
+        _same_sum_as_fsum(vals)
+
+    def test_sum_where_only_fsum_partials_overflow(self):
+        assert exact_sum(np.array([1e308, 1e308, -1e308])) == 1e308
+
+    @pytest.mark.parametrize("x", [
+        [np.nan], [1.0, np.inf], [-np.inf], [np.inf, -np.inf], [np.nan, np.inf],
+    ])
+    def test_non_finite_values_refused(self, x):
+        with pytest.raises(DomainError, match="non-finite"):
+            exact_sum(np.array(x))
+
+    @pytest.mark.parametrize("x", [[_DBL_MAX, _DBL_MAX], [_DBL_MAX, 2.0**970]])
+    def test_overflowing_sum_refused(self, x):
+        # the second is DBL_MAX + half an ulp, a tie that rounds up to 2**1024
+        with pytest.raises(DomainError, match="overflows"):
+            exact_sum(np.array(x))
