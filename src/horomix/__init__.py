@@ -16,7 +16,6 @@ from .corr_ode import (
     asymptotic_constant,
     euler_residual,
     master_grid,
-    particular_solution,
     solve_master,
     tail_remainder_check,
 )
@@ -75,7 +74,6 @@ __all__ = [
     "master_grid",
     "mixing_expansion",
     "nu_of_lambda",
-    "particular_solution",
     "solve_master",
     "spectral_average",
     "tail_remainder_check",

@@ -396,13 +396,16 @@ def _check_samples(grid: np.ndarray, values: np.ndarray) -> None:
 
 def power_weighted_integral(
     grid: np.ndarray, values: np.ndarray, exponent: float,
-    a: float | None = None, b: float | None = None,
-) -> complex:
+    a: float | np.ndarray | None = None, b: float | np.ndarray | None = None,
+) -> complex | np.ndarray:
     """∫ r^p f(r) dr over [a, b] ⊆ [grid[0], grid[-1]] for sampled f.
 
     The interpolant is quadratic through three samples per cell and r^p is
     integrated exactly per cell, so integrable endpoint singularities
-    (p > −1 with grid[0] = 0) cost no accuracy.  An empty range gives 0.
+    (p > −1 with grid[0] = 0) cost no accuracy.  The ends broadcast; each
+    range is its first partial cell [a, min(b, next node)], plus its whole
+    cells off one cumulative table of the grid, plus its last partial cell
+    [node, b], so all ranges cost O(grid + ranges).  An empty range gives 0.
     Samples the rule cannot integrate raise DomainError, as in
     :meth:`ForcingProfile.from_samples`.
     """
@@ -410,13 +413,19 @@ def power_weighted_integral(
     p = float(exponent)
     if p <= -1.0:
         raise DomainError("exponent must exceed -1 for an integrable weight")
-    lo = grid[0] if a is None else a
-    hi = grid[-1] if b is None else b
-    if not (grid[0] - 1e-12 <= lo <= hi <= grid[-1] + 1e-12):
+    lo, hi = np.broadcast_arrays(grid[0] if a is None else a, grid[-1] if b is None else b)
+    if not np.all((grid[0] - 1e-12 <= lo) & (lo <= hi) & (hi <= grid[-1] + 1e-12)):
         raise DomainError("integration range must lie within the sample grid")
-    # cell k clipped to [lo, hi]; cells outside it have zero length
-    seg_a, seg_b = np.clip(grid[:-1], lo, hi), np.clip(grid[1:], lo, hi)
-    j = np.clip(np.arange(grid.size - 1), 1, grid.size - 2)
+    n, shape = grid.size, lo.shape
+    lo, hi = (np.clip(x, grid[0], grid[-1]).ravel() for x in (lo, hi))
+    # the cells holding each range's ends; kb == ka when one cell holds both
+    ka = np.minimum(np.searchsorted(grid, lo, side="right") - 1, n - 2)
+    kb = np.maximum(np.searchsorted(grid, hi, side="left") - 1, ka)
+    # every whole cell, then the first and the last partial cell of each range
+    cell = np.concatenate([np.arange(n - 1), ka, kb])
+    seg_a = np.concatenate([grid[:-1], lo, np.where(kb > ka, grid[kb], hi)])
+    seg_b = np.concatenate([grid[1:], np.minimum(hi, grid[ka + 1]), hi])
+    j = np.clip(cell, 1, n - 2)
     x0, x1, x2 = grid[j - 1], grid[j], grid[j + 1]
     f0, f1, f2 = values[j - 1], values[j], values[j + 1]
     d0 = (x0 - x1) * (x0 - x2)
@@ -427,7 +436,11 @@ def power_weighted_integral(
     w0 = (mp2 - (x1 + x2) * mp1 + x1 * x2 * mp) / d0
     w1 = (mp2 - (x0 + x2) * mp1 + x0 * x2 * mp) / d1
     w2 = (mp2 - (x0 + x1) * mp1 + x0 * x1 * mp) / d2
-    return np.sum(w0 * f0 + w1 * f1 + w2 * f2)
+    parts = w0 * f0 + w1 * f1 + w2 * f2
+    table = np.concatenate([[0.0], np.cumsum(parts[: n - 1])])
+    first, last = parts[n - 1 :].reshape(2, -1)
+    whole = np.where(kb > ka, table[kb] - table[ka + 1], 0.0)
+    return ((first + whole) + last).reshape(shape)[()]
 
 
 def _quad_complex(fn, a, b, points=None):
@@ -566,14 +579,13 @@ class ForcingProfile:
         cutoff = max(r_req, 1.0)
         return cutoff, _tail_bound(nu, self.decay_c, cutoff)
 
-    def _weighted(self, p: float, a: float, b: float) -> complex:
-        """∫_a^b r^p f(r) dr.
+    def _weighted(self, p: float, a, b) -> complex | np.ndarray:
+        """∫_a^b r^p f(r) dr, for ends a and b that broadcast against each other.
 
-        Samples use :func:`power_weighted_integral`.  A callable is
-        integrated over geometric panels from a > 0; from a = 0 it takes one
+        Samples take one :func:`power_weighted_integral` call.  A callable
+        takes each range alone: geometric panels from a > 0; from a = 0 one
         adaptive pass on [0, b] when p ≥ 0, and for p < 0 (where b ≥ 1, the
-        callable cutoff) substitutes r = s^(1/(1+p)) on [0, 1] to absorb the
-        weight, then adds panels.
+        callable cutoff) r = s^(1/(1+p)) on [0, 1] absorbs the weight, then panels.
         """
         if self.sampled:
             return power_weighted_integral(self.grid, self.values, p, a=a, b=b)
@@ -582,16 +594,21 @@ class ForcingProfile:
         def integrand(r):
             return r**p * fn(r)
 
-        if a > 0.0:
-            return _geometric_panels(integrand, a, b, points=points)
-        if p >= 0.0:
-            return _quad_complex(integrand, 0.0, b, points=points)
-        power = 1.0 / (1.0 + p)
-        head = _quad_complex(
-            lambda s: power * fn(s**power), 0.0, 1.0,
-            points=[x ** (1.0 + p) for x in points if 0 < x < 1],
-        )
-        return head + _geometric_panels(integrand, 1.0, b, points=points)
+        def one(a, b):
+            if a > 0.0:
+                return _geometric_panels(integrand, a, b, points=points)
+            if p >= 0.0:
+                return _quad_complex(integrand, 0.0, b, points=points)
+            power = 1.0 / (1.0 + p)
+            head = _quad_complex(
+                lambda s: power * fn(s**power), 0.0, 1.0,
+                points=[x ** (1.0 + p) for x in points if 0 < x < 1],
+            )
+            return head + _geometric_panels(integrand, 1.0, b, points=points)
+
+        a, b = np.broadcast_arrays(a, b)
+        out = [one(float(lo), float(hi)) for lo, hi in zip(a.flat, b.flat)]
+        return np.array(out, dtype=complex).reshape(a.shape) if a.ndim else out[0]
 
 
 # ---------------------------------------------------------------------------
@@ -767,11 +784,6 @@ def asymptotic_amplitude(
     return TailEstimate(value=integral / (2.0 * nu), tail_bound=bound, cutoff=cutoff)
 
 
-def particular_solution(nu: float, forcing: ForcingProfile, t: float) -> complex:
-    """Variation-of-parameters value at ``t``; see :func:`particular_trajectory`."""
-    return complex(particular_trajectory(nu, forcing, [t]).y[0])
-
-
 def particular_trajectory(
     nu: float, forcing: ForcingProfile, grid: np.ndarray
 ) -> Trajectory:
@@ -782,33 +794,33 @@ def particular_trajectory(
 
     This is the particular solution that decays like 1/t; it differs from
     the bounded-at-0 solution by a multiple of t^(ν−1).  Sampled forcing
-    must start at t = 0 and is integrated to its last sample; callable
-    forcing is cut where the envelope bounds the tail by 1e-9.  The
-    derivative is analytic in the two running integrals:
+    must start at t = 0 and is integrated to its last sample, in one pass
+    for all points; callable forcing is cut where the envelope bounds the
+    tail by 1e-9.  Points not 1-d, non-empty, finite, strictly increasing
+    and > 0 raise DomainError before any integral.  The derivative is
+    analytic in the two running integrals:
         y' = −((ν−1) t^(ν−2)/2ν) P(t) + ((1+ν) t^(−ν−2)/2ν) Q(t).
     """
     if not 0.0 < nu <= 1.0:
         raise DomainError(f"nu must lie in (0, 1], got {nu}")
-    grid = np.asarray(grid, dtype=float)
-    if grid[0] <= 0.0:
-        raise DomainError("formula trajectories need a positive grid")
+    t = np.asarray(grid, dtype=float)
+    ok = t.ndim == 1 and t.size and np.all(np.isfinite(t))
+    if not (ok and np.all(np.diff(t, prepend=0.0) > 0.0)):  # the prepended 0 asks t[0] > 0
+        raise DomainError("formula trajectories need 1-d, finite, increasing points > 0")
     cutoff, _ = forcing._cutoff(nu, None, _R_MAX)
-    y = np.empty(grid.size, dtype=complex)
-    yp = np.empty(grid.size, dtype=complex)
-    for i, t in enumerate(grid):
-        head = forcing._weighted(nu, 0.0, t)
-        # the callable panel sum is empty (zero) once t reaches the cutoff
-        tail = forcing._weighted(-nu, t, cutoff)
-        y[i] = -(t ** (nu - 1.0)) / (2 * nu) * tail - t ** (-nu - 1.0) / (2 * nu) * head
-        yp[i] = (
-            -((nu - 1.0) * t ** (nu - 2.0)) / (2 * nu) * tail
-            + ((1.0 + nu) * t ** (-nu - 2.0)) / (2 * nu) * head
-        )
+    head = forcing._weighted(nu, 0.0, t)
+    # the callable panel sum is empty (zero) once t reaches the cutoff
+    tail = forcing._weighted(-nu, t, cutoff)
+    y = -(t ** (nu - 1.0)) / (2 * nu) * tail - t ** (-nu - 1.0) / (2 * nu) * head
+    yp = (
+        -((nu - 1.0) * t ** (nu - 2.0)) / (2 * nu) * tail
+        + ((1.0 + nu) * t ** (-nu - 2.0)) / (2 * nu) * head
+    )
     lam = (1.0 - nu * nu) / 4.0
     meta = TrajectoryMeta(
         lam=lam, nu=nu, mode=ModePair(0, 0), y0=complex("nan"), startup="formula"
     )
-    return Trajectory(grid=grid, y=y, y_prime=yp, meta=meta)
+    return Trajectory(grid=t, y=y, y_prime=yp, meta=meta)
 
 
 # ---------------------------------------------------------------------------

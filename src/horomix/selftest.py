@@ -98,8 +98,8 @@ def run_selftest() -> list[CheckResult]:
 
     check(
         "particular_zero_forcing",
-        corr_ode.particular_solution(0.5, zero_f, 2.0) == 0.0,
-        corr_ode.particular_solution(0.5, zero_f, 2.0), 0.0,
+        complex(corr_ode.particular_trajectory(0.5, zero_f, [2.0]).y[0]) == 0.0,
+        complex(corr_ode.particular_trajectory(0.5, zero_f, [2.0]).y[0]), 0.0,
     )
     pow_f = corr_ode.ForcingProfile.from_callable(
         lambda r: (r**-2.0 if r >= 1.0 else 0.0) + 0j, breakpoints=(1.0,)
@@ -107,8 +107,8 @@ def run_selftest() -> list[CheckResult]:
     pow_f2 = corr_ode.ForcingProfile.from_callable(
         lambda r: 2.0 * ((r**-2.0 if r >= 1.0 else 0.0) + 0j), breakpoints=(1.0,)
     )
-    v1 = corr_ode.particular_solution(0.5, pow_f, 2.0)
-    v2 = corr_ode.particular_solution(0.5, pow_f2, 2.0)
+    v1 = complex(corr_ode.particular_trajectory(0.5, pow_f, [2.0]).y[0])
+    v2 = complex(corr_ode.particular_trajectory(0.5, pow_f2, [2.0]).y[0])
     check("particular_linearity", _close(v2, 2.0 * v1), v2, 2.0 * v1)
     check(
         "tail_constant_zero_forcing",

@@ -5,6 +5,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import gamma, gammaincc
 
+from horomix import corr_ode
 from horomix._stencils import fornberg_weights
 from horomix.corr_ode import (
     ForcingProfile,
@@ -22,7 +23,6 @@ from horomix.corr_ode import (
     master_grid,
     master_relation_residual,
     oracle_trajectory,
-    particular_solution,
     particular_trajectory,
     power_weighted_integral,
     second_derivative_from_first,
@@ -303,9 +303,27 @@ class TestEulerResidual:
             euler_residual(traj, ZERO_FORCING, 3.0 / 16.0)
 
 
+# evaluation points particular_trajectory refuses before any integral
+_BAD_POINTS = [
+    pytest.param([], id="empty"),
+    pytest.param(2.0, id="scalar"),
+    pytest.param([[2.0, 3.0]], id="two-dimensional"),
+    pytest.param([2.0, np.nan], id="nan"),
+    pytest.param([2.0, np.inf], id="inf"),
+    pytest.param([3.0, 2.0], id="unsorted"),
+    pytest.param([2.0, 2.0], id="repeated"),
+    pytest.param([0.0, 1.0], id="zero"),
+    pytest.param([-1.0, 2.0], id="negative"),
+]
+
+
+def _no_integral(*args, **kwargs):
+    raise AssertionError("an integral ran before the points were checked")
+
+
 class TestParticularSolution:
     def test_zero_forcing(self):
-        assert particular_solution(0.5, ZERO_FORCING, 2.0) == 0.0
+        assert particular_trajectory(0.5, ZERO_FORCING, [2.0]).y[0] == 0.0
 
     def test_power_forcing_closed_form(self):
         # f(r) = r^-2 on r >= 1, nu = 1/2, t = 2: both integrals in closed form
@@ -318,7 +336,7 @@ class TestParticularSolution:
         expected = -(2.0 ** (nu - 1)) / (2 * nu) * tail - 2.0 ** (-nu - 1) / (
             2 * nu
         ) * head
-        got = particular_solution(nu, fp, 2.0)
+        got = particular_trajectory(nu, fp, [2.0]).y[0]
         assert abs(got - expected) < 1e-8
 
     def test_linearity(self):
@@ -328,20 +346,16 @@ class TestParticularSolution:
         fp2 = ForcingProfile.from_callable(
             lambda r: 2.0 * ((r**-2.0 if r >= 1.0 else 0.0) + 0j), breakpoints=(1.0,)
         )
-        assert particular_solution(0.5, fp2, 2.0) == pytest.approx(
-            2.0 * particular_solution(0.5, fp, 2.0), rel=1e-12
+        assert particular_trajectory(0.5, fp2, [2.0]).y[0] == pytest.approx(
+            2.0 * particular_trajectory(0.5, fp, [2.0]).y[0], rel=1e-12
         )
-
-    @pytest.mark.parametrize("form", sorted(SLOW_FORMS))
-    def test_returns_python_complex(self, form):
-        assert type(particular_solution(0.5, SLOW_FORMS[form], 2.0)) is complex
 
     def test_samples_must_start_at_zero(self):
         # the head integral runs from 0; a grid starting at 1 cannot supply it
         n = 2001
         fp = ForcingProfile.from_samples(np.linspace(1.0, 10.0, n), np.ones(n, complex))
         with pytest.raises(DomainError):
-            particular_solution(0.5, fp, 2.0)
+            particular_trajectory(0.5, fp, np.array([2.0]))
         with pytest.raises(DomainError):
             particular_trajectory(0.5, fp, np.array([2.0, 3.0]))
 
@@ -351,8 +365,30 @@ class TestParticularSolution:
         v = 1.0 / (1.0 + g) + 0j
         nu, t = 0.5, g[-1]
         head = power_weighted_integral(g, v, nu)
-        got = particular_solution(nu, ForcingProfile.from_samples(g, v), t)
+        got = particular_trajectory(nu, ForcingProfile.from_samples(g, v), [t]).y[0]
         assert got == pytest.approx(-(t ** (-nu - 1.0)) / (2 * nu) * head, rel=1e-14)
+
+    @pytest.mark.parametrize("form", sorted(SLOW_FORMS))
+    @pytest.mark.parametrize("points", _BAD_POINTS)
+    def test_refuses_bad_points_before_any_integral(self, monkeypatch, form, points):
+        monkeypatch.setattr(corr_ode, "_quad_complex", _no_integral)
+        monkeypatch.setattr(corr_ode, "power_weighted_integral", _no_integral)
+        with pytest.raises(DomainError):
+            particular_trajectory(0.5, SLOW_FORMS[form], points)
+
+    def test_split_refuses_a_window_without_nodes(self):
+        grid = log_grid(1.0, 100.0, steps_per_decade=50)
+        traj = _power_trajectory(0.5, grid, coef=0.7)
+        with pytest.raises(DomainError):
+            homogeneous_split(traj, 0.5, SLOW_FORMS["callable"], window=(200.0, 300.0))
+
+    def test_trajectory_equals_single_point_calls(self):
+        fp = SLOW_FORMS["sampled"]
+        t = np.linspace(0.5, 9.5, 19)
+        traj = particular_trajectory(0.5, fp, t)
+        single = [particular_trajectory(0.5, fp, [x]) for x in t]
+        assert traj.y.tobytes() == np.concatenate([s.y for s in single]).tobytes()
+        assert traj.y_prime.tobytes() == np.concatenate([s.y_prime for s in single]).tobytes()
 
     def test_formula_trajectory_solves_the_ode(self):
         # verified as an ODE solution, not asserted equal to the master one
@@ -580,6 +616,40 @@ class TestForcingProfile:
 _UNIFORM = np.linspace(0.0, 2.0, 401)
 _GRADED = master_grid(1e2, steps_per_decade=100)
 _QUADRATIC = tuple(c * (1 + 2j) for c in (1.0, 2.0, -0.5))  # (1 + 2r − r²/2)(1 + 2i)
+# a sign-changing forcing on _GRADED, so the L¹ mass exceeds |∫|
+_WAVE = (1 + 2j) * np.cos(3.0 * _GRADED) / (1.0 + _GRADED)
+_MID = 0.5 * (_GRADED[:-1] + _GRADED[1:])  # one point inside each cell
+# ranges over _GRADED: (lo, hi, id)
+_RANGES = [
+    (0.0, 100.0, "0.0-100.0"),  # the whole grid
+    (0.0123, 37.7, "0.0123-37.7"),  # ends inside cells
+    (1.0005, 1.0006, "1.0005-1.0006"),  # one partial cell
+    (_GRADED[37], _GRADED[1100], "on-node"),
+    (_GRADED[0], 37.7, "from-first-node"),
+    (0.0123, _GRADED[-1], "to-last-node"),
+    # on these two the per-cell moments at x ≈ 0.6 (and the closed form's
+    # b^q − a^q) cancel past 1e-11, so only the table comparison takes them
+    (_GRADED[600], _MID[600], "inside-one-cell"),
+    (_MID[600], _MID[601], "adjacent-cells"),
+]
+
+
+def _clipped_cells(grid, values, p, lo, hi):
+    """The sampled rule for one range, summed over every cell clipped to
+    [lo, hi]: a reference for the cumulative table that shares no table."""
+    seg_a, seg_b = np.clip(grid[:-1], lo, hi), np.clip(grid[1:], lo, hi)
+    j = np.clip(np.arange(grid.size - 1), 1, grid.size - 2)
+    x0, x1, x2 = grid[j - 1], grid[j], grid[j + 1]
+    f0, f1, f2 = values[j - 1], values[j], values[j + 1]
+    d0 = (x0 - x1) * (x0 - x2)
+    d1 = (x1 - x0) * (x1 - x2)
+    d2 = (x2 - x0) * (x2 - x1)
+    q1 = np.array([p, p + 1.0, p + 2.0])[:, None] + 1.0
+    mp, mp1, mp2 = (seg_b**q1 - seg_a**q1) / q1
+    w0 = (mp2 - (x1 + x2) * mp1 + x1 * x2 * mp) / d0
+    w1 = (mp2 - (x0 + x2) * mp1 + x0 * x2 * mp) / d1
+    w2 = (mp2 - (x0 + x1) * mp1 + x0 * x1 * mp) / d2
+    return np.sum(w0 * f0 + w1 * f1 + w2 * f2)
 
 
 class TestSampleQuadrature:
@@ -587,10 +657,9 @@ class TestSampleQuadrature:
         "grid, coef, p, lo, hi",
         [pytest.param(_UNIFORM, (0.0, 0.0, 1.0), -0.5, 0.0, 2.0, id="uniform")]
         + [
-            pytest.param(_GRADED, _QUADRATIC, p, lo, hi, id=f"graded-{p}-{lo}-{hi}")
+            pytest.param(_GRADED, _QUADRATIC, p, lo, hi, id=f"graded-{p}-{name}")
             for p in (-0.5, 0.7)
-            # the whole grid, ends inside cells, and one partial cell
-            for lo, hi in ((0.0, 100.0), (0.0123, 37.7), (1.0005, 1.0006))
+            for lo, hi, name in _RANGES[:6]
         ],
     )
     def test_power_weighted_integral_exact_on_powers(self, grid, coef, p, lo, hi):
@@ -602,10 +671,67 @@ class TestSampleQuadrature:
         )
         assert abs(got - exact) <= 1e-11 * abs(exact)  # interpolation exact; roundoff only
 
-    @pytest.mark.parametrize("x", [0.0, 0.37, 1.0, 100.0])
+    @pytest.mark.parametrize("p", [-0.5, 0.7])
+    @pytest.mark.parametrize("lo, hi", [r[:2] for r in _RANGES], ids=[r[2] for r in _RANGES])
+    def test_table_matches_clipped_cells(self, p, lo, hi):
+        got = power_weighted_integral(_GRADED, _WAVE, p, a=lo, b=hi)
+        ref = _clipped_cells(_GRADED, _WAVE, p, lo, hi)
+        mass = _clipped_cells(_GRADED, np.abs(_WAVE) + 0j, p, lo, hi).real
+        assert abs(got - ref) <= 1e-13 * mass
+
+    @pytest.mark.parametrize(
+        "x",
+        [0.0, 0.37, 1.0, 1.0005, _GRADED[600], 100.0]
+        + [pytest.param(np.concatenate([_GRADED[::50], _MID[::50]]), id="array")],
+    )
     def test_empty_range_is_zero(self, x):
         vals = 1.0 / (1.0 + _GRADED) + 0j
-        assert power_weighted_integral(_GRADED, vals, -0.5, a=x, b=x) == 0
+        got = power_weighted_integral(_GRADED, vals, -0.5, a=x, b=x)
+        assert np.shape(got) == np.shape(x) and np.all(got == 0)
+
+    @pytest.mark.parametrize("p", [0.7, -0.5])
+    def test_array_ends_equal_scalar_calls_bit_for_bit(self, p):
+        # 254 ends: every tenth node and 133 points off the nodes
+        rng = np.random.default_rng(11)
+        ends = np.concatenate([_GRADED[::10], rng.uniform(0.0, 100.0, 133)])
+        top = _GRADED[-1]
+
+        def one(lo, hi):
+            return power_weighted_integral(_GRADED, _WAVE, p, a=lo, b=hi)
+
+        cases = [
+            (one(0.0, ends), [one(0.0, x) for x in ends]),  # head ranges
+            (one(ends, top), [one(x, top) for x in ends]),  # tail ranges
+            (one(0.5 * ends, ends), [one(0.5 * x, x) for x in ends]),
+        ]
+        for got, single in cases:
+            assert got.shape == ends.shape
+            assert got.tobytes() == np.array(single).tobytes()
+        lo = np.array([[0.0], [_MID[0]], [_GRADED[1]]])  # (3, 1) against (m,)
+        hi = ends[ends >= _GRADED[1]]
+        outer = one(lo, hi)
+        assert outer.shape == (3, hi.size)
+        for row, x in zip(outer, lo[:, 0]):
+            assert row.tobytes() == np.array([one(x, y) for y in hi]).tobytes()
+
+    def test_range_outside_the_grid_refused(self):
+        with pytest.raises(DomainError):
+            power_weighted_integral(_GRADED, _WAVE, 0.0, a=np.array([1.0, 2.0]), b=101.0)
+        with pytest.raises(DomainError):
+            power_weighted_integral(_GRADED, _WAVE, 0.0, a=np.array([3.0, np.nan]), b=4.0)
+
+    def test_trajectory_makes_one_pass_per_running_integral(self, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[2])
+            return power_weighted_integral(*args, **kwargs)
+
+        monkeypatch.setattr(corr_ode, "power_weighted_integral", counting)
+        fp = ForcingProfile.from_samples(_GRADED, _WAVE)
+        traj = particular_trajectory(0.5, fp, np.geomspace(0.01, 99.0, 500))
+        assert traj.y.size == 500
+        assert sorted(calls) == [-0.5, 0.5]  # the tail and the head integral
 
     @pytest.mark.parametrize("grid, values", _UNINTEGRABLE_SAMPLES)
     def test_rejects_samples_the_rule_cannot_integrate(self, grid, values):

@@ -1,0 +1,55 @@
+"""Design rules of the library, checked over its source.
+
+No knobs: the number of defaulted parameters (positional and keyword
+defaults of every ``def`` and ``lambda`` under ``src/horomix``) may not
+grow past MAX_DEFAULTED.  No threads: no module imports a thread or
+process pool.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "horomix"
+MAX_DEFAULTED = 32
+THREADED = ("threading", "concurrent.futures", "multiprocessing")
+
+MODULES = {
+    str(path.relative_to(SRC)): ast.parse(path.read_text(), filename=str(path))
+    for path in sorted(SRC.rglob("*.py"))
+}
+
+
+def _defaulted(tree: ast.AST) -> int:
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+    return sum(
+        len(node.args.defaults) + sum(d is not None for d in node.args.kw_defaults)
+        for node in ast.walk(tree)
+        if isinstance(node, functions)
+    )
+
+
+def _imported(tree: ast.AST) -> list[str]:
+    names = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            names += [node.module] + [f"{node.module}.{a.name}" for a in node.names]
+    return names
+
+
+def test_defaulted_parameter_count():
+    assert MODULES, "no module found under src/horomix"
+    count = sum(_defaulted(tree) for tree in MODULES.values())
+    assert count <= MAX_DEFAULTED, f"{count} defaulted parameters, at most {MAX_DEFAULTED}"
+
+
+@pytest.mark.parametrize("module", sorted(MODULES))
+def test_no_module_imports_threads(module):
+    threaded = [
+        name for name in _imported(MODULES[module])
+        if any(name == t or name.startswith(t + ".") for t in THREADED)
+    ]
+    assert not threaded, f"{module} imports {threaded}"
