@@ -16,7 +16,7 @@ The forcing f decays like 1/t, and solutions that stay bounded at t = 0
 behave like A·t^(ν−1) with ν = √(1−4λ).  This module solves the master
 relation, assembles and audits f, verifies the Euler identity with local
 stencils, evaluates the variation-of-parameters formula, and extracts the
-tail amplitude with certified truncation bounds.
+tail amplitude with truncation bounds from an audited decay envelope.
 
 Singular-term handling: for m ≠ n the master integrand carries y(s)/s, so
 an exact solution needs y(0) = 0; we integrate the regularized term
@@ -33,14 +33,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._stencils import fornberg_weights
-from .errors import ConsistencyError, ConvergenceError, DomainError, TruncationError
+from ._stencils import fornberg_weights, legendre_rule
+from .errors import ConsistencyError, ConvergenceError, DomainError
+from .errors import QuadratureError, TruncationError
 from .spectral_model import nu_of_lambda
 
 _SERIES_T = 0.5          # series radius actually used (convergence radius is 2)
 _SERIES_TERMS = 40
 _CONSISTENCY_TOL = 1e-6  # master residual above which a trajectory is rejected
-_R_MAX = 1e280           # largest certified tail cutoff
+_R_MAX = 1e280           # largest tail cutoff
+_PANEL_GAP = 1e-10       # summed panel gaps allowed, relative to the L¹ mass
+_MAX_BISECTIONS = 4000   # panel bisections allowed in one callable integral
 
 
 @dataclass(frozen=True)
@@ -443,31 +446,53 @@ def power_weighted_integral(
     return ((first + whole) + last).reshape(shape)[()]
 
 
-def _quad_complex(fn, a, b, points=None):
-    # imported here: only callable forcings need scipy, so importing the
-    # package does not load it
-    from scipy.integrate import quad
-
-    kw = {"limit": 200}
-    if points:
-        pts = [p for p in points if a < p < b]
-        if pts:
-            kw["points"] = pts
-    re = quad(lambda r: fn(r).real, a, b, **kw)[0]
-    im = quad(lambda r: fn(r).imag, a, b, **kw)[0]
-    return re + 1j * im
+def _evaluate(fn, t) -> np.ndarray:
+    """A callable forcing at each point of ``t``, passed as a Python float."""
+    t = np.asarray(t, dtype=float)
+    return np.array([complex(fn(x)) for x in t.ravel().tolist()], complex).reshape(t.shape)
 
 
-def _geometric_panels(fn, a, r_stop, points=()):
-    """Σ of quad over panels [a, 10a, 100a, ...] up to r_stop; robust for
-    integrands that die long before the certified cutoff."""
-    total = 0.0 + 0.0j
-    lo = a
-    while lo < r_stop:
-        hi = min(lo * 10.0, r_stop)
-        total += _quad_complex(fn, lo, hi, points=points)
-        lo = hi
-    return total
+def _panel_integral(fn, p: float, a, b, breakpoints) -> complex | np.ndarray:
+    """∫_a^b r^p f(r) dr for a callable f, finite ends 0 ≤ a ≤ b that broadcast,
+    and a > 0 when p = −1.  In s = r^(1+p) (log r at p = −1) the weight is the
+    constant 1/(1+p), so the integrand is bounded at 0.  Panel edges are the
+    ends and the breakpoints and powers of 10 between them.  The panel whose
+    24- and 32-point Gauss–Legendre values differ most is bisected until the
+    summed gaps are at most _PANEL_GAP of the summed L¹ mass (QuadratureError
+    after _MAX_BISECTIONS).  Each range is a difference of two entries of one
+    table of panel values: it depends on the other ranges of the call, within
+    the summed gap.
+    """
+    lo, hi = np.broadcast_arrays(np.asarray(a, float), np.asarray(b, float))
+    q = 1.0 + p
+    if q < 0.0 or not np.all((0.0 <= lo) & (lo <= hi) & (hi < np.inf) & ((lo > 0.0) | (q > 0.0))):
+        raise DomainError("callable integrals need p >= -1, finite 0 <= a <= b, a > 0 at p = -1")
+    ends = np.union1d(lo, hi)
+    k = np.log10(np.append(ends[ends > 0.0], 1.0))
+    inner = np.concatenate([breakpoints, 10.0 ** np.arange(np.floor(k.min()), k.max() + 1.0)])
+    edges = np.union1d(ends, inner[(ends[0] < inner) & (inner < ends[-1])])
+    to_s, to_r = ((lambda r: r**q), (lambda s: s ** (1.0 / q))) if q else (np.log, np.exp)
+
+    def rules(s):  # (32-point value, |24-point − 32-point| gap, L¹ mass) per panel
+        mid, half = 0.5 * (s[1:] + s[:-1]), 0.5 * (s[1:] - s[:-1])
+        (x24, w24), (x32, w32) = legendre_rule(24), legendre_rule(32)
+        f24, f32 = (_evaluate(fn, to_r(mid[:, None] + half[:, None] * x)) for x in (x24, x32))
+        value = half * (f32 @ w32)
+        return value, np.abs(value - half * (f24 @ w24)), half * (np.abs(f32) @ w32)
+
+    s = to_s(edges)
+    value, gap, mass = rules(s)
+    while not gap.sum() <= _PANEL_GAP * mass.sum():  # NaN values refine to the cap
+        if s.size - edges.size == _MAX_BISECTIONS:
+            achieved = gap.sum() / mass.sum()
+            raise QuadratureError(f"panel gaps at {achieved:.2e} of the mass", achieved=achieved)
+        j = int(np.argmax(gap))
+        s = np.insert(s, j + 1, 0.5 * (s[j] + s[j + 1]))
+        parts = zip((value, gap, mass), rules(s[j : j + 3]))
+        value, gap, mass = (np.concatenate([old[:j], new, old[j + 1 :]]) for old, new in parts)
+    table = np.concatenate([[0.0], np.cumsum(value)]) / (q or 1.0)
+    out = table[np.searchsorted(s, to_s(hi))] - table[np.searchsorted(s, to_s(lo))]
+    return out if out.ndim else complex(out)
 
 
 # ---------------------------------------------------------------------------
@@ -477,9 +502,14 @@ def _geometric_panels(fn, a, r_stop, points=()):
 
 @dataclass
 class ForcingProfile:
-    """A forcing f(t) with a certified decay envelope |f(t)| ≤ decay_c / t
-    for t ≥ 1.  Either a smooth callable or samples on a grid; only this
-    class branches on the form (see :meth:`_cutoff` and :meth:`_weighted`)."""
+    """A forcing f(t) with a decay envelope |f(t)| ≤ decay_c / t for t ≥ 1.
+
+    The envelope is audited, not proved: decay_c is checked against t·|f|
+    on the samples at t ≥ 1, or on 801 log-spaced points of [1, 1e4] for a
+    callable (:meth:`envelope_audit`), and the tail bounds assume it holds
+    beyond those points.  Either a smooth callable or samples on a grid;
+    only this class branches on the form (see :meth:`_cutoff` and
+    :meth:`_weighted`)."""
 
     fn: object = None
     grid: np.ndarray | None = None
@@ -495,6 +525,10 @@ class ForcingProfile:
         decay_c: float | None = None,
         breakpoints: tuple = (),
     ) -> "ForcingProfile":
+        """A callable f(t) → complex, integrated with panel edges at its
+        ``breakpoints``.  decay_c defaults to the audit, the max of t·|f| on
+        801 log-spaced points of [1, 1e4]; a claimed decay_c below it raises
+        ConsistencyError.  Past 1e4 the envelope is assumed, not checked."""
         profile = cls(fn=fn, breakpoints=tuple(breakpoints))
         sup = profile.envelope_audit()
         if decay_c is None:
@@ -527,7 +561,7 @@ class ForcingProfile:
             ):
                 return self.values
             raise ConsistencyError("sampled forcing is not aligned with the grid")
-        return np.array([complex(self.fn(t)) for t in np.asarray(grid, float)])
+        return _evaluate(self.fn, grid)
 
     def envelope_audit(self) -> float:
         """Max of t·|f(t)| over the samples at t ≥ 1 (0 if none), or over 801
@@ -536,7 +570,7 @@ class ForcingProfile:
             mask = self.grid >= 1.0
             return float(np.max(np.abs(self.values[mask]) * self.grid[mask], initial=0.0))
         ts = np.logspace(0.0, 4.0, 801)
-        return float(max(abs(complex(self.fn(t))) * t for t in ts))
+        return float(np.max(np.abs(_evaluate(self.fn, ts)) * ts))
 
     def _cutoff(
         self, nu: float, tol: float | None, r_max: float
@@ -544,7 +578,7 @@ class ForcingProfile:
         """(R, envelope tail bound at R) for tail integrals stopped at R.
 
         Samples stop at the last sample and raise :class:`TruncationError`
-        when the bound there exceeds ``tol`` (None certifies nothing).  A
+        when the bound there exceeds ``tol`` (None checks nothing).  A
         callable stops at the smallest R ≤ r_max whose bound reaches ``tol``
         (1e-9 when None) and raises when there is no such R.
         """
@@ -580,35 +614,10 @@ class ForcingProfile:
         return cutoff, _tail_bound(nu, self.decay_c, cutoff)
 
     def _weighted(self, p: float, a, b) -> complex | np.ndarray:
-        """∫_a^b r^p f(r) dr, for ends a and b that broadcast against each other.
-
-        Samples take one :func:`power_weighted_integral` call.  A callable
-        takes each range alone: geometric panels from a > 0; from a = 0 one
-        adaptive pass on [0, b] when p ≥ 0, and for p < 0 (where b ≥ 1, the
-        callable cutoff) r = s^(1/(1+p)) on [0, 1] absorbs the weight, then panels.
-        """
+        """∫_a^b r^p f(r) dr for ends that broadcast, off one running table."""
         if self.sampled:
             return power_weighted_integral(self.grid, self.values, p, a=a, b=b)
-        fn, points = self.fn, self.breakpoints
-
-        def integrand(r):
-            return r**p * fn(r)
-
-        def one(a, b):
-            if a > 0.0:
-                return _geometric_panels(integrand, a, b, points=points)
-            if p >= 0.0:
-                return _quad_complex(integrand, 0.0, b, points=points)
-            power = 1.0 / (1.0 + p)
-            head = _quad_complex(
-                lambda s: power * fn(s**power), 0.0, 1.0,
-                points=[x ** (1.0 + p) for x in points if 0 < x < 1],
-            )
-            return head + _geometric_panels(integrand, 1.0, b, points=points)
-
-        a, b = np.broadcast_arrays(a, b)
-        out = [one(float(lo), float(hi)) for lo, hi in zip(a.flat, b.flat)]
-        return np.array(out, dtype=complex).reshape(a.shape) if a.ndim else out[0]
+        return _panel_integral(self.fn, p, a, b, self.breakpoints)
 
 
 # ---------------------------------------------------------------------------
@@ -621,7 +630,7 @@ def assemble_forcing(
     traj: Trajectory,
     lam: float,
 ) -> ForcingProfile:
-    """Sample f along a master trajectory and certify its decay envelope.
+    """Sample f along a master trajectory and audit its decay envelope.
 
     The second derivative is recovered algebraically from the master
     relation (y'' = (h − (3t²+4) y')/(t³+4t)), which is first re-verified
@@ -755,10 +764,11 @@ def asymptotic_constant(
     tol: float | None = 1e-9,
     r_max: float = _R_MAX,
 ) -> TailEstimate:
-    """Tail functional −(1/2ν) ∫₁^∞ r^(−ν) f(r) dr with a certified cutoff.
+    """Tail functional −(1/2ν) ∫₁^∞ r^(−ν) f(r) dr, cut at R.
 
     The truncation error at cutoff R is bounded by decay_c·R^(−ν)/(2ν²)
-    from the decay envelope, and |value| ≤ decay_c/(2ν²) always.
+    from the decay envelope, which is audited, not proved (see
+    :class:`ForcingProfile`), and |value| ≤ decay_c/(2ν²) always.
     """
     if not 0.0 < nu <= 1.0:
         raise DomainError(f"nu must lie in (0, 1], got {nu}")
@@ -809,8 +819,8 @@ def particular_trajectory(
         raise DomainError("formula trajectories need 1-d, finite, increasing points > 0")
     cutoff, _ = forcing._cutoff(nu, None, _R_MAX)
     head = forcing._weighted(nu, 0.0, t)
-    # the callable panel sum is empty (zero) once t reaches the cutoff
-    tail = forcing._weighted(-nu, t, cutoff)
+    # the tail is empty (zero) once t reaches the cutoff
+    tail = forcing._weighted(-nu, np.minimum(t, cutoff), cutoff)
     y = -(t ** (nu - 1.0)) / (2 * nu) * tail - t ** (-nu - 1.0) / (2 * nu) * head
     yp = (
         -((nu - 1.0) * t ** (nu - 2.0)) / (2 * nu) * tail
@@ -859,14 +869,24 @@ def tail_remainder_check(traj: Trajectory, a_const: complex, nu: float) -> TailR
     return TailReport(sup=sup, slope=slope, bounded=slope < 0.05)
 
 
+def _fit_powers(t: np.ndarray, target: np.ndarray, exponents: tuple) -> tuple:
+    """Least-squares coefficients of ``target`` on t^e for the two
+    ``exponents``, and the design matrix.  Fewer than 3 nodes raise
+    DomainError: two unknowns on one or two nodes leave no residual."""
+    if t.size < 3:
+        raise DomainError(f"a two-term fit needs at least 3 nodes, the window holds {t.size}")
+    design = np.column_stack([t**e for e in exponents]).astype(complex)
+    coef, *_ = np.linalg.lstsq(design, target, rcond=None)
+    return coef, design
+
+
 def fit_tail_amplitude(traj: Trajectory, nu: float) -> complex:
-    """Least-squares fit of y·t^(1−ν) = A + B·t^(−ν) over the top two decades."""
+    """Least-squares fit of y·t^(1−ν) = A + B·t^(−ν) over the top two decades;
+    fewer than 3 grid nodes there raise DomainError."""
     hi = traj.grid[-1]
     mask = (traj.grid >= hi / 100.0) & (traj.grid <= hi)
     t = traj.grid[mask]
-    target = traj.y[mask] * t ** (1.0 - nu)
-    design = np.column_stack([np.ones_like(t), t ** (-nu)]).astype(complex)
-    coef, *_ = np.linalg.lstsq(design, target, rcond=None)
+    coef, _ = _fit_powers(t, traj.y[mask] * t ** (1.0 - nu), (0.0, -nu))
     return complex(coef[0])
 
 
@@ -876,13 +896,12 @@ def homogeneous_split(
     """Fit master − formula against the homogeneous pair (t^(ν−1), t^(−ν−1)).
 
     The bounded master solution should equal the formula solution plus
-    its tail amplitude times t^(ν−1) with no t^(−ν−1) component.
+    its tail amplitude times t^(ν−1) with no t^(−ν−1) component.  A window
+    holding fewer than 3 grid nodes raises DomainError.
     """
     mask = (traj.grid >= window[0]) & (traj.grid <= window[1])
     t = traj.grid[mask]
-    formula = particular_trajectory(nu, forcing, t)
-    diff = traj.y[mask] - formula.y
-    design = np.column_stack([t ** (nu - 1.0), t ** (-nu - 1.0)]).astype(complex)
-    coef, *_ = np.linalg.lstsq(design, diff, rcond=None)
+    diff = traj.y[mask] - particular_trajectory(nu, forcing, t).y
+    coef, design = _fit_powers(t, diff, (nu - 1.0, -nu - 1.0))
     resid = float(np.max(np.abs(diff - design @ coef)))
     return {"c_plus": complex(coef[0]), "c_minus": complex(coef[1]), "residual": resid}

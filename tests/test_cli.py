@@ -342,10 +342,15 @@ class TestDeterminism:
 
 _SCIPY_FREE = """
 import sys
+sys.modules["scipy"] = None  # any scipy import now raises ImportError
 import numpy as np
 import horomix, horomix.cli
+from horomix.corr_ode import (
+    ForcingProfile, asymptotic_amplitude, asymptotic_constant, particular_trajectory,
+)
 from horomix.cover_spectrum import limit_integral, make_test_function
 from horomix.laplace import laplace_expand, preset_quartic1d
+from horomix.selftest import run_selftest
 from horomix.spectral_model import Perturbation, SpectralModel
 
 model = SpectralModel(
@@ -353,14 +358,24 @@ model = SpectralModel(
 )
 limit_integral(model, make_test_function("one", 0.05), 0.05)
 laplace_expand(preset_quartic1d(), 2)
+checks = run_selftest()
+failed = [c.name for c in checks if not c.passed]
+assert len(checks) == 37 and not failed, failed
+anchor = ForcingProfile.from_callable(
+    lambda t: (3.0 - 2.0 * t * t) / (4.0 * (1.0 + t * t) ** 2.25) + 0j
+)
+assert particular_trajectory(0.5, anchor, np.linspace(1.0, 10.0, 50)).y.shape == (50,)
+assert abs(asymptotic_amplitude(0.5, anchor, tol=1e-10).value - 1.0) < 1e-9
+asymptotic_constant(0.5, anchor)
 loaded = sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
-assert "scipy" not in sys.modules and not loaded, loaded
+assert sys.modules["scipy"] is None and loaded == ["scipy"], loaded
 """
 
 
 def test_cli_paths_run_without_scipy():
-    """Importing the package and the CLI, the angular limit density and the
-    radial Morse chart load no scipy module (only callable forcings do)."""
+    """With scipy made unimportable, the package, the CLI, the angular limit
+    density, the radial Morse chart, the whole selftest battery and the
+    callable forcing integrals all run."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     done = subprocess.run(

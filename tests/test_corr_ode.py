@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -34,6 +35,7 @@ from horomix.errors import (
     ConsistencyError,
     ConvergenceError,
     DomainError,
+    QuadratureError,
     TruncationError,
 )
 from horomix.spectral_model import nu_of_lambda
@@ -371,16 +373,23 @@ class TestParticularSolution:
     @pytest.mark.parametrize("form", sorted(SLOW_FORMS))
     @pytest.mark.parametrize("points", _BAD_POINTS)
     def test_refuses_bad_points_before_any_integral(self, monkeypatch, form, points):
-        monkeypatch.setattr(corr_ode, "_quad_complex", _no_integral)
+        monkeypatch.setattr(corr_ode, "_evaluate", _no_integral)
         monkeypatch.setattr(corr_ode, "power_weighted_integral", _no_integral)
         with pytest.raises(DomainError):
             particular_trajectory(0.5, SLOW_FORMS[form], points)
 
-    def test_split_refuses_a_window_without_nodes(self):
+    # two unknowns on one or two nodes leave no residual: the exact power
+    # y = 0.7·t^(−1/2) read residual 2.8e-17 and c₋ = 0.045 on (15.5, 16.0)
+    @pytest.mark.parametrize(
+        "window", [(200.0, 300.0), (15.5, 16.0), (15.0, 16.0)],
+        ids=["no-node", "one-node", "two-nodes"],
+    )
+    def test_split_refuses_a_window_without_nodes(self, window):
         grid = log_grid(1.0, 100.0, steps_per_decade=50)
         traj = _power_trajectory(0.5, grid, coef=0.7)
         with pytest.raises(DomainError):
-            homogeneous_split(traj, 0.5, SLOW_FORMS["callable"], window=(200.0, 300.0))
+            homogeneous_split(traj, 0.5, SLOW_FORMS["callable"], window=window)
+
 
     def test_trajectory_equals_single_point_calls(self):
         fp = SLOW_FORMS["sampled"]
@@ -526,6 +535,73 @@ class TestSampledAgainstCallable:
         assert info.value.achieved_bound == bound
 
 
+_RANGE_LO = np.array([0.0, 0.0, 0.5, 1.0, 2.0, 3.0, 7.5, 10.0, 1e3])
+_RANGE_HI = np.array([1.0, 2.0, 3.0, 20.0, 2.0, 1e4, 7.5, 1e3, 1e6])
+
+
+class TestCallableQuadrature:
+    @pytest.mark.parametrize("p", [0.5, -0.5, -1.0])
+    def test_array_ends_agree_with_per_range_calls(self, p):
+        # one table for all ranges; each range agrees with its own call
+        # within 1e-10 of the L¹ mass of r^p·|f| over the hull of the ranges
+        lo = np.where(_RANGE_LO > 0.0, _RANGE_LO, 0.25) if p == -1.0 else _RANGE_LO
+        fp = ForcingProfile.from_callable(_anchor_forcing)
+        size = ForcingProfile.from_callable(lambda t: abs(_anchor_forcing(t)) + 0j)
+        mass = size._weighted(p, lo.min(), _RANGE_HI.max()).real
+        together = fp._weighted(p, lo, _RANGE_HI)
+        alone = np.array([fp._weighted(p, a, b) for a, b in zip(lo, _RANGE_HI)])
+        assert together.shape == lo.shape and together[6] == 0.0
+        assert np.max(np.abs(together - alone)) <= 1e-10 * mass
+
+    def test_trajectory_builds_one_table_per_running_integral(self, monkeypatch):
+        # each _panel_integral call builds one table; 500 points make two
+        calls = []
+
+        def counted(*args):
+            calls.append(args[1])
+            return panel_integral(*args)
+
+        panel_integral = corr_ode._panel_integral
+        monkeypatch.setattr(corr_ode, "_panel_integral", counted)
+        t = np.linspace(0.5, 9.5, 500)
+        traj = particular_trajectory(0.5, SLOW_FORMS["callable"], t)
+        assert calls == [0.5, -0.5] and traj.y.shape == t.shape
+
+    def test_scalar_ends_give_a_python_complex(self):
+        assert type(SLOW_FORMS["callable"]._weighted(-0.5, 1.0, 10.0)) is complex
+
+    @pytest.mark.parametrize("lo, hi", [(2.0, 1.0), (-1.0, 1.0), (0.0, np.inf), (0.0, np.nan)])
+    def test_bad_ranges_refused(self, lo, hi):
+        with pytest.raises(DomainError):
+            SLOW_FORMS["callable"]._weighted(0.5, lo, hi)
+
+    def test_range_from_zero_at_p_minus_one_refused(self):
+        with pytest.raises(DomainError):
+            SLOW_FORMS["callable"]._weighted(-1.0, 0.0, 1.0)
+
+    # millions of oscillations on [0, 2] outrun 4000 bisections, and a NaN
+    # below the audit range never converges
+    @pytest.mark.parametrize(
+        "fn", [lambda r: cmath.exp(1e7j * r), lambda r: complex("nan") if r < 0.5 else 0j],
+        ids=["oscillating", "nan"],
+    )
+    def test_unresolvable_forcing_raises_at_the_bisection_cap(self, fn):
+        fp = ForcingProfile.from_callable(fn)
+        with pytest.raises(QuadratureError) as info:
+            particular_trajectory(0.5, fp, [2.0])
+        assert not info.value.achieved <= 1e-10
+
+    def test_ends_past_the_cutoff_have_an_empty_tail(self):
+        # a forcing this small has cutoff 1: the tail of every t > 1 is 0
+        fp = ForcingProfile.from_callable(lambda t: 1e-12 / (1.0 + t) ** 2 + 0j)
+        assert fp._cutoff(0.5, None, 1e280)[0] == 1.0
+        t = np.array([0.5, 2.0, 5.0])
+        traj = particular_trajectory(0.5, fp, t)
+        head = fp._weighted(0.5, 0.0, t)
+        expected = -(t ** -1.5) * head
+        assert np.all(traj.y[1:] == expected[1:])
+
+
 class TestTailChecks:
     @pytest.mark.parametrize(
         "grid", [[0.1, 0.5, 0.9], [0.5, 1.0, 100.0]], ids=["no-node-at-1", "one-top-node"]
@@ -535,6 +611,12 @@ class TestTailChecks:
         traj = _power_trajectory(0.5, np.array(grid), coef=0.7)
         with pytest.raises(DomainError):
             tail_remainder_check(traj, 0.7, 0.5)
+
+    def test_amplitude_fit_refuses_fewer_than_three_top_nodes(self):
+        # one node in the top two decades: the fit read 0.6993 for the exact 0.7
+        traj = _power_trajectory(0.5, np.array([0.5, 1.0, 1000.0]), coef=0.7)
+        with pytest.raises(DomainError):
+            fit_tail_amplitude(traj, 0.5)
 
     def test_exact_power_sup_zero(self):
         grid = log_grid(1.0, 1e4, steps_per_decade=100)

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "horomix"
-MAX_DEFAULTED = 32
+MAX_DEFAULTED = 30
 THREADED = ("threading", "concurrent.futures", "multiprocessing")
 
 MODULES = {
