@@ -1,17 +1,21 @@
 #!/usr/bin/env python3
-"""SHA-256 digests of a fixed set of CLI runs, at one and at two workers.
+"""SHA-256 digests of a fixed set of CLI runs, at one and at two workers,
+and of the quadrature runs at two BLAS threads.
 
     python3 scripts/cli_digests.py
 
 Runs every command of RUNS against the ``src/`` of the checkout this script
 sits in, in a temporary directory, once with HMIX_WORKERS=1 and once with
-HMIX_WORKERS=2 (BLAS pinned to one thread), and prints one
-``sha256  w<workers>/<file>`` line per output file, manifests included.  Two
-checkouts whose outputs agree print the same lines, so comparing the output
-of this script at two commits checks that a change keeps the CLI bytes.
+HMIX_WORKERS=2 (BLAS pinned to one thread), then the ``laplace`` and ``mix``
+commands once more at one worker with two BLAS threads, and prints one
+``sha256  <pass>/<file>`` line per output file, manifests included; the
+passes are ``w1``, ``w2`` and ``b2``.  Two checkouts whose outputs agree
+print the same lines, so comparing the output of this script at two commits
+checks that a change keeps the CLI bytes.
 
-Exits 1 if a run fails, or if any CSV or verdict differs between the two
-worker counts (the manifests record the worker count, so they may differ).
+Exits 1 if a run fails, if any CSV or verdict differs between the two
+worker counts (the manifests record the worker count, so they may differ),
+or if any CSV of the two-thread BLAS pass differs from the pinned pass.
 Uses the standard library only.
 """
 
@@ -74,7 +78,14 @@ RUNS = [
                                  "--orders", "1000000", "--test-fn", "linear"]),
     ("mix-identity.csv",
      ["mix", "--model", "identity.json", "--log-t-min", "1e2", "--log-t-max", "1e4"]),
+    # its c₁ and c₂ come from lower decades, so a BLAS-ordered sum of the
+    # quadrature could move its verdict with the thread count
+    ("mix-identity-1e6.csv",
+     ["mix", "--model", "identity.json", "--log-t-min", "1e2", "--log-t-max", "1e6"]),
 ]
+
+# the runs whose sums a BLAS library could order by its thread count
+BLAS_RUNS = [run for run in RUNS if run[1][0] in ("laplace", "mix")]
 
 
 def _write_models(workdir: Path) -> None:
@@ -84,11 +95,13 @@ def _write_models(workdir: Path) -> None:
         (workdir / name).write_text(json.dumps(doc, sort_keys=True))
 
 
-def _run_all(workdir: Path, workers: int) -> dict[str, str]:
-    """Run every command in ``workdir``; return {file name: sha256}."""
+def _run_all(workdir: Path, runs, workers: int, blas_threads: int) -> dict[str, str]:
+    """Run ``runs`` in ``workdir``; return {file name: sha256}."""
+    threads = str(blas_threads)
     env = dict(os.environ, PYTHONPATH=str(SRC), HMIX_WORKERS=str(workers),
-               OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
-    for out, args in RUNS:
+               OMP_NUM_THREADS=threads, OPENBLAS_NUM_THREADS=threads,
+               MKL_NUM_THREADS=threads)
+    for out, args in runs:
         cmd = [sys.executable, "-m", "horomix.cli", *args, "--out", out]
         done = subprocess.run(cmd, cwd=workdir, env=env, capture_output=True, text=True)
         if done.returncode != 0:
@@ -101,22 +114,31 @@ def _run_all(workdir: Path, workers: int) -> dict[str, str]:
     }
 
 
+def _differ(pinned: dict, other: dict) -> list[str]:
+    """Output files other than manifests whose digests differ."""
+    return [
+        name for name in sorted(pinned.keys() | other.keys())
+        if not name.endswith(".manifest.json") and pinned.get(name) != other.get(name)
+    ]
+
+
 def main() -> int:
+    # (label, runs, workers, BLAS threads); the first pass is the pinned one
+    passes = [("w1", RUNS, 1, 1), ("w2", RUNS, 2, 1), ("b2", BLAS_RUNS, 1, 2)]
     digests = {}
-    for workers in (1, 2):
+    for label, runs, workers, blas_threads in passes:
         with tempfile.TemporaryDirectory(prefix="cli-digests-") as tmp:
             workdir = Path(tmp)
             _write_models(workdir)
-            digests[workers] = _run_all(workdir, workers)
-        for name, digest in digests[workers].items():
-            print(f"{digest}  w{workers}/{name}")
-    differ = [
-        name for name in sorted(digests[1].keys() | digests[2].keys())
-        if not name.endswith(".manifest.json")
-        and digests[1].get(name) != digests[2].get(name)
-    ]
-    for name in differ:
-        print(f"differs between 1 and 2 workers: {name}", file=sys.stderr)
+            digests[label] = _run_all(workdir, runs, workers, blas_threads)
+        for name, digest in digests[label].items():
+            print(f"{digest}  {label}/{name}")
+    pinned = digests["w1"]
+    differ = [f"between 1 and 2 workers: {name}" for name in _differ(pinned, digests["w2"])]
+    blas = {name: pinned[name] for name in digests["b2"]}
+    differ += [f"between 1 and 2 BLAS threads: {name}" for name in _differ(blas, digests["b2"])]
+    for line in differ:
+        print(f"differs {line}", file=sys.stderr)
     return 1 if differ else 0
 
 

@@ -81,12 +81,12 @@ def induced_phase_problem(problem: MixingProblem) -> PhaseProblem:
 def correlation_integral(problem: MixingProblem, t_log):
     """∫_U A(ω) e^{−T(1−ν₀(ω))} dω at T = t_log, one T or a ladder.
 
-    Runs the shared panel engine under a different panel layout than
-    :func:`horomix.laplace.laplace_quadrature` defaults, so agreement of
-    the two routes is a meaningful cross-check rather than a tautology.
+    The cone rule of :func:`horomix.laplace.laplace_quadrature` on the
+    induced phase problem, with its refinement-gap estimate; the whole
+    ladder shares one rule per refinement level.
     """
     induced = induced_phase_problem(problem)
-    return laplace_quadrature(induced, t_log, nodes=32, panel_ratio=1.6)
+    return laplace_quadrature(induced, t_log)
 
 
 def leading_constant(model: SpectralModel, a0: float) -> float:

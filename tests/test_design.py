@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "horomix"
-MAX_DEFAULTED = 30
+MAX_DEFAULTED = 29
 THREADED = ("threading", "concurrent.futures", "multiprocessing")
 
 MODULES = {

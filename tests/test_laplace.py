@@ -1,4 +1,5 @@
 import math
+import time
 from itertools import product
 
 import numpy as np
@@ -8,6 +9,7 @@ from horomix.corr_ode import log_grid
 from horomix.errors import (
     ConditioningError,
     DomainError,
+    LatticeSizeError,
     ModelValidityError,
     QuadratureError,
     UnsupportedMorseClassError,
@@ -26,6 +28,7 @@ from horomix.laplace import (
     quadratic_problem,
     remainder_slope,
 )
+from tensor_panels import tensor_quadrature
 
 S2PI = math.sqrt(2.0 * math.pi)
 
@@ -118,6 +121,22 @@ class TestQuadrature:
         assert laplace_quadrature(p, T) == pytest.approx(exact, rel=1e-10)
         with pytest.raises(QuadratureError, match=r"at T=4\.0:"):
             laplace_quadrature(p, [1e4, 4.0, 1.0])
+
+    @pytest.mark.parametrize("preset", [preset_gauss1d, preset_gauss2d, preset_quartic1d])
+    def test_cone_matches_tensor_panels(self, preset):
+        p = preset()
+        T = log_grid(1e2, 1e6, 2)
+        np.testing.assert_allclose(
+            laplace_quadrature(p, T), tensor_quadrature(p, T), rtol=1e-10, atol=0
+        )
+
+    def test_oversized_rule_refused_before_allocation(self):
+        # rank 8 at T = 1e6: 16 faces × 336 radial × 16^7 face points
+        p = quadratic_problem(np.eye(8))
+        start = time.perf_counter()
+        with pytest.raises(LatticeSizeError):
+            laplace_quadrature(p, 1e6)
+        assert time.perf_counter() - start < 1.0
 
     @pytest.mark.parametrize("T", [10.0, 100.0, 1000.0])
     def test_gaussian_exactness_invariant(self, T):
@@ -280,7 +299,9 @@ class TestFitExpansion:
             fit_expansion(np.column_stack([T, T**-0.5]), 1, 1)
 
     def test_non_geometric_ladder_rejected(self):
-        T = np.concatenate([np.logspace(2, 4, 9), [10**4.11]])
+        # both decade windows (10^3.11..10^4.11 and 10^2.11..10^3.11) hold
+        # at least 4 samples, and neither is geometric
+        T = 10.0 ** np.array([2.0, 2.2, 2.5, 2.75, 3.0, 3.3, 3.5, 3.75, 4.0, 4.11])
         vals = T**-0.5
         with pytest.raises((ConditioningError, DomainError)):
             fit_expansion(np.column_stack([T, vals]), 1, 2)
