@@ -1,5 +1,5 @@
 """Finite-difference stencils, Gauss–Legendre rules, tensor-product grids,
-bracketed root finding and exactly rounded summation.
+quadratic forms, bracketed root finding and exactly rounded summation.
 
 One implementation of each primitive, shared by the eigenvalue model, the
 Euler-residual stencils of the correlation ODE, the Laplace quadrature and
@@ -162,6 +162,28 @@ def tensor_grid(axes, cap: int = GRID_CAP) -> np.ndarray:
         raise LatticeSizeError(f"tensor grid has {size} points, above the cap {cap}")
     mesh = np.meshgrid(*axes, indexing="ij")
     return np.stack([m.reshape(-1) for m in mesh], axis=-1)
+
+
+def quadratic_form(pts, matrix) -> np.ndarray:
+    """ωᵀMω for each point ω along the last axis of ``pts``.
+
+    The terms (ωᵢ·Mᵢⱼ)·ωⱼ are added in lex order of (i, j), which is bit
+    for bit numpy's Einstein summation "...i,ij,...j->..." when M₀₀ ≥ 0
+    (the first term then is never −0.0), at a fraction of its cost for
+    d ≤ 4.  Negating every point leaves the bits unchanged.
+    """
+    # one contiguous copy per coordinate: the d² passes below then stream
+    cols = list(np.ascontiguousarray(np.moveaxis(np.asarray(pts, dtype=float), -1, 0)))
+    total = None
+    for ci, row in zip(cols, matrix.tolist()):
+        for cj, entry in zip(cols, row):
+            term = ci * entry
+            term *= cj
+            if total is None:
+                total = term
+            else:
+                total += term
+    return total
 
 
 def sweep_grid(half_widths, per_axis: int) -> np.ndarray:

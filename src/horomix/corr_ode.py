@@ -405,43 +405,52 @@ def power_weighted_integral(
 
     The interpolant is quadratic through three samples per cell and r^p is
     integrated exactly per cell, so integrable endpoint singularities
-    (p > −1 with grid[0] = 0) cost no accuracy.  The ends broadcast; each
-    range is its first partial cell [a, min(b, next node)], plus its whole
-    cells off one cumulative table of the grid, plus its last partial cell
-    [node, b], so all ranges cost O(grid + ranges).  An empty range gives 0.
-    Samples the rule cannot integrate raise DomainError, as in
+    (p > −1 with grid[0] = 0) cost no accuracy.  At p = −1 every range must
+    start above 0, and the q = 0 moment ∫ dr/r is a log.  The ends broadcast;
+    each range is its first partial cell [a, min(b, next node)], plus its
+    whole cells off one cumulative table of the grid, plus its last partial
+    cell [node, b], so all ranges cost O(grid + ranges).  An empty range
+    gives 0.  Samples the rule cannot integrate raise DomainError, as in
     :meth:`ForcingProfile.from_samples`.
     """
     _check_samples(grid, values)
     p = float(exponent)
-    if p <= -1.0:
-        raise DomainError("exponent must exceed -1 for an integrable weight")
+    if p < -1.0:
+        raise DomainError("exponent must be at least -1 for an integrable weight")
     lo, hi = np.broadcast_arrays(grid[0] if a is None else a, grid[-1] if b is None else b)
     if not np.all((grid[0] - 1e-12 <= lo) & (lo <= hi) & (hi <= grid[-1] + 1e-12)):
         raise DomainError("integration range must lie within the sample grid")
     n, shape = grid.size, lo.shape
     lo, hi = (np.clip(x, grid[0], grid[-1]).ravel() for x in (lo, hi))
+    if p == -1.0 and not np.all(lo > 0.0):
+        raise DomainError("the weight 1/r needs ranges that start above 0")
     # the cells holding each range's ends; kb == ka when one cell holds both
     ka = np.minimum(np.searchsorted(grid, lo, side="right") - 1, n - 2)
     kb = np.maximum(np.searchsorted(grid, hi, side="left") - 1, ka)
-    # every whole cell, then the first and the last partial cell of each range
-    cell = np.concatenate([np.arange(n - 1), ka, kb])
-    seg_a = np.concatenate([grid[:-1], lo, np.where(kb > ka, grid[kb], hi)])
-    seg_b = np.concatenate([grid[1:], np.minimum(hi, grid[ka + 1]), hi])
+    # every whole cell, then the first and the last partial cell of each range;
+    # at p = −1 no range holds [0, grid[1]] whole, and its log moment is infinite
+    c0 = int(p == -1.0 and grid[0] == 0.0)
+    cell = np.concatenate([np.arange(c0, n - 1), ka, kb])
+    seg_a = np.concatenate([grid[c0:-1], lo, np.where(kb > ka, grid[kb], hi)])
+    seg_b = np.concatenate([grid[c0 + 1 :], np.minimum(hi, grid[ka + 1]), hi])
     j = np.clip(cell, 1, n - 2)
     x0, x1, x2 = grid[j - 1], grid[j], grid[j + 1]
     f0, f1, f2 = values[j - 1], values[j], values[j + 1]
     d0 = (x0 - x1) * (x0 - x2)
     d1 = (x1 - x0) * (x1 - x2)
     d2 = (x2 - x0) * (x2 - x1)
-    q1 = np.array([p, p + 1.0, p + 2.0])[:, None] + 1.0  # ∫ r^q dr per cell, q > −1
-    mp, mp1, mp2 = (seg_b**q1 - seg_a**q1) / q1
+    q1 = np.array([p, p + 1.0, p + 2.0])[:, None] + 1.0  # ∫ r^q dr per cell
+    if p > -1.0:
+        mp, mp1, mp2 = (seg_b**q1 - seg_a**q1) / q1
+    else:  # q = 0: the log moment ∫ dr/r
+        mp1, mp2 = (seg_b**q1[1:] - seg_a**q1[1:]) / q1[1:]
+        mp = np.log1p((seg_b - seg_a) / seg_a)
     w0 = (mp2 - (x1 + x2) * mp1 + x1 * x2 * mp) / d0
     w1 = (mp2 - (x0 + x2) * mp1 + x0 * x2 * mp) / d1
     w2 = (mp2 - (x0 + x1) * mp1 + x0 * x1 * mp) / d2
     parts = w0 * f0 + w1 * f1 + w2 * f2
-    table = np.concatenate([[0.0], np.cumsum(parts[: n - 1])])
-    first, last = parts[n - 1 :].reshape(2, -1)
+    table = np.concatenate([np.zeros(1 + c0), np.cumsum(parts[: n - 1 - c0])])
+    first, last = parts[n - 1 - c0 :].reshape(2, -1)
     whole = np.where(kb > ka, table[kb] - table[ka + 1], 0.0)
     return ((first + whole) + last).reshape(shape)[()]
 

@@ -71,14 +71,34 @@ def _centered_axis(n: int, half: float) -> np.ndarray:
     return vals
 
 
-def _box_characters(lattice: CharacterLattice, halves, cap: int) -> np.ndarray:
-    """Lattice characters inside the box ∏[−hᵢ, hᵢ], lex-ordered.  A box of
-    more than ``cap`` points raises LatticeSizeError before any allocation."""
+def _box_axes(lattice: CharacterLattice, halves, cap: int) -> list:
+    """Per-axis representatives of the lattice characters inside the box
+    ∏[−hᵢ, hᵢ].  A box of more than ``cap`` points raises LatticeSizeError
+    before any allocation."""
     box = list(zip(lattice.orders, halves))
     size = math.prod(len(_index_range(n, h)) for n, h in box)
     if size > cap:
         raise LatticeSizeError(f"lattice box has {size} points, above the cap {cap}")
-    return tensor_grid([_centered_axis(n, h) for n, h in box], cap)
+    return [_centered_axis(n, h) for n, h in box]
+
+
+def _box_blocks(axes):
+    """The points of the box ∏ axes in lex order, as (B, d) blocks of at
+    most _BLOCK points: a slab of the leading axis times the tensor of the
+    other axes, or times a run of that tensor's rows where it alone holds
+    more than _BLOCK points.  The box itself is never built."""
+    lead = axes[0]
+    rest = tensor_grid(axes[1:]) if len(axes) > 1 else np.empty((1, 0))
+    step = min(len(rest), _BLOCK)
+    slab = _BLOCK // step
+    for i in range(0, lead.size, slab):
+        heads = lead[i : i + slab]
+        for r in range(0, len(rest), step):
+            rows = rest[r : r + step]
+            block = np.empty((heads.size * len(rows), len(axes)))
+            block[:, 0] = np.repeat(heads, len(rows))
+            block[:, 1:] = np.tile(rows, (heads.size, 1))
+            yield block
 
 
 def enumerate_characters(lattice: CharacterLattice, cap: int = GRID_CAP) -> np.ndarray:
@@ -88,7 +108,7 @@ def enumerate_characters(lattice: CharacterLattice, cap: int = GRID_CAP) -> np.n
     the fundamental-domain boundary.  Lattices above ``cap`` points raise
     LatticeSizeError.
     """
-    return _box_characters(lattice, [0.5] * len(lattice.orders), cap)
+    return tensor_grid(_box_axes(lattice, [0.5] * len(lattice.orders), cap), cap)
 
 
 @dataclass
@@ -120,9 +140,16 @@ def build_histogram(
 def _branch_values(
     model: SpectralModel, lattice: CharacterLattice, epsilon: float
 ) -> np.ndarray:
-    """λ₀ ≤ ε at the lattice points, evaluated in fixed blocks over the box
-    around the ellipsoid {q ≤ ε}, q the quadratic part.  Both presets add
-    coeff × a non-negative term, so λ₀ ≥ q unless coeff < 0 (whole torus)."""
+    """λ₀ ≤ ε at the lattice points, in lex order, over the box around the
+    ellipsoid {q ≤ ε}, q the quadratic part.  Both presets add coeff × a
+    non-negative term, so λ₀ ≥ q unless coeff < 0 (whole torus).
+
+    The box is swept in (B, d) blocks of :func:`_box_blocks`, one
+    ``lambda0_batch`` call each, and only the values ≤ ε are kept, written
+    once into a buffer whose unkept tail is never touched.  The bits do not
+    depend on the blocking (λ₀ is evaluated point by point) nor on the host.
+    A kept point outside the working box U raises ModelValidityError.
+    """
     if not 0.0 < epsilon <= model.gap_delta:
         raise DomainError(
             f"epsilon must lie in (0, gap_delta = {model.gap_delta}], got {epsilon}"
@@ -130,17 +157,24 @@ def _branch_values(
     pert = model.perturbation
     reach = epsilon if pert is None or pert.coeff >= 0.0 else math.inf
     radii = np.sqrt(reach * np.diag(np.linalg.inv(model.gram)) / model.quad_coeff)
-    pts = _box_characters(lattice, np.minimum(radii * (1.0 + 1e-9), 0.5), GRID_CAP)
-    lam = np.concatenate(
-        [model.lambda0_batch(pts[i : i + _BLOCK]) for i in range(0, len(pts), _BLOCK)]
-    )
-    keep = lam <= epsilon
-    if np.any(np.abs(pts[keep]) > model.domain_u + 1e-12):
-        raise ModelValidityError(
-            "epsilon sublevel set leaves the working box U; the branch model "
-            "does not control those characters"
-        )
-    return lam[keep]
+    axes = _box_axes(lattice, np.minimum(radii * (1.0 + 1e-9), 0.5), GRID_CAP)
+    bound = model.domain_u + 1e-12
+    # where every axis lies in U, no kept point can leave it
+    inside_u = all(np.all(np.abs(a) <= u) for a, u in zip(axes, bound))
+    kept = np.empty(math.prod(a.size for a in axes))
+    count = 0
+    for pts in _box_blocks(axes):
+        lam = model.lambda0_batch(pts)
+        keep = lam <= epsilon
+        if not inside_u and np.any(np.abs(pts[keep]) > bound):
+            raise ModelValidityError(
+                "epsilon sublevel set leaves the working box U; the branch model "
+                "does not control those characters"
+            )
+        vals = lam[keep]
+        kept[count : count + vals.size] = vals
+        count += vals.size
+    return kept[:count]
 
 
 def spectral_average(

@@ -31,6 +31,7 @@ from ._stencils import (
     fornberg_weights,
     legendre_rule,
     monotone_inverse,
+    quadratic_form,
     sweep_grid,
     tensor_grid,
 )
@@ -142,7 +143,7 @@ def quadratic_problem(hessian, a=None) -> PhaseProblem:
     hessian = np.atleast_2d(np.asarray(hessian, dtype=float))
     d = hessian.shape[0]
     box = np.full(d, 8.0 / math.sqrt(np.linalg.eigvalsh(hessian)[0]))
-    v = lambda pts: -0.5 * np.einsum("ni,ij,nj->n", pts, hessian, pts)
+    v = lambda pts: -0.5 * quadratic_form(pts, hessian)
     a_fn = _unit_amplitude if a is None else a
     return PhaseProblem(dim=d, v=v, a=a_fn, box=box, hessian=hessian, morse="quadratic")
 
@@ -155,7 +156,7 @@ def radial_problem(hessian, phi, phi_prime, box=None) -> PhaseProblem:
         raise ModelValidityError("radial phase needs phi(0) = 0 and phi'(0) = -1")
     if box is None:
         box = np.full(d, 8.0 / math.sqrt(np.linalg.eigvalsh(hessian)[0]))
-    q = lambda pts: 0.5 * np.einsum("ni,ij,nj->n", pts, hessian, pts)
+    q = lambda pts: 0.5 * quadratic_form(pts, hessian)
     v = lambda pts: phi(q(pts))
     return PhaseProblem(
         dim=d, v=v, a=_unit_amplitude, box=box, hessian=hessian,

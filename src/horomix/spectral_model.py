@@ -24,6 +24,7 @@ import numpy as np
 from ._stencils import (
     finite_difference_gradient,
     finite_difference_hessian,
+    quadratic_form,
     sweep_grid,
     tensor_grid,
 )
@@ -70,7 +71,8 @@ class Perturbation:
       radial_quartic coeff * q(ω)² with q the model's quadratic part
     Both vanish to second order at 0.  ``radial_quartic`` keeps the model
     in the radial Morse class, which downstream density and expansion
-    code can exploit exactly.
+    code can exploit exactly.  Both are plain IEEE products and sums, with
+    no ``pow``: the bits are the same on every host, and on ω and −ω.
     """
 
     PRESETS = ("quartic", "radial_quartic")
@@ -84,8 +86,13 @@ class Perturbation:
     def __call__(self, pts: np.ndarray, quad_form: np.ndarray) -> np.ndarray:
         # pts: (..., d); quad_form: the values q(ω) at the same points.
         if self.name == "quartic":
-            return self.coeff * np.sum(pts**4, axis=-1)
-        return self.coeff * quad_form**2
+            sq = pts * pts
+            sq *= sq
+            total = sq[..., 0]
+            for k in range(1, sq.shape[-1]):
+                total = total + sq[..., k]
+            return self.coeff * total
+        return self.coeff * (quad_form * quad_form)
 
     def to_json(self) -> dict:
         return {"name": self.name, "params": {"coeff": self.coeff}}
@@ -167,15 +174,17 @@ class SpectralModel:
     # -- evaluation --------------------------------------------------------
 
     def quadratic_part(self, pts: np.ndarray) -> np.ndarray:
-        pts = np.asarray(pts, dtype=float)
-        return self.quad_coeff * np.einsum("...i,ij,...j->...", pts, self.gram, pts)
+        return self.quad_coeff * quadratic_form(pts, self.gram)
 
     def lambda0_batch(self, pts: np.ndarray) -> np.ndarray:
         """Evaluate the branch formula on arbitrary torus points.
 
         No domain checks: the analytic formula extends to the whole torus,
         which the lattice sweeps rely on.  Scalar entry points that promise
-        λ₀ < 1/4 must go through :meth:`lambda0`.
+        λ₀ < 1/4 must go through :meth:`lambda0`.  Only IEEE products and
+        sums in a fixed order (no ``pow``), so the bits do not depend on the
+        host's SIMD width, and λ₀(−ω) = λ₀(ω) exactly.  The lattice sweep
+        calls this on (B, d) blocks.
         """
         q = self.quadratic_part(pts)
         if self.perturbation is None:

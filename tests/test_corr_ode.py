@@ -526,6 +526,16 @@ class TestSampledAgainstCallable:
         diff = particular_trajectory(0.5, sampled, t).y - particular_trajectory(0.5, exact, t).y
         assert np.max(np.abs(diff)) < 1e-6
 
+    def test_log_weight_at_nu_one(self, anchor_forms):
+        # ν = 1 puts the weight 1/r on the tail integrals, whose ranges start above 0
+        grid, sampled, exact = anchor_forms
+        got = asymptotic_constant(1.0, sampled, tol=None)
+        assert abs(got.value - asymptotic_constant(1.0, exact, tol=1e-12).value) < 1e-7
+        t = grid[(grid >= 2.0) & (grid <= 50.0)][::20]
+        ours, theirs = particular_trajectory(1.0, sampled, t), particular_trajectory(1.0, exact, t)
+        assert np.max(np.abs(ours.y - theirs.y)) < 1e-7
+        assert np.max(np.abs(ours.y_prime - theirs.y_prime)) < 1e-7
+
     def test_short_grid_constant_raises_with_its_bound(self, anchor_forms):
         _, sampled, _ = anchor_forms
         bound = asymptotic_constant(0.5, sampled, tol=None).tail_bound
@@ -752,6 +762,22 @@ class TestSampleQuadrature:
             for k, c in enumerate(coef)
         )
         assert abs(got - exact) <= 1e-11 * abs(exact)  # interpolation exact; roundoff only
+
+    # p = −1 on a grid from 0: the ranges start above 0 and cell [0, grid[1]]
+    # stays out of the table
+    @pytest.mark.parametrize("lo, hi", [r[:2] for r in _RANGES[1:6] if r[0] > 0.0],
+                             ids=[r[2] for r in _RANGES[1:6] if r[0] > 0.0])
+    def test_log_weight_exact_on_quadratics(self, lo, hi):
+        vals = sum(c * _GRADED**k for k, c in enumerate(_QUADRATIC)) + 0j
+        got = power_weighted_integral(_GRADED, vals, -1.0, a=lo, b=hi)
+        c0, c1, c2 = _QUADRATIC
+        exact = c0 * math.log(hi / lo) + c1 * (hi - lo) + c2 * (hi * hi - lo * lo) / 2.0
+        assert abs(got - exact) <= 1e-11 * abs(exact)
+
+    @pytest.mark.parametrize("p, lo", [(-1.0, 0.0), (-1.0, np.array([0.5, 0.0])), (-1.5, 0.5)])
+    def test_log_weight_from_zero_and_steeper_weights_refused(self, p, lo):
+        with pytest.raises(DomainError):
+            power_weighted_integral(_GRADED, _WAVE, p, a=lo, b=10.0)
 
     @pytest.mark.parametrize("p", [-0.5, 0.7])
     @pytest.mark.parametrize("lo, hi", [r[:2] for r in _RANGES], ids=[r[2] for r in _RANGES])

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from horomix import cover_spectrum
 from horomix.cover_spectrum import (
     CharacterLattice,
     build_histogram,
@@ -14,6 +15,7 @@ from horomix.cover_spectrum import (
     limit_integral,
     spectral_average,
     make_test_function,
+    _branch_values,
 )
 from horomix.errors import DomainError, LatticeSizeError, ModelValidityError
 from horomix.spectral_model import Perturbation, SpectralModel
@@ -204,6 +206,67 @@ class TestSweepBox:
             spectral_average(model, lattice, ONE, 0.05)
         with pytest.raises(ModelValidityError, match="leaves the working box U"):
             build_histogram(model, lattice, 0.05)
+
+
+# (model, orders): ragged orders whose boxes span several blocks of the
+# default _BLOCK; a negative coefficient sweeps the whole torus
+SWEEP_CASES = {
+    "rank1_quartic_gram": (BOX_MODELS["rank1_quartic_gram"], (50_000,)),
+    "correlated_gram": (BOX_MODELS["correlated_gram"], (600, 640)),
+    "negative_quartic": (BOX_MODELS["negative_quartic"], (255, 256)),
+    "correlated_d3": (
+        _model([[1.0, 0.15, -0.1], [0.15, 1.1, 0.1], [-0.1, 0.1, 0.9]]), (97, 101, 103)
+    ),
+    "negative_quartic_d3": (
+        _model(np.eye(3), Perturbation("quartic", -0.5), validate=True), (31, 32, 33)
+    ),
+}
+
+
+class TestBlockedSweep:
+    """The sweep builds (B, d) blocks from the per-axis representatives,
+    never the box; the kept values are those of one λ₀ call on every
+    character, in lex order."""
+
+    @pytest.mark.parametrize("block", [7, 100, cover_spectrum._BLOCK])
+    @pytest.mark.parametrize("name", sorted(SWEEP_CASES))
+    def test_kept_values_equal_a_full_box_reference(self, monkeypatch, name, block):
+        model, orders = SWEEP_CASES[name]
+        lattice = CharacterLattice(orders)
+        reference = _full_sweep_kept(model, lattice)
+        monkeypatch.setattr(cover_spectrum, "_BLOCK", block)
+        kept = _branch_values(model, lattice, 0.05)
+        assert kept.size > 0
+        assert kept.tobytes() == reference.tobytes()
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_sublevel_set_leaving_u_refused_in_a_later_block(self, monkeypatch, d):
+        # {π|ω|² ≤ 0.05} has radius 0.126; U has half-width 0.05, and the
+        # first blocks, at the box's corner, keep no point
+        model = SpectralModel(genus=2, rank_d=d, gram=np.eye(d), domain_u=[0.05] * d)
+        monkeypatch.setattr(cover_spectrum, "_BLOCK", 7)
+        with pytest.raises(ModelValidityError, match="leaves the working box U"):
+            spectral_average(model, CharacterLattice((64,) * d), ONE, 0.05)
+
+    @pytest.mark.parametrize("block", [7, cover_spectrum._BLOCK])
+    @pytest.mark.parametrize("name", ["negative_quartic", "negative_quartic_d3"])
+    def test_lambda0_sees_row_blocks_covering_the_box(self, monkeypatch, name, block):
+        # a negative coefficient sweeps the whole torus, so the box is the lattice
+        model, orders = SWEEP_CASES[name]
+        lattice = CharacterLattice(orders)
+        shapes = []
+        evaluate = SpectralModel.lambda0_batch
+
+        def recording(self, pts):
+            shapes.append(np.shape(pts))
+            return evaluate(self, pts)
+
+        monkeypatch.setattr(cover_spectrum, "_BLOCK", block)
+        monkeypatch.setattr(SpectralModel, "lambda0_batch", recording)
+        spectral_average(model, lattice, ONE, 0.05)
+        d = model.rank_d
+        assert all(len(s) == 2 and s[1] == d and 1 <= s[0] <= block for s in shapes)
+        assert sum(s[0] for s in shapes) == lattice.size
 
 
 class TestLimitDensity:

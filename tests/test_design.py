@@ -3,7 +3,8 @@
 No knobs: the number of defaulted parameters (positional and keyword
 defaults of every ``def`` and ``lambda`` under ``src/horomix``) may not
 grow past MAX_DEFAULTED.  No threads: no module imports a thread or
-process pool.
+process pool.  No einsum: quadratic forms go through
+``_stencils.quadratic_form``, whose summation order is fixed.
 """
 
 import ast
@@ -53,3 +54,17 @@ def test_no_module_imports_threads(module):
         if any(name == t or name.startswith(t + ".") for t in THREADED)
     ]
     assert not threaded, f"{module} imports {threaded}"
+
+
+def _names_einsum(node: ast.AST) -> bool:
+    return (
+        (isinstance(node, ast.Attribute) and node.attr == "einsum")
+        or (isinstance(node, ast.Name) and node.id == "einsum")
+        or (isinstance(node, ast.alias) and node.name.rsplit(".", 1)[-1] == "einsum")
+    )
+
+
+@pytest.mark.parametrize("module", sorted(MODULES))
+def test_no_module_calls_einsum(module):
+    lines = [node.lineno for node in ast.walk(MODULES[module]) if _names_einsum(node)]
+    assert not lines, f"{module} names einsum on lines {lines}"

@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -77,6 +78,45 @@ class TestBranchEvaluation:
         pts *= model_d2.domain_u
         vals = model_d2.lambda0_batch(pts)
         assert np.all(vals[np.any(pts != 0, axis=1)] > 0.0)
+
+
+def _random_model(d, preset=None, coeff=0.7):
+    rng = np.random.default_rng(10 + d)
+    a = rng.normal(size=(d, d))
+    gram = a @ a.T / d + np.eye(d)
+    pert = None if preset is None else Perturbation(preset, coeff)
+    return SpectralModel(genus=2, rank_d=d, gram=gram, perturbation=pert)
+
+
+class TestBranchBits:
+    """λ₀ is IEEE products and sums in a fixed order: the same bits on every
+    host, and on ω and −ω."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("preset", Perturbation.PRESETS)
+    def test_even_bit_for_bit(self, preset, d):
+        model = _random_model(d, preset)
+        pts = np.random.default_rng(d).uniform(-0.5, 0.5, (100_000, d))
+        assert model.lambda0_batch(-pts).tobytes() == model.lambda0_batch(pts).tobytes()
+
+    # np.einsum is the oracle here only; the library never calls it
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_quadratic_part_is_the_einstein_sum(self, d):
+        model = _random_model(d)
+        pts = np.random.default_rng(d).uniform(-0.5, 0.5, (50_000, d))
+        expected = model.quad_coeff * np.einsum("...i,ij,...j->...", pts, model.gram, pts)
+        assert model.quadratic_part(pts).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("coeff", [0.7, -1.3])
+    def test_quartic_term_within_its_rounding_bound(self, d, coeff):
+        # d + 3 roundings: ω², ω⁴, d − 1 sums and the coefficient
+        pts = np.random.default_rng(d).uniform(-0.5, 0.5, (3000, d))
+        got = Perturbation("quartic", coeff)(pts, None)
+        bound = (1 + Fraction(2) ** -53) ** (d + 3) - 1
+        for row, value in zip(pts.tolist(), got.tolist()):
+            exact = Fraction(coeff) * sum(Fraction(x) ** 4 for x in row)
+            assert abs(Fraction(value) - exact) <= bound * abs(exact)
 
 
 class TestHessians:

@@ -17,6 +17,7 @@ from horomix._stencils import (
     gauss_legendre,
     legendre_rule,
     monotone_inverse,
+    quadratic_form,
     sweep_grid,
     tensor_grid,
 )
@@ -136,6 +137,39 @@ class TestTensorGrid:
         assert tensor_grid([np.arange(3.0), np.arange(4.0)], cap=12).shape == (12, 2)
         with pytest.raises(LatticeSizeError):
             tensor_grid([np.arange(3.0), np.arange(4.0)], cap=11)
+
+
+def _spd(rng, d):
+    a = rng.normal(size=(d, d))
+    return a @ a.T + d * np.eye(d)
+
+
+class TestQuadraticForm:
+    # np.einsum is the oracle here only; the library never calls it
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 6])
+    def test_equals_both_einstein_sums_bit_for_bit(self, d):
+        rng = np.random.default_rng(d)
+        matrix = _spd(rng, d)
+        pts = rng.uniform(-0.5, 0.5, (20_000, d))
+        pts[::7, 0] = 0.0  # zero coordinates, so some terms are ±0.0
+        got = quadratic_form(pts, matrix)
+        assert got.tobytes() == np.einsum("...i,ij,...j->...", pts, matrix, pts).tobytes()
+        assert got.tobytes() == np.einsum("ni,ij,nj->n", pts, matrix, pts).tobytes()
+
+    def test_batch_shapes_and_a_single_point(self):
+        rng = np.random.default_rng(3)
+        matrix = _spd(rng, 3)
+        pts = rng.uniform(-0.5, 0.5, (4, 5, 3))
+        got = quadratic_form(pts, matrix)
+        assert got.shape == (4, 5)
+        assert got.tobytes() == np.einsum("...i,ij,...j->...", pts, matrix, pts).tobytes()
+        assert float(quadratic_form(pts[1, 2], matrix)) == got[1, 2]
+
+    def test_even_bit_for_bit(self):
+        rng = np.random.default_rng(4)
+        matrix = _spd(rng, 3)
+        pts = rng.uniform(-0.5, 0.5, (20_000, 3))
+        assert quadratic_form(-pts, matrix).tobytes() == quadratic_form(pts, matrix).tobytes()
 
 
 class TestSweepGrid:
