@@ -127,9 +127,7 @@ class PhaseProblem:
         interior = np.any(pts != 0.0, axis=1)
         if np.any(vals[interior] >= 0.0):
             raise ModelValidityError("phase audit failed: v(xi) >= 0 off the origin")
-        fd = finite_difference_hessian(
-            lambda x: self.v(x.reshape(1, self.dim))[0], np.zeros(self.dim)
-        )
+        fd = finite_difference_hessian(self.v, np.zeros(self.dim))
         if not np.allclose(-fd, self.hessian, rtol=1e-6, atol=1e-8):
             raise ModelValidityError("-D^2 v(0) does not match the declared hessian")
 

@@ -39,6 +39,7 @@ from horomix.errors import (
     TruncationError,
 )
 from horomix.spectral_model import nu_of_lambda
+from rk4_scalar import scalar_march
 
 ZERO_FORCING = ForcingProfile.from_callable(lambda t: 0.0j)
 
@@ -142,6 +143,50 @@ class TestSolveMaster:
         grid = np.concatenate([[0.0], np.linspace(0.6, 100.0, 40)])
         with pytest.raises(ConvergenceError):
             solve_master(ModePair(0, 0), 0.2, 1.0, grid, check_tol=1e-12)
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"grid": np.array([0.0, 0.3, math.nan, 2.0])},
+            {"grid": np.array([0.0, 0.3, 1.0, math.inf])},
+            {"y0": complex(math.nan, 0.0)},
+            {"y0": complex(0.0, math.inf)},
+            {"resonant_amplitude": math.inf},
+        ],
+        ids=["nan-node", "inf-node", "nan-y0", "inf-y0", "inf-amplitude"],
+    )
+    def test_non_finite_input_refused(self, bad):
+        args = {"y0": 0.0, "grid": master_grid(10.0, steps_per_decade=100), **bad}
+        refusal = "^(master grid nodes|y0 and the resonant amplitude) must be finite"
+        with pytest.raises(DomainError, match=refusal):
+            solve_master(ModePair(2, 6), 0.1, **args)
+
+    # the `ode` runs of scripts/cli_digests.py: mode, y0, lambda
+    DIGEST_CASES = [((0, 0), 1.0, 0.04), ((2, 6), 0.0, 0.1), ((4, 0), 1.0, 0.2),
+                    ((-2, 2), 0.0, 0.05)]
+
+    @pytest.mark.parametrize("t_max", [1e5, 1e6])
+    @pytest.mark.parametrize("pair, y0, lam", DIGEST_CASES)
+    def test_march_matches_scalar_rk4(self, pair, y0, lam, t_max):
+        grid = master_grid(t_max, 400)
+        self._assert_matches_scalar_rk4(ModePair(*pair), lam, y0, grid)
+
+    @pytest.mark.parametrize(
+        "pair, y0, lam", [((0, 0), 1.0, 0.2), ((4, 0), 1.0, 0.2), ((2, -2), 1.0, 0.05)]
+    )
+    def test_march_from_zero_matches_scalar_rk4(self, pair, y0, lam):
+        # grid[1] > 0.5: the march starts at t = 0, through the limit stage
+        # A = 0, b = (y'(0), i mu y0 + D y'(0))
+        grid = np.concatenate([[0.0], np.linspace(0.6, 100.0, 40)])
+        self._assert_matches_scalar_rk4(ModePair(*pair), lam, y0, grid)
+
+    @staticmethod
+    def _assert_matches_scalar_rk4(mode, lam, y0, grid):
+        traj = solve_master(mode, lam, y0, grid)
+        y, yp = scalar_march(mode, lam, y0, grid)
+        assert np.max(np.abs(yp)) > 0.0
+        assert np.max(np.abs(traj.y - y)) <= 1e-12 * np.max(np.abs(y))
+        assert np.max(np.abs(traj.y_prime - yp)) <= 1e-12 * np.max(np.abs(yp))
 
     def test_inconsistent_k1_mode_rejected(self):
         grid = master_grid(10.0, steps_per_decade=100)

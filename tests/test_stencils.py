@@ -13,6 +13,8 @@ from horomix._stencils import (
     SWEEP_BUDGET,
     bracketed_roots,
     exact_sum,
+    finite_difference_gradient,
+    finite_difference_hessian,
     fornberg_weights,
     gauss_legendre,
     legendre_rule,
@@ -22,6 +24,7 @@ from horomix._stencils import (
     tensor_grid,
 )
 from horomix.errors import DomainError, LatticeSizeError
+from horomix.spectral_model import Perturbation, SpectralModel
 
 
 class TestGaussLegendre:
@@ -170,6 +173,66 @@ class TestQuadraticForm:
         matrix = _spd(rng, 3)
         pts = rng.uniform(-0.5, 0.5, (20_000, 3))
         assert quadratic_form(-pts, matrix).tobytes() == quadratic_form(pts, matrix).tobytes()
+
+
+def _pointwise_gradient(fn, x0):
+    """The stencil one point per call, as it was before batching."""
+    d = x0.size
+    h = 1e-5
+    grad = np.empty(d)
+    for i in range(d):
+        e = np.zeros(d)
+        e[i] = h
+        grad[i] = (float(fn(x0 + e)) - float(fn(x0 - e))) / (2 * h)
+    return grad
+
+
+def _pointwise_hessian(fn, x0):
+    def hess_at(step):
+        d = x0.size
+        out = np.empty((d, d))
+        f0 = float(fn(x0))
+        for i in range(d):
+            ei = np.zeros(d)
+            ei[i] = step
+            out[i, i] = (float(fn(x0 + ei)) - 2 * f0 + float(fn(x0 - ei))) / step**2
+            for j in range(i + 1, d):
+                ej = np.zeros(d)
+                ej[j] = step
+                mixed = (
+                    float(fn(x0 + ei + ej))
+                    - float(fn(x0 + ei - ej))
+                    - float(fn(x0 - ei + ej))
+                    + float(fn(x0 - ei - ej))
+                ) / (4 * step**2)
+                out[i, j] = out[j, i] = mixed
+        return out
+
+    h = 1e-4
+    coarse = hess_at(h)
+    fine = hess_at(h / 2)
+    return (4.0 * fine - coarse) / 3.0
+
+
+class TestFiniteDifferences:
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("at_origin", [True, False], ids=["origin", "off-origin"])
+    def test_one_call_same_bits_as_pointwise_calls(self, d, at_origin):
+        rng = np.random.default_rng(10 + d)
+        model = SpectralModel(genus=2, rank_d=d, gram=_spd(rng, d) / d,
+                              perturbation=Perturbation("quartic", 0.3))
+        x0 = np.zeros(d) if at_origin else rng.uniform(-0.05, 0.05, d)
+        calls = []
+
+        def fn(pts):
+            calls.append(np.shape(pts))
+            return model.lambda0_batch(pts)
+
+        grad = finite_difference_gradient(fn, x0)
+        hess = finite_difference_hessian(fn, x0)
+        assert calls == [(2 * d, d), (2 * (1 + 2 * d * d), d)]
+        assert grad.tobytes() == _pointwise_gradient(model.lambda0_batch, x0).tobytes()
+        assert hess.tobytes() == _pointwise_hessian(model.lambda0_batch, x0).tobytes()
 
 
 class TestSweepGrid:
