@@ -47,6 +47,17 @@ MODELS = {
     "rank1_quartic.json": ([1.0], {"name": "quartic", "params": {"coeff": 1.0}}),
 }
 
+# custom-json phase documents, written into the run directory next to the models
+PHASES = {
+    # the cubic term makes v(−ξ) ≠ v(ξ), so the cone rule exponentiates every
+    # face, and a = 1/2 + ξ₁ changes sign, so its L¹ mass is a second sum
+    "odd_phase.json": {
+        "dim": 2, "box": [3.0, 3.0], "hessian": [[1.0, 0.0], [0.0, 1.0]],
+        "v_poly": {"2,0": -0.5, "0,2": -0.5, "3,0": 0.05, "4,0": -0.05},
+        "a_poly": {"0,0": 0.5, "1,0": 1.0},
+    },
+}
+
 # (output CSV, CLI arguments before --out)
 RUNS = [
     ("selftest.csv", ["selftest"]),
@@ -60,8 +71,11 @@ RUNS = [
                       "--t-max", "1e5"]),
     ("laplace-quartic1d.csv", ["laplace", "--preset", "quartic1d"]),
     ("laplace-gauss1d.csv", ["laplace", "--preset", "gauss1d"]),
-    # the one d = 2 tensor quadrature of the set
+    # the d = 2 cone rule on an even phase: the − faces reuse the + faces'
+    # exponentials
     ("laplace-gauss2d.csv", ["laplace", "--preset", "gauss2d"]),
+    ("laplace-odd-phase.csv",
+     ["laplace", "--preset", "custom-json", "--custom", "odd_phase.json"]),
     ("cover-identity.csv", ["cover", "--model", "identity.json", "--orders", "64,64"]),
     ("cover-radial-quartic-study.csv",
      ["cover", "--model", "radial_quartic.json", "--orders", "64,64", "--study"]),
@@ -93,6 +107,8 @@ def _write_models(workdir: Path) -> None:
         doc = {"genus": 2, "rank_d": math.isqrt(len(gram)), "gram": gram,
                "perturbation": perturbation}
         (workdir / name).write_text(json.dumps(doc, sort_keys=True))
+    for name, doc in PHASES.items():
+        (workdir / name).write_text(json.dumps(doc, sort_keys=True))
 
 
 def _run_all(workdir: Path, runs, workers: int, blas_threads: int) -> dict[str, str]:
@@ -110,7 +126,7 @@ def _run_all(workdir: Path, runs, workers: int, blas_threads: int) -> dict[str, 
     return {
         p.name: hashlib.sha256(p.read_bytes()).hexdigest()
         for p in sorted(workdir.iterdir())
-        if p.name not in MODELS
+        if p.name not in MODELS and p.name not in PHASES
     }
 
 

@@ -39,6 +39,9 @@ from .errors import QuadratureError, TruncationError
 from .spectral_model import nu_of_lambda
 
 _SERIES_T = 0.5          # series radius actually used (convergence radius is 2)
+# farthest first node past 0 the series may reach: its 40-term tail is about
+# (t/2)^40, at most 2^-40 ≈ 9.1e-13 here (and 0.13 at t = 1.9)
+_SERIES_T_MAX = 1.0
 _SERIES_TERMS = 40
 _CONSISTENCY_TOL = 1e-6  # master residual above which a trajectory is rejected
 _R_MAX = 1e280           # largest tail cutoff
@@ -233,12 +236,26 @@ def _identity_plus(s, k):
     return 1.0 + s * k00, s * k01, s * c0, s * k10, 1.0 + s * k11, s * c1
 
 
-def _step_maps(grid, lam, mu, dsq, y0, yp_at_zero):
-    """Affine maps z₊ = M z + c of classical RK4 on every step of ``grid``.
+def _series_start(grid: np.ndarray) -> int:
+    """Index of the node where the march takes over from the startup series:
+    the last node at or below _SERIES_T, and never the node t = 0 itself.
+
+    A first node past 0 beyond _SERIES_T_MAX raises DomainError.
+    """
+    if grid.size > 1 and grid[1] > _SERIES_T_MAX:
+        raise DomainError(
+            f"first node past 0 is {grid[1]}; the startup series reaches {_SERIES_T_MAX}"
+        )
+    return max(int(np.searchsorted(grid, _SERIES_T, side="right")) - 1, min(1, grid.size - 1))
+
+
+def _step_maps(grid, lam, mu, dsq, y0):
+    """Affine maps z₊ = M z + c of classical RK4 on every step of ``grid``,
+    whose nodes are all positive.
 
     The master system is linear in z = (y, ∫₀ᵗh): z′ = A(t) z + b(t) with
     A = [[0, a], [p, q]], b = (0, r), a = 1/(t(t²+4)), p = −4λt + iμ + D/t,
-    q = 2iμt·a and r = −D·y0/t; at t = 0, A = 0 and b = (y′(0), iμy0 + D·y′(0)).
+    q = 2iμt·a and r = −D·y0/t.
     With the stage map S(t): z ↦ A(t) z + b(t), one RK4 step is the affine
     map I + h/6·(K₁ + 2K₂ + 2K₃ + K₄), where K₁ = S(t),
     K₂ = S(t + h/2)∘(I + h/2·K₁), K₃ = S(t + h/2)∘(I + h/2·K₂) and
@@ -252,15 +269,8 @@ def _step_maps(grid, lam, mu, dsq, y0, yp_at_zero):
         return a, 0.0, -4.0 * lam * t + dsq / t + 1j * mu, 2j * mu * t * a, -dsq * y0 / t
 
     t, h = grid[:-1], np.diff(grid)
-    # t = 0 can only be the first left node; it gets a placeholder node here
-    # and the limit stage A = 0, b = (y′(0), iμy0 + D·y′(0)) below
-    a, _, p, q, r = stage(np.where(t > 0.0, t, 1.0))
-    b_y = np.zeros(t.size, dtype=complex)
-    if t.size and t[0] == 0.0:
-        a[0] = p[0] = q[0] = 0.0
-        b_y[0], r[0] = yp_at_zero, 1j * mu * y0 + dsq * yp_at_zero
-    mid, right = stage(t + 0.5 * h), stage(grid[1:])
-    k1 = (0.0, a, b_y, p, q, r)
+    left, mid, right = stage(t), stage(t + 0.5 * h), stage(grid[1:])
+    k1 = (0.0,) + left
     k2 = _stage_times(mid, _identity_plus(0.5 * h, k1))
     k3 = _stage_times(mid, _identity_plus(0.5 * h, k2))
     k4 = _stage_times(right, _identity_plus(h, k3))
@@ -279,13 +289,16 @@ def solve_master(
     """March the master relation over ``grid`` (which must start at 0).
 
     The coupled state z = (y, ∫₀ᵗ h) satisfies a linear 2-system, stepped
-    with classical RK4 from t = 0.5 outward, as one affine map per step:
-    :func:`_step_maps` builds every step's z₊ = M z + c in one array pass,
-    and the march is four complex multiply-adds per step.  On [0, 0.5] the
-    startup expansion of :func:`taylor_coefficients` is evaluated directly;
-    for synthetic resonant data with a nonzero defect this includes the
-    t^k·log t channel, so the march stays full-order.  Non-finite grid
-    nodes, y0 or resonant amplitude raise DomainError before any work.
+    with classical RK4 from the last node at or below t = 0.5 outward, as
+    one affine map per step: :func:`_step_maps` builds every step's
+    z₊ = M z + c in one array pass, and the march is four complex
+    multiply-adds per step.  Up to that node the startup expansion of
+    :func:`taylor_coefficients` is evaluated directly; for synthetic
+    resonant data with a nonzero defect this includes the t^k·log t
+    channel, so the march stays full-order.  Where the first node past 0
+    lies beyond 0.5 the series is evaluated there and the march starts from
+    it; a first node beyond 1 raises DomainError.  So do non-finite grid
+    nodes, y0 or resonant amplitude, before any work.
     """
     if not 0.0 <= lam < 0.25:
         raise DomainError(f"lambda must lie in [0, 1/4), got {lam}")
@@ -300,6 +313,7 @@ def solve_master(
         raise DomainError("master grid must start at t = 0")
     if np.any(np.diff(grid) <= 0):
         raise DomainError("master grid must be strictly increasing")
+    start = _series_start(grid)
 
     mu, dsq = float(mode.mu), float(mode.dsq)
     y0 = complex(y0)
@@ -312,19 +326,17 @@ def solve_master(
             f"mode {(mode.n, mode.m)} with y0 = {y0} has no solution "
             "differentiable at 0; use y0 = 0 for |m - n| = 2"
         )
-    yp_at_zero = a_ser[1]
 
     n = grid.size
     y = np.zeros(n, dtype=complex)
     yp = np.zeros(n, dtype=complex)
 
-    start = max(int(np.searchsorted(grid, _SERIES_T, side="right")) - 1, 0)
     ys, yps, integs = _series_eval(a_ser, b_ser, grid[: start + 1])
     y[: start + 1] = ys
     yp[: start + 1] = yps
     startup = "series" if consistent else "series+log"
 
-    maps = _step_maps(grid[start:], lam, mu, dsq, y0, yp_at_zero)
+    maps = _step_maps(grid[start:], lam, mu, dsq, y0)
     y_k, i_k = complex(y[start]), complex(integs[start])
     marched, integrals = [], []
     for m00, m01, c0, m10, m11, c1 in zip(*(m.tolist() for m in maps)):
@@ -353,41 +365,6 @@ def solve_master(
             achieved=meta.master_residual,
         )
     return traj
-
-
-def refine_grid(grid: np.ndarray) -> np.ndarray:
-    mids = 0.5 * (grid[:-1] + grid[1:])
-    return np.sort(np.concatenate([grid, mids]))
-
-
-def oracle_trajectory(
-    mode: ModePair,
-    lam: float,
-    y0: complex,
-    grid: np.ndarray,
-    tol: float = 1e-10,
-):
-    """Reference solution on ``grid`` by up to five step halvings.
-
-    Returns (values at the nodes of ``grid``, error estimate).  The final
-    answer is Richardson-extrapolated from the two finest levels assuming
-    the marching order 4.
-    """
-    grid = np.asarray(grid, dtype=float)
-    fine = grid
-    prev = solve_master(mode, lam, y0, fine).y
-    idx = np.arange(grid.size)
-    err = float("inf")
-    for _ in range(5):
-        fine = refine_grid(fine)
-        idx = idx * 2
-        cur = solve_master(mode, lam, y0, fine).y[idx]
-        err = float(np.max(np.abs(cur - prev)))
-        if err < tol:
-            extrap = cur + (cur - prev) / 15.0
-            return extrap, err / 15.0
-        prev = cur
-    return prev, err
 
 
 def master_relation_residual(traj: Trajectory, lam: float) -> float:

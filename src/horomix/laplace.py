@@ -38,6 +38,7 @@ from ._stencils import (
 from .errors import (
     ConditioningError,
     DomainError,
+    LatticeSizeError,
     ModelValidityError,
     QuadratureError,
     UnsupportedMorseClassError,
@@ -214,9 +215,19 @@ def _cone_value(problem: PhaseProblem, T: np.ndarray, nodes: int, face_nodes: in
     The box splits into 2d pyramids with apex 0, one per face ξᵢ = ±uᵢ.
     With ξ = s·p, p on the face, dξ = uᵢ·s^{d−1} ds dp: the radial rule
     puts ``nodes`` Gauss points on each panel of ``_radial_edges``, and
-    each face carries one ``face_nodes``-point Gauss tensor rule.  Points
-    are in lex order of (face, s, face coordinates), the faces in the
-    order +u₁, −u₁, +u₂, ...
+    each face carries one ``face_nodes``-point Gauss tensor rule.  The
+    points are written in place into one (2d, s, face coordinates..., d)
+    array, the faces in the order +u₁, −u₁, +u₂, ...; coordinate j of a
+    point is x·(s·uⱼ) and its weight ((w_s·w₁)·w₂···)·∏u times a.
+
+    Gauss nodes are antisymmetric, so the −uᵢ face holds the mirror images
+    −p of the +uᵢ face's points with its face coordinates reversed.  Where
+    v takes the same bits there (every even phase), each T exponentiates
+    the + faces only and the − faces read a reversed view of them; any
+    other phase exponentiates every face.  Where no weighted amplitude has
+    its sign bit set, the L¹ mass is the value itself.  The values and
+    masses are bit for bit those of the plain rule: one exp per point and
+    one pairwise np.sum over all 2d faces in lex order.
     """
     d, u = problem.dim, problem.box
     # the ray through the centre of face i decays like e^{−T·Hᵢᵢuᵢ²·s²/2}
@@ -227,25 +238,44 @@ def _cone_value(problem: PhaseProblem, T: np.ndarray, nodes: int, face_nodes: in
     s = (mid[:, None] + half[:, None] * x_ref).ravel()
     radial_w = (half[:, None] * w_ref).ravel() * s ** (d - 1)
     x_face, w_face = legendre_rule(face_nodes)
-    # one face's (s, face coordinates) grid; the cap counts all 2d faces
-    # before anything is allocated
-    cap = GRID_CAP // (2 * d)
-    face = tensor_grid([s] + [x_face] * (d - 1), cap)
-    face_w = np.prod(tensor_grid([radial_w] + [w_face] * (d - 1), cap), axis=-1)
-    pts = np.concatenate([
-        np.insert(face[:, 1:], f // 2, 1.0 - 2.0 * (f % 2), axis=1) for f in range(2 * d)
-    ])
-    pts *= np.tile(face[:, 0], 2 * d)[:, None] * u
-    weighted = np.tile(face_w * math.prod(u), 2 * d) * problem.a(pts)
-    v = problem.v(pts)
+    # the cap counts all 2d faces before anything is allocated
+    cap, per_face = GRID_CAP // (2 * d), s.size * face_nodes ** (d - 1)
+    if per_face > cap:
+        raise LatticeSizeError(f"cone rule has {per_face} points per face, above the cap {cap}")
+    # one face is an (s, face coordinates...) grid: s along axis 0, face
+    # coordinate m along axis m + 1
+    lead = (s.size,) + (1,) * (d - 1)
+    axes = [(1,) * (m + 1) + (face_nodes,) + (1,) * (d - 2 - m) for m in range(d - 1)]
+    su = s[:, None] * u
+    pts = np.empty((2 * d, s.size) + (face_nodes,) * (d - 1) + (d,))
+    for f in range(2 * d):
+        i = f // 2
+        pts[f, ..., i] = (su[:, i] if f % 2 == 0 else -su[:, i]).reshape(lead)
+        for axis, j in zip(axes, [j for j in range(d) if j != i]):
+            np.multiply(x_face.reshape(axis), su[:, j].reshape(lead), out=pts[f, ..., j])
+    face_w = radial_w.reshape(lead)
+    for axis in axes:
+        face_w = face_w * w_face.reshape(axis)
+    face_w = face_w * math.prod(u)
+    pts = pts.reshape(-1, d)
+    weighted = (problem.a(pts).reshape(2 * d, -1) * face_w.reshape(-1)).reshape(d, 2, s.size, -1)
+    v = problem.v(pts).reshape(d, 2, s.size, -1)
+    mirrored = np.array_equal(v[:, 1], v[:, 0, :, ::-1])
+    # the faces whose exponentials each T computes: the + faces, or all 2d
+    src = np.ascontiguousarray(v[:, 0]) if mirrored else v.reshape(2 * d, s.size, -1)
+    expo = np.empty_like(src)
+    exp_plus, exp_minus = (expo, expo[..., ::-1]) if mirrored else (expo[0::2], expo[1::2])
+    nonneg = not np.signbit(weighted).any()
+    terms = np.empty_like(weighted)
+    flat = terms.reshape(-1)
     value, l1 = np.empty_like(T), np.empty_like(T)
-    terms = np.empty_like(v)
     for k, t in enumerate(T):
-        np.exp(np.multiply(t, v, out=terms), out=terms)
-        terms *= weighted
+        np.exp(np.multiply(t, src, out=expo), out=expo)
+        np.multiply(exp_plus, weighted[:, 0], out=terms[:, 0])
+        np.multiply(exp_minus, weighted[:, 1], out=terms[:, 1])
         # np.sum, not np.dot: BLAS orders a dot product by its thread count
-        value[k] = np.sum(terms)
-        l1[k] = np.sum(np.abs(terms, out=terms))
+        value[k] = np.sum(flat)
+        l1[k] = value[k] if nonneg else np.sum(np.abs(flat, out=flat))
     return value, l1
 
 
@@ -261,8 +291,10 @@ def laplace_quadrature(problem: PhaseProblem, t_value, nodes: int = 24):
     to ``_QUAD_REL_TOL``, measured against the integrand's L¹ mass so
     cancellation to an exact zero (odd amplitudes) passes cleanly.  A
     ladder of T values shares one rule per level and returns an array;
-    each T keeps its own refinement-gap estimate.  A rule above the grid
-    cap raises LatticeSizeError before anything is allocated.
+    each T keeps its own refinement-gap estimate.  An even phase costs
+    one exp per point pair ±p and T, and a non-negative amplitude one sum
+    per T, with the bits of the plain rule.  A rule above the grid cap
+    raises LatticeSizeError before anything is allocated.
     """
     T = np.asarray(t_value, dtype=float)
     if not np.all(np.isfinite(T) & (T >= 0.0)):

@@ -23,7 +23,6 @@ from horomix.corr_ode import (
     log_grid,
     master_grid,
     master_relation_residual,
-    oracle_trajectory,
     particular_trajectory,
     power_weighted_integral,
     second_derivative_from_first,
@@ -39,6 +38,7 @@ from horomix.errors import (
     TruncationError,
 )
 from horomix.spectral_model import nu_of_lambda
+from master_oracle import oracle_trajectory
 from rk4_scalar import scalar_march
 
 ZERO_FORCING = ForcingProfile.from_callable(lambda t: 0.0j)
@@ -174,11 +174,36 @@ class TestSolveMaster:
     @pytest.mark.parametrize(
         "pair, y0, lam", [((0, 0), 1.0, 0.2), ((4, 0), 1.0, 0.2), ((2, -2), 1.0, 0.05)]
     )
-    def test_march_from_zero_matches_scalar_rk4(self, pair, y0, lam):
-        # grid[1] > 0.5: the march starts at t = 0, through the limit stage
-        # A = 0, b = (y'(0), i mu y0 + D y'(0))
+    def test_series_to_first_node_matches_scalar_rk4(self, pair, y0, lam):
+        # grid[1] > 0.5: the series is evaluated at grid[1] and the march
+        # starts there
         grid = np.concatenate([[0.0], np.linspace(0.6, 100.0, 40)])
         self._assert_matches_scalar_rk4(ModePair(*pair), lam, y0, grid)
+
+    def test_resonant_mode_kept_past_first_gap(self):
+        # y0 = 0 with the free t^2 mode of (2, 6): a march from t = 0 saw
+        # y(0) = y'(0) = 0 and returned y = 0 with residual 0
+        mode, lam = ModePair(2, 6), 0.1
+        coarse = np.concatenate([[0.0], np.linspace(0.6, 100.0, 40)])
+        traj = solve_master(mode, lam, 0.0, coarse)
+        ref = solve_master(mode, lam, 0.0, master_grid(100.0))
+        at = np.searchsorted(ref.grid, [0.6, 100.0])
+        assert abs(traj.y[1]) > 0.1
+        assert abs(traj.y[1] - ref.y[at[0]]) < 1e-12
+        # 2.5-wide steps do not resolve the mode's oscillation, and the
+        # residual says so instead of passing a zero trajectory
+        assert 1e-2 < traj.meta.master_residual < 1.0
+        with pytest.raises(ConvergenceError):
+            solve_master(mode, lam, 0.0, coarse, check_tol=1e-6)
+        # the same start on finer steps converges to the master-grid solution
+        fine = np.concatenate([[0.0], np.linspace(0.6, 100.0, 4000)])
+        assert abs(solve_master(mode, lam, 0.0, fine).y[-1] - ref.y[at[1]]) < 1e-6
+
+    def test_first_node_beyond_series_refused(self):
+        mode = ModePair(2, 6)
+        solve_master(mode, 0.1, 0.0, np.array([0.0, 1.0, 2.0]))
+        with pytest.raises(DomainError, match="startup series reaches 1.0"):
+            solve_master(mode, 0.1, 0.0, np.array([0.0, 1.25, 2.0]))
 
     @staticmethod
     def _assert_matches_scalar_rk4(mode, lam, y0, grid):

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "horomix"
-MAX_DEFAULTED = 29
+MAX_DEFAULTED = 28
 THREADED = ("threading", "concurrent.futures", "multiprocessing")
 
 MODULES = {

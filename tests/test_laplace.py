@@ -5,6 +5,7 @@ from itertools import product
 import numpy as np
 import pytest
 
+from horomix import laplace
 from horomix.corr_ode import log_grid
 from horomix.errors import (
     ConditioningError,
@@ -28,6 +29,9 @@ from horomix.laplace import (
     quadratic_problem,
     remainder_slope,
 )
+from horomix.mixing import MixingProblem, induced_phase_problem
+from horomix.spectral_model import Perturbation, SpectralModel
+from cone_plain import plain_cone_value
 from tensor_panels import tensor_quadrature
 
 S2PI = math.sqrt(2.0 * math.pi)
@@ -190,6 +194,82 @@ class TestQuadrature:
         )
         with pytest.raises(ModelValidityError, match="v\\(xi\\) >= 0"):
             bad.validate()
+
+
+def _mixing_phase(d, perturbation=None, correlated=False):
+    gram = np.eye(d) + (0.3 * (np.ones((d, d)) - np.eye(d)) if correlated else 0.0)
+    model = SpectralModel(
+        genus=2, rank_d=d, gram=gram, perturbation=perturbation, gap_delta=0.1
+    )
+    return induced_phase_problem(MixingProblem(model=model))
+
+
+def _odd_phase():
+    # a cubic term: v(−ξ) ≠ v(ξ), so every face gets its own exponentials
+    v = lambda pts: -0.5 * (pts[:, 0] ** 2 + pts[:, 1] ** 2) + 0.05 * pts[:, 0] ** 3
+    return custom_problem(2, v, lambda pts: 1.0 + pts[:, 1] ** 2, np.eye(2), [3.0, 3.0])
+
+
+def _signed_amplitude():
+    # a changes sign at ξ₁ = −1/2, so the L¹ mass is a second sum
+    return quadratic_problem(np.eye(2), a=lambda pts: 0.5 + pts[:, 0])
+
+
+CONE_CASES = {
+    "gauss1d": preset_gauss1d,
+    "quartic1d": preset_quartic1d,
+    "gauss2d": preset_gauss2d,
+    "radial_quartic-d1": lambda: _mixing_phase(1, Perturbation("radial_quartic", 0.5)),
+    "radial_quartic-d2": lambda: _mixing_phase(2, Perturbation("radial_quartic", 0.5)),
+    "radial_quartic-d3": lambda: _mixing_phase(3, Perturbation("radial_quartic", 0.5)),
+    "quartic-d1": lambda: _mixing_phase(1, Perturbation("quartic", 0.2)),
+    "quartic-d2": lambda: _mixing_phase(2, Perturbation("quartic", 0.2)),
+    "quartic-d3": lambda: _mixing_phase(3, Perturbation("quartic", 0.2)),
+    "correlated-d2": lambda: _mixing_phase(2, correlated=True),
+    "correlated-d3": lambda: _mixing_phase(3, correlated=True),
+    "odd-phase": _odd_phase,
+    "signed-amplitude": _signed_amplitude,
+}
+
+
+class TestConeOracle:
+    """The cone rule against the plain rule of tests/cone_plain.py."""
+
+    T = log_grid(1.0, 1e3, 2)
+
+    @pytest.mark.parametrize("level", [0, 8])
+    @pytest.mark.parametrize("case", sorted(CONE_CASES))
+    def test_same_bits_as_plain_rule(self, case, level):
+        p = CONE_CASES[case]()
+        face_nodes = laplace._FACE_NODES.get(p.dim, laplace._FACE_NODES_HIGH) + level
+        value, l1 = laplace._cone_value(p, self.T, 24 + level, face_nodes)
+        plain_value, plain_l1 = plain_cone_value(p, self.T, 24 + level, face_nodes)
+        assert np.array_equal(value, plain_value)
+        assert np.array_equal(l1, plain_l1)
+        # which branches the case takes: mirrored faces for an even phase,
+        # one sum for a non-negative amplitude
+        pts = np.random.default_rng(3).uniform(-1.0, 1.0, (64, p.dim)) * p.box
+        assert np.array_equal(p.v(pts), p.v(-pts)) == (case != "odd-phase")
+        assert np.array_equal(value, l1) == (case != "signed-amplitude")
+
+    @pytest.mark.parametrize("case", ["gauss2d", "quartic-d3"])
+    def test_grid_cap_refusal_unchanged(self, case, monkeypatch):
+        p = CONE_CASES[case]()
+        face_nodes = laplace._FACE_NODES.get(p.dim, laplace._FACE_NODES_HIGH)
+        seen = []
+        v = p.v
+        p.v = lambda pts: seen.append(pts.shape[0]) or v(pts)
+        laplace._cone_value(p, self.T, 24, face_nodes)
+        rule = seen[-1]
+        # a cap of exactly `rule` points admits the rule, one point less refuses it
+        for cap, refused in ((rule, False), (rule - 1, True)):
+            monkeypatch.setattr(laplace, "GRID_CAP", cap)
+            for fn in (laplace._cone_value, plain_cone_value):
+                if refused:
+                    with pytest.raises(LatticeSizeError):
+                        fn(p, self.T, 24, face_nodes)
+                else:
+                    fn(p, self.T, 24, face_nodes)
 
 
 class TestExpansion:
