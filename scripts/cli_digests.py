@@ -45,6 +45,7 @@ MODELS = {
     # negative coefficient: the lattice sweep box is the whole torus
     "negative_quartic.json": (IDENTITY, {"name": "quartic", "params": {"coeff": -0.5}}),
     "rank1_quartic.json": ([1.0], {"name": "quartic", "params": {"coeff": 1.0}}),
+    "identity3.json": ([1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0], None),
 }
 
 # custom-json phase documents, written into the run directory next to the models
@@ -84,8 +85,13 @@ RUNS = [
                               "--test-fn", "linear"]),
     ("cover-negative-quartic.csv", ["cover", "--model", "negative_quartic.json",
                                     "--orders", "256,256", "--test-fn", "linear"]),
+    # the index −128 of the even order has no mirror: the sweep's edge shell
+    ("cover-negative-quartic-ragged.csv", ["cover", "--model", "negative_quartic.json",
+                                           "--orders", "255,256", "--test-fn", "linear"]),
+    # rank 3: the half sweep splits its pairs over all three axes
+    ("cover-identity3.csv", ["cover", "--model", "identity3.json", "--orders", "31,32,33"]),
     # a sum that is not exactly rounded (np.sum) moves the last digit of
-    # `empirical` in these two
+    # `empirical` here
     ("cover-identity-bump.csv", ["cover", "--model", "identity.json", "--orders", "512,512",
                                  "--test-fn", "bump"]),
     ("cover-rank1-quartic.csv", ["cover", "--model", "rank1_quartic.json",

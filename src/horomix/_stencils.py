@@ -82,6 +82,14 @@ def exact_sum(values) -> float:
     does a sum that overflows float64.  Where only fsum's partial sums
     overflow (1e308 + 1e308 − 1e308), fsum raises and this returns the sum.
     """
+    return _round_total(_exact_total(values))
+
+
+def _exact_total(values) -> int:
+    """The sum of a float64 array, exactly, as an integer in units of
+    2⁻¹¹²⁶: the integer that :func:`exact_sum` rounds.  Integer totals of
+    several arrays add, and scale by integers, without rounding.
+    Non-finite values raise DomainError."""
     x = np.asarray(values, dtype=float).ravel()
     if not np.all(np.isfinite(x)):
         raise DomainError("cannot sum non-finite values (nan or ±inf)")
@@ -96,6 +104,12 @@ def exact_sum(values) -> float:
         frac_sums = np.bincount(bucket, weights=m) * 2.0**26
         for k in np.flatnonzero((whole_sums != 0.0) | (frac_sums != 0.0)).tolist():
             total += ((int(whole_sums[k]) << 26) + int(frac_sums[k])) << k
+    return total
+
+
+def _round_total(total: int) -> float:
+    """total·2⁻¹¹²⁶, correctly rounded (half to even) to float64; a value
+    beyond float64 raises DomainError."""
     try:
         return total / (1 << 1126)
     except OverflowError:

@@ -6,6 +6,11 @@ test function over the branch values λ₀(ω) at those points converge, as
 min Nᵢ → ∞, to ∫ f(x) ρ(x) dx against the pushforward density of
 Lebesgue measure under λ₀, which factors as ρ(x) = x^(d/2−1)·ζ̃(x) with
 ζ̃ bounded near 0.
+
+A character is swept at its representative j/n in [−1/2, 1/2), so the
+representatives of ω and −ω are exact negatives, and λ₀ is even: the
+lattice sweep evaluates λ₀ at one member of each ±ω pair and counts it
+twice, and every sum is exactly rounded over the full multiset.
 """
 
 from __future__ import annotations
@@ -17,8 +22,9 @@ import numpy as np
 
 from ._stencils import (
     GRID_CAP,
+    _exact_total,
+    _round_total,
     bracketed_roots,
-    exact_sum,
     fornberg_weights,
     gauss_legendre,
     monotone_inverse,
@@ -57,24 +63,25 @@ class CharacterLattice:
 
 def _index_range(n: int, half: float) -> range:
     """Signed indices j, one per class of Z/n, of the representatives j/n
-    in [−1/2, 1/2) with |j/n| ≤ half (give or take one index per end)."""
+    in [−1/2, 1/2) with |j/n| ≤ half (give or take one index per end).
+    The range is symmetric about 0, except that for even n it may start at
+    −n/2, whose negative is not in it."""
     top = math.ceil(half * n)
     return range(max(-(n // 2), -top), min((n + 1) // 2, top + 1))
 
 
 def _centered_axis(n: int, half: float) -> np.ndarray:
-    """Representatives a/n, a = j mod n, shifted into [−1/2, 1/2), for the
-    indices of :func:`_index_range`; ascending."""
+    """Representatives j/n of the signed indices j of :func:`_index_range`,
+    ascending.  Those of j and −j are exact negatives, so λ₀ has the same
+    bits on both; for j ≥ 0 they are the fractions a/n, a = j."""
     idx = _index_range(n, half)
-    vals = np.arange(idx.start, idx.stop) % n / n
-    vals[vals >= 0.5] -= 1.0
-    return vals
+    return np.arange(idx.start, idx.stop) / n
 
 
 def _box_axes(lattice: CharacterLattice, halves, cap: int) -> list:
-    """Per-axis representatives of the lattice characters inside the box
-    ∏[−hᵢ, hᵢ].  A box of more than ``cap`` points raises LatticeSizeError
-    before any allocation."""
+    """Per-axis representatives j/n of the lattice characters inside the
+    box ∏[−hᵢ, hᵢ].  A box of more than ``cap`` points raises
+    LatticeSizeError before any allocation."""
     box = list(zip(lattice.orders, halves))
     size = math.prod(len(_index_range(n, h)) for n, h in box)
     if size > cap:
@@ -101,12 +108,42 @@ def _box_blocks(axes):
             yield block
 
 
+def _half_box(axes) -> tuple[list, list]:
+    """The box ∏ axes as disjoint sub-boxes (lists of axes), split by the
+    weight their points carry: (pair boxes, single boxes).
+
+    An axis from :func:`_centered_axis` is a symmetric core −m/n … m/n,
+    after at most one unpaired edge index −n/2.  The core of the box is
+    swept once per ±ω pair: for each axis k, the points that are 0 on the
+    axes before k and positive on axis k, times the core of the axes after
+    k, each standing for itself and its mirror (weight 2); the origin
+    stands for itself alone (weight 1).  The edge shell, the points with
+    an unpaired index, is swept whole at weight 1, as one sub-box per axis
+    k with an edge: the core before k, the edge on k, the full axes after.
+    """
+    # each axis is ascending with 0 at its searchsorted position z, so the
+    # 2z + 1 − size entries before its symmetric core have no mirror
+    edges = [2 * int(np.searchsorted(a, 0.0)) + 1 - a.size for a in axes]
+    cores = [a[e:] for a, e in zip(axes, edges)]
+    origin = [c[c.size // 2 : c.size // 2 + 1] for c in cores]
+    pairs = [
+        origin[:k] + [c[c.size // 2 + 1 :]] + cores[k + 1 :]
+        for k, c in enumerate(cores) if c.size > 1
+    ]
+    singles = [
+        cores[:k] + [a[:e]] + axes[k + 1 :]
+        for k, (a, e) in enumerate(zip(axes, edges)) if e
+    ]
+    singles.append(origin)
+    return pairs, singles
+
+
 def enumerate_characters(lattice: CharacterLattice, cap: int = GRID_CAP) -> np.ndarray:
-    """All lattice characters as centered torus points, lex-ordered.
+    """All lattice characters as centered torus points j/n, lex-ordered.
 
     Centered representatives keep sublevel sets of λ₀ near 0 away from
-    the fundamental-domain boundary.  Lattices above ``cap`` points raise
-    LatticeSizeError.
+    the fundamental-domain boundary; they are those the lattice sweep
+    uses.  Lattices above ``cap`` points raise LatticeSizeError.
     """
     return tensor_grid(_box_axes(lattice, [0.5] * len(lattice.orders), cap), cap)
 
@@ -121,34 +158,53 @@ class SpectralHistogram:
     moments: tuple             # (first, second) weighted moments
 
 
+def _multiset_sum(pairs: np.ndarray, singles: np.ndarray) -> float:
+    """The exactly rounded sum of the full multiset, each value of
+    ``pairs`` counted twice and each of ``singles`` once, through the
+    exact integer totals of :func:`exact_sum`: bit for bit ``math.fsum``
+    over the full sweep, with no doubled copy built."""
+    return _round_total(2 * _exact_total(pairs) + _exact_total(singles))
+
+
 def build_histogram(
     model: SpectralModel, lattice: CharacterLattice, epsilon: float
 ) -> SpectralHistogram:
-    lam = _branch_values(model, lattice, epsilon)
+    """The kept branch values of every character, sorted (each ±ω pair
+    twice), with moments that are exactly rounded sums divided by ∏Nᵢ, as
+    in :func:`spectral_average`."""
+    pairs, singles = _branch_values(model, lattice, epsilon)
     w = 1.0 / lattice.size
-    vals = np.sort(lam)
+    vals = np.sort(np.concatenate([pairs, pairs, singles]))
     return SpectralHistogram(
         epsilon=epsilon,
         values=vals,
         weight=w,
         count=vals.size,
         mass=vals.size * w,
-        moments=(float(vals.sum() * w), float((vals**2).sum() * w)),
+        moments=tuple(
+            _multiset_sum(pairs**k, singles**k) / lattice.size for k in (1, 2)
+        ),
     )
 
 
 def _branch_values(
     model: SpectralModel, lattice: CharacterLattice, epsilon: float
-) -> np.ndarray:
-    """λ₀ ≤ ε at the lattice points, in lex order, over the box around the
-    ellipsoid {q ≤ ε}, q the quadratic part.  Both presets add coeff × a
-    non-negative term, so λ₀ ≥ q unless coeff < 0 (whole torus).
+) -> tuple[np.ndarray, np.ndarray]:
+    """λ₀ ≤ ε over the box around the ellipsoid {q ≤ ε}, q the quadratic
+    part, as (pairs, singles): each value of ``pairs`` is λ₀ at a character
+    and at its mirror, each of ``singles`` at one character.  Every
+    preset adds coeff × a non-negative term, so λ₀ ≥ q unless coeff < 0
+    (whole torus).
 
-    The box is swept in (B, d) blocks of :func:`_box_blocks`, one
+    λ₀ is even and the representatives j/n are exact mirrors, so the
+    sweep visits one member of each ±ω pair (:func:`_half_box`).  Each
+    sub-box is swept in (B, d) blocks of :func:`_box_blocks`, one
     ``lambda0_batch`` call each, and only the values ≤ ε are kept, written
-    once into a buffer whose unkept tail is never touched.  The bits do not
-    depend on the blocking (λ₀ is evaluated point by point) nor on the host.
-    A kept point outside the working box U raises ModelValidityError.
+    once into a buffer per weight whose unkept tail is never touched.  The
+    bits do not depend on the blocking (λ₀ is evaluated point by point)
+    nor on the host.  A kept point outside the working box U raises
+    ModelValidityError; U is symmetric, so checking the swept member of a
+    pair checks both.
     """
     if not 0.0 < epsilon <= model.gap_delta:
         raise DomainError(
@@ -161,20 +217,26 @@ def _branch_values(
     bound = model.domain_u + 1e-12
     # where every axis lies in U, no kept point can leave it
     inside_u = all(np.all(np.abs(a) <= u) for a, u in zip(axes, bound))
-    kept = np.empty(math.prod(a.size for a in axes))
-    count = 0
-    for pts in _box_blocks(axes):
-        lam = model.lambda0_batch(pts)
-        keep = lam <= epsilon
-        if not inside_u and np.any(np.abs(pts[keep]) > bound):
-            raise ModelValidityError(
-                "epsilon sublevel set leaves the working box U; the branch model "
-                "does not control those characters"
-            )
-        vals = lam[keep]
-        kept[count : count + vals.size] = vals
-        count += vals.size
-    return kept[:count]
+
+    def sweep(boxes):
+        kept = np.empty(sum(math.prod(a.size for a in box) for box in boxes))
+        count = 0
+        for box in boxes:
+            for pts in _box_blocks(box):
+                lam = model.lambda0_batch(pts)
+                keep = lam <= epsilon
+                if not inside_u and np.any(np.abs(pts[keep]) > bound):
+                    raise ModelValidityError(
+                        "epsilon sublevel set leaves the working box U; the branch "
+                        "model does not control those characters"
+                    )
+                vals = lam[keep]
+                kept[count : count + vals.size] = vals
+                count += vals.size
+        return kept[:count]
+
+    pairs, singles = _half_box(axes)
+    return sweep(pairs), sweep(singles)
 
 
 def spectral_average(
@@ -187,15 +249,15 @@ def spectral_average(
 
     ``f`` must be vectorized on arrays of branch values and supported in
     [0, ε); ε may not exceed the branch gap, above which unmodeled
-    eigenvalue branches would contribute.  A non-finite value of ``f``, or
-    a sum that overflows float64, raises DomainError.
+    eigenvalue branches would contribute.  f is evaluated once per ±ω
+    pair, and the sum over the full multiset is exactly rounded before
+    the division, so the result is ``math.fsum`` over every character's
+    value, divided by ∏Nᵢ, in whatever order the values arrive.  A
+    non-finite value of ``f``, or a sum that overflows float64, raises
+    DomainError.
     """
-    lam = _branch_values(model, lattice, epsilon)
-    if lam.size == 0:
-        return 0.0
-    # exact_sum is exactly rounded, so the sum does not depend on the order
-    # or the blocking in which the kept values arrive.
-    return exact_sum(f(lam)) / lattice.size
+    pairs, singles = _branch_values(model, lattice, epsilon)
+    return _multiset_sum(f(pairs), f(singles)) / lattice.size
 
 
 # ---------------------------------------------------------------------------

@@ -73,6 +73,9 @@ class Perturbation:
     in the radial Morse class, which downstream density and expansion
     code can exploit exactly.  Both are plain IEEE products and sums, with
     no ``pow``: the bits are the same on every host, and on ω and −ω.
+    A new preset must be even in that sense too, p(−ω) = p(ω) bit for
+    bit: the lattice sweep evaluates one member of each ±ω pair and counts
+    it twice.
     """
 
     PRESETS = ("quartic", "radial_quartic")

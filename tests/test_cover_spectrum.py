@@ -15,10 +15,10 @@ from horomix.cover_spectrum import (
     limit_integral,
     spectral_average,
     make_test_function,
-    _branch_values,
 )
 from horomix.errors import DomainError, LatticeSizeError, ModelValidityError
 from horomix.spectral_model import Perturbation, SpectralModel
+from lattice_full import full_characters, full_sweep_kept
 
 ONE = make_test_function("one", 0.05)
 
@@ -45,12 +45,17 @@ class TestEnumeration:
         assert np.all(pts >= -0.5) and np.all(pts < 0.5)
 
     @pytest.mark.parametrize("n", [1, 2, 7, 255, 256, 4097])
-    def test_axis_bits_are_the_shifted_fractions(self, n):
-        # a/n for a = 0..n−1, minus 1 at or above 1/2, sorted
-        ref = np.arange(n, dtype=float) / n
-        ref[ref >= 0.5] -= 1.0
-        pts = enumerate_characters(CharacterLattice((n,)))
-        assert pts.ravel().tobytes() == np.sort(ref).tobytes()
+    def test_axis_bits_are_the_signed_fractions(self, n):
+        # j/n for j = −⌊n/2⌋ … ⌈n/2⌉ − 1, each one correctly rounded division
+        indices = range(-(n // 2), (n + 1) // 2)
+        ref = np.array([j / n for j in indices])
+        pts = enumerate_characters(CharacterLattice((n,))).ravel()
+        assert pts.tobytes() == ref.tobytes()
+        # for j ≥ 0 they are the fractions a/n; for j < 0 the exact mirror of −j
+        zero = n // 2
+        assert pts[zero:].tobytes() == (np.arange((n + 1) // 2) / n).tobytes()
+        paired = (n - 1) // 2
+        assert pts[zero - paired : zero][::-1].tobytes() == (-pts[zero + 1 :]).tobytes()
 
     def test_size_cap(self):
         with pytest.raises(LatticeSizeError):
@@ -136,19 +141,49 @@ def _box_lattice(model, orders):
     return CharacterLattice((math.prod(orders),) if model.rank_d == 1 else orders)
 
 
-def _full_sweep_kept(model, lattice):
-    """Reference: every character, one λ₀ call, then the ≤ ε filter."""
-    full = model.lambda0_batch(enumerate_characters(lattice))
-    return full[full <= 0.05]
+def _negative_quartic(d):
+    return _model(np.eye(d), Perturbation("quartic", -0.5), validate=True)
+
+
+# (model, orders): ragged orders whose boxes span several blocks of the
+# default _BLOCK; a negative coefficient sweeps the whole torus
+SWEEP_CASES = {
+    "rank1_quartic_gram": (BOX_MODELS["rank1_quartic_gram"], (50_000,)),
+    "correlated_gram": (BOX_MODELS["correlated_gram"], (600, 640)),
+    "negative_quartic": (BOX_MODELS["negative_quartic"], (255, 256)),
+    "correlated_d3": (
+        _model([[1.0, 0.15, -0.1], [0.15, 1.1, 0.1], [-0.1, 0.1, 0.9]]), (97, 101, 103)
+    ),
+    "negative_quartic_d3": (_negative_quartic(3), (31, 32, 33)),
+}
+
+# whole-torus boxes, where an even order leaves the index −N/2 without a
+# mirror: the edge shell.  At d = 1 and N ≤ 4 even the unperturbed box
+# reaches the torus edge.
+EDGE_CASES = {
+    **{f"identity_d1-{n}": (BOX_MODELS["identity_d1"], (n,)) for n in (1, 2, 3, 4)},
+    **{f"negative_quartic_d1-{n}": (_negative_quartic(1), (n,)) for n in (1, 2, 3, 4)},
+    "negative_quartic-256x255": (BOX_MODELS["negative_quartic"], (256, 255)),
+    "correlated_gram-255x256": (
+        _model([[1.0, 0.4], [0.4, 1.2]], Perturbation("quartic", -0.5), validate=True),
+        (255, 256),
+    ),
+    # even on every axis, so every axis has an unpaired index
+    "negative_quartic_d3-32x32x32": (_negative_quartic(3), (32, 32, 32)),
+}
 
 
 class TestSweepBox:
+    """The half sweep keeps, pair by pair, the values of the full-box
+    oracle of ``lattice_full``, and its average is ``math.fsum`` over
+    them."""
+
     @pytest.mark.parametrize("orders", BOX_ORDERS)
     @pytest.mark.parametrize("name", sorted(BOX_MODELS))
     def test_box_keeps_the_full_sweep_bits(self, name, orders):
         model = BOX_MODELS[name]
         lattice = _box_lattice(model, orders)
-        reference = np.sort(_full_sweep_kept(model, lattice))
+        reference = np.sort(full_sweep_kept(model, lattice.orders, 0.05))
         kept = build_histogram(model, lattice, 0.05).values
         assert kept.size > 0
         assert kept.tobytes() == reference.tobytes()
@@ -160,22 +195,33 @@ class TestSweepBox:
         model = BOX_MODELS[name]
         lattice = _box_lattice(model, orders)
         f = make_test_function(fn, 0.05)
-        reference = math.fsum(f(_full_sweep_kept(model, lattice)).tolist()) / lattice.size
+        kept = full_sweep_kept(model, lattice.orders, 0.05)
+        reference = math.fsum(f(kept).tolist()) / lattice.size
         assert spectral_average(model, lattice, f, 0.05) == reference
 
     @pytest.mark.parametrize("model, orders, fn, expected", [
         # np.sum of the same values gives 0.020182631884715918
         pytest.param(_model(np.eye(2)), (512, 512), "bump", 0.02018263188471592,
                      id="identity-512x512-bump"),
-        # np.sum of the same values gives 0.008397739602985316
-        pytest.param(_model([[1.0]], Perturbation("quartic", 1.0)), (10**6,), "linear",
-                     0.008397739602985317, id="rank1-quartic-1e6-linear"),
+        # np.sum of the same values gives 0.008397739602898833
+        pytest.param(_model([[1.0]], Perturbation("quartic", 1.0)), (1_000_001,), "linear",
+                     0.008397739602898835, id="rank1-quartic-1000001-linear"),
     ])
     def test_average_where_a_pairwise_sum_is_one_ulp_off(self, model, orders, fn, expected):
         lattice = CharacterLattice(orders)
-        f = make_test_function(fn, 0.05)
-        assert math.fsum(f(_full_sweep_kept(model, lattice)).tolist()) / lattice.size == expected
-        assert spectral_average(model, lattice, f, 0.05) == expected
+        values = make_test_function(fn, 0.05)(full_sweep_kept(model, orders, 0.05))
+        assert math.fsum(values.tolist()) / lattice.size == expected
+        assert float(np.sum(values)) / lattice.size == np.nextafter(expected, 0.0)
+        assert spectral_average(model, lattice, make_test_function(fn, 0.05), 0.05) == expected
+
+    def test_histogram_moments_are_exactly_rounded(self):
+        model, orders = SWEEP_CASES["correlated_gram"]
+        kept = full_sweep_kept(model, orders, 0.05)
+        hist = build_histogram(model, CharacterLattice(orders), 0.05)
+        size = math.prod(orders)
+        assert hist.moments == (
+            math.fsum(kept.tolist()) / size, math.fsum((kept * kept).tolist()) / size
+        )
 
     def test_lattice_above_cap_with_small_box_is_swept(self, model_d2):
         # 1.21e8 characters, above GRID_CAP; the box holds under 1e6 of them
@@ -208,36 +254,25 @@ class TestSweepBox:
             build_histogram(model, lattice, 0.05)
 
 
-# (model, orders): ragged orders whose boxes span several blocks of the
-# default _BLOCK; a negative coefficient sweeps the whole torus
-SWEEP_CASES = {
-    "rank1_quartic_gram": (BOX_MODELS["rank1_quartic_gram"], (50_000,)),
-    "correlated_gram": (BOX_MODELS["correlated_gram"], (600, 640)),
-    "negative_quartic": (BOX_MODELS["negative_quartic"], (255, 256)),
-    "correlated_d3": (
-        _model([[1.0, 0.15, -0.1], [0.15, 1.1, 0.1], [-0.1, 0.1, 0.9]]), (97, 101, 103)
-    ),
-    "negative_quartic_d3": (
-        _model(np.eye(3), Perturbation("quartic", -0.5), validate=True), (31, 32, 33)
-    ),
-}
-
-
 class TestBlockedSweep:
     """The sweep builds (B, d) blocks from the per-axis representatives,
-    never the box; the kept values are those of one λ₀ call on every
-    character, in lex order."""
+    never the box, and visits one member of each ±ω pair; the kept
+    multiset and the average are those of one λ₀ call on every character."""
 
     @pytest.mark.parametrize("block", [7, 100, cover_spectrum._BLOCK])
-    @pytest.mark.parametrize("name", sorted(SWEEP_CASES))
+    @pytest.mark.parametrize("name", sorted(SWEEP_CASES) + sorted(EDGE_CASES))
     def test_kept_values_equal_a_full_box_reference(self, monkeypatch, name, block):
-        model, orders = SWEEP_CASES[name]
+        model, orders = {**SWEEP_CASES, **EDGE_CASES}[name]
         lattice = CharacterLattice(orders)
-        reference = _full_sweep_kept(model, lattice)
+        reference = full_sweep_kept(model, orders, 0.05)
         monkeypatch.setattr(cover_spectrum, "_BLOCK", block)
-        kept = _branch_values(model, lattice, 0.05)
+        kept = build_histogram(model, lattice, 0.05).values
         assert kept.size > 0
-        assert kept.tobytes() == reference.tobytes()
+        assert kept.tobytes() == np.sort(reference).tobytes()
+        f = make_test_function("linear", 0.05)
+        assert spectral_average(model, lattice, f, 0.05) == (
+            math.fsum(f(reference).tolist()) / lattice.size
+        )
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_sublevel_set_leaving_u_refused_in_a_later_block(self, monkeypatch, d):
@@ -249,10 +284,15 @@ class TestBlockedSweep:
             spectral_average(model, CharacterLattice((64,) * d), ONE, 0.05)
 
     @pytest.mark.parametrize("block", [7, cover_spectrum._BLOCK])
-    @pytest.mark.parametrize("name", ["negative_quartic", "negative_quartic_d3"])
+    @pytest.mark.parametrize("name", [
+        "negative_quartic", "negative_quartic_d3",
+        "negative_quartic-256x255", "negative_quartic_d3-32x32x32",
+    ])
     def test_lambda0_sees_row_blocks_covering_the_box(self, monkeypatch, name, block):
-        # a negative coefficient sweeps the whole torus, so the box is the lattice
-        model, orders = SWEEP_CASES[name]
+        # a negative coefficient sweeps the whole torus, so the box is the
+        # lattice: λ₀ sees each ±ω pair of its symmetric core once, the
+        # origin once, and every point with an index −N/2 (N even) once
+        model, orders = {**SWEEP_CASES, **EDGE_CASES}[name]
         lattice = CharacterLattice(orders)
         shapes = []
         evaluate = SpectralModel.lambda0_batch
@@ -266,7 +306,13 @@ class TestBlockedSweep:
         spectral_average(model, lattice, ONE, 0.05)
         d = model.rank_d
         assert all(len(s) == 2 and s[1] == d and 1 <= s[0] <= block for s in shapes)
-        assert sum(s[0] for s in shapes) == lattice.size
+        core = math.prod(n - 1 + n % 2 for n in orders)
+        assert sum(s[0] for s in shapes) == (core + 1) // 2 + lattice.size - core
+
+    def test_oracle_characters_are_the_enumerated_ones(self):
+        for orders in [(1,), (4,), (5, 6), (2, 3, 4)]:
+            pts = enumerate_characters(CharacterLattice(orders))
+            assert pts.tobytes() == full_characters(orders).tobytes()
 
 
 class TestLimitDensity:

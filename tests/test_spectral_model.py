@@ -92,11 +92,17 @@ class TestBranchBits:
     """λ₀ is IEEE products and sums in a fixed order: the same bits on every
     host, and on ω and −ω."""
 
-    @pytest.mark.parametrize("d", [1, 2, 3])
-    @pytest.mark.parametrize("preset", Perturbation.PRESETS)
+    # the lattice sweep evaluates one member of each ±ω pair and counts it
+    # twice, so every model, and every preset added later, must pass this
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    @pytest.mark.parametrize("preset", (None,) + Perturbation.PRESETS)
     def test_even_bit_for_bit(self, preset, d):
         model = _random_model(d, preset)
-        pts = np.random.default_rng(d).uniform(-0.5, 0.5, (100_000, d))
+        rng = np.random.default_rng(d)
+        pts = rng.uniform(-0.5, 0.5, (100_000, d))
+        # a quarter of the coordinates on the torus edge ±1/2
+        edge = rng.random(pts.shape) < 0.25
+        pts[edge] = rng.choice([-0.5, 0.5], size=np.count_nonzero(edge))
         assert model.lambda0_batch(-pts).tobytes() == model.lambda0_batch(pts).tobytes()
 
     # np.einsum is the oracle here only; the library never calls it
