@@ -1,5 +1,6 @@
 """Finite-difference stencils, Gauss–Legendre rules, tensor-product grids,
-quadratic forms, bracketed root finding and exactly rounded summation.
+quadratic forms, bracketed root finding (bisection, and safeguarded Newton
+certified against it) and exactly rounded summation.
 
 One implementation of each primitive, shared by the eigenvalue model, the
 Euler-residual stencils of the correlation ODE, the Laplace quadrature and
@@ -23,6 +24,8 @@ SWEEP_BUDGET = 1_000_000
 # Values per exact_sum pass: the per-exponent sums stay exact integers in
 # float64 while _SUM_CHUNK · 2²⁷ ≤ 2⁵³, and the temporaries stay O(chunk).
 _SUM_CHUNK = 1 << 20
+# Steps a safeguarded Newton solve takes before its roots go to bisection.
+_NEWTON_STEPS = 12
 
 
 def bracketed_roots(fn, lo, hi, xtol: float, rtol: float) -> np.ndarray:
@@ -66,6 +69,54 @@ def bracketed_roots(fn, lo, hi, xtol: float, rtol: float) -> np.ndarray:
         secant = lo - f_lo * (hi - lo) / span
     inside = (span != 0.0) & (lo <= secant) & (secant <= hi)
     return np.where(inside, secant, 0.5 * lo + 0.5 * hi)
+
+
+def _newton_roots(fn, start, lo, hi, xtol: float, rtol: float) -> np.ndarray:
+    """Roots of the vectorized ``fn`` in the brackets [lo, hi], elementwise,
+    by safeguarded Newton from ``start`` (clipped into its bracket), for
+    ``fn`` that rises through its root: fn(lo) ≤ 0 ≤ fn(hi).
+
+    ``fn`` maps an array of abscissae to an array of the same shape.  It is
+    called on the batch shape with one extra leading axis, once per step
+    with the points of that step stacked, so whatever it broadcasts against
+    must broadcast against both shapes.  Each step evaluates x − h, x and
+    x + h, h = 2⁻²⁰·|x| + xtol: the sign of f(x) narrows the bracket, and
+    the central difference is the slope, whose accuracy sets only how fast
+    the steps shrink.  A step that leaves the closed bracket goes to its
+    midpoint.  Once every step is below xtol + rtol·|x|, or after
+    _NEWTON_STEPS steps, each root x is certified by fn(x − tol) ≤ 0 ≤
+    fn(x + tol), tol = xtol + rtol·|x|: a sign change within the stopping
+    rule of :func:`bracketed_roots`.  An element that fails it, or never
+    converged, is solved again by :func:`bracketed_roots` on its bracket,
+    which raises DomainError if the bracket holds no sign change.
+    """
+    lo, hi, x = np.broadcast_arrays(*(np.asarray(a, float) for a in (lo, hi, start)))
+    if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi)) and np.all(lo <= hi)):
+        raise DomainError("brackets must be finite with lo <= hi")
+    x = np.minimum(np.maximum(x, lo), hi)
+    offsets = np.array([-1.0, 0.0, 1.0]).reshape((3,) + (1,) * x.ndim)
+    for _ in range(_NEWTON_STEPS):
+        h = 2.0**-20 * np.abs(x) + xtol
+        f_minus, f_x, f_plus = np.asarray(fn(x + offsets * h), float)
+        lo = np.where(f_x < 0.0, x, lo)
+        hi = np.where(f_x > 0.0, x, hi)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            new = x - f_x * (2.0 * h) / (f_plus - f_minus)
+        # inclusive: a converged x on a bracket end must stay a Newton point
+        new = np.where((lo <= new) & (new <= hi), new, 0.5 * lo + 0.5 * hi)
+        converged = np.abs(new - x) < xtol + rtol * np.abs(new)
+        x = new
+        if converged.all():
+            break
+    tol = xtol + rtol * np.abs(x)
+    f_minus, f_plus = np.asarray(fn(np.stack([x - tol, x + tol])), float)
+    certified = converged & (f_minus <= 0.0) & (f_plus >= 0.0)
+    if certified.all():
+        return x
+    # bisect the rest on their brackets; the certified ones on [x − tol,
+    # x + tol], which holds their sign change, and keep their x
+    lo, hi = np.where(certified, x - tol, lo), np.where(certified, x + tol, hi)
+    return np.where(certified, x, bracketed_roots(fn, lo, hi, xtol, rtol))
 
 
 def exact_sum(values) -> float:

@@ -23,8 +23,8 @@ import numpy as np
 from ._stencils import (
     GRID_CAP,
     _exact_total,
+    _newton_roots,
     _round_total,
-    bracketed_roots,
     fornberg_weights,
     gauss_legendre,
     monotone_inverse,
@@ -70,23 +70,23 @@ def _index_range(n: int, half: float) -> range:
     return range(max(-(n // 2), -top), min((n + 1) // 2, top + 1))
 
 
-def _centered_axis(n: int, half: float) -> np.ndarray:
-    """Representatives j/n of the signed indices j of :func:`_index_range`,
-    ascending.  Those of j and −j are exact negatives, so λ₀ has the same
-    bits on both; for j ≥ 0 they are the fractions a/n, a = j."""
-    idx = _index_range(n, half)
-    return np.arange(idx.start, idx.stop) / n
+def _axis(n: int, j0: int, j1: int) -> np.ndarray:
+    """Representatives j/n of the signed indices j0 ≤ j < j1, ascending.
+    Those of j and −j are exact negatives, so λ₀ has the same bits on
+    both; for j ≥ 0 they are the fractions a/n, a = j.  Any run of indices
+    has the bits of the same entries of a longer run."""
+    return np.arange(j0, j1) / n
 
 
-def _box_axes(lattice: CharacterLattice, halves, cap: int) -> list:
-    """Per-axis representatives j/n of the lattice characters inside the
-    box ∏[−hᵢ, hᵢ].  A box of more than ``cap`` points raises
-    LatticeSizeError before any allocation."""
-    box = list(zip(lattice.orders, halves))
-    size = math.prod(len(_index_range(n, h)) for n, h in box)
+def _box_ranges(lattice: CharacterLattice, halves, cap: int) -> list:
+    """(n, index range of :func:`_index_range`) per axis for the lattice
+    characters inside the box ∏[−hᵢ, hᵢ].  A box of more than ``cap``
+    points raises LatticeSizeError before any allocation."""
+    box = [(n, _index_range(n, h)) for n, h in zip(lattice.orders, halves)]
+    size = math.prod(len(idx) for _, idx in box)
     if size > cap:
         raise LatticeSizeError(f"lattice box has {size} points, above the cap {cap}")
-    return [_centered_axis(n, h) for n, h in box]
+    return box
 
 
 def _box_blocks(axes):
@@ -108,31 +108,41 @@ def _box_blocks(axes):
             yield block
 
 
-def _half_box(axes) -> tuple[list, list]:
-    """The box ∏ axes as disjoint sub-boxes (lists of axes), split by the
-    weight their points carry: (pair boxes, single boxes).
+def _half_box(box) -> tuple[list, list]:
+    """The box of :func:`_box_ranges` as disjoint sub-boxes (lists of
+    axes), split by the weight their points carry: (pair boxes, single
+    boxes).
 
-    An axis from :func:`_centered_axis` is a symmetric core −m/n … m/n,
-    after at most one unpaired edge index −n/2.  The core of the box is
-    swept once per ±ω pair: for each axis k, the points that are 0 on the
-    axes before k and positive on axis k, times the core of the axes after
-    k, each standing for itself and its mirror (weight 2); the origin
-    stands for itself alone (weight 1).  The edge shell, the points with
-    an unpaired index, is swept whole at weight 1, as one sub-box per axis
-    k with an edge: the core before k, the edge on k, the full axes after.
+    The indices of an axis are a symmetric core −m … m, after at most one
+    unpaired edge index −n/2.  The core of the box is swept once per ±ω
+    pair: for each axis k, the points that are 0 on the axes before k and
+    positive on axis k, times the core of the axes after k, each standing
+    for itself and its mirror (weight 2); the origin stands for itself
+    alone (weight 1).  The edge shell, the points with an unpaired index,
+    is swept whole at weight 1, as one sub-box per axis k with an edge:
+    the core before k, the edge on k, the full axes after.  Only these
+    pieces are built, each by :func:`_axis`, so the leading axis, the
+    longest of a rank-1 box, never builds its negative half unless a
+    later axis has an edge.
     """
-    # each axis is ascending with 0 at its searchsorted position z, so the
-    # 2z + 1 − size entries before its symmetric core have no mirror
-    edges = [2 * int(np.searchsorted(a, 0.0)) + 1 - a.size for a in axes]
-    cores = [a[e:] for a, e in zip(axes, edges)]
-    origin = [c[c.size // 2 : c.size // 2 + 1] for c in cores]
+    tops = [idx.stop - 1 for _, idx in box]
+    edged = [k for k, (_, idx) in enumerate(box) if idx.start < -tops[k]]
+    # the pairs of earlier axes read the core of every later axis; the
+    # leading axis's core is read only by the edge sub-boxes of later axes
+    lead_core = any(k > 0 for k in edged)
+    cores = [
+        _axis(n, -m, m + 1) if k > 0 or lead_core else None
+        for k, ((n, _), m) in enumerate(zip(box, tops))
+    ]
+    origin = [_axis(n, 0, 1) for n, _ in box]
     pairs = [
-        origin[:k] + [c[c.size // 2 + 1 :]] + cores[k + 1 :]
-        for k, c in enumerate(cores) if c.size > 1
+        origin[:k] + [_axis(n, 1, m + 1)] + cores[k + 1 :]
+        for k, ((n, _), m) in enumerate(zip(box, tops)) if m > 0
     ]
     singles = [
-        cores[:k] + [a[:e]] + axes[k + 1 :]
-        for k, (a, e) in enumerate(zip(axes, edges)) if e
+        cores[:k] + [_axis(box[k][0], box[k][1].start, -tops[k])]
+        + [_axis(n, idx.start, idx.stop) for n, idx in box[k + 1 :]]
+        for k in edged
     ]
     singles.append(origin)
     return pairs, singles
@@ -145,7 +155,8 @@ def enumerate_characters(lattice: CharacterLattice, cap: int = GRID_CAP) -> np.n
     the fundamental-domain boundary; they are those the lattice sweep
     uses.  Lattices above ``cap`` points raise LatticeSizeError.
     """
-    return tensor_grid(_box_axes(lattice, [0.5] * len(lattice.orders), cap), cap)
+    box = _box_ranges(lattice, [0.5] * len(lattice.orders), cap)
+    return tensor_grid([_axis(n, idx.start, idx.stop) for n, idx in box], cap)
 
 
 @dataclass
@@ -213,10 +224,10 @@ def _branch_values(
     pert = model.perturbation
     reach = epsilon if pert is None or pert.coeff >= 0.0 else math.inf
     radii = np.sqrt(reach * np.diag(np.linalg.inv(model.gram)) / model.quad_coeff)
-    axes = _box_axes(lattice, np.minimum(radii * (1.0 + 1e-9), 0.5), GRID_CAP)
+    box = _box_ranges(lattice, np.minimum(radii * (1.0 + 1e-9), 0.5), GRID_CAP)
     bound = model.domain_u + 1e-12
     # where every axis lies in U, no kept point can leave it
-    inside_u = all(np.all(np.abs(a) <= u) for a, u in zip(axes, bound))
+    inside_u = all(max(-idx.start, idx.stop - 1) / n <= u for (n, idx), u in zip(box, bound))
 
     def sweep(boxes):
         kept = np.empty(sum(math.prod(a.size for a in box) for box in boxes))
@@ -235,7 +246,7 @@ def _branch_values(
                 count += vals.size
         return kept[:count]
 
-    pairs, singles = _half_box(axes)
+    pairs, singles = _half_box(box)
     return sweep(pairs), sweep(singles)
 
 
@@ -291,22 +302,29 @@ def _radial_density(profile, d: int, vd: float, root_det: float, x) -> np.ndarra
 
 def _angular_density_2d(model: SpectralModel, x: np.ndarray) -> np.ndarray:
     """ρ(x) = ∫ r·(∂λ₀/∂r)⁻¹ dφ on the level curves of general 2-d models,
-    by 64-point Gauss–Legendre in the angle; all len(x) × 64 radii are found
-    in one batch of bisection steps, and ∂λ₀/∂r comes from one 5-point
-    stencil evaluation."""
+    by 64-point Gauss–Legendre in the angle.  All len(x) × 64 radii are
+    solved in one batch by safeguarded Newton (``_stencils._newton_roots``)
+    on [0, min U], started from the quadratic guess √(x/Q(e)) of each unit
+    direction e: each root is certified within 1e-15 + 8.9e-16·r of a sign
+    change of λ₀(r·e) − x, and bisection takes any that is not.
+    ∂λ₀/∂r comes from one 5-point stencil evaluation."""
     phis, wts = gauss_legendre(0.0, 2.0 * math.pi, 64)
     directions = np.stack([np.cos(phis), np.sin(phis)], axis=-1)
     rmax = float(np.min(model.domain_u))
     level = np.asarray(x, float)[:, None]
 
     def lam_r(r):
-        return model.lambda0_batch(r[..., None] * directions)
+        # the points r·e, stored coordinate first, so λ₀ reads each
+        # coordinate as one contiguous array
+        pts = np.empty((2,) + r.shape)
+        np.multiply(r, directions.T.reshape((2,) + (1,) * (r.ndim - 1) + phis.shape), out=pts)
+        return model.lambda0_batch(np.moveaxis(pts, 0, -1))
 
     if np.any(lam_r(np.full(phis.shape, rmax)) <= level):
         raise DomainError("level set touches the working box; reduce epsilon")
-    r_root = bracketed_roots(
-        lambda r: lam_r(r) - level, 0.0, np.full((level.size, phis.size), rmax),
-        xtol=1e-15, rtol=8.9e-16,
+    r_root = _newton_roots(
+        lambda r: lam_r(r) - level, np.sqrt(level / model.quadratic_part(directions)),
+        0.0, rmax, xtol=1e-15, rtol=8.9e-16,
     )
     # ∂λ₀/∂r by the 5-point stencil at step 1e-3·r (every level, so r, is > 0)
     offsets, step = np.arange(-2.0, 3.0), 1e-3 * r_root
@@ -321,8 +339,10 @@ def limit_density(
     """Pushforward density of torus Lebesgue measure under λ₀ on [0, ε].
 
     Models with a :meth:`SpectralModel.radial_profile` (pure quadratic,
-    radial quartic, rank-1 quartic) reduce exactly to one dimension; other
-    2-d models integrate over level curves numerically.
+    radial quartic, rank-1 quartic) reduce exactly to one dimension, whose
+    inverse is bisected.  Other 2-d models integrate over level curves
+    whose radii are solved by certified safeguarded Newton, with bisection
+    for any radius that fails its certificate (:func:`_angular_density_2d`).
     The x^(d/2−1) factor is split off into ``zeta_tilde``, which stays
     bounded near 0.
     """

@@ -383,3 +383,29 @@ def test_cli_paths_run_without_scipy():
         capture_output=True, text=True, timeout=120,
     )
     assert done.returncode == 0, done.stderr
+
+
+class TestCliDeltas:
+    """scripts/cli_deltas.py reports the largest change per moved column."""
+
+    @pytest.fixture()
+    def column_deltas(self, monkeypatch):
+        scripts = Path(__file__).resolve().parent.parent / "scripts"
+        monkeypatch.syspath_prepend(str(scripts))
+        import cli_deltas
+
+        return cli_deltas.column_deltas
+
+    def test_moved_columns_only(self, column_deltas):
+        base = "min_n,empirical,limit,abs_err\n8,0.5,0.25,0.25\n16,0.5,0.25,0.25\n"
+        head = "min_n,empirical,limit,abs_err\n8,0.5,0.26,0.24\n16,0.5,0.25,0.25\n"
+        assert column_deltas(base, head) == [
+            "  limit: 1/2 rows, max abs 0.01, max rel 0.04",
+            "  abs_err: 1/2 rows, max abs 0.01, max rel 0.04",
+        ]
+
+    def test_text_cells_and_reshaped_tables(self, column_deltas):
+        assert column_deltas("a,b\nx,1\n", "a,b\ny,1\n") == ["  a: 1/1 rows, 1 non-numeric"]
+        assert column_deltas("a\n1\n", "a\n1\n2\n") == [
+            "  header or row count changed: 2 -> 3 lines"
+        ]

@@ -18,6 +18,7 @@ from horomix.cover_spectrum import (
 )
 from horomix.errors import DomainError, LatticeSizeError, ModelValidityError
 from horomix.spectral_model import Perturbation, SpectralModel
+from angular_bisect import bisected_angular_density
 from lattice_full import full_characters, full_sweep_kept
 
 ONE = make_test_function("one", 0.05)
@@ -309,6 +310,28 @@ class TestBlockedSweep:
         core = math.prod(n - 1 + n % 2 for n in orders)
         assert sum(s[0] for s in shapes) == (core + 1) // 2 + lattice.size - core
 
+    @pytest.mark.parametrize("orders, coeff, built", [
+        # the box −12616 … 12616: its zero and positive half
+        ((100_000,), 1.0, 1 + 12616),
+        # the whole torus −50000 … 49999: zero, positive half and edge
+        ((100_000,), -0.5, 1 + 49_999 + 1),
+        # a later axis with an edge: both cores (255 each), both zeros,
+        # both positive halves (127 each) and the edge −128
+        ((255, 256), -0.5, 2 * 255 + 2 + 2 * 127 + 1),
+    ], ids=["rank1-box", "rank1-torus", "ragged-torus"])
+    def test_only_the_swept_representatives_are_built(self, monkeypatch, orders, coeff, built):
+        model = _model(np.eye(len(orders)), Perturbation("quartic", coeff))
+        sizes = []
+        axis = cover_spectrum._axis
+
+        def recording(n, j0, j1):
+            sizes.append(j1 - j0)
+            return axis(n, j0, j1)
+
+        monkeypatch.setattr(cover_spectrum, "_axis", recording)
+        spectral_average(model, CharacterLattice(orders), ONE, 0.05)
+        assert sum(sizes) == built
+
     def test_oracle_characters_are_the_enumerated_ones(self):
         for orders in [(1,), (4,), (5, 6), (2, 3, 4)]:
             pts = enumerate_characters(CharacterLattice(orders))
@@ -373,8 +396,53 @@ class TestLimitDensity:
     def test_angular_route_matches_closed_form(self, model_d2):
         from horomix.cover_spectrum import _angular_density_2d
 
-        got = _angular_density_2d(model_d2, np.array([0.01, 0.03]))
-        assert got == pytest.approx([1.0, 1.0], rel=1e-9)
+        got = _angular_density_2d(model_d2, np.geomspace(1e-12, 0.05, 50))
+        assert got == pytest.approx(np.ones(50), rel=1e-12)
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_newton_route_matches_the_bisection_oracle(self, seed, sign):
+        from horomix.cover_spectrum import _angular_density_2d
+
+        model = _seeded_quartic(seed, sign)
+        xs = np.geomspace(1e-12 * 0.05, 0.05, 60)
+        got = _angular_density_2d(model, xs)
+        assert got == pytest.approx(bisected_angular_density(model, xs), rel=1e-12)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_every_root_is_certified(self, monkeypatch, sign):
+        # each radius the density uses lies within 1e-15 + 8.9e-16·r of a
+        # sign change of λ₀(r·e) − x
+        model = _seeded_quartic(7, sign)
+        solved = []
+        solve = cover_spectrum._newton_roots
+
+        def recording(fn, start, lo, hi, xtol, rtol):
+            roots = solve(fn, start, lo, hi, xtol, rtol)
+            solved.append((fn, roots, xtol + rtol * np.abs(roots)))
+            return roots
+
+        monkeypatch.setattr(cover_spectrum, "_newton_roots", recording)
+        s, _ = cover_spectrum.gauss_legendre(0.0, math.sqrt(0.05), 200)
+        limit_density(model, 0.05, s * s)
+        [(fn, roots, tol)] = solved
+        assert roots.shape == (200, 64)
+        assert np.all(fn(roots - tol) <= 0.0) and np.all(fn(roots + tol) >= 0.0)
+
+    def test_lambda0_call_budget(self, monkeypatch):
+        # bisection took 52 batched λ₀ calls for 200 levels
+        model = _seeded_quartic(3, 1.0)
+        calls = []
+        evaluate = SpectralModel.lambda0_batch
+
+        def counting(self, pts):
+            calls.append(np.shape(pts))
+            return evaluate(self, pts)
+
+        monkeypatch.setattr(SpectralModel, "lambda0_batch", counting)
+        s, _ = cover_spectrum.gauss_legendre(0.0, math.sqrt(0.05), 200)
+        limit_density(model, 0.05, s * s)
+        assert len(calls) <= 20
 
     @pytest.mark.parametrize(
         "gram, pert",
@@ -415,6 +483,16 @@ class TestLimitDensity:
             lambda s: 2 * math.pi * s * (0.05 - math.pi * s * s), 0.0, r
         )[0]
         assert via_density == pytest.approx(direct, abs=1e-6)
+
+
+def _seeded_quartic(seed, sign):
+    """A non-radial quartic model with a correlated Gram and a coefficient
+    of the given sign, drawn from ``seed``."""
+    rng = np.random.default_rng(seed)
+    a, b = rng.uniform(0.8, 1.25, 2)
+    c = rng.uniform(-0.25, 0.25) * math.sqrt(a * b)
+    pert = Perturbation("quartic", sign * rng.uniform(0.1, 0.5))
+    return SpectralModel(genus=2, rank_d=2, gram=[[a, c], [c, b]], perturbation=pert)
 
 
 def _indicator_volume(model, level, n=2400):

@@ -314,6 +314,72 @@ class TestBracketedRoots:
         assert len(calls) < 200
 
 
+class TestNewtonRoots:
+    @settings(deadline=None, max_examples=60)
+    @given(
+        # the start, as a fraction of the bracket
+        st.lists(st.tuples(_MONOTONE, st.floats(0.0, 1.0)), min_size=1, max_size=8),
+        st.floats(1e-16, 1e-6),
+        st.sampled_from([8.9e-16, 1e-12, 1e-8]),
+    )
+    def test_agrees_with_bracketed_roots(self, cases, xtol, rtol):
+        # the contract of test_agrees_with_brentq, on the rising a(x − r) + b(x − r)³
+        r, a, b, _, below, above, at = (np.array(c) for c in zip(*(c + (t,) for c, t in cases)))
+
+        def fn(x):
+            return a * (x - r) + b * (x - r) ** 3
+
+        lo, hi = r - below, r + above
+        got = _stencils._newton_roots(fn, lo + at * (hi - lo), lo, hi, xtol, rtol)
+        ref = bracketed_roots(fn, lo, hi, xtol, rtol)
+        tol = xtol + rtol * np.abs(r) + 2.0 * np.spacing(r)
+        assert np.all(np.abs(got - r) <= tol)
+        assert np.all(np.abs(got - ref) <= 2.0 * tol)
+
+    @pytest.mark.parametrize("fn, start, lo, hi", [
+        # Newton from 0 cycles 0 → 1 → 0; the step to 1 leaves the bracket
+        pytest.param(lambda x: x**3 - 2.0 * x + 2.0, 0.0, -3.0, 2.0, id="cycle"),
+        # zero slope at the start: the first step is infinite
+        pytest.param(lambda x: x**3 - 0.2, 0.0, -1.0, 1.0, id="flat-start"),
+        # an inflection between the start and the root
+        pytest.param(lambda x: np.arctan(x - 0.7) + 0.1, 4.0, -10.0, 10.0, id="inflection"),
+    ])
+    def test_steps_leaving_the_bracket_still_certify(self, fn, start, lo, hi):
+        xtol, rtol = 1e-15, 8.9e-16
+        x = float(_stencils._newton_roots(fn, start, lo, hi, xtol, rtol))
+        tol = xtol + rtol * abs(x)
+        assert lo <= x <= hi
+        assert fn(x - tol) <= 0.0 <= fn(x + tol)
+
+    def test_uncertified_roots_fall_back_to_bisection(self, monkeypatch):
+        # a jump has no slope to follow: twelve midpoint steps cannot reach
+        # the tolerance, so that element is bisected; the smooth one keeps
+        # its Newton root
+        bisected = []
+        bisect = _stencils.bracketed_roots
+
+        def recording(fn, lo, hi, xtol, rtol):
+            bisected.append(np.shape(lo))
+            return bisect(fn, lo, hi, xtol, rtol)
+
+        monkeypatch.setattr(_stencils, "bracketed_roots", recording)
+        jump = np.array([False, True])
+
+        def fn(x):
+            return np.where(jump, np.where(x < 0.3, -1.0, 1.0), x * x - 0.5)
+
+        got = _stencils._newton_roots(fn, [1.0, 0.9], 0.0, 1.0, 1e-15, 8.9e-16)
+        assert bisected == [(2,)]
+        assert abs(got[0] - math.sqrt(0.5)) <= 2e-15
+        assert abs(got[1] - 0.3) <= 1e-15 + 8.9e-16 * 0.3
+        tol = 1e-15 + 8.9e-16 * got
+        assert np.all(fn(got - tol) <= 0.0) and np.all(fn(got + tol) >= 0.0)
+
+    def test_bracket_without_a_sign_change_raises(self):
+        with pytest.raises(DomainError):
+            _stencils._newton_roots(lambda x: x * x + 1.0, 0.5, -1.0, 1.0, 1e-12, 1e-12)
+
+
 class TestMonotoneInverse:
     def test_inverts_quadratic_profile(self):
         c = 0.5
