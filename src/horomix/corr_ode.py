@@ -28,6 +28,7 @@ amplitude is a solver argument.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -47,6 +48,9 @@ _CONSISTENCY_TOL = 1e-6  # master residual above which a trajectory is rejected
 _R_MAX = 1e280           # largest tail cutoff
 _PANEL_GAP = 1e-10       # summed panel gaps allowed, relative to the L¹ mass
 _MAX_BISECTIONS = 4000   # panel bisections allowed in one callable integral
+# grids whose stencil plans stay cached: ode-tail cycles three master grids,
+# and an ode or selftest run reuses its one grid across calls
+_PLAN_CACHE = 8
 
 
 @dataclass(frozen=True)
@@ -370,11 +374,13 @@ def solve_master(
 def master_relation_residual(traj: Trajectory, lam: float) -> float:
     """Residual of y'(t)(t³+4t) = ∫₀ᵗ h, recomputed from the samples.
 
-    The integral is rebuilt by local quartic quadrature of the integrand
-    (:func:`cumulative_quadratic`, one array pass), independently of the
-    solver's running state, so a trajectory not produced by the master
-    relation is caught.  :func:`assemble_forcing` re-runs it on every
-    trajectory it is given, whatever its source.
+    The integrand is rebuilt from the samples on every call and integrated
+    by local quartic quadrature (:func:`cumulative_quadratic`, one array
+    pass), independently of the solver's running state, so a trajectory not
+    produced by the master relation is caught.  Only the quadrature weights,
+    a function of the grid alone, are built once per grid and shared from a
+    bounded cache keyed by the grid's bytes.  :func:`assemble_forcing`
+    re-runs it on every trajectory it is given, whatever its source.
     """
     t, y, yp = traj.grid, traj.y, traj.y_prime
     mode, y0 = traj.meta.mode, traj.meta.y0
@@ -394,14 +400,31 @@ def master_relation_residual(traj: Trajectory, lam: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def cumulative_quadratic(grid: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Cumulative ∫ from grid[0] by local degree-4 interpolatory quadrature.
+def _per_grid(build):
+    """Cache ``build(grid)`` by the grid's float64 bytes for the last
+    _PLAN_CACHE grids, so a grid mutated in place gets a fresh plan; the
+    plan's arrays are shared read-only."""
 
-    Each cell [t_k, t_(k+1)] integrates the quartic through its five
-    nearest samples (fewer on shorter grids), as the Taylor sum at t_k:
-    ∫ p = Σ_m p⁽ᵐ⁾(t_k)·hᵐ⁺¹/(m+1)!, with the derivatives from the
-    :func:`fornberg_weights` table of the cell's window.
-    """
+    @functools.lru_cache(maxsize=_PLAN_CACHE)
+    def cached(key: bytes) -> tuple:
+        plan = build(np.frombuffer(key))
+        for part in plan:
+            part.flags.writeable = False
+        return plan
+
+    @functools.wraps(build)
+    def plan(grid: np.ndarray) -> tuple:
+        return cached(np.ascontiguousarray(grid, float).tobytes())
+
+    plan.cache_info, plan.cache_clear = cached.cache_info, cached.cache_clear
+    return plan
+
+
+@_per_grid
+def _cumulative_plan(grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each cell's window of five nearest nodes (fewer on shorter grids) and
+    its quadrature weights: the :func:`fornberg_weights` table at the cell's
+    left end contracted with the Taylor factors hᵐ⁺¹/(m+1)!."""
     n = grid.size
     width = min(5, n)
     cells = np.arange(n - 1)
@@ -410,7 +433,21 @@ def cumulative_quadratic(grid: np.ndarray, values: np.ndarray) -> np.ndarray:
     table = fornberg_weights(grid[window], grid[cells], width - 1)
     powers = np.arange(1, width + 1)
     taylor = np.diff(grid)[:, None] ** powers / np.cumprod(powers)
-    w = np.matmul(table, taylor[:, :, None])[:, :, 0]
+    return window, np.matmul(table, taylor[:, :, None])[:, :, 0]
+
+
+def cumulative_quadratic(grid: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Cumulative ∫ from grid[0] by local degree-4 interpolatory quadrature.
+
+    Each cell [t_k, t_(k+1)] integrates the quartic through its five
+    nearest samples (fewer on shorter grids), as the Taylor sum at t_k:
+    ∫ p = Σ_m p⁽ᵐ⁾(t_k)·hᵐ⁺¹/(m+1)!, with the derivatives from the
+    :func:`fornberg_weights` table of the cell's window.  The weights
+    depend only on the grid: they are built once per grid and kept in a
+    bounded cache keyed by the grid's bytes, while the values are weighed
+    afresh on every call.
+    """
+    window, w = _cumulative_plan(grid)
     steps = np.matmul(w[:, None, :], values[window][:, :, None])[:, 0, 0]
     return np.concatenate([[0.0 + 0.0j], np.cumsum(steps)])
 
@@ -731,17 +768,12 @@ def assemble_forcing(
     return profile
 
 
-def second_derivative_from_first(grid: np.ndarray, yprime: np.ndarray) -> np.ndarray:
-    """y'' at interior nodes by 5-point stencils on y'.
-
-    Per node the stencil differentiates in whichever coordinate (t or
-    log t) is locally closer to uniform; both are exact on local degree-4
-    polynomials, the choice only controls conditioning.  The two nodes at
-    each boundary return NaN.
-    """
-    n = grid.size
-    out = np.full(n, np.nan, dtype=complex)
-    window = np.arange(max(n - 4, 0))[:, None] + np.arange(5)
+@_per_grid
+def _derivative_plan(grid: np.ndarray) -> tuple:
+    """The 5-node windows of the interior nodes, their first-derivative
+    weights at the centre node in t or log t, which windows use log t, and
+    the centre nodes that convert d/dlog t back to d/dt."""
+    window = np.arange(max(grid.size - 4, 0))[:, None] + np.arange(5)
     t = grid[window]
     # windows reaching t ≤ 0 stay in t; the 1.0 placeholder is never used
     use_log = t[:, 0] > 0.0
@@ -749,10 +781,27 @@ def second_derivative_from_first(grid: np.ndarray, yprime: np.ndarray) -> np.nda
     dt, dtau = np.diff(t[use_log]), np.diff(logt[use_log])
     use_log[use_log] = dtau.max(1) / dtau.min(1) <= dt.max(1) / dt.min(1)
     coords = np.where(use_log[:, None], logt, t)
-    w = fornberg_weights(coords, coords[:, 2], 1)[..., 1]
+    # a copy, so the cache keeps no order-0 column
+    w = fornberg_weights(coords, coords[:, 2], 1)[..., 1].copy()
+    return window, w, use_log, t[use_log, 2]
+
+
+def second_derivative_from_first(grid: np.ndarray, yprime: np.ndarray) -> np.ndarray:
+    """y'' at interior nodes by 5-point stencils on y'.
+
+    Per node the stencil differentiates in whichever coordinate (t or
+    log t) is locally closer to uniform; both are exact on local degree-4
+    polynomials, the choice only controls conditioning.  The stencils
+    depend only on the grid: they are built once per grid and kept in a
+    bounded cache keyed by the grid's bytes, while y' is weighed afresh on
+    every call.  The two nodes at each boundary return NaN.
+    """
+    n = grid.size
+    out = np.full(n, np.nan, dtype=complex)
+    window, w, use_log, centre = _derivative_plan(grid)
     # matmul keeps the bits of one dot product per node
     d = np.matmul(w[:, None, :], yprime[window][:, :, None])[:, 0, 0]
-    d[use_log] /= t[use_log, 2]
+    d[use_log] /= centre
     out[2 : n - 2] = d
     return out
 

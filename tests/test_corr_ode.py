@@ -38,6 +38,7 @@ from horomix.errors import (
     TruncationError,
 )
 from horomix.spectral_model import nu_of_lambda
+import stencil_fresh
 from master_oracle import oracle_trajectory
 from rk4_scalar import scalar_march
 
@@ -373,6 +374,97 @@ class TestEulerResidual:
         traj = _power_trajectory(0.5, grid)
         with pytest.raises(DomainError):
             euler_residual(traj, ZERO_FORCING, 3.0 / 16.0)
+
+
+def _plan_grids() -> dict:
+    rng = np.random.default_rng(19)
+    grids = {f"master_grid({t:g})": master_grid(t, 400) for t in (1e4, 1e5, 1e6)}
+    grids["master_grid(100, 200)"] = master_grid(100.0, 200)
+    grids["log_grid(1, 100, 1000)"] = log_grid(1.0, 100.0, 1000)
+    # n = 3..12 covers every window width min(5, n) and both coordinates
+    for n in range(3, 13):
+        grids[f"random-{n}"] = np.cumsum(rng.uniform(0.05, 2.0, n))
+    # windows at and below 0 stay in t
+    grids["through-zero"] = np.cumsum(rng.uniform(0.05, 2.0, 40)) - 10.0
+    return grids
+
+
+PLAN_GRIDS = _plan_grids()
+PLANS = (corr_ode._cumulative_plan, corr_ode._derivative_plan)
+
+
+def _samples(rng, n):
+    return rng.standard_normal(n) + 1j * rng.standard_normal(n)
+
+
+class TestStencilPlans:
+    @pytest.mark.parametrize("name", PLAN_GRIDS)
+    def test_plans_keep_the_bits_of_fresh_tables(self, name):
+        grid, rng = PLAN_GRIDS[name], np.random.default_rng(7)
+        for plan in PLANS:
+            plan.cache_clear()
+        for _ in ("miss", "hit"):
+            values = _samples(rng, grid.size)
+            assert np.array_equal(
+                cumulative_quadratic(grid, values),
+                stencil_fresh.cumulative_quadratic(grid, values),
+            )
+            assert np.array_equal(
+                second_derivative_from_first(grid, values),
+                stencil_fresh.second_derivative_from_first(grid, values),
+                equal_nan=True,
+            )
+        for plan in PLANS:
+            info = plan.cache_info()
+            assert (info.misses, info.hits) == (1, 1)
+
+    def test_grid_mutated_in_place_gets_its_own_weights(self):
+        grid, rng = log_grid(1.0, 10.0, 50), np.random.default_rng(8)
+        values = _samples(rng, grid.size)
+        before = cumulative_quadratic(grid, values), second_derivative_from_first(grid, values)
+        grid[grid.size // 2 :] *= 1.5
+        after = cumulative_quadratic(grid, values), second_derivative_from_first(grid, values)
+        fresh = (
+            stencil_fresh.cumulative_quadratic(grid, values),
+            stencil_fresh.second_derivative_from_first(grid, values),
+        )
+        for old, new, oracle in zip(before, after, fresh):
+            assert np.array_equal(new, oracle, equal_nan=True)
+            assert not np.array_equal(new, old, equal_nan=True)
+
+    @pytest.mark.parametrize("plan", PLANS, ids=lambda plan: plan.__name__)
+    def test_plan_arrays_are_read_only(self, plan):
+        for part in plan(master_grid(100.0, 200)):
+            with pytest.raises(ValueError, match="read-only"):
+                part[...] = 0
+
+    def test_cache_stays_bounded(self):
+        for k in range(corr_ode._PLAN_CACHE + 1):
+            grid = log_grid(1.0, 2.0 + k, 20)
+            cumulative_quadratic(grid, np.ones(grid.size, complex))
+            second_derivative_from_first(grid, np.ones(grid.size, complex))
+        for plan in PLANS:
+            assert plan.cache_info().currsize <= corr_ode._PLAN_CACHE
+
+    def test_tables_are_built_once_per_grid(self, monkeypatch):
+        calls = []
+
+        def counted(nodes, x0, order):
+            calls.append(np.shape(nodes))
+            return weights(nodes, x0, order)
+
+        weights = corr_ode.fornberg_weights
+        monkeypatch.setattr(corr_ode, "fornberg_weights", counted)
+        grid = master_grid(777.0, 123)  # no other test uses it
+        n = grid.size
+        for mode, lam, y0, built in (
+            (ModePair(0, 4), 0.04, 0.0, [(n - 1, 5), (5,), (n - 4, 5)]),
+            (ModePair(2, 6), 0.1, 0.0, [(5,)]),
+        ):
+            calls.clear()
+            traj = solve_master(mode, lam, y0, grid)
+            corr_ode.euler_residual_pointwise(traj, assemble_forcing(mode, traj, lam), lam)
+            assert calls == built
 
 
 # evaluation points particular_trajectory refuses before any integral

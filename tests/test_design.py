@@ -4,15 +4,21 @@ No knobs: the number of defaulted parameters (positional and keyword
 defaults of every ``def`` and ``lambda`` under ``src/horomix``) may not
 grow past MAX_DEFAULTED.  No threads: no module imports a thread or
 process pool.  No einsum: quadratic forms go through
-``_stencils.quadratic_form``, whose summation order is fixed.
+``_stencils.quadratic_form``, whose summation order is fixed.  Failed
+property tests report: the warning filters turn warnings into errors but
+still let a failed hypothesis test print its falsifying example.
 """
 
 import ast
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "horomix"
+REPO = Path(__file__).resolve().parent.parent
+SRC = REPO / "src" / "horomix"
 MAX_DEFAULTED = 28
 THREADED = ("threading", "concurrent.futures", "multiprocessing")
 
@@ -68,3 +74,28 @@ def _names_einsum(node: ast.AST) -> bool:
 def test_no_module_calls_einsum(module):
     lines = [node.lineno for node in ast.walk(MODULES[module]) if _names_einsum(node)]
     assert not lines, f"{module} names einsum on lines {lines}"
+
+
+def test_failed_property_test_reports_normally(tmp_path):
+    test_file = tmp_path / "test_pair.py"
+    test_file.write_text(textwrap.dedent("""
+        from hypothesis import given, strategies as st
+
+
+        @given(st.integers())
+        def test_fails(x):
+            assert x < 0
+
+
+        def test_passes():
+            pass
+    """))
+    run = subprocess.run(
+        [sys.executable, "-m", "pytest", "-c", str(REPO / "pyproject.toml"),
+         "-p", "no:cacheprovider", str(test_file)],
+        cwd=tmp_path, capture_output=True, text=True, timeout=120,
+    )
+    out = run.stdout + run.stderr
+    assert run.returncode == 1, out
+    assert "1 failed, 1 passed" in out, out
+    assert "INTERNALERROR" not in out, out
