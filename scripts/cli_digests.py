@@ -45,6 +45,8 @@ MODELS = {
     # negative coefficient: the lattice sweep box is the whole torus
     "negative_quartic.json": (IDENTITY, {"name": "quartic", "params": {"coeff": -0.5}}),
     "rank1_quartic.json": ([1.0], {"name": "quartic", "params": {"coeff": 1.0}}),
+    # rank 1 with φ(q) = q + c·q²: the density inverts φ by monotone_inverse
+    "rank1_radial_quartic.json": ([1.0], {"name": "radial_quartic", "params": {"coeff": 0.5}}),
     "identity3.json": ([1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0], None),
 }
 
@@ -96,12 +98,18 @@ RUNS = [
                                  "--test-fn", "bump"]),
     ("cover-rank1-quartic.csv", ["cover", "--model", "rank1_quartic.json",
                                  "--orders", "1000000", "--test-fn", "linear"]),
+    ("cover-rank1-radial-quartic.csv", ["cover", "--model", "rank1_radial_quartic.json",
+                                        "--orders", "1000000", "--test-fn", "linear"]),
     ("mix-identity.csv",
      ["mix", "--model", "identity.json", "--log-t-min", "1e2", "--log-t-max", "1e4"]),
     # its c₁ and c₂ come from lower decades, so a BLAS-ordered sum of the
     # quadrature could move its verdict with the thread count
     ("mix-identity-1e6.csv",
      ["mix", "--model", "identity.json", "--log-t-min", "1e2", "--log-t-max", "1e6"]),
+    # a perturbed phase up to T = 1e6, where most cone-rule exponents sit
+    # below the floor of laplace._cone_value
+    ("mix-radial-quartic-1e6.csv",
+     ["mix", "--model", "radial_quartic.json", "--log-t-min", "1e2", "--log-t-max", "1e6"]),
 ]
 
 # the runs whose sums a BLAS library could order by its thread count

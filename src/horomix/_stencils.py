@@ -1,6 +1,7 @@
 """Finite-difference stencils, Gauss–Legendre rules, tensor-product grids,
-quadratic forms, bracketed root finding (bisection, and safeguarded Newton
-certified against it) and exactly rounded summation.
+quadratic forms, bracketed root finding (safeguarded Newton certified by
+a sign change, with bisection as its fallback) and exactly rounded
+summation.
 
 One implementation of each primitive, shared by the eigenvalue model, the
 Euler-residual stencils of the correlation ODE, the Laplace quadrature and
@@ -173,6 +174,14 @@ def monotone_inverse(psi, target, xtol: float, rtol: float) -> np.ndarray:
 
     The upper bracket starts at max(target, 1) and doubles until ψ passes
     the target; a target ψ does not reach below 1e12 raises DomainError.
+    The roots are solved by :func:`_newton_roots` on [0, bracket], started
+    at the target itself (the profiles here have ψ′(0) = 1), so ψ is called
+    on stacked batches and must be elementwise.  Each root carries a sign
+    change of ψ − target within xtol + rtol·q, the stopping rule of
+    :func:`bracketed_roots`, which takes any root that does not.  The
+    bisection route is kept in tests/monotone_bisect.py; the roots agree
+    with it within xtol + rtol·q (TestMonotoneInverse in
+    tests/test_stencils.py, and the radial density and Morse-chart tests).
     """
     target = np.asarray(target, float)
     hi = np.maximum(target, 1.0)
@@ -182,7 +191,7 @@ def monotone_inverse(psi, target, xtol: float, rtol: float) -> np.ndarray:
         if np.any(hi > 1e12):
             raise DomainError("monotone profile cannot reach the requested level")
         short = psi(hi) < target
-    return bracketed_roots(lambda q: psi(q) - target, 0.0, hi, xtol, rtol)
+    return _newton_roots(lambda q: psi(q) - target, target, 0.0, hi, xtol, rtol)
 
 
 def fornberg_weights(nodes, x0, order: int) -> np.ndarray:

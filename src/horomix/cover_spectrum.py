@@ -340,9 +340,10 @@ def limit_density(
 
     Models with a :meth:`SpectralModel.radial_profile` (pure quadratic,
     radial quartic, rank-1 quartic) reduce exactly to one dimension, whose
-    inverse is bisected.  Other 2-d models integrate over level curves
-    whose radii are solved by certified safeguarded Newton, with bisection
-    for any radius that fails its certificate (:func:`_angular_density_2d`).
+    inverse φ(q*) = x is solved by ``_stencils.monotone_inverse``.  Other
+    2-d models integrate over level curves (:func:`_angular_density_2d`).
+    Both solve their roots by certified safeguarded Newton, with bisection
+    for any root that fails its certificate.
     The x^(d/2−1) factor is split off into ``zeta_tilde``, which stays
     bounded near 0.
     """

@@ -19,6 +19,7 @@ BLAS dot products, so its bits do not depend on the BLAS thread count.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -26,7 +27,7 @@ import numpy as np
 
 from ._stencils import (
     GRID_CAP,
-    bracketed_roots,
+    _newton_roots,
     finite_difference_hessian,
     fornberg_weights,
     legendre_rule,
@@ -56,6 +57,14 @@ _QUAD_REL_TOL = 1e-10
 # all 30 at 28, which costs about 1.3× the time.
 _FACE_NODES = {2: 48, 3: 24}
 _FACE_NODES_HIGH = 16
+# Floor of every cone-rule exponent T·v.  exp below about −708 gives a
+# subnormal and below about −745 a zero, both on numpy's slow path; e^(−600)
+# times any weight above 1e-47 is a normal float, where a floor of −707
+# would still leave e^(−707)·w subnormal.
+_EXP_FLOOR = -600.0
+# (k, step) derivative stencils _tensor_stencil keeps: two steps for each
+# even multi-index through order 4, 8 + 28 + 68 of them for d = 1, 2, 3.
+_STENCIL_CACHE = 128
 
 
 def _double_factorial(n: int) -> int:
@@ -225,9 +234,14 @@ def _cone_value(problem: PhaseProblem, T: np.ndarray, nodes: int, face_nodes: in
     v takes the same bits there (every even phase), each T exponentiates
     the + faces only and the − faces read a reversed view of them; any
     other phase exponentiates every face.  Where no weighted amplitude has
-    its sign bit set, the L¹ mass is the value itself.  The values and
-    masses are bit for bit those of the plain rule: one exp per point and
-    one pairwise np.sum over all 2d faces in lex order.
+    its sign bit set, the L¹ mass is the value itself.  Every exponent T·v
+    is floored at _EXP_FLOOR = −600 before its exp, so no exp or weight
+    product is subnormal or zero; the exact sum moves by at most
+    e^(−600)·Σ|w| ≈ 2.6e-261·Σ|w|.  The values and masses are bit for bit
+    those of the plain rule, one unfloored exp per point and one pairwise
+    np.sum over all 2d faces in lex order, on every case and T ladder up
+    to 1e6 of tests/test_laplace.py's TestConeOracle, which also runs this
+    rule with underflow raising.
     """
     d, u = problem.dim, problem.box
     # the ray through the centre of face i decays like e^{−T·Hᵢᵢuᵢ²·s²/2}
@@ -270,7 +284,8 @@ def _cone_value(problem: PhaseProblem, T: np.ndarray, nodes: int, face_nodes: in
     flat = terms.reshape(-1)
     value, l1 = np.empty_like(T), np.empty_like(T)
     for k, t in enumerate(T):
-        np.exp(np.multiply(t, src, out=expo), out=expo)
+        np.multiply(t, src, out=expo)
+        np.exp(np.maximum(expo, _EXP_FLOOR, out=expo), out=expo)
         np.multiply(exp_plus, weighted[:, 0], out=terms[:, 0])
         np.multiply(exp_minus, weighted[:, 1], out=terms[:, 1])
         # np.sum, not np.dot: BLAS orders a dot product by its thread count
@@ -293,8 +308,11 @@ def laplace_quadrature(problem: PhaseProblem, t_value, nodes: int = 24):
     ladder of T values shares one rule per level and returns an array;
     each T keeps its own refinement-gap estimate.  An even phase costs
     one exp per point pair ±p and T, and a non-negative amplitude one sum
-    per T, with the bits of the plain rule.  A rule above the grid cap
-    raises LatticeSizeError before anything is allocated.
+    per T.  Exponents are floored at −600, which moves a sum by at most
+    e^(−600)·Σ|w| ≈ 2.6e-261·Σ|w| over the rule's weighted amplitudes w;
+    with that floor and both shortcuts the values keep the bits of the
+    plain rule (TestConeOracle in tests/test_laplace.py).  A rule above
+    the grid cap raises LatticeSizeError before anything is allocated.
     """
     T = np.asarray(t_value, dtype=float)
     if not np.all(np.isfinite(T) & (T >= 0.0)):
@@ -336,6 +354,24 @@ class ExpansionCoefficients:
         return out
 
 
+@functools.lru_cache(maxsize=_STENCIL_CACHE)
+def _tensor_stencil(k: tuple, step: float) -> tuple[np.ndarray, np.ndarray]:
+    """Points and weights of the tensorized central D^k stencil at ``step``:
+    2m + 1 nodes per axis, m = (kᵢ + 4)//2 + 1, with the order-kᵢ
+    :func:`fornberg_weights` column at 0.  Built once per (k, step) and
+    shared read-only."""
+    axes, weights = [], []
+    for ki in k:
+        m = (ki + 4) // 2 + 1
+        nodes = np.arange(-m, m + 1) * step
+        axes.append(nodes)
+        weights.append(fornberg_weights(nodes, 0.0, ki)[:, ki])
+    pts = tensor_grid(axes)
+    wts = np.prod(tensor_grid(weights), axis=-1)
+    pts.flags.writeable = wts.flags.writeable = False
+    return pts, wts
+
+
 def _tensor_derivative(fn, k: tuple) -> float:
     """D^k fn(0) by tensorized central stencils, Richardson-refined.
 
@@ -345,14 +381,7 @@ def _tensor_derivative(fn, k: tuple) -> float:
     f0 = float(fn(np.zeros((1, len(k))))[0])
 
     def at(step):
-        axes, weights = [], []
-        for ki in k:
-            m = (ki + 4) // 2 + 1
-            nodes = np.arange(-m, m + 1) * step
-            axes.append(nodes)
-            weights.append(fornberg_weights(nodes, 0.0, ki)[:, ki])
-        pts = tensor_grid(axes)
-        wts = np.prod(tensor_grid(weights), axis=-1)
+        pts, wts = _tensor_stencil(k, step)
         return float(np.dot(wts, fn(pts) - f0))
 
     h = 0.05
@@ -414,13 +443,16 @@ def _pushforward_amplitude(problem: PhaseProblem):
         u = float(problem.box[0])
 
         def v_at(xi):
-            return vfun(xi[:, None])
+            # any batch shape, so _newton_roots can stack its points
+            return vfun(xi.reshape(-1, 1)).reshape(xi.shape)
 
         def b(theta):
-            # ξ = ρ(θ) solves sgn(ξ)·√(−2v(ξ)) = θ on the half-box of θ's sign
+            # ξ = ρ(θ) solves sgn(ξ)·√(−2v(ξ)) = θ on the half-box of θ's
+            # sign, by Newton from the quadratic chart θ/√H₀₀
             th = theta[:, 0]
-            xi = bracketed_roots(
+            xi = _newton_roots(
                 lambda x: np.copysign(np.sqrt(np.maximum(-2.0 * v_at(x), 0.0)), x) - th,
+                th / math.sqrt(float(H[0, 0])),
                 np.where(th > 0.0, 0.0, -u), np.where(th > 0.0, u, 0.0),
                 xtol=1e-15, rtol=8.9e-16,
             )

@@ -1,15 +1,30 @@
-"""The correlation ODE's stencil rules as they were before the per-grid
-plans, kept as an independent oracle for them.
+"""The stencil rules of the correlation ODE and of the Morse-chart
+derivatives as they were before their plans, kept as an independent oracle
+for them.
 
-Both functions build their :func:`fornberg_weights` tables afresh from the
-grid on every call; the planned rules must return the same bits.
+Every function builds its :func:`fornberg_weights` tables afresh on every
+call; the planned rules must return the same bits.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from horomix._stencils import fornberg_weights
+from horomix._stencils import fornberg_weights, tensor_grid
+
+
+def tensor_stencil(k: tuple, step: float) -> tuple[np.ndarray, np.ndarray]:
+    """Points and weights of the tensorized central D^k stencil at ``step``,
+    as ``laplace._tensor_derivative`` built them on every call."""
+    axes, weights = [], []
+    for ki in k:
+        m = (ki + 4) // 2 + 1
+        nodes = np.arange(-m, m + 1) * step
+        axes.append(nodes)
+        weights.append(fornberg_weights(nodes, 0.0, ki)[:, ki])
+    pts = tensor_grid(axes)
+    wts = np.prod(tensor_grid(weights), axis=-1)
+    return pts, wts
 
 
 def cumulative_quadratic(grid: np.ndarray, values: np.ndarray) -> np.ndarray:

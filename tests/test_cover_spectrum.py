@@ -19,6 +19,7 @@ from horomix.cover_spectrum import (
 from horomix.errors import DomainError, LatticeSizeError, ModelValidityError
 from horomix.spectral_model import Perturbation, SpectralModel
 from angular_bisect import bisected_angular_density
+import monotone_bisect
 from lattice_full import full_characters, full_sweep_kept
 
 ONE = make_test_function("one", 0.05)
@@ -428,6 +429,41 @@ class TestLimitDensity:
         [(fn, roots, tol)] = solved
         assert roots.shape == (200, 64)
         assert np.all(fn(roots - tol) <= 0.0) and np.all(fn(roots + tol) >= 0.0)
+
+    @pytest.mark.parametrize("gram, pert", [
+        ([[1.0]], Perturbation("radial_quartic", 0.5)),
+        ([[1.7]], Perturbation("quartic", 1.0)),
+        (np.eye(2), Perturbation("radial_quartic", 0.5)),
+        ([[1.0, 0.2], [0.2, 0.9]], Perturbation("radial_quartic", 0.3)),
+        (np.eye(3), Perturbation("radial_quartic", 0.5)),
+        ([[1.0, 0.2, 0.1], [0.2, 0.9, -0.1], [0.1, -0.1, 1.1]], None),
+    ], ids=["d1-radial-quartic", "d1-quartic", "d2-radial-quartic", "d2-gram-radial-quartic",
+            "d3-radial-quartic", "d3-gram-quadratic"])
+    def test_radial_route_matches_the_bisection_oracle(self, monkeypatch, gram, pert):
+        # φ(q*) = x by certified Newton against the bisection route: each
+        # root within xtol + rtol·q* of the oracle's and of a sign change
+        gram = np.asarray(gram, float)
+        model = SpectralModel(genus=2, rank_d=gram.shape[0], gram=gram,
+                              perturbation=pert, gap_delta=0.1)
+        s, _ = cover_spectrum.gauss_legendre(0.0, math.sqrt(0.05), 200)
+        grid = np.concatenate([[0.0], s * s])
+        solved = []
+        solve = cover_spectrum.monotone_inverse
+
+        def recording(psi, target, xtol, rtol):
+            q = solve(psi, target, xtol, rtol)
+            solved.append((psi, target, q, xtol, rtol))
+            return q
+
+        monkeypatch.setattr(cover_spectrum, "monotone_inverse", recording)
+        got = limit_density(model, 0.05, grid)
+        [(psi, target, q, xtol, rtol)] = solved
+        tol = xtol + rtol * q
+        assert np.all(np.abs(q - monotone_bisect.monotone_inverse(psi, target, xtol, rtol)) <= tol)
+        assert np.all(psi(q - tol) <= target) and np.all(psi(q + tol) >= target)
+        monkeypatch.setattr(cover_spectrum, "monotone_inverse", monotone_bisect.monotone_inverse)
+        ref = limit_density(model, 0.05, grid)
+        np.testing.assert_allclose(got.density, ref.density, rtol=1e-12, atol=0.0)
 
     def test_lambda0_call_budget(self, monkeypatch):
         # bisection took 52 batched λ₀ calls for 200 levels

@@ -15,6 +15,7 @@ from horomix.errors import (
     QuadratureError,
     UnsupportedMorseClassError,
 )
+from horomix._stencils import bracketed_roots
 from horomix.laplace import (
     ExpansionCoefficients,
     custom_problem,
@@ -27,10 +28,13 @@ from horomix.laplace import (
     preset_gauss2d,
     preset_quartic1d,
     quadratic_problem,
+    radial_problem,
     remainder_slope,
 )
 from horomix.mixing import MixingProblem, induced_phase_problem
 from horomix.spectral_model import Perturbation, SpectralModel
+import monotone_bisect
+import stencil_fresh
 from cone_plain import plain_cone_value
 from tensor_panels import tensor_quadrature
 
@@ -252,6 +256,22 @@ class TestConeOracle:
         assert np.array_equal(p.v(pts), p.v(-pts)) == (case != "odd-phase")
         assert np.array_equal(value, l1) == (case != "signed-amplitude")
 
+    @pytest.mark.parametrize("level", [0, 8])
+    @pytest.mark.parametrize("case", sorted(CONE_CASES))
+    def test_same_bits_without_underflow_up_to_1e6(self, case, level):
+        # up to T = 1e6 most exponents T·v fall below −745, where the plain
+        # rule's exp returns zeros, some into (−745, −708), where it returns
+        # subnormals; the floored rule makes neither, and its tiny terms
+        # vanish in every sum
+        p = CONE_CASES[case]()
+        T = log_grid(1.0, 1e6, 2)
+        face_nodes = laplace._FACE_NODES.get(p.dim, laplace._FACE_NODES_HIGH) + level
+        with np.errstate(under="raise"):
+            value, l1 = laplace._cone_value(p, T, 24 + level, face_nodes)
+        plain_value, plain_l1 = plain_cone_value(p, T, 24 + level, face_nodes)
+        assert np.array_equal(value, plain_value)
+        assert np.array_equal(l1, plain_l1)
+
     @pytest.mark.parametrize("case", ["gauss2d", "quartic-d3"])
     def test_grid_cap_refusal_unchanged(self, case, monkeypatch):
         p = CONE_CASES[case]()
@@ -340,6 +360,112 @@ class TestExpansion:
         ib = laplace_quadrature(base, 100.0)
         it = laplace_quadrature(transformed, 100.0)
         assert ib / it == pytest.approx(abs(np.linalg.det(L)), rel=1e-10)
+
+
+def _oned_cases():
+    # (v, H₀₀, box): the quartic of test_oned_class_matches_radial, an odd
+    # phase, and one with H₀₀ ≠ 1; each has v < 0 off 0
+    return {
+        "quartic": (lambda pts: -0.5 * pts[:, 0] ** 2 - 0.25 * pts[:, 0] ** 4, 1.0, 3.0),
+        "cubic": (lambda pts: -0.5 * pts[:, 0] ** 2 + 0.1 * pts[:, 0] ** 3
+                  - 0.25 * pts[:, 0] ** 4, 1.0, 2.0),
+        "steep": (lambda pts: -1.5 * pts[:, 0] ** 2 - 0.2 * pts[:, 0] ** 3
+                  - 0.3 * pts[:, 0] ** 4, 3.0, 1.5),
+    }
+
+
+def _stencil_points(dim):
+    """Every point the order-4 expansion of a dim-d problem evaluates b at."""
+    return np.concatenate([
+        laplace._tensor_stencil(k, step)[0]
+        for j in range(1, 5) for k in laplace._even_multi_indices(j, dim)
+        for step in (0.05, 0.025)
+    ])
+
+
+class TestMorseCharts:
+    """The Morse charts by certified Newton against their bisection routes
+    (tests/monotone_bisect.py), and the once-built derivative stencils
+    against fresh ones (tests/stencil_fresh.py)."""
+
+    @pytest.mark.parametrize("case", sorted(_oned_cases()))
+    def test_oned_chart_matches_bisection(self, case, monkeypatch):
+        v, h, u = _oned_cases()[case]
+        p = oned_problem(v, [[h]], box=[u])
+        solved = []
+        solve = laplace._newton_roots
+
+        def recording(fn, start, lo, hi, xtol, rtol):
+            roots = solve(fn, start, lo, hi, xtol, rtol)
+            solved.append((fn, roots, lo, hi, xtol, rtol))
+            return roots
+
+        monkeypatch.setattr(laplace, "_newton_roots", recording)
+        theta = np.concatenate([_stencil_points(1), np.linspace(-1.2, 1.2, 41)[:, None]])
+        got = laplace._pushforward_amplitude(p)(theta)
+        [(fn, roots, lo, hi, xtol, rtol)] = solved
+        # each root within its tolerance of the bisected root and of a sign change
+        tol = xtol + rtol * np.abs(roots)
+        assert np.all(np.abs(roots - bracketed_roots(fn, lo, hi, xtol, rtol)) <= tol)
+        assert np.all(fn(roots - tol) <= 0.0) and np.all(fn(roots + tol) >= 0.0)
+        # ρ′ is a central difference of v at step 1e-6, which rounds to about
+        # eps·|v|/(1e-6·|v′|) ≈ 2e-10 relative, so roots a few ulp apart
+        # move b by about that much
+        ref = monotone_bisect.bisected_oned_chart(p)(theta)
+        np.testing.assert_allclose(got, ref, rtol=1e-9, atol=0.0)
+
+    @pytest.mark.parametrize("problem", [
+        preset_quartic1d,
+        lambda: radial_problem([[2.0, 0.3], [0.3, 1.0]], lambda q: -q - 0.3 * q * q,
+                               lambda q: -1.0 - 0.6 * q),
+    ], ids=["quartic1d", "gram-2d"])
+    def test_radial_chart_matches_bisection(self, problem, monkeypatch):
+        p = problem()
+        theta = _stencil_points(p.dim)
+        got = laplace._pushforward_amplitude(p)(theta)
+        monkeypatch.setattr(laplace, "monotone_inverse", monotone_bisect.monotone_inverse)
+        ref = laplace._pushforward_amplitude(p)(theta)
+        np.testing.assert_allclose(got, ref, rtol=1e-14, atol=0.0)
+
+    @pytest.mark.parametrize("k", [(0,), (2,), (8,), (4, 0), (2, 6), (2, 2, 4), (0, 8, 0)])
+    def test_stencil_plan_has_the_bits_of_a_fresh_build(self, k):
+        laplace._tensor_stencil.cache_clear()
+        for step in (0.05, 0.025, 0.05):  # a miss, a miss, a hit
+            pts, wts = laplace._tensor_stencil(k, step)
+            fresh_pts, fresh_wts = stencil_fresh.tensor_stencil(k, step)
+            assert pts.tobytes() == fresh_pts.tobytes() and pts.shape == fresh_pts.shape
+            assert wts.tobytes() == fresh_wts.tobytes()
+
+    def test_stencil_plan_is_built_once_per_stencil(self, monkeypatch):
+        laplace._tensor_stencil.cache_clear()
+        calls = []
+        build = laplace.fornberg_weights
+
+        def counting(*args):
+            calls.append(args)
+            return build(*args)
+
+        monkeypatch.setattr(laplace, "fornberg_weights", counting)
+        for problem, per_run in [(preset_quartic1d(), 8), (preset_gauss2d(), 56),
+                                 (quadratic_problem(np.eye(3)), 204)]:
+            # one table per axis of each (k, step): 4, 14 and 34 multi-indices
+            # of d entries at two steps
+            before = len(calls)
+            first = laplace_expand(problem, 4).c
+            assert len(calls) - before == per_run
+            again = laplace_expand(problem, 4).c
+            assert len(calls) - before == per_run
+            assert first.tobytes() == again.tobytes()
+
+    def test_stencil_plan_is_read_only_and_bounded(self):
+        pts, wts = laplace._tensor_stencil((2, 4), 0.05)
+        for array in (pts, wts):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 0.0
+        # the order-4 stencils of d = 1, 2 and 3 fit together
+        assert laplace._tensor_stencil.cache_info().maxsize == laplace._STENCIL_CACHE
+        assert laplace._STENCIL_CACHE >= 8 + 28 + 68
 
 
 class TestFitExpansion:

@@ -24,7 +24,9 @@ from horomix._stencils import (
     tensor_grid,
 )
 from horomix.errors import DomainError, LatticeSizeError
+from horomix.laplace import preset_quartic1d
 from horomix.spectral_model import Perturbation, SpectralModel
+import monotone_bisect
 
 
 class TestGaussLegendre:
@@ -391,6 +393,56 @@ class TestMonotoneInverse:
     def test_unreachable_level_raises(self):
         with pytest.raises(DomainError):
             monotone_inverse(np.tanh, np.array([0.5, 2.0]), xtol=1e-15, rtol=1e-15)
+
+    @staticmethod
+    def _check_against_bisection(psi, x, xtol, rtol):
+        """Newton agrees with the bisection oracle within xtol + rtol·|q|,
+        and every root carries a sign change of ψ − x within that width."""
+        q = monotone_inverse(psi, x, xtol, rtol)
+        ref = monotone_bisect.monotone_inverse(psi, x, xtol, rtol)
+        tol = xtol + rtol * np.abs(q)
+        assert np.all(np.abs(q - ref) <= tol)
+        assert np.all(psi(q - tol) - x <= 0.0) and np.all(psi(q + tol) - x >= 0.0)
+
+    @pytest.mark.parametrize("gram, pert", [
+        ([1.0], None),
+        ([1.0], Perturbation("radial_quartic", 0.5)),
+        ([1.0], Perturbation("quartic", 1.0)),
+        ([1.0], Perturbation("quartic", -0.5)),
+        ([[1.0, 0.3], [0.3, 0.8]], Perturbation("radial_quartic", 0.3)),
+    ], ids=["quadratic", "radial-quartic", "rank1-quartic", "rank1-negative-quartic",
+            "gram-radial-quartic"])
+    def test_agrees_with_bisection_on_model_profiles(self, gram, pert):
+        gram = np.atleast_2d(gram)
+        model = SpectralModel(genus=2, rank_d=gram.shape[0], gram=gram,
+                              perturbation=pert, gap_delta=0.1)
+        psi, _ = model.radial_profile()
+        x = np.concatenate([[0.0], np.geomspace(1e-14, 0.1, 60)])
+        self._check_against_bisection(psi, x, 1e-16, 8.9e-16)
+
+    def test_agrees_with_bisection_on_the_radial_preset(self):
+        # the radial Morse chart inverts −φ at ½|θ|² over the stencil radii
+        phi = preset_quartic1d().phi
+        x = 0.5 * np.linspace(0.0, 0.35, 71) ** 2
+        self._check_against_bisection(lambda q: -phi(q), x, 1e-15, 1e-15)
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        st.floats(0.0, 10.0),
+        hnp.arrays(float, st.integers(1, 16), elements=st.floats(0.0, 1e6)),
+        st.sampled_from([(1e-16, 8.9e-16), (1e-15, 1e-15), (1e-12, 1e-10)]),
+    )
+    def test_agrees_with_bisection_on_quartic_profiles(self, c, x, tols):
+        self._check_against_bisection(lambda q: q + c * q * q, x, *tols)
+
+    def test_solves_by_newton(self, monkeypatch):
+        # started at the target, ψ(q) = q + q²/2 needs no bisection
+        bisected = []
+        monkeypatch.setattr(_stencils, "bracketed_roots",
+                            lambda *args: bisected.append(args))
+        x = np.geomspace(1e-12, 1e3, 40)
+        monotone_inverse(lambda q: q + 0.5 * q * q, x, xtol=1e-16, rtol=8.9e-16)
+        assert bisected == []
 
 
 _DBL_MAX = np.finfo(float).max
