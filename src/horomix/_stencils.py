@@ -22,9 +22,12 @@ from .errors import DomainError, LatticeSizeError
 GRID_CAP = 100_000_000
 # Points a validation sweep may use: 11 per axis fit up to d = 5.
 SWEEP_BUDGET = 1_000_000
-# Values per exact_sum pass: the per-exponent sums stay exact integers in
-# float64 while _SUM_CHUNK · 2²⁷ ≤ 2⁵³, and the temporaries stay O(chunk).
-_SUM_CHUNK = 1 << 20
+# Values per exact_sum chunk, small enough that a chunk and its two scratch
+# buffers stay in cache.  The extraction levels are exact for the M with
+# 2^M ≥ _SUM_CHUNK + 2, derived from it at call time; the per-exponent sums
+# of the tail route stay exact integers in float64 while
+# _SUM_CHUNK · 2²⁷ ≤ 2⁵³.
+_SUM_CHUNK = 1 << 16
 # Steps a safeguarded Newton solve takes before its roots go to bisection.
 _NEWTON_STEPS = 12
 
@@ -124,15 +127,14 @@ def exact_sum(values) -> float:
     """The exactly rounded (half to even) sum of a float64 array, computed
     in numpy: bit for bit what ``math.fsum`` returns.
 
-    Each value is m·2^e with m·2²⁷ = whole + frac, |whole| < 2²⁷ and frac
-    a multiple of 2⁻²⁶.  Both parts are summed per exponent e with
-    ``np.bincount``, exactly, one chunk of at most _SUM_CHUNK values at a
-    time; the per-exponent sums fold into one Python integer in units of
-    2⁻¹¹²⁶, and one int/int true division rounds it, subnormals included.
-    An empty array and any exact cancellation sum to 0.0, not −0.0.
-    Non-finite values raise DomainError before anything is summed, and so
-    does a sum that overflows float64.  Where only fsum's partial sums
-    overflow (1e308 + 1e308 − 1e308), fsum raises and this returns the sum.
+    The array is summed exactly, one chunk of at most _SUM_CHUNK values at
+    a time, into one Python integer in units of 2⁻¹¹²⁶ (:func:`_exact_total`:
+    error-free extraction after Rump, Ogita & Oishi, with a per-exponent
+    route for what it leaves), and one int/int true division rounds it,
+    subnormals included.  An empty array and any exact cancellation sum to
+    0.0, not −0.0.  Non-finite values raise DomainError, and so does a sum
+    that overflows float64.  Where only fsum's partial sums overflow
+    (1e308 + 1e308 − 1e308), fsum raises and this returns the sum.
     """
     return _round_total(_exact_total(values))
 
@@ -141,21 +143,70 @@ def _exact_total(values) -> int:
     """The sum of a float64 array, exactly, as an integer in units of
     2⁻¹¹²⁶: the integer that :func:`exact_sum` rounds.  Integer totals of
     several arrays add, and scale by integers, without rounding.
-    Non-finite values raise DomainError."""
+    Non-finite values raise DomainError; the input is never written.
+
+    Each chunk goes through up to two levels of error-free extraction
+    (Rump, Ogita & Oishi, "Accurate floating-point summation part I:
+    faithful rounding", SIAM J. Sci. Comput. 31(1), 2008, ExtractVector,
+    Lemmas 3.2–3.3).  With every |x| ≤ 2^(E−M), σ = 2^E and
+    2^M ≥ _SUM_CHUNK + 2, q = (x + σ) − σ is a multiple of 2^(E−53) of
+    size at most 2^(E−M) and r = x − q is exact, so ``np.sum(q)`` is exact
+    in any order; |r| ≤ 2^(E−53), so the next level takes σ·2^(M−53).
+    The chunk's max/min pass sets the first σ and refuses non-finite
+    values.  What the levels leave, the nonzero remainders of values whose
+    low bits lie more than 2·(53 − M) binary places under the chunk's
+    magnitude, goes to :func:`_exponent_total`, and so does a chunk whose
+    σ would leave the normal range (values near DBL_MAX, or only tiny ones).
+    """
     x = np.asarray(values, dtype=float).ravel()
-    if not np.all(np.isfinite(x)):
-        raise DomainError("cannot sum non-finite values (nan or ±inf)")
+    m = (_SUM_CHUNK + 1).bit_length()  # the M of 2^M ≥ _SUM_CHUNK + 2
+    # the remainders go to `rem`; each level's q to `rem` on the first
+    # level (whose input is x) and to `q` after, so no pass touches three
+    # arrays and the input is only read
+    rem_buf = np.empty(min(x.size, _SUM_CHUNK))
+    q_buf = np.empty_like(rem_buf)
     total = 0
     for start in range(0, x.size, _SUM_CHUNK):
-        m, e = np.frexp(x[start : start + _SUM_CHUNK])
-        m *= 2.0**27
-        whole = np.trunc(m)
-        m -= whole
-        bucket = np.add(e, 1073, dtype=np.intp)  # frexp exponents start at −1073
-        whole_sums = np.bincount(bucket, weights=whole)
-        frac_sums = np.bincount(bucket, weights=m) * 2.0**26
-        for k in np.flatnonzero((whole_sums != 0.0) | (frac_sums != 0.0)).tolist():
-            total += ((int(whole_sums[k]) << 26) + int(frac_sums[k])) << k
+        rest = x[start : start + _SUM_CHUNK]
+        hi, lo = float(rest.max()), float(rest.min())
+        if not (math.isfinite(hi) and math.isfinite(lo)):
+            raise DomainError("cannot sum non-finite values (nan or ±inf)")
+        rem, q = rem_buf[: rest.size], q_buf[: rest.size]
+        # σ = 2^exp with max|x| < 2^(exp − M)
+        exp = math.frexp(max(hi, -lo))[1] + m
+        for level in range(2):
+            if not -1022 <= exp <= 1023:
+                break
+            sigma = math.ldexp(1.0, exp)
+            ext = rem if level == 0 else q
+            np.add(rest, sigma, out=ext)
+            ext -= sigma
+            # the exact level sum is num/2^k, k ≤ 1074: num·2^(1126−k) units
+            num, den = float(ext.sum()).as_integer_ratio()
+            total += num << (1127 - den.bit_length())
+            rest = np.subtract(rest, ext, out=rem)
+            exp += m - 53
+        nonzero = rest != 0.0
+        if nonzero.any():
+            total += _exponent_total(rest[nonzero])
+    return total
+
+
+def _exponent_total(x: np.ndarray) -> int:
+    """:func:`_exact_total` of at most 2²⁶ finite values, summed per binary
+    exponent: each value is m·2^e with m·2²⁷ = whole + frac, |whole| < 2²⁷
+    and frac a multiple of 2⁻²⁶, and both parts are summed per e with
+    ``np.bincount``, exactly, before they fold into the integer total."""
+    m, e = np.frexp(x)
+    m *= 2.0**27
+    whole = np.trunc(m)
+    m -= whole
+    bucket = np.add(e, 1073, dtype=np.intp)  # frexp exponents start at −1073
+    whole_sums = np.bincount(bucket, weights=whole)
+    frac_sums = np.bincount(bucket, weights=m) * 2.0**26
+    total = 0
+    for k in np.flatnonzero((whole_sums != 0.0) | (frac_sums != 0.0)).tolist():
+        total += ((int(whole_sums[k]) << 26) + int(frac_sums[k])) << k
     return total
 
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from horomix import cover_spectrum
+from horomix import _stencils, cover_spectrum
 from horomix.cover_spectrum import (
     CharacterLattice,
     build_histogram,
@@ -215,6 +215,21 @@ class TestSweepBox:
         assert math.fsum(values.tolist()) / lattice.size == expected
         assert float(np.sum(values)) / lattice.size == np.nextafter(expected, 0.0)
         assert spectral_average(model, lattice, make_test_function(fn, 0.05), 0.05) == expected
+
+    def test_exact_sum_keeps_the_bulk_off_the_exponent_route(self, monkeypatch):
+        # the rank-1 case above: at most 5% of its kept values may leave the
+        # extraction levels for the per-exponent route
+        kept, tails = [], []
+        exact_total, exponent_total = cover_spectrum._exact_total, _stencils._exponent_total
+        monkeypatch.setattr(cover_spectrum, "_exact_total",
+                            lambda x: kept.append(x.size) or exact_total(x))
+        monkeypatch.setattr(_stencils, "_exponent_total",
+                            lambda x: tails.append(x.size) or exponent_total(x))
+        model = _model([[1.0]], Perturbation("quartic", 1.0))
+        avg = spectral_average(model, CharacterLattice((1_000_001,)),
+                               make_test_function("linear", 0.05), 0.05)
+        assert avg == 0.008397739602898835
+        assert sum(kept) > 0 and sum(tails) < 0.05 * sum(kept)
 
     def test_histogram_moments_are_exactly_rounded(self):
         model, orders = SWEEP_CASES["correlated_gram"]

@@ -464,6 +464,17 @@ def _same_sum_as_fsum(x):
     assert np.float64(exact_sum(x)).tobytes() == np.float64(ref).tobytes()
 
 
+def _bump_shuffled(n):
+    """n values of the bump test function, from 1 down past 1e-300, a third
+    of them negated, in a fixed shuffled order so every chunk spans the
+    whole range."""
+    eps = 0.05
+    vals = np.exp(1.0 - eps / (eps - np.linspace(0.0, eps, n + 1)[:-1]))
+    assert np.min(vals[vals > 0.0]) < 1e-300
+    vals[::3] *= -1.0
+    return np.random.default_rng(5).permutation(vals)
+
+
 class TestExactSum:
     @settings(deadline=None, max_examples=300)
     @given(
@@ -508,6 +519,53 @@ class TestExactSum:
         vals = np.concatenate([vals, -vals[::3] / 3.0])
         monkeypatch.setattr(_stencils, "_SUM_CHUNK", 64)
         _same_sum_as_fsum(vals)
+
+    @pytest.mark.parametrize("build", [
+        pytest.param(lambda n: np.concatenate([
+            np.linspace(-1.0, 3.0, n), np.tile([0.0, -0.0], n // 2), np.linspace(1e-3, 1.0, 7),
+        ]), id="signed-zero-chunk-between"),
+        pytest.param(lambda n: np.concatenate([
+            np.linspace(-1.0, 3.0, n),
+            # σ above 2^1023, σ = 2^1024 and σ = 2^1023
+            *(np.tile([big, 1.0, -big, 2.0**-60], n // 4)
+              for big in (_DBL_MAX / 2, 1.5 * 2.0**1006, 1.5 * 2.0**1005)),
+            np.linspace(1e-3, 1.0, n),
+        ]), id="near-dbl-max-chunks"),
+        pytest.param(lambda n: np.concatenate([
+            np.linspace(0.5, 2.0, n),
+            # subnormal chunks: the first sets σ = 2^−1004, the second's σ
+            # would be subnormal
+            np.random.default_rng(7).integers(-(2**52), 2**52, n) * 5e-324,
+            np.random.default_rng(8).integers(-(2**20), 2**20, n) * 5e-324,
+            np.linspace(-2.0, 0.5, 5),
+        ]), id="subnormal-chunks"),
+    ])
+    def test_default_chunks_have_the_bits_of_fsum(self, build):
+        _same_sum_as_fsum(build(_stencils._SUM_CHUNK))
+
+    def test_bump_tails_over_default_chunks(self, monkeypatch):
+        tails = []
+        exponent_total = _stencils._exponent_total
+        monkeypatch.setattr(_stencils, "_exponent_total",
+                            lambda x: tails.append(x.size) or exponent_total(x))
+        vals = _bump_shuffled(200_001)
+        _same_sum_as_fsum(vals)
+        # every chunk leaves some tails to the per-exponent route
+        assert len(tails) == -(-vals.size // _stencils._SUM_CHUNK)
+
+    def test_cancellation_across_default_chunks(self):
+        x = np.random.default_rng(21).standard_normal(_stencils._SUM_CHUNK * 3 // 2)
+        x = np.ldexp(x, np.arange(x.size) % 97 - 48)
+        cancelled = np.concatenate([x, -x[::-1]])
+        assert np.float64(exact_sum(cancelled)).tobytes() == np.float64(0.0).tobytes()
+        _same_sum_as_fsum(cancelled)
+
+    def test_read_only_input_is_not_written(self):
+        x = _bump_shuffled(3 * _stencils._SUM_CHUNK + 5)
+        x.flags.writeable = False
+        before = x.tobytes()
+        _same_sum_as_fsum(x)
+        assert x.tobytes() == before
 
     def test_sum_where_only_fsum_partials_overflow(self):
         assert exact_sum(np.array([1e308, 1e308, -1e308])) == 1e308
