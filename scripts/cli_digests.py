@@ -73,6 +73,8 @@ RUNS = [
     ("ode-m2-2.csv", ["ode", "--n", "-2", "--m", "2", "--y0-re", "0", "--lambda", "0.05",
                       "--t-max", "1e5"]),
     ("laplace-quartic1d.csv", ["laplace", "--preset", "quartic1d"]),
+    # orders above 4, which the series reaches and the stencil charts did not
+    ("laplace-quartic1d-order6.csv", ["laplace", "--preset", "quartic1d", "--order", "6"]),
     ("laplace-gauss1d.csv", ["laplace", "--preset", "gauss1d"]),
     # the d = 2 cone rule on an even phase: the − faces reuse the + faces'
     # exponentials

@@ -4,9 +4,9 @@ a sign change, with bisection as its fallback) and exactly rounded
 summation.
 
 One implementation of each primitive, shared by the eigenvalue model, the
-Euler-residual stencils of the correlation ODE, the Laplace quadrature and
-Morse-chart differentiation, the cover-density quadratures and the
-character-lattice sweeps and averages.
+Euler-residual stencils of the correlation ODE, the Laplace quadrature,
+the cover-density quadratures and the character-lattice sweeps and
+averages.
 """
 
 from __future__ import annotations
@@ -232,7 +232,7 @@ def monotone_inverse(psi, target, xtol: float, rtol: float) -> np.ndarray:
     :func:`bracketed_roots`, which takes any root that does not.  The
     bisection route is kept in tests/monotone_bisect.py; the roots agree
     with it within xtol + rtol·q (TestMonotoneInverse in
-    tests/test_stencils.py, and the radial density and Morse-chart tests).
+    tests/test_stencils.py, and the radial density tests).
     """
     target = np.asarray(target, float)
     hi = np.maximum(target, 1.0)

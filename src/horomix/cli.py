@@ -161,38 +161,20 @@ def _laplace_problem(args) -> laplace.PhaseProblem:
         dim = int(doc["dim"])
         box = np.asarray(doc["box"], dtype=float)
         hessian = np.asarray(doc["hessian"], dtype=float).reshape(dim, dim)
-        v_poly = {tuple(map(int, k.split(","))): float(c)
-                  for k, c in doc["v_poly"].items()}
-        a_poly = {tuple(map(int, k.split(","))): float(c)
-                  for k, c in doc.get("a_poly", {"0" * dim: 1.0}).items()}
+        v_poly = {tuple(map(int, k.split(","))): c for k, c in doc["v_poly"].items()}
+        a_poly = {tuple(map(int, k.split(","))): c
+                  for k, c in doc.get("a_poly", {",".join("0" * dim): 1.0}).items()}
+        return laplace.custom_problem(dim, v_poly, a_poly, hessian, box)
     except (OSError, KeyError, ValueError, json.JSONDecodeError) as exc:
         raise ConfigError(f"bad custom phase document: {exc}") from exc
-
-    def poly(coeffs):
-        def fn(pts):
-            out = np.zeros(pts.shape[0])
-            for k, c in coeffs.items():
-                term = np.full(pts.shape[0], c)
-                for i, ki in enumerate(k):
-                    term = term * pts[:, i] ** ki
-                out += term
-            return out
-
-        return fn
-
-    return laplace.custom_problem(dim, poly(v_poly), poly(a_poly), hessian, box)
 
 
 def _cmd_laplace(args) -> int:
     problem = _laplace_problem(args)
     problem.validate()
     T = corr_ode.log_grid(args.t_min, args.t_max, args.points_per_decade)
+    coeffs = laplace.laplace_expand(problem, args.order)
     vals = laplace.laplace_quadrature(problem, T)
-    samples = np.column_stack([T, vals])
-    try:
-        coeffs = laplace.laplace_expand(problem, args.order)
-    except HoromixError:
-        coeffs = laplace.fit_expansion(samples, problem.dim, args.order)
     recon = coeffs.reconstruct(T)
     rows = [
         (float(t), float(v), float(r), float(abs(v - r)))

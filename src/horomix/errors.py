@@ -51,12 +51,14 @@ class ConditioningError(HoromixError):
 
 
 class UnsupportedMorseClassError(HoromixError):
-    """The phase is outside the normalizable classes; use fit_expansion."""
+    """The phase or amplitude is not a polynomial, so it has no Taylor-series
+    expansion; sample the quadrature and use fit_expansion."""
 
 
 class LatticeSizeError(HoromixError):
-    """A tensor grid (character lattice, validation sweep, quadrature mesh
-    or stencil) has more points than its cap; raised before allocation."""
+    """A tensor grid (character lattice, validation sweep or quadrature
+    mesh) or a Laplace series has more points or monomials than its cap;
+    raised before allocation."""
 
 
 class ConfigError(HoromixError):

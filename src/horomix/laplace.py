@@ -5,10 +5,10 @@ definite Hessian H = −D²v(0), so the integral admits the expansion
 
     I(T) = Σ_j c_j T^(−j−d/2),    c₀ = (2π)^{d/2} a(0) / √det H,
 
-with only even Gaussian moments contributing.  Three routes to the
-coefficients are provided: exact Morse normalization for quadratic,
-radial, and one-dimensional phases; a quadrature oracle for I(T) itself;
-and sequential Richardson extraction from sampled values.
+with only even Gaussian moments contributing.  Three routes are provided:
+the Taylor series of a polynomial phase and amplitude paired with Gaussian
+moments, exact up to rounding at every order; a quadrature oracle for I(T)
+itself; and sequential Richardson extraction from sampled values.
 
 The oracle is a cone rule (Duffy, SIAM J. Numer. Anal. 19, 1982): the box
 splits into 2d pyramids with apex at the peak 0, so the concentration of
@@ -19,7 +19,6 @@ BLAS dot products, so its bits do not depend on the BLAS thread count.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -27,14 +26,9 @@ import numpy as np
 
 from ._stencils import (
     GRID_CAP,
-    _newton_roots,
     finite_difference_hessian,
-    fornberg_weights,
     legendre_rule,
-    monotone_inverse,
-    quadratic_form,
     sweep_grid,
-    tensor_grid,
 )
 from .errors import (
     ConditioningError,
@@ -45,7 +39,6 @@ from .errors import (
     UnsupportedMorseClassError,
 )
 
-_MAX_EXPANSION_ORDER = 4  # finite differences above D^8 b are not stable
 # Relative refinement gap laplace_quadrature accepts; remainder_slope takes it
 # as the noise floor of sampled values.
 _QUAD_REL_TOL = 1e-10
@@ -62,17 +55,71 @@ _FACE_NODES_HIGH = 16
 # times any weight above 1e-47 is a normal float, where a floor of −707
 # would still leave e^(−707)·w subnormal.
 _EXP_FLOOR = -600.0
-# (k, step) derivative stencils _tensor_stencil keeps: two steps for each
-# even multi-index through order 4, 8 + 28 + 68 of them for d = 1, 2, 3.
-_STENCIL_CACHE = 128
+# Monomials of degree ≤ 6·order_n in d variables that laplace_expand may
+# track; above this it refuses before it expands anything.  Phases with
+# every cubic and quartic term took 1.3 s at d = 4, order 4 (20 475) and
+# 1.9 s at d = 5, order 3 (33 649); d = 6, order 3 (134 596) took 7.5 s.
+_SERIES_BUDGET = 50_000
 
 
-def _double_factorial(n: int) -> int:
-    out = 1
-    while n > 1:
-        out *= n
-        n -= 2
-    return out
+class Polynomial(dict):
+    """Σ_k c_k ξ^k: a map from multi-index k (a tuple of d exponents) to
+    its coefficient c_k, callable on an (N, d) array of points.
+
+    Each term is evaluated as c_k·∏ᵢ ξᵢ^kᵢ, each power a product of
+    repeated factors ((ξ·ξ)·ξ)··· shared by the terms of one call, in the
+    order the map holds the terms, and the terms are added in that order.
+    Multiplication is the same on every host, where the SIMD paths of pow
+    are not, and an even power of −ξ has the bits of that power of ξ.
+    """
+
+    def __init__(self, coeffs):
+        super().__init__(
+            (tuple(int(e) for e in k), float(c)) for k, c in dict(coeffs).items()
+        )
+        if len({len(k) for k in self}) != 1 or any(e < 0 for k in self for e in k):
+            raise DomainError(
+                "polynomial terms need multi-indices of one length with entries >= 0"
+            )
+
+    @property
+    def dim(self) -> int:
+        return len(next(iter(self)))
+
+    def __call__(self, pts):
+        if pts.shape[-1] != self.dim:
+            raise DomainError(f"polynomial in {self.dim} variables, points have {pts.shape[-1]}")
+        powers = [[None, pts[:, i]] for i in range(self.dim)]  # ξᵢ^e at [i][e]
+        out = np.zeros(pts.shape[0])
+        for k, c in self.items():
+            term = np.full(pts.shape[0], c)
+            for col, ki in zip(powers, k):
+                while len(col) <= ki:
+                    col.append(col[-1] * col[1])
+                if ki:
+                    term *= col[ki]
+            out += term
+        return out
+
+
+def _moment(k: tuple, sigma: list, memo: dict) -> float:
+    """E[ξᵏ] for ξ ~ N(0, Σ), by Stein's identity E[ξᵢ·f] = Σⱼ Σᵢⱼ·E[∂ⱼf]
+    on f = ξ^(k − eᵢ), i the first nonzero entry of k; memoised in ``memo``."""
+    if k in memo:
+        return memo[k]
+    if sum(k) % 2:
+        return 0.0
+    i = next(i for i, e in enumerate(k) if e)
+    rest = list(k)
+    rest[i] -= 1
+    total = 0.0
+    for j, e in enumerate(rest):
+        if e:
+            lower = rest.copy()
+            lower[j] -= 1
+            total += sigma[i][j] * e * _moment(tuple(lower), sigma, memo)
+    memo[k] = total
+    return total
 
 
 def gaussian_moment(k) -> float:
@@ -83,12 +130,9 @@ def gaussian_moment(k) -> float:
     k = tuple(int(v) for v in np.atleast_1d(k))
     if any(v < 0 for v in k):
         raise DomainError(f"multi-index entries must be >= 0, got {k}")
-    if any(v % 2 for v in k):
-        return 0.0
-    out = 1.0
-    for v in k:
-        out *= math.sqrt(2.0 * math.pi) * _double_factorial(v - 1)
-    return out
+    d = len(k)
+    identity = np.eye(d).tolist()
+    return math.sqrt(2.0 * math.pi) ** d * _moment(k, identity, {(0,) * d: 1.0})
 
 
 # ---------------------------------------------------------------------------
@@ -100,10 +144,10 @@ def gaussian_moment(k) -> float:
 class PhaseProblem:
     """Phase/amplitude pair on a box, with the critical-point Hessian.
 
-    ``v`` and ``a`` take (N, d) arrays and return (N,).  ``morse`` tags
-    the normalization class available to :func:`laplace_expand`:
-    "quadratic", "radial" (v = φ(½ξᵀHξ)), "oned", or None (quadrature and
-    :func:`fit_expansion` only).
+    ``v`` and ``a`` take (N, d) arrays and return (N,).  Where both are
+    :class:`Polynomial`, :func:`laplace_expand` gives the expansion
+    coefficients; any other callable (such as the mixing phase ν₀ − 1)
+    has the quadrature and :func:`fit_expansion` only.
     """
 
     dim: int
@@ -111,9 +155,6 @@ class PhaseProblem:
     a: object
     box: np.ndarray
     hessian: np.ndarray
-    morse: str | None = None
-    phi: object = None
-    phi_prime: object = None
 
     def __post_init__(self):
         self.box = np.asarray(self.box, dtype=float)
@@ -142,49 +183,25 @@ class PhaseProblem:
             raise ModelValidityError("-D^2 v(0) does not match the declared hessian")
 
 
-def _unit_amplitude(pts):
-    return np.ones(pts.shape[0])
-
-
 def quadratic_problem(hessian, a=None) -> PhaseProblem:
-    """Exactly quadratic phase v = −½ ξᵀHξ."""
+    """Exactly quadratic phase v = −½ ξᵀHξ, as a :class:`Polynomial`; the
+    amplitude ``a`` defaults to 1."""
     hessian = np.atleast_2d(np.asarray(hessian, dtype=float))
     d = hessian.shape[0]
     box = np.full(d, 8.0 / math.sqrt(np.linalg.eigvalsh(hessian)[0]))
-    v = lambda pts: -0.5 * quadratic_form(pts, hessian)
-    a_fn = _unit_amplitude if a is None else a
-    return PhaseProblem(dim=d, v=v, a=a_fn, box=box, hessian=hessian, morse="quadratic")
-
-
-def radial_problem(hessian, phi, phi_prime, box=None) -> PhaseProblem:
-    """Radial phase v = φ(q), q = ½ ξᵀHξ, with φ(0) = 0 and φ'(0) = −1."""
-    hessian = np.atleast_2d(np.asarray(hessian, dtype=float))
-    d = hessian.shape[0]
-    if abs(phi(0.0)) > 1e-14 or abs(phi_prime(0.0) + 1.0) > 1e-10:
-        raise ModelValidityError("radial phase needs phi(0) = 0 and phi'(0) = -1")
-    if box is None:
-        box = np.full(d, 8.0 / math.sqrt(np.linalg.eigvalsh(hessian)[0]))
-    q = lambda pts: 0.5 * quadratic_form(pts, hessian)
-    v = lambda pts: phi(q(pts))
-    return PhaseProblem(
-        dim=d, v=v, a=_unit_amplitude, box=box, hessian=hessian,
-        morse="radial", phi=phi, phi_prime=phi_prime,
-    )
-
-
-def oned_problem(v, hessian, box=None) -> PhaseProblem:
-    """General one-dimensional phase; normalized by θ(ξ) = sgn(ξ)√(−2v)."""
-    h = float(np.atleast_2d(np.asarray(hessian, float))[0, 0])
-    if box is None:
-        box = np.array([8.0 / math.sqrt(h)])
-    return PhaseProblem(
-        dim=1, v=v, a=_unit_amplitude, box=np.atleast_1d(box), hessian=[[h]],
-        morse="oned",
-    )
+    unit = np.eye(d, dtype=int)
+    v = {
+        tuple(unit[i] + unit[j]): -0.5 * hessian[i, i] if i == j else -hessian[i, j]
+        for i in range(d) for j in range(i, d) if hessian[i, j] != 0.0
+    }
+    a_fn = Polynomial({(0,) * d: 1.0}) if a is None else a
+    return PhaseProblem(dim=d, v=Polynomial(v), a=a_fn, box=box, hessian=hessian)
 
 
 def custom_problem(dim, v, a, hessian, box) -> PhaseProblem:
-    return PhaseProblem(dim=dim, v=v, a=a, box=box, hessian=hessian, morse=None)
+    """Polynomial phase and amplitude from maps of multi-index to
+    coefficient (see :class:`Polynomial`)."""
+    return PhaseProblem(dim=dim, v=Polynomial(v), a=Polynomial(a), box=box, hessian=hessian)
 
 
 def preset_gauss1d() -> PhaseProblem:
@@ -196,9 +213,8 @@ def preset_gauss2d() -> PhaseProblem:
 
 
 def preset_quartic1d() -> PhaseProblem:
-    phi = lambda q: -q - q * q
-    phi_p = lambda q: -1.0 - 2.0 * q
-    return radial_problem([[1.0]], phi, phi_p, box=np.array([3.0]))
+    """v = −ξ²/2 − ξ⁴/4 on [−3, 3], a = 1."""
+    return custom_problem(1, {(2,): -0.5, (4,): -0.25}, {(0,): 1.0}, [[1.0]], [3.0])
 
 
 # ---------------------------------------------------------------------------
@@ -354,152 +370,75 @@ class ExpansionCoefficients:
         return out
 
 
-@functools.lru_cache(maxsize=_STENCIL_CACHE)
-def _tensor_stencil(k: tuple, step: float) -> tuple[np.ndarray, np.ndarray]:
-    """Points and weights of the tensorized central D^k stencil at ``step``:
-    2m + 1 nodes per axis, m = (kᵢ + 4)//2 + 1, with the order-kᵢ
-    :func:`fornberg_weights` column at 0.  Built once per (k, step) and
-    shared read-only."""
-    axes, weights = [], []
-    for ki in k:
-        m = (ki + 4) // 2 + 1
-        nodes = np.arange(-m, m + 1) * step
-        axes.append(nodes)
-        weights.append(fornberg_weights(nodes, 0.0, ki)[:, ki])
-    pts = tensor_grid(axes)
-    wts = np.prod(tensor_grid(weights), axis=-1)
-    pts.flags.writeable = wts.flags.writeable = False
-    return pts, wts
-
-
-def _tensor_derivative(fn, k: tuple) -> float:
-    """D^k fn(0) by tensorized central stencils, Richardson-refined.
-
-    The value at 0 is subtracted before the stencil is applied so the
-    constant mode cancels exactly instead of through the (large) weights.
-    """
-    f0 = float(fn(np.zeros((1, len(k))))[0])
-
-    def at(step):
-        pts, wts = _tensor_stencil(k, step)
-        return float(np.dot(wts, fn(pts) - f0))
-
-    h = 0.05
-    coarse, fine = at(h), at(h / 2)
-    return (16.0 * fine - coarse) / 15.0
-
-
-def _even_multi_indices(total: int, dim: int):
-    """All multi-indices with even entries summing to 2·total."""
-
-    def comps(s, parts):
-        if parts == 1:
-            yield (s,)
-            return
-        for first in range(s + 1):
-            for rest in comps(s - first, parts - 1):
-                yield (first,) + rest
-
-    for comp in comps(total, dim):
-        yield tuple(2 * c for c in comp)
-
-
-def _pushforward_amplitude(problem: PhaseProblem):
-    """b(θ) = a(ρ(θ)) · det Dρ(θ) for the supported Morse classes."""
-    d = problem.dim
-    H = problem.hessian
-    L = np.linalg.cholesky(H)
-    l_inv = np.linalg.inv(L)
-    det_fac = 1.0 / math.sqrt(float(np.linalg.det(H)))
-
-    if problem.morse == "quadratic":
-
-        def b(theta):
-            xi = theta @ l_inv
-            return problem.a(xi) * det_fac
-
-        return b
-
-    if problem.morse == "radial":
-        phi, phi_p = problem.phi, problem.phi_prime
-
-        def b(theta):
-            # ξ = g·θ·L⁻¹ with ½|ξ|²_H = q̂, where φ(q̂) = −½|θ|² (φ decreasing)
-            s = np.linalg.norm(theta, axis=1)
-            qhat = monotone_inverse(
-                lambda q: -phi(q), 0.5 * s * s, xtol=1e-15, rtol=1e-15
-            )
-            with np.errstate(divide="ignore", invalid="ignore"):
-                r = np.sqrt(2.0 * qhat)
-                g = np.where(s < 1e-300, 1.0, r / s)
-                rp = np.where(s < 1e-300, 1.0, -s / (phi_p(qhat) * r))
-            xi = (theta * g[:, None]) @ l_inv
-            return problem.a(xi) * det_fac * g ** (d - 1) * rp
-
-        return b
-
-    if problem.morse == "oned":
-        vfun = problem.v
-        u = float(problem.box[0])
-
-        def v_at(xi):
-            # any batch shape, so _newton_roots can stack its points
-            return vfun(xi.reshape(-1, 1)).reshape(xi.shape)
-
-        def b(theta):
-            # ξ = ρ(θ) solves sgn(ξ)·√(−2v(ξ)) = θ on the half-box of θ's
-            # sign, by Newton from the quadratic chart θ/√H₀₀
-            th = theta[:, 0]
-            xi = _newton_roots(
-                lambda x: np.copysign(np.sqrt(np.maximum(-2.0 * v_at(x), 0.0)), x) - th,
-                th / math.sqrt(float(H[0, 0])),
-                np.where(th > 0.0, 0.0, -u), np.where(th > 0.0, u, 0.0),
-                xtol=1e-15, rtol=8.9e-16,
-            )
-            h_fd = 1e-6
-            vp = (v_at(xi + h_fd) - v_at(xi - h_fd)) / (2 * h_fd)
-            # theta'(xi) = -v' / (sgn(xi)·sqrt(-2v)); rho'(theta) = 1/theta'
-            with np.errstate(divide="ignore", invalid="ignore"):
-                tp = -vp / np.copysign(np.sqrt(-2.0 * v_at(xi)), xi)
-                out = problem.a(xi[:, None]) / tp
-            at_zero = float(problem.a(np.zeros((1, 1)))[0]) / math.sqrt(float(H[0, 0]))
-            return np.where(np.abs(th) < 1e-300, at_zero, out)
-
-        return b
-
-    raise UnsupportedMorseClassError(
-        "phase outside the quadratic/radial/1-d normalization classes; "
-        "sample laplace_quadrature and use fit_expansion instead"
-    )
+def _truncated_product(p: dict, q: dict, max_degree: int, scale: float) -> dict:
+    """scale·p·q without the terms of degree above ``max_degree``."""
+    out = {}
+    for kp, cp in p.items():
+        room = max_degree - sum(kp)
+        for kq, cq in q.items():
+            if sum(kq) <= room:
+                k = tuple(x + y for x, y in zip(kp, kq))
+                out[k] = out.get(k, 0.0) + cp * cq * scale
+    return out
 
 
 def laplace_expand(problem: PhaseProblem, order_n: int) -> ExpansionCoefficients:
-    """Expansion coefficients through the Morse chart.
+    """c₀ … c_N of I(T) ~ Σ c_j T^(−j−d/2) over ℝᵈ, from the Taylor series
+    of a polynomial phase and amplitude (Hörmander, *The Analysis of Linear
+    Partial Differential Operators I*, Thm 7.7.5).
 
-    c_j pairs the even Taylor coefficients of the pushforward amplitude
-    with Gaussian moments; odd orders vanish identically.  Orders above 4
-    are refused (the stencil differentiation is no longer trustworthy).
+    With v = −½ξᵀHξ + R, R the terms of degree ≥ 3 and H read off v's
+    degree-2 terms, a·e^{T·R} = Σₙ a·(T·R)ⁿ/n!.  A monomial ξᵏ of a·Rⁿ/n!
+    adds its coefficient times (2π)^{d/2}·det(H)^{−1/2}·E[ξᵏ], ξ ~ N(0, H⁻¹),
+    to c_j with j = |k|/2 − n; odd |k| add nothing, and only n ≤ 2j and
+    |k| ≤ 6j reach c_j.  The moments come from Stein's recursion
+    (:func:`_moment`).  The box cut is exponentially small in T and is not
+    part of the series.
+
+    A phase or amplitude that is not a :class:`Polynomial` raises
+    UnsupportedMorseClassError.  Where the monomials of degree ≤ 6·order_n
+    in d variables outnumber _SERIES_BUDGET, LatticeSizeError is raised
+    before anything is expanded; a v with a nonzero term of degree 0 or 1
+    (a critical point off 0) or with H not positive definite raises
+    ModelValidityError.
     """
     if order_n < 0:
         raise DomainError("order_n must be >= 0")
-    if order_n > _MAX_EXPANSION_ORDER:
-        raise DomainError(f"order_n capped at {_MAX_EXPANSION_ORDER}")
-    b = _pushforward_amplitude(problem)
-    d = problem.dim
+    v, a, d = problem.v, problem.a, problem.dim
+    if not (isinstance(v, Polynomial) and isinstance(a, Polynomial)):
+        raise UnsupportedMorseClassError(
+            "the series needs a polynomial phase and amplitude; "
+            "sample laplace_quadrature and use fit_expansion instead"
+        )
+    monomials = math.comb(6 * order_n + d, d)
+    if monomials > _SERIES_BUDGET:
+        raise LatticeSizeError(
+            f"series of order {order_n} in {d} variables tracks {monomials} "
+            f"monomials, above the budget {_SERIES_BUDGET}"
+        )
+    if any(sum(k) < 2 and c != 0.0 for k, c in v.items()):
+        raise ModelValidityError("the phase has a term of degree 0 or 1: its critical point is not at 0")
+    hessian = np.zeros((d, d))
+    for k, c in v.items():
+        if sum(k) == 2:
+            i, j = [m for m, e in enumerate(k) for _ in range(e)]
+            hessian[i, j] = hessian[j, i] = -2.0 * c if i == j else -c
+    if np.linalg.eigvalsh(hessian)[0] <= 0.0:
+        raise ModelValidityError("the phase's degree-2 terms are not negative definite")
+    sigma = np.linalg.inv(hessian).tolist()
+    rest = {k: c for k, c in v.items() if sum(k) >= 3 and c != 0.0}
+    memo = {(0,) * d: 1.0}
     c = np.zeros(order_n + 1)
-    c[0] = float(b(np.zeros((1, d)))[0]) * gaussian_moment((0,) * d)
-    for j in range(1, order_n + 1):
-        total = 0.0
-        for k in _even_multi_indices(j, d):
-            moment = gaussian_moment(k)
-            if moment == 0.0:
-                continue
-            deriv = _tensor_derivative(b, k)
-            fact = 1.0
-            for ki in k:
-                fact *= math.factorial(ki)
-            total += deriv / fact * moment
-        c[j] = total
+    # a·Rⁿ/n!, without the terms of degree above 2(N + n), which reach no c_j
+    term = {k: x for k, x in a.items() if sum(k) <= 2 * order_n}
+    for n in range(2 * order_n + 1):
+        if n:
+            term = _truncated_product(term, rest, 2 * (order_n + n), 1.0 / n)
+        for k, x in term.items():
+            degree = sum(k)
+            if degree % 2 == 0:
+                c[degree // 2 - n] += x * _moment(k, sigma, memo)
+    c *= gaussian_moment((0,) * d) / math.sqrt(float(np.linalg.det(hessian)))
     return ExpansionCoefficients(order_n=order_n, c=c, dim=d)
 
 

@@ -59,14 +59,18 @@ class MixingProblem:
 
 
 def induced_phase_problem(problem: MixingProblem) -> PhaseProblem:
-    """The Laplace problem with v = ν₀ − 1 on the model's working box."""
+    """The Laplace problem with v = ν₀ − 1 on the model's working box.
+
+    v = √(1 − 4λ₀) − 1 is evaluated as −4λ₀/(1 + √(1 − 4λ₀)), which does
+    not cancel as λ₀ → 0.
+    """
     model = problem.model
 
     def v(pts):
         lam = model.lambda0_batch(pts)
         if np.any(lam >= LAMBDA_MAX):
             raise ModelValidityError("lambda0 reaches 1/4 inside the box")
-        return np.sqrt(1.0 - 4.0 * lam) - 1.0
+        return -4.0 * lam / (1.0 + np.sqrt(1.0 - 4.0 * lam))
 
     return PhaseProblem(
         dim=model.rank_d,
@@ -74,7 +78,6 @@ def induced_phase_problem(problem: MixingProblem) -> PhaseProblem:
         a=problem.amplitude_at,
         box=model.domain_u,
         hessian=model.mixing_hessian(),
-        morse=None,
     )
 
 

@@ -1,6 +1,6 @@
-"""The stencil rules of the correlation ODE and of the Morse-chart
-derivatives as they were before their plans, kept as an independent oracle
-for them.
+"""The stencil rules of the correlation ODE as they were before their
+plans, kept as an independent oracle for them, and the tensor derivative
+stencils of the Morse-chart oracle (tests/morse_chart.py).
 
 Every function builds its :func:`fornberg_weights` tables afresh on every
 call; the planned rules must return the same bits.
@@ -14,8 +14,9 @@ from horomix._stencils import fornberg_weights, tensor_grid
 
 
 def tensor_stencil(k: tuple, step: float) -> tuple[np.ndarray, np.ndarray]:
-    """Points and weights of the tensorized central D^k stencil at ``step``,
-    as ``laplace._tensor_derivative`` built them on every call."""
+    """Points and weights of the tensorized central D^k stencil at ``step``:
+    2m + 1 nodes per axis, m = (kᵢ + 4)//2 + 1, with the order-kᵢ
+    :func:`fornberg_weights` column at 0."""
     axes, weights = [], []
     for ki in k:
         m = (ki + 4) // 2 + 1

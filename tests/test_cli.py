@@ -128,6 +128,34 @@ class TestDispatch:
         ])
         assert rc == 0
 
+    def test_laplace_custom_json_linear_term_refused(self, tmp_path, capsys):
+        # a linear term puts the critical point off 0: refused before any output
+        doc = {"dim": 1, "box": [3.0], "hessian": [1.0], "v_poly": {"1": 0.01, "2": -0.5}}
+        phase = tmp_path / "phase.json"
+        phase.write_text(json.dumps(doc))
+        out = tmp_path / "lapc.csv"
+        rc = dispatch([
+            "laplace", "--preset", "custom-json", "--custom", str(phase), "--out", str(out),
+        ])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error:") and "degree 0 or 1" in err
+        assert not list(tmp_path.glob("lapc*"))
+
+    def test_laplace_order_six(self, tmp_path, capsys):
+        # orders above 4 were once refused; the series reconstructs the
+        # quadrature to its refinement gap from T = 1e3
+        out = tmp_path / "lap6.csv"
+        rc = dispatch([
+            "laplace", "--preset", "quartic1d", "--order", "6", "--t-min", "1e3",
+            "--t-max", "1e6", "--points-per-decade", "2", "--out", str(out),
+        ])
+        assert rc == 0
+        assert "c=[2.5066282746310002, -1.8799712059732503" in capsys.readouterr().err
+        rows = _read_csv(out)[1:]
+        assert len(rows) == 7
+        assert all(float(r[3]) <= 1e-10 * float(r[1]) for r in rows)
+
     def test_cover_run(self, model_file, tmp_path):
         out = tmp_path / "cov.csv"
         rc = dispatch([
@@ -374,7 +402,7 @@ assert sys.modules["scipy"] is None and loaded == ["scipy"], loaded
 
 def test_cli_paths_run_without_scipy():
     """With scipy made unimportable, the package, the CLI, the angular limit
-    density, the radial Morse chart, the whole selftest battery and the
+    density, the Laplace series, the whole selftest battery and the
     callable forcing integrals all run."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)

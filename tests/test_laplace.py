@@ -15,26 +15,23 @@ from horomix.errors import (
     QuadratureError,
     UnsupportedMorseClassError,
 )
-from horomix._stencils import bracketed_roots
 from horomix.laplace import (
     ExpansionCoefficients,
+    Polynomial,
     custom_problem,
     fit_expansion,
     gaussian_moment,
     laplace_expand,
     laplace_quadrature,
-    oned_problem,
     preset_gauss1d,
     preset_gauss2d,
     preset_quartic1d,
     quadratic_problem,
-    radial_problem,
     remainder_slope,
 )
 from horomix.mixing import MixingProblem, induced_phase_problem
 from horomix.spectral_model import Perturbation, SpectralModel
-import monotone_bisect
-import stencil_fresh
+import morse_chart
 from cone_plain import plain_cone_value
 from tensor_panels import tensor_quadrature
 
@@ -156,31 +153,20 @@ class TestQuadrature:
         p.validate()
         with pytest.raises(ModelValidityError):
             # v(0) != 0
-            custom_problem(
-                1,
-                v=lambda pts: 0.1 - pts[:, 0] ** 2,
-                a=lambda pts: np.ones(pts.shape[0]),
-                hessian=[[2.0]],
-                box=[1.0],
-            )
+            custom_problem(1, v={(0,): 0.1, (2,): -1.0}, a={(0,): 1.0},
+                           hessian=[[2.0]], box=[1.0])
 
     def test_validation_rejects_wrong_declared_hessian(self):
         # -D^2 v(0) = 2, declared 3: construction passes, validate must not
-        p = custom_problem(
-            1,
-            v=lambda pts: -pts[:, 0] ** 2,
-            a=lambda pts: np.ones(pts.shape[0]),
-            hessian=[[3.0]],
-            box=[1.0],
-        )
+        p = custom_problem(1, v={(2,): -1.0}, a={(0,): 1.0}, hessian=[[3.0]], box=[1.0])
         with pytest.raises(ModelValidityError, match="declared hessian"):
             p.validate()
 
     def test_validation_accepts_matching_hessian_2d(self):
         custom_problem(
             2,
-            v=lambda pts: -pts[:, 0] ** 2 - 0.5 * pts[:, 1] ** 2 - pts[:, 0] * pts[:, 1] / 4,
-            a=lambda pts: np.ones(pts.shape[0]),
+            v={(2, 0): -1.0, (0, 2): -0.5, (1, 1): -0.25},
+            a={(0, 0): 1.0},
             hessian=[[2.0, 0.25], [0.25, 1.0]],
             box=[1.0, 1.0],
         ).validate()
@@ -189,13 +175,9 @@ class TestQuadrature:
         # 9^8 = 4.3e7 sweep points would take 2.8 GB; the budgeted sweep
         # audits 5 points per axis instead
         quadratic_problem(np.eye(8)).validate()
-        bad = custom_problem(
-            8,
-            v=lambda pts: -0.5 * np.sum(pts**2, axis=1) + np.sum(pts**4, axis=1),
-            a=lambda pts: np.ones(pts.shape[0]),
-            hessian=np.eye(8),
-            box=np.full(8, 1.0),
-        )
+        unit = np.eye(8, dtype=int)
+        v = {tuple(2 * e): -0.5 for e in unit} | {tuple(4 * e): 1.0 for e in unit}
+        bad = custom_problem(8, v=v, a={(0,) * 8: 1.0}, hessian=np.eye(8), box=np.full(8, 1.0))
         with pytest.raises(ModelValidityError, match="v\\(xi\\) >= 0"):
             bad.validate()
 
@@ -210,8 +192,8 @@ def _mixing_phase(d, perturbation=None, correlated=False):
 
 def _odd_phase():
     # a cubic term: v(−ξ) ≠ v(ξ), so every face gets its own exponentials
-    v = lambda pts: -0.5 * (pts[:, 0] ** 2 + pts[:, 1] ** 2) + 0.05 * pts[:, 0] ** 3
-    return custom_problem(2, v, lambda pts: 1.0 + pts[:, 1] ** 2, np.eye(2), [3.0, 3.0])
+    v = {(2, 0): -0.5, (0, 2): -0.5, (3, 0): 0.05}
+    return custom_problem(2, v, {(0, 0): 1.0, (0, 2): 1.0}, np.eye(2), [3.0, 3.0])
 
 
 def _signed_amplitude():
@@ -292,6 +274,33 @@ class TestConeOracle:
                     fn(p, self.T, 24, face_nodes)
 
 
+def _quartic_closed_form(j):
+    # ∫ exp(−T(ξ²/2 + ξ⁴/4)): c_j = (−1)^j √(2π) (4j−1)!! / (4^j j!)
+    return (-1) ** j * S2PI * _dfact(4 * j - 1) / (4**j * math.factorial(j))
+
+
+def _radial_phase(hessian, coeff):
+    """v = −q − coeff·q², q = ½ξᵀHξ, as a coefficient map."""
+    minus_q = dict(quadratic_problem(hessian).v)
+    v = dict(minus_q)
+    for k1, c1 in minus_q.items():
+        for k2, c2 in minus_q.items():
+            k = tuple(x + y for x, y in zip(k1, k2))
+            v[k] = v.get(k, 0.0) - coeff * c1 * c2
+    return v
+
+
+def _assert_series_matches_quadrature(p, orders, T):
+    # the remainder of the order-N series is about its first omitted term,
+    # |c_{N+1}|·T^(−N−1−d/2), and the quadrature is good to its refinement gap
+    quad = laplace_quadrature(p, T)
+    for order_n in orders:
+        c = laplace_expand(p, order_n + 1).c
+        series = ExpansionCoefficients(order_n=order_n, c=c[:-1], dim=p.dim)
+        bound = abs(c[-1]) * T ** (-order_n - 1 - p.dim / 2) + 1e-10 * np.abs(quad)
+        assert np.all(np.abs(series.reconstruct(T) - quad) <= bound), order_n
+
+
 class TestExpansion:
     def test_quadratic_exact_any_dim(self):
         for problem, c0 in [(preset_gauss1d(), S2PI), (preset_gauss2d(), 2 * math.pi)]:
@@ -300,172 +309,134 @@ class TestExpansion:
             assert coeffs.c[1] == 0.0 and coeffs.c[2] == 0.0
 
     def test_quadratic_amplitude_xi_squared(self):
-        p = quadratic_problem([[1.0]], a=lambda pts: pts[:, 0] ** 2)
+        p = quadratic_problem([[1.0]], a=Polynomial({(2,): 1.0}))
         coeffs = laplace_expand(p, 1)
-        assert abs(coeffs.c[0]) < 1e-14
-        assert coeffs.c[1] == pytest.approx(S2PI, rel=1e-9)
+        assert coeffs.c[0] == 0.0
+        assert coeffs.c[1] == pytest.approx(S2PI, rel=1e-15)
 
-    def test_quartic_morse_coefficients(self):
-        # exp(-T(x^2/2 + x^4/4)): c_j = (-1)^j sqrt(2pi) (4j-1)!! / (4^j j!)
-        coeffs = laplace_expand(preset_quartic1d(), 2)
-        assert coeffs.c[0] == pytest.approx(S2PI, rel=1e-12)
-        assert coeffs.c[1] == pytest.approx(-0.75 * S2PI, rel=1e-7)
-        assert coeffs.c[2] == pytest.approx(105.0 / 32.0 * S2PI, rel=1e-5)
+    def test_no_order_cap(self):
+        # orders above 4 were refused while the coefficients came from
+        # stencil derivatives; the series is exact at every order
+        coeffs = laplace_expand(preset_quartic1d(), 6)
+        exact = [_quartic_closed_form(j) for j in range(7)]
+        np.testing.assert_allclose(coeffs.c, exact, rtol=1e-14, atol=0.0)
 
     def test_quartic_cross_checked_against_fit(self):
         p = preset_quartic1d()
         T = np.logspace(2, 6, 33)
         samples = np.column_stack([T, [laplace_quadrature(p, t) for t in T]])
         fitted = fit_expansion(samples, 1, 2)
-        morse = laplace_expand(p, 2)
-        np.testing.assert_allclose(fitted.c, morse.c, rtol=1e-4, atol=1e-6)
+        series = laplace_expand(p, 2)
+        np.testing.assert_allclose(fitted.c, series.c, rtol=1e-4, atol=1e-6)
 
-    def test_oned_class_matches_radial(self):
-        # same quartic phase through the generic 1-d normalization
-        v = lambda pts: -0.5 * pts[:, 0] ** 2 - 0.25 * pts[:, 0] ** 4
-        p = oned_problem(v, [[1.0]], box=[3.0])
-        coeffs = laplace_expand(p, 1)
-        assert coeffs.c[0] == pytest.approx(S2PI, rel=1e-9)
-        assert coeffs.c[1] == pytest.approx(-0.75 * S2PI, rel=1e-6)
+    def test_custom_quartic_matches_closed_form(self):
+        # the quartic of quartic1d as a custom phase, its terms in the other
+        # order, with a box of its own
+        p = custom_problem(1, {(4,): -0.25, (2,): -0.5}, {(0,): 1.0}, [[1.0]], [2.0])
+        exact = [_quartic_closed_form(j) for j in range(5)]
+        np.testing.assert_allclose(laplace_expand(p, 4).c, exact, rtol=1e-14, atol=0.0)
 
-    def test_unsupported_class_refers_to_fit(self):
-        v = lambda pts: -0.5 * np.sum(pts**2, axis=1) - 0.1 * pts[:, 0] ** 2 * pts[
-            :, 1
-        ] ** 2
-        p = custom_problem(
-            2, v, lambda pts: np.ones(pts.shape[0]), np.eye(2), [2.0, 2.0]
-        )
-        with pytest.raises(UnsupportedMorseClassError):
+    def test_polynomial_custom_phase_expands(self):
+        # a non-radial quartic: once refused, now expanded by the series
+        v = {(2, 0): -0.5, (0, 2): -0.5, (2, 2): -0.1}
+        p = custom_problem(2, v, {(0, 0): 1.0}, np.eye(2), [2.0, 2.0])
+        _assert_series_matches_quadrature(p, [3], np.logspace(3, 5, 5))
+
+    def test_mixing_phase_refused(self):
+        # ν₀ − 1 is no polynomial: its coefficients come from fit_expansion
+        p = _mixing_phase(2, Perturbation("quartic", 0.2))
+        with pytest.raises(UnsupportedMorseClassError, match="fit_expansion"):
             laplace_expand(p, 1)
 
-    def test_order_cap(self):
-        with pytest.raises(DomainError):
-            laplace_expand(preset_gauss1d(), 5)
+    @pytest.mark.parametrize("case", ["odd_phase", "correlated-d3"])
+    def test_series_matches_quadrature(self, case):
+        if case == "odd_phase":
+            # the odd_phase.json document of scripts/cli_digests.py
+            v = {(2, 0): -0.5, (0, 2): -0.5, (3, 0): 0.05, (4, 0): -0.05}
+            p = custom_problem(2, v, {(0, 0): 0.5, (1, 0): 1.0}, np.eye(2), [3.0, 3.0])
+        else:
+            hessian = np.eye(3) + 0.3 * (np.ones((3, 3)) - np.eye(3))
+            v = dict(quadratic_problem(hessian).v)
+            v.update({(1, 1, 1): 0.05, (4, 0, 0): -0.05, (0, 2, 2): -0.02, (0, 0, 4): -0.03})
+            a = {(0, 0, 0): 1.0, (1, 0, 0): 0.5, (0, 2, 0): -0.2}
+            p = custom_problem(3, v, a, hessian, [2.5, 2.5, 2.5])
+        p.validate()
+        _assert_series_matches_quadrature(p, [2, 4], np.logspace(3, 5, 5))
+
+    def test_oversized_series_refused_before_expanding(self):
+        # degree ≤ 36 in 8 variables: C(44, 8) ≈ 1.8e8 monomials
+        p = quadratic_problem(np.eye(8))
+        start = time.perf_counter()
+        with pytest.raises(LatticeSizeError):
+            laplace_expand(p, 6)
+        assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize("term", [(0,), (1,)], ids=["constant", "linear"])
+    def test_critical_point_off_zero_refused(self, term):
+        # a constant of 1e-13 passes the v(0) check of PhaseProblem
+        p = custom_problem(1, {term: 1e-13, (2,): -0.5}, {(0,): 1.0}, [[1.0]], [3.0])
+        with pytest.raises(ModelValidityError, match="degree 0 or 1"):
+            laplace_expand(p, 2)
 
     def test_linear_covariance(self):
         # v(L xi), a(L xi) multiplies every c_j by 1/|det L|
         rng = np.random.default_rng(11)
         L = np.eye(2) + 0.2 * rng.standard_normal((2, 2))
         H = np.eye(2)
-        a_fn = lambda pts: 1.0 + pts[:, 0] ** 2 + 0.5 * pts[:, 1] ** 2
-        base = quadratic_problem(H, a=a_fn)
-        transformed = quadratic_problem(
-            L.T @ H @ L, a=lambda pts: a_fn(pts @ L.T)
-        )
+        # a(ξ) = 1 + ξ₀² + ½ξ₁², and a(Lξ) expanded by hand
+        base = quadratic_problem(H, a=Polynomial({(0, 0): 1.0, (2, 0): 1.0, (0, 2): 0.5}))
+        (l00, l01), (l10, l11) = L
+        a_of_l = Polynomial({
+            (0, 0): 1.0,
+            (2, 0): l00**2 + 0.5 * l10**2,
+            (1, 1): 2.0 * l00 * l01 + l10 * l11,
+            (0, 2): l01**2 + 0.5 * l11**2,
+        })
+        transformed = quadratic_problem(L.T @ H @ L, a=a_of_l)
         cb = laplace_expand(base, 2).c
         ct = laplace_expand(transformed, 2).c
         np.testing.assert_allclose(
-            ct, cb / abs(np.linalg.det(L)), rtol=1e-6, atol=1e-7
+            ct, cb / abs(np.linalg.det(L)), rtol=1e-12, atol=1e-14
         )
         ib = laplace_quadrature(base, 100.0)
         it = laplace_quadrature(transformed, 100.0)
         assert ib / it == pytest.approx(abs(np.linalg.det(L)), rel=1e-10)
 
 
-def _oned_cases():
-    # (v, H₀₀, box): the quartic of test_oned_class_matches_radial, an odd
-    # phase, and one with H₀₀ ≠ 1; each has v < 0 off 0
-    return {
-        "quartic": (lambda pts: -0.5 * pts[:, 0] ** 2 - 0.25 * pts[:, 0] ** 4, 1.0, 3.0),
-        "cubic": (lambda pts: -0.5 * pts[:, 0] ** 2 + 0.1 * pts[:, 0] ** 3
-                  - 0.25 * pts[:, 0] ** 4, 1.0, 2.0),
-        "steep": (lambda pts: -1.5 * pts[:, 0] ** 2 - 0.2 * pts[:, 0] ** 3
-                  - 0.3 * pts[:, 0] ** 4, 3.0, 1.5),
-    }
+# Relative error of the Morse charts' c₀ … c₄ read off quartic1d and the
+# 2-d radial phase (9e-11 at c₁, 6e-9 at c₂, 2e-6 at c₃, 5e-4 at c₄), each
+# about doubled: the Richardson-refined stencils lose digits with the order
+_CHART_RTOL = np.array([1e-14, 1e-8, 1e-6, 1e-5, 1e-3])
 
 
-def _stencil_points(dim):
-    """Every point the order-4 expansion of a dim-d problem evaluates b at."""
-    return np.concatenate([
-        laplace._tensor_stencil(k, step)[0]
-        for j in range(1, 5) for k in laplace._even_multi_indices(j, dim)
-        for step in (0.05, 0.025)
-    ])
+class TestMorseChartOracle:
+    """The series against the Morse charts of tests/morse_chart.py, within
+    the charts' own stencil error."""
 
-
-class TestMorseCharts:
-    """The Morse charts by certified Newton against their bisection routes
-    (tests/monotone_bisect.py), and the once-built derivative stencils
-    against fresh ones (tests/stencil_fresh.py)."""
-
-    @pytest.mark.parametrize("case", sorted(_oned_cases()))
-    def test_oned_chart_matches_bisection(self, case, monkeypatch):
-        v, h, u = _oned_cases()[case]
-        p = oned_problem(v, [[h]], box=[u])
-        solved = []
-        solve = laplace._newton_roots
-
-        def recording(fn, start, lo, hi, xtol, rtol):
-            roots = solve(fn, start, lo, hi, xtol, rtol)
-            solved.append((fn, roots, lo, hi, xtol, rtol))
-            return roots
-
-        monkeypatch.setattr(laplace, "_newton_roots", recording)
-        theta = np.concatenate([_stencil_points(1), np.linspace(-1.2, 1.2, 41)[:, None]])
-        got = laplace._pushforward_amplitude(p)(theta)
-        [(fn, roots, lo, hi, xtol, rtol)] = solved
-        # each root within its tolerance of the bisected root and of a sign change
-        tol = xtol + rtol * np.abs(roots)
-        assert np.all(np.abs(roots - bracketed_roots(fn, lo, hi, xtol, rtol)) <= tol)
-        assert np.all(fn(roots - tol) <= 0.0) and np.all(fn(roots + tol) >= 0.0)
-        # ρ′ is a central difference of v at step 1e-6, which rounds to about
-        # eps·|v|/(1e-6·|v′|) ≈ 2e-10 relative, so roots a few ulp apart
-        # move b by about that much
-        ref = monotone_bisect.bisected_oned_chart(p)(theta)
-        np.testing.assert_allclose(got, ref, rtol=1e-9, atol=0.0)
-
-    @pytest.mark.parametrize("problem", [
-        preset_quartic1d,
-        lambda: radial_problem([[2.0, 0.3], [0.3, 1.0]], lambda q: -q - 0.3 * q * q,
-                               lambda q: -1.0 - 0.6 * q),
+    @pytest.mark.parametrize("hessian, coeff", [
+        ([[1.0]], 1.0),
+        ([[2.0, 0.3], [0.3, 1.0]], 0.3),
     ], ids=["quartic1d", "gram-2d"])
-    def test_radial_chart_matches_bisection(self, problem, monkeypatch):
-        p = problem()
-        theta = _stencil_points(p.dim)
-        got = laplace._pushforward_amplitude(p)(theta)
-        monkeypatch.setattr(laplace, "monotone_inverse", monotone_bisect.monotone_inverse)
-        ref = laplace._pushforward_amplitude(p)(theta)
-        np.testing.assert_allclose(got, ref, rtol=1e-14, atol=0.0)
+    def test_radial_chart(self, hessian, coeff):
+        d = len(hessian)
+        p = custom_problem(d, _radial_phase(hessian, coeff), {(0,) * d: 1.0},
+                           hessian, np.full(d, 3.0))
+        chart = morse_chart.radial_chart(
+            p, lambda q: -q - coeff * q * q, lambda q: -1.0 - 2.0 * coeff * q
+        )
+        series = laplace_expand(p, 4).c
+        chart_c = morse_chart.chart_expand(chart, d, 4)
+        assert np.all(np.abs(series - chart_c) <= _CHART_RTOL * np.abs(series))
+        if d == 1:
+            assert series.tobytes() == laplace_expand(preset_quartic1d(), 4).c.tobytes()
 
-    @pytest.mark.parametrize("k", [(0,), (2,), (8,), (4, 0), (2, 6), (2, 2, 4), (0, 8, 0)])
-    def test_stencil_plan_has_the_bits_of_a_fresh_build(self, k):
-        laplace._tensor_stencil.cache_clear()
-        for step in (0.05, 0.025, 0.05):  # a miss, a miss, a hit
-            pts, wts = laplace._tensor_stencil(k, step)
-            fresh_pts, fresh_wts = stencil_fresh.tensor_stencil(k, step)
-            assert pts.tobytes() == fresh_pts.tobytes() and pts.shape == fresh_pts.shape
-            assert wts.tobytes() == fresh_wts.tobytes()
-
-    def test_stencil_plan_is_built_once_per_stencil(self, monkeypatch):
-        laplace._tensor_stencil.cache_clear()
-        calls = []
-        build = laplace.fornberg_weights
-
-        def counting(*args):
-            calls.append(args)
-            return build(*args)
-
-        monkeypatch.setattr(laplace, "fornberg_weights", counting)
-        for problem, per_run in [(preset_quartic1d(), 8), (preset_gauss2d(), 56),
-                                 (quadratic_problem(np.eye(3)), 204)]:
-            # one table per axis of each (k, step): 4, 14 and 34 multi-indices
-            # of d entries at two steps
-            before = len(calls)
-            first = laplace_expand(problem, 4).c
-            assert len(calls) - before == per_run
-            again = laplace_expand(problem, 4).c
-            assert len(calls) - before == per_run
-            assert first.tobytes() == again.tobytes()
-
-    def test_stencil_plan_is_read_only_and_bounded(self):
-        pts, wts = laplace._tensor_stencil((2, 4), 0.05)
-        for array in (pts, wts):
-            assert not array.flags.writeable
-            with pytest.raises(ValueError):
-                array[0] = 0.0
-        # the order-4 stencils of d = 1, 2 and 3 fit together
-        assert laplace._tensor_stencil.cache_info().maxsize == laplace._STENCIL_CACHE
-        assert laplace._STENCIL_CACHE >= 8 + 28 + 68
+    def test_quadratic_chart(self):
+        hessian = np.array([[2.0, 0.3], [0.3, 1.0]])
+        a = Polynomial({(0, 0): 1.0, (2, 0): 1.0, (0, 2): 0.5, (1, 1): 0.3, (4, 0): 0.1})
+        p = quadratic_problem(hessian, a=a)
+        series = laplace_expand(p, 2).c
+        chart_c = morse_chart.chart_expand(morse_chart.quadratic_chart(p), 2, 2)
+        assert np.all(np.abs(series - chart_c) <= _CHART_RTOL[:3] * np.abs(series))
 
 
 class TestFitExpansion:

@@ -1,3 +1,4 @@
+import decimal
 import math
 import time
 
@@ -83,6 +84,18 @@ class TestCorrelationIntegral:
         np.testing.assert_allclose(
             induced.hessian, model_d2.mixing_hessian(), rtol=1e-14
         )
+
+    def test_phase_without_cancellation(self, model_d1):
+        # v = √(1 − 4λ₀) − 1 against a 50-digit evaluation at the same float
+        # λ₀; the plain subtraction is about 1e-4 relative off at λ₀ = 1e-12
+        v = induced_phase_problem(MixingProblem(model=model_d1)).v
+        pts = np.sqrt(np.geomspace(1e-16, 0.2, 61) / math.pi)[:, None]
+        lam = model_d1.lambda0_batch(pts)
+        assert lam.min() < 1.1e-16 and lam.max() > 0.19
+        with decimal.localcontext(prec=50):
+            ref = [float((1 - 4 * decimal.Decimal(x)).sqrt() - 1) for x in lam.tolist()]
+        got = v(pts)
+        assert all(abs(g - r) <= 2 * math.ulp(r) for g, r in zip(got.tolist(), ref))
 
     def test_exponent_positivity(self, model_d2):
         # 1 - nu0 >= 0 with equality only at the trivial character

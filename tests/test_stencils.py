@@ -24,7 +24,6 @@ from horomix._stencils import (
     tensor_grid,
 )
 from horomix.errors import DomainError, LatticeSizeError
-from horomix.laplace import preset_quartic1d
 from horomix.spectral_model import Perturbation, SpectralModel
 import monotone_bisect
 
@@ -420,11 +419,11 @@ class TestMonotoneInverse:
         x = np.concatenate([[0.0], np.geomspace(1e-14, 0.1, 60)])
         self._check_against_bisection(psi, x, 1e-16, 8.9e-16)
 
-    def test_agrees_with_bisection_on_the_radial_preset(self):
-        # the radial Morse chart inverts −φ at ½|θ|² over the stencil radii
-        phi = preset_quartic1d().phi
+    def test_agrees_with_bisection_on_the_quartic_chart_radii(self):
+        # the radial Morse chart of v = −q − q² inverts q + q² at ½|θ|² over
+        # its stencil radii
         x = 0.5 * np.linspace(0.0, 0.35, 71) ** 2
-        self._check_against_bisection(lambda q: -phi(q), x, 1e-15, 1e-15)
+        self._check_against_bisection(lambda q: q + q * q, x, 1e-15, 1e-15)
 
     @settings(deadline=None, max_examples=60)
     @given(
