@@ -71,6 +71,58 @@ class TestGaussianMoments:
         with pytest.raises(DomainError):
             gaussian_moment((-2,))
 
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_covariance_moments_match_isserlis(self, dim):
+        # E[ξᵏ] for ξ ~ N(0, Σ) is the sum over perfect matchings of the
+        # factors of ξᵏ of the product of Σ over the matched pairs
+        def matchings(idx):
+            if not idx:
+                yield 1.0
+                return
+            first, rest = idx[0], idx[1:]
+            for m, partner in enumerate(rest):
+                for tail in matchings(rest[:m] + rest[m + 1:]):
+                    yield sigma[first][partner] * tail
+
+        rng = np.random.default_rng(17)
+        L = np.eye(dim) + 0.3 * rng.standard_normal((dim, dim))
+        sigma = (L @ L.T).tolist()
+        memo = {(0,) * dim: 1.0}
+        for k in product(range(7), repeat=dim):
+            if sum(k) > 6:
+                continue
+            idx = [i for i, e in enumerate(k) for _ in range(e)]
+            expected = math.fsum(matchings(idx)) if len(idx) % 2 == 0 else 0.0
+            got = laplace._moment(k, sigma, memo)
+            assert got == pytest.approx(expected, rel=1e-13, abs=1e-13), k
+
+
+class TestPolynomial:
+    def test_matches_term_by_term_powers(self):
+        p = Polynomial({(0, 0): 0.5, (3, 0): -1.25, (1, 4): 2.0, (2, 2): 0.75, (0, 7): -0.1})
+        pts = np.random.default_rng(23).uniform(-2.0, 2.0, (200, 2))
+        terms = [c * pts[:, 0] ** k[0] * pts[:, 1] ** k[1] for k, c in p.items()]
+        scale = np.sum(np.abs(terms), axis=0)
+        assert np.all(np.abs(p(pts) - np.sum(terms, axis=0)) <= 1e-15 * scale)
+
+    def test_even_polynomial_has_the_same_bits_at_negated_points(self):
+        p = Polynomial({(2, 0): -0.5, (0, 4): -0.25, (2, 2): 0.3, (6, 0): 1.0 / 3.0})
+        pts = np.random.default_rng(29).standard_normal((128, 2))
+        assert np.array_equal(p(pts), p(-pts))
+
+    @pytest.mark.parametrize("coeffs", [
+        {(2,): 1.0, (1, 1): 1.0},
+        {(2, -1): 1.0},
+        {},
+    ], ids=["mixed-lengths", "negative-entry", "empty"])
+    def test_malformed_multi_indices_refused(self, coeffs):
+        with pytest.raises(DomainError):
+            Polynomial(coeffs)
+
+    def test_points_of_another_dimension_refused(self):
+        with pytest.raises(DomainError):
+            Polynomial({(2, 0): 1.0})(np.zeros((4, 3)))
+
 
 class TestQuadrature:
     def test_gauss1d(self):
