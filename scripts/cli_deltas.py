@@ -9,8 +9,10 @@ this script sits in).  Every run of ``cli_digests.RUNS`` is made against
 each checkout's ``src/``, in a temporary directory, at one worker with BLAS
 pinned to one thread (the pinned pass of ``cli_digests.py``).  For each
 CSV whose bytes differ, one line per changed column gives the largest
-absolute change |head − base| and the largest relative change
-|head − base| / |base| over its rows, and how many rows changed; a
+absolute change |head − base|, the largest relative change
+|head − base| / |base| over its rows, that largest absolute change over
+the column's largest |base| (a cell near 0 inflates the relative change,
+not this one), and how many rows changed; a
 non-numeric cell that changes is counted, not measured.  A run that fails
 on one side, or a CSV whose header or row count changed, is reported as
 such.  Manifests are not compared: they hash the CSVs.
@@ -76,7 +78,10 @@ def column_deltas(base: str, head: str) -> list[str]:
             rel_max = max(rel_max, abs(y - x) / abs(x) if x else math.inf)
         line = f"  {title}: {len(pairs)}/{len(rows_b) - 1} rows"
         if len(pairs) > text:
+            numbers = (_number(b[col]) for b in rows_b[1:])
+            scale = max(abs(x) for x in numbers if x is not None and math.isfinite(x))
             line += f", max abs {abs_max:.3g}, max rel {rel_max:.3g}"
+            line += f", max abs/max|base| {abs_max / scale if scale else math.inf:.3g}"
         if text:
             line += f", {text} non-numeric"
         lines.append(line)

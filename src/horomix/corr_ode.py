@@ -282,6 +282,44 @@ def _step_maps(grid, lam, mu, dsq, y0):
     return _identity_plus(h / 6.0, total)
 
 
+def _apply(m, z):
+    """The affine maps ``m`` (shape (2, 3, k), rows (m00, m01, c0) and
+    (m10, m11, c1)) applied to the states ``z`` (shape (2, k))."""
+    return m[:, 0] * z[0] + m[:, 1] * z[1] + m[:, 2]
+
+
+def _march(maps, y, i):
+    """States (y, ∫₀ᵗh) after every step of the affine ``maps`` of
+    :func:`_step_maps`, from the state (y, i), as the two rows of one array.
+
+    A work-efficient prefix scan (Blelloch, CMU-CS-90-190, 1990): the
+    up-sweep composes adjacent pairs of maps, halving the arrays each
+    level and carrying an odd level's last map up alone; the down-sweep
+    gives each block its entry state, the left child's map applied to its
+    parent's entry state; a last pass applies every step map to its entry
+    state.
+    """
+    levels = [np.array(maps, dtype=complex).reshape(2, 3, -1)]
+    while levels[-1].shape[2] > 1:
+        level = levels[-1]
+        n, pairs = level.shape[2], level.shape[2] // 2
+        left, right = level[..., : 2 * pairs : 2], level[..., 1 : 2 * pairs : 2]
+        up = np.empty((2, 3, n - pairs), dtype=complex)
+        up[..., :pairs] = right[:, 0:1] * left[0:1] + right[:, 1:2] * left[1:2]
+        up[:, 2, :pairs] += right[:, 2]
+        up[..., pairs:] = level[..., 2 * pairs :]
+        levels.append(up)
+
+    entry = np.array([[y], [i]], dtype=complex)
+    for level in reversed(levels[:-1]):
+        n, pairs = level.shape[2], level.shape[2] // 2
+        below = np.empty((2, n), dtype=complex)
+        below[:, ::2] = entry
+        below[:, 1::2] = _apply(level[..., : 2 * pairs : 2], entry[:, :pairs])
+        entry = below
+    return _apply(levels[0], entry)
+
+
 def solve_master(
     mode: ModePair,
     lam: float,
@@ -295,8 +333,8 @@ def solve_master(
     The coupled state z = (y, ∫₀ᵗ h) satisfies a linear 2-system, stepped
     with classical RK4 from the last node at or below t = 0.5 outward, as
     one affine map per step: :func:`_step_maps` builds every step's
-    z₊ = M z + c in one array pass, and the march is four complex
-    multiply-adds per step.  Up to that node the startup expansion of
+    z₊ = M z + c in one array pass, and :func:`_march` composes them by a
+    prefix scan of array passes.  Up to that node the startup expansion of
     :func:`taylor_coefficients` is evaluated directly; for synthetic
     resonant data with a nonzero defect this includes the t^k·log t
     channel, so the march stays full-order.  Where the first node past 0
@@ -341,15 +379,10 @@ def solve_master(
     startup = "series" if consistent else "series+log"
 
     maps = _step_maps(grid[start:], lam, mu, dsq, y0)
-    y_k, i_k = complex(y[start]), complex(integs[start])
-    marched, integrals = [], []
-    for m00, m01, c0, m10, m11, c1 in zip(*(m.tolist() for m in maps)):
-        y_k, i_k = m00 * y_k + m01 * i_k + c0, m10 * y_k + m11 * i_k + c1
-        marched.append(y_k)
-        integrals.append(i_k)
+    marched, integrals = _march(maps, y[start], integs[start])
     t = grid[start + 1 :]
     y[start + 1 :] = marched
-    yp[start + 1 :] = np.array(integrals, dtype=complex) / (t * (t * t + 4.0))
+    yp[start + 1 :] = integrals / (t * (t * t + 4.0))
 
     meta = TrajectoryMeta(
         lam=lam,

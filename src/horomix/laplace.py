@@ -55,8 +55,9 @@ _FACE_NODES_HIGH = 16
 # times any weight above 1e-47 is a normal float, where a floor of −707
 # would still leave e^(−707)·w subnormal.
 _EXP_FLOOR = -600.0
-# Monomials of degree ≤ 6·order_n in d variables that laplace_expand may
-# track; above this it refuses before it expands anything.  Phases with
+# Monomials in d variables up to the largest degree laplace_expand tracks
+# (6·order_n for a phase with terms of degree 3 or 4) that it may hold;
+# above this it refuses before it expands anything.  Phases with
 # every cubic and quartic term took 1.3 s at d = 4, order 4 (20 475) and
 # 1.9 s at d = 5, order 3 (33 649); d = 6, order 3 (134 596) took 7.5 s.
 _SERIES_BUDGET = 50_000
@@ -165,9 +166,15 @@ class PhaseProblem:
             raise DomainError("hessian shape mismatch")
         if np.linalg.eigvalsh(self.hessian)[0] <= 0.0:
             raise ModelValidityError("hessian H = -D^2 v(0) must be positive definite")
-        v0 = float(self.v(np.zeros((1, self.dim)))[0])
-        if abs(v0) > 1e-12:
-            raise ModelValidityError(f"v(0) must vanish, got {v0}")
+        if isinstance(self.v, Polynomial):
+            if any(sum(k) < 2 and c != 0.0 for k, c in self.v.items()):
+                raise ModelValidityError(
+                    "the phase has a term of degree 0 or 1: its critical point is not at 0"
+                )
+        else:
+            v0 = float(self.v(np.zeros((1, self.dim)))[0])
+            if abs(v0) > 1e-12:
+                raise ModelValidityError(f"v(0) must vanish, got {v0}")
 
     def validate(self) -> None:
         """Audit v < 0 off 0 on a sweep of the box (9 points per axis while
@@ -382,6 +389,24 @@ def _truncated_product(p: dict, q: dict, max_degree: int, scale: float) -> dict:
     return out
 
 
+def _series_degree(a: Polynomial, rest: dict, order_n: int) -> int:
+    """Largest degree of a monomial that :func:`laplace_expand` tracks: the
+    terms of a·Rⁿ/n! (n ≤ 2N, and n = 0 alone where R = 0) have degrees
+    from lo(a) + n·lo(R) to hi(a) + n·hi(R), cut at 2(N + n); 0 where no
+    term is tracked."""
+    a_deg = [sum(k) for k, c in a.items() if c != 0.0]
+    if not a_deg:
+        return 0
+    r_deg = [sum(k) for k in rest] or [0]
+    a_lo, a_hi, r_lo, r_hi = min(a_deg), max(a_deg), min(r_deg), max(r_deg)
+    top = 0
+    for n in range(2 * order_n + 1 if rest else 1):
+        high = min(a_hi + n * r_hi, 2 * (order_n + n))
+        if a_lo + n * r_lo <= high:
+            top = max(top, high)
+    return top
+
+
 def laplace_expand(problem: PhaseProblem, order_n: int) -> ExpansionCoefficients:
     """c₀ … c_N of I(T) ~ Σ c_j T^(−j−d/2) over ℝᵈ, from the Taylor series
     of a polynomial phase and amplitude (Hörmander, *The Analysis of Linear
@@ -396,11 +421,12 @@ def laplace_expand(problem: PhaseProblem, order_n: int) -> ExpansionCoefficients
     part of the series.
 
     A phase or amplitude that is not a :class:`Polynomial` raises
-    UnsupportedMorseClassError.  Where the monomials of degree ≤ 6·order_n
-    in d variables outnumber _SERIES_BUDGET, LatticeSizeError is raised
-    before anything is expanded; a v with a nonzero term of degree 0 or 1
-    (a critical point off 0) or with H not positive definite raises
-    ModelValidityError.
+    UnsupportedMorseClassError.  Where the monomials in d variables up to
+    the largest degree the series tracks (:func:`_series_degree`, at most
+    6·order_n) outnumber _SERIES_BUDGET, LatticeSizeError is raised before
+    anything is expanded; a v with H not positive definite raises
+    ModelValidityError, and :class:`PhaseProblem` refuses a v with a
+    nonzero term of degree 0 or 1 (a critical point off 0).
     """
     if order_n < 0:
         raise DomainError("order_n must be >= 0")
@@ -410,14 +436,13 @@ def laplace_expand(problem: PhaseProblem, order_n: int) -> ExpansionCoefficients
             "the series needs a polynomial phase and amplitude; "
             "sample laplace_quadrature and use fit_expansion instead"
         )
-    monomials = math.comb(6 * order_n + d, d)
+    rest = {k: c for k, c in v.items() if sum(k) >= 3 and c != 0.0}
+    monomials = math.comb(_series_degree(a, rest, order_n) + d, d)
     if monomials > _SERIES_BUDGET:
         raise LatticeSizeError(
             f"series of order {order_n} in {d} variables tracks {monomials} "
             f"monomials, above the budget {_SERIES_BUDGET}"
         )
-    if any(sum(k) < 2 and c != 0.0 for k, c in v.items()):
-        raise ModelValidityError("the phase has a term of degree 0 or 1: its critical point is not at 0")
     hessian = np.zeros((d, d))
     for k, c in v.items():
         if sum(k) == 2:
@@ -426,7 +451,6 @@ def laplace_expand(problem: PhaseProblem, order_n: int) -> ExpansionCoefficients
     if np.linalg.eigvalsh(hessian)[0] <= 0.0:
         raise ModelValidityError("the phase's degree-2 terms are not negative definite")
     sigma = np.linalg.inv(hessian).tolist()
-    rest = {k: c for k, c in v.items() if sum(k) >= 3 and c != 0.0}
     memo = {(0,) * d: 1.0}
     c = np.zeros(order_n + 1)
     # a·Rⁿ/n!, without the terms of degree above 2(N + n), which reach no c_j

@@ -428,8 +428,8 @@ class TestCliDeltas:
         base = "min_n,empirical,limit,abs_err\n8,0.5,0.25,0.25\n16,0.5,0.25,0.25\n"
         head = "min_n,empirical,limit,abs_err\n8,0.5,0.26,0.24\n16,0.5,0.25,0.25\n"
         assert column_deltas(base, head) == [
-            "  limit: 1/2 rows, max abs 0.01, max rel 0.04",
-            "  abs_err: 1/2 rows, max abs 0.01, max rel 0.04",
+            "  limit: 1/2 rows, max abs 0.01, max rel 0.04, max abs/max|base| 0.04",
+            "  abs_err: 1/2 rows, max abs 0.01, max rel 0.04, max abs/max|base| 0.04",
         ]
 
     def test_text_cells_and_reshaped_tables(self, column_deltas):

@@ -40,6 +40,7 @@ from horomix.errors import (
 from horomix.spectral_model import nu_of_lambda
 import stencil_fresh
 from master_oracle import oracle_trajectory
+from affine_loop import affine_loop
 from rk4_scalar import scalar_march
 
 ZERO_FORCING = ForcingProfile.from_callable(lambda t: 0.0j)
@@ -239,6 +240,76 @@ class TestSolveMaster:
         assert np.any(grid == 1.0)
         assert grid[-1] == pytest.approx(1e3, rel=1e-12)
         assert np.all(np.diff(grid) > 0.0)
+
+
+def _local_deviation(y, ref):
+    """|y − ref| over the local envelope, the largest |ref| within ten
+    nodes either side."""
+    mag = np.pad(np.abs(ref), 10, mode="edge")
+    envelope = np.max(np.lib.stride_tricks.sliding_window_view(mag, 21), axis=1)
+    return np.abs(y - ref) / envelope
+
+
+class TestMarchScan:
+    """The prefix scan of the affine step maps against the sequential loop
+    it replaced (``tests/affine_loop.py``) and the scalar RK4 march."""
+
+    @pytest.mark.parametrize("steps", [1, 2, 3, 7, 8, 9, 1023, 1024, 1025])
+    @pytest.mark.parametrize("pair, lam", [((0, 0), 0.2), ((2, 6), 0.1), ((-12, 12), 1e-6)])
+    def test_matches_affine_loop(self, steps, pair, lam):
+        mode, grid = ModePair(*pair), master_grid(1e4, 400)
+        start = corr_ode._series_start(grid)
+        maps = corr_ode._step_maps(
+            grid[start : start + steps + 1], lam, float(mode.mu), float(mode.dsq), 0.3 + 0.1j
+        )
+        y, i = corr_ode._march(maps, 1.0 + 0.5j, 0.2 - 0.1j)
+        y_loop, i_loop = affine_loop(maps, 1.0 + 0.5j, 0.2 - 0.1j)
+        assert y.shape == i.shape == (steps,)
+        assert np.max(np.abs(y - y_loop)) <= 1e-14 * np.max(np.abs(y_loop))
+        assert np.max(np.abs(i - i_loop)) <= 1e-14 * np.max(np.abs(i_loop))
+
+    def test_no_steps(self):
+        grid = np.linspace(0.0, 0.5, 6)
+        maps = corr_ode._step_maps(grid[-1:], 0.1, 8.0, 16.0, 0.0)
+        y, i = corr_ode._march(maps, 1.0, 0.5)
+        assert y.shape == i.shape == (0,)
+        # a grid that ends at the hand-over node is the series alone
+        mode, lam = ModePair(2, 6), 0.1
+        assert corr_ode._series_start(grid) == grid.size - 1
+        traj = solve_master(mode, lam, 0.0, grid)
+        a, b, _ = taylor_coefficients(mode, lam, 0.0, 1.0)
+        ys, yps, _ = corr_ode._series_eval(a, b, grid)
+        assert np.array_equal(traj.y, ys)
+        assert np.array_equal(traj.y_prime, yps)
+
+    def test_seeded_sweep_as_close_to_scalar_rk4_as_the_loop(self):
+        # Deviations at t_max <= 1e4 are rounding noise (1e-15 to 1e-9 of
+        # the local envelope), and the largest of twelve varies several-fold
+        # between two equally accurate marches, so the cases are pooled by
+        # geometric mean.
+        rng = np.random.default_rng(2023)
+        scan_devs, loop_devs = [], []
+        for _ in range(12):
+            mode = ModePair(*(int(k) for k in 2 * rng.integers(-6, 7, size=2)))
+            lam = float(np.exp(rng.uniform(math.log(1e-6), math.log(0.2499))))
+            grid = master_grid(float(10 ** rng.uniform(1.0, 4.0)), int(rng.integers(50, 400)))
+            y0 = 0.0 if mode.resonant_k == 1 else complex(*rng.normal(size=2))
+            ref, _ = scalar_march(mode, lam, y0, grid)
+            scan = solve_master(mode, lam, y0, grid).y
+
+            start = corr_ode._series_start(grid)
+            a, b, _ = taylor_coefficients(mode, lam, y0, 1.0)
+            ys, _, integs = corr_ode._series_eval(a, b, grid[: start + 1])
+            maps = corr_ode._step_maps(grid[start:], lam, float(mode.mu), float(mode.dsq), y0)
+            loop = np.concatenate([ys, affine_loop(maps, ys[-1], integs[-1])[0]])
+
+            assert np.array_equal(scan[: start + 1], ys)
+            assert np.max(np.abs(scan - ref)) <= 1e-12 * np.max(np.abs(ref))
+            scan_devs.append(np.max(_local_deviation(scan, ref)[start + 1 :]))
+            loop_devs.append(np.max(_local_deviation(loop, ref)[start + 1 :]))
+        scan_mean = np.exp(np.mean(np.log(scan_devs)))
+        loop_mean = np.exp(np.mean(np.log(loop_devs)))
+        assert scan_mean <= 2.0 * loop_mean
 
 
 class TestAssembleForcing:

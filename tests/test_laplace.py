@@ -416,19 +416,41 @@ class TestExpansion:
         _assert_series_matches_quadrature(p, [2, 4], np.logspace(3, 5, 5))
 
     def test_oversized_series_refused_before_expanding(self):
-        # degree ≤ 36 in 8 variables: C(44, 8) ≈ 1.8e8 monomials
-        p = quadratic_problem(np.eye(8))
+        # quartic R at order 6: a·Rⁿ reaches degree 24 (n = 6) in 8
+        # variables, C(32, 8) ≈ 1.1e7 monomials
+        v = dict(quadratic_problem(np.eye(8)).v)
+        v.update({tuple(4 * row): -0.01 for row in np.eye(8, dtype=int)})
+        p = custom_problem(8, v, {(0,) * 8: 1.0}, np.eye(8), np.full(8, 3.0))
         start = time.perf_counter()
-        with pytest.raises(LatticeSizeError):
+        with pytest.raises(LatticeSizeError, match="tracks 10518300 monomials"):
             laplace_expand(p, 6)
         assert time.perf_counter() - start < 1.0
 
+    def test_quadratic_series_sized_by_its_terms(self):
+        # R = 0 and a = 1: the series tracks one monomial, though degree
+        # 6N = 36 in 8 variables would give C(44, 8) ≈ 1.8e8
+        c = laplace_expand(quadratic_problem(np.eye(8)), 6).c
+        assert c[0] == pytest.approx((2 * math.pi) ** 4, rel=1e-14)
+        assert np.all(c[1:] == 0.0)
+
+    @pytest.mark.parametrize("route", ["expand", "quadrature"])
     @pytest.mark.parametrize("term", [(0,), (1,)], ids=["constant", "linear"])
-    def test_critical_point_off_zero_refused(self, term):
-        # a constant of 1e-13 passes the v(0) check of PhaseProblem
-        p = custom_problem(1, {term: 1e-13, (2,): -0.5}, {(0,): 1.0}, [[1.0]], [3.0])
+    def test_critical_point_off_zero_refused(self, term, route):
+        # a constant of 1e-13 passes an |v(0)| ≤ 1e-12 audit; a polynomial
+        # phase is refused on its terms when the problem is built, so
+        # neither route takes it
         with pytest.raises(ModelValidityError, match="degree 0 or 1"):
-            laplace_expand(p, 2)
+            p = custom_problem(1, {term: 1e-13, (2,): -0.5}, {(0,): 1.0}, [[1.0]], [3.0])
+            laplace_expand(p, 2) if route == "expand" else laplace_quadrature(p, 1e3)
+
+    def test_callable_phase_audited_at_zero(self):
+        def phase(shift):
+            return lambda x: shift - 0.5 * np.sum(x * x, axis=1)
+
+        one = Polynomial({(0,): 1.0})
+        laplace.PhaseProblem(1, phase(1e-13), one, np.array([3.0]), [[1.0]])
+        with pytest.raises(ModelValidityError, match="v\\(0\\) must vanish"):
+            laplace.PhaseProblem(1, phase(1e-3), one, np.array([3.0]), [[1.0]])
 
     def test_linear_covariance(self):
         # v(L xi), a(L xi) multiplies every c_j by 1/|det L|
