@@ -44,8 +44,13 @@ MODELS = {
     "correlated.json": ([1.0, 0.4, 0.4, 1.2], None),
     # negative coefficient: the lattice sweep box is the whole torus
     "negative_quartic.json": (IDENTITY, {"name": "quartic", "params": {"coeff": -0.5}}),
+    # non-radial on a correlated Gram: the closed-form level radii away from
+    # the identity, with a coefficient below 0
+    "correlated_quartic.json": ([1.0, 0.2, 0.2, 0.9],
+                                {"name": "quartic", "params": {"coeff": -0.3}}),
     "rank1_quartic.json": ([1.0], {"name": "quartic", "params": {"coeff": 1.0}}),
-    # rank 1 with φ(q) = q + c·q²: the density inverts φ by monotone_inverse
+    # rank 1 with φ(q) = q + c·q²: the density takes φ(q*) = x as
+    # q* = 2x/(1 + √(1 + 4cx))
     "rank1_radial_quartic.json": ([1.0], {"name": "radial_quartic", "params": {"coeff": 0.5}}),
     "identity3.json": ([1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0], None),
 }
@@ -87,6 +92,8 @@ RUNS = [
     ("cover-quartic.csv", ["cover", "--model", "quartic.json", "--orders", "64,64"]),
     ("cover-correlated.csv", ["cover", "--model", "correlated.json", "--orders", "256,256",
                               "--test-fn", "linear"]),
+    ("cover-correlated-quartic.csv", ["cover", "--model", "correlated_quartic.json",
+                                      "--orders", "256,256", "--test-fn", "linear"]),
     ("cover-negative-quartic.csv", ["cover", "--model", "negative_quartic.json",
                                     "--orders", "256,256", "--test-fn", "linear"]),
     # the index −128 of the even order has no mirror: the sweep's edge shell

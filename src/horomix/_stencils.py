@@ -1,7 +1,5 @@
 """Finite-difference stencils, Gauss–Legendre rules, tensor-product grids,
-quadratic forms, bracketed root finding (safeguarded Newton certified by
-a sign change, with bisection as its fallback) and exactly rounded
-summation.
+quadratic forms and exactly rounded summation.
 
 One implementation of each primitive, shared by the eigenvalue model, the
 Euler-residual stencils of the correlation ODE, the Laplace quadrature,
@@ -28,99 +26,6 @@ SWEEP_BUDGET = 1_000_000
 # of the tail route stay exact integers in float64 while
 # _SUM_CHUNK · 2²⁷ ≤ 2⁵³.
 _SUM_CHUNK = 1 << 16
-# Steps a safeguarded Newton solve takes before its roots go to bisection.
-_NEWTON_STEPS = 12
-
-
-def bracketed_roots(fn, lo, hi, xtol: float, rtol: float) -> np.ndarray:
-    """Roots of the vectorized ``fn`` in the brackets [lo, hi], elementwise.
-
-    ``fn`` maps an array of abscissae to an array of the same shape; it is
-    called once per bisection step on the whole batch.  A bracket is done
-    when its width drops below xtol + rtol·|x| (the stopping rule of
-    Brent's method) or when it holds two adjacent floats and cannot shrink
-    further.  The result is the secant point of the final bracket, which
-    lies inside it.  A bracket whose ends have the same strict sign raises
-    DomainError.
-    """
-    lo, hi = np.broadcast_arrays(np.asarray(lo, float), np.asarray(hi, float))
-    lo, hi = lo.copy(), hi.copy()
-    if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi)) and np.all(lo <= hi)):
-        raise DomainError("brackets must be finite with lo <= hi")
-    f_lo = np.asarray(fn(lo), float)
-    f_hi = np.asarray(fn(hi), float)
-    if np.any((np.sign(f_lo) * np.sign(f_hi) > 0.0) | np.isnan(f_lo) | np.isnan(f_hi)):
-        raise DomainError("a bracket has no sign change")
-    # a zero at either end is the root; collapse the bracket onto it
-    at_lo, at_hi = f_lo == 0.0, (f_hi == 0.0) & (f_lo != 0.0)
-    hi[at_lo], f_hi[at_lo] = lo[at_lo], 0.0
-    lo[at_hi], f_lo[at_hi] = hi[at_hi], 0.0
-    rising = f_lo < 0.0
-    while True:
-        mid = 0.5 * lo + 0.5 * hi
-        active = (hi - lo >= xtol + rtol * np.abs(mid)) & (lo < mid) & (mid < hi)
-        if not active.any():
-            break
-        f_mid = np.asarray(fn(mid), float)
-        below = (f_mid < 0.0) == rising
-        zero = f_mid == 0.0
-        move_lo = active & (below | zero)
-        move_hi = active & (~below | zero)
-        lo[move_lo], f_lo[move_lo] = mid[move_lo], f_mid[move_lo]
-        hi[move_hi], f_hi[move_hi] = mid[move_hi], f_mid[move_hi]
-    span = f_hi - f_lo
-    with np.errstate(invalid="ignore", divide="ignore"):
-        secant = lo - f_lo * (hi - lo) / span
-    inside = (span != 0.0) & (lo <= secant) & (secant <= hi)
-    return np.where(inside, secant, 0.5 * lo + 0.5 * hi)
-
-
-def _newton_roots(fn, start, lo, hi, xtol: float, rtol: float) -> np.ndarray:
-    """Roots of the vectorized ``fn`` in the brackets [lo, hi], elementwise,
-    by safeguarded Newton from ``start`` (clipped into its bracket), for
-    ``fn`` that rises through its root: fn(lo) ≤ 0 ≤ fn(hi).
-
-    ``fn`` maps an array of abscissae to an array of the same shape.  It is
-    called on the batch shape with one extra leading axis, once per step
-    with the points of that step stacked, so whatever it broadcasts against
-    must broadcast against both shapes.  Each step evaluates x − h, x and
-    x + h, h = 2⁻²⁰·|x| + xtol: the sign of f(x) narrows the bracket, and
-    the central difference is the slope, whose accuracy sets only how fast
-    the steps shrink.  A step that leaves the closed bracket goes to its
-    midpoint.  Once every step is below xtol + rtol·|x|, or after
-    _NEWTON_STEPS steps, each root x is certified by fn(x − tol) ≤ 0 ≤
-    fn(x + tol), tol = xtol + rtol·|x|: a sign change within the stopping
-    rule of :func:`bracketed_roots`.  An element that fails it, or never
-    converged, is solved again by :func:`bracketed_roots` on its bracket,
-    which raises DomainError if the bracket holds no sign change.
-    """
-    lo, hi, x = np.broadcast_arrays(*(np.asarray(a, float) for a in (lo, hi, start)))
-    if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi)) and np.all(lo <= hi)):
-        raise DomainError("brackets must be finite with lo <= hi")
-    x = np.minimum(np.maximum(x, lo), hi)
-    offsets = np.array([-1.0, 0.0, 1.0]).reshape((3,) + (1,) * x.ndim)
-    for _ in range(_NEWTON_STEPS):
-        h = 2.0**-20 * np.abs(x) + xtol
-        f_minus, f_x, f_plus = np.asarray(fn(x + offsets * h), float)
-        lo = np.where(f_x < 0.0, x, lo)
-        hi = np.where(f_x > 0.0, x, hi)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            new = x - f_x * (2.0 * h) / (f_plus - f_minus)
-        # inclusive: a converged x on a bracket end must stay a Newton point
-        new = np.where((lo <= new) & (new <= hi), new, 0.5 * lo + 0.5 * hi)
-        converged = np.abs(new - x) < xtol + rtol * np.abs(new)
-        x = new
-        if converged.all():
-            break
-    tol = xtol + rtol * np.abs(x)
-    f_minus, f_plus = np.asarray(fn(np.stack([x - tol, x + tol])), float)
-    certified = converged & (f_minus <= 0.0) & (f_plus >= 0.0)
-    if certified.all():
-        return x
-    # bisect the rest on their brackets; the certified ones on [x − tol,
-    # x + tol], which holds their sign change, and keep their x
-    lo, hi = np.where(certified, x - tol, lo), np.where(certified, x + tol, hi)
-    return np.where(certified, x, bracketed_roots(fn, lo, hi, xtol, rtol))
 
 
 def exact_sum(values) -> float:
@@ -217,32 +122,6 @@ def _round_total(total: int) -> float:
         return total / (1 << 1126)
     except OverflowError:
         raise DomainError("the exact sum overflows float64") from None
-
-
-def monotone_inverse(psi, target, xtol: float, rtol: float) -> np.ndarray:
-    """q ≥ 0 with ψ(q) = target, elementwise, for ψ increasing on [0, ∞)
-    with ψ(0) = 0 and targets ≥ 0.
-
-    The upper bracket starts at max(target, 1) and doubles until ψ passes
-    the target; a target ψ does not reach below 1e12 raises DomainError.
-    The roots are solved by :func:`_newton_roots` on [0, bracket], started
-    at the target itself (the profiles here have ψ′(0) = 1), so ψ is called
-    on stacked batches and must be elementwise.  Each root carries a sign
-    change of ψ − target within xtol + rtol·q, the stopping rule of
-    :func:`bracketed_roots`, which takes any root that does not.  The
-    bisection route is kept in tests/monotone_bisect.py; the roots agree
-    with it within xtol + rtol·q (TestMonotoneInverse in
-    tests/test_stencils.py, and the radial density tests).
-    """
-    target = np.asarray(target, float)
-    hi = np.maximum(target, 1.0)
-    short = psi(hi) < target
-    while short.any():
-        hi = np.where(short, 2.0 * hi, hi)
-        if np.any(hi > 1e12):
-            raise DomainError("monotone profile cannot reach the requested level")
-        short = psi(hi) < target
-    return _newton_roots(lambda q: psi(q) - target, target, 0.0, hi, xtol, rtol)
 
 
 def fornberg_weights(nodes, x0, order: int) -> np.ndarray:

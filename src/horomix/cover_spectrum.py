@@ -20,16 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._stencils import (
-    GRID_CAP,
-    _exact_total,
-    _newton_roots,
-    _round_total,
-    fornberg_weights,
-    gauss_legendre,
-    monotone_inverse,
-    tensor_grid,
-)
+from ._stencils import GRID_CAP, _exact_total, _round_total, gauss_legendre, tensor_grid
 from .errors import DomainError, LatticeSizeError, ModelValidityError
 from .spectral_model import SpectralModel
 
@@ -289,48 +280,45 @@ def _unit_ball_volume(d: int) -> float:
     return math.pi ** (d / 2.0) / math.gamma(d / 2.0 + 1.0)
 
 
-def _radial_density(profile, d: int, vd: float, root_det: float, x) -> np.ndarray:
-    """ρ(x) for λ₀ = φ(q): the sublevel set {q ≤ q*} with φ(q*) = x is an
-    ellipsoid of volume q*^(d/2)·V_d/√det M, differentiated in x."""
-    phi, phi_p = profile
-    qstar = monotone_inverse(phi, x, xtol=1e-16, rtol=8.9e-16)
+def _radial_density(c: float, d: int, vd: float, root_det: float, x) -> np.ndarray:
+    """ρ(x) for λ₀ = φ(q) = q + c·q²: the sublevel set {q ≤ q*} with
+    φ(q*) = x is an ellipsoid of volume q*^(d/2)·V_d/√det M, differentiated
+    in x.  Its smaller root is q* = 2x/(1 + √(1 + 4cx)), where
+    φ′(q*) = √(1 + 4cx); a level with 1 + 4cx ≤ 0 lies above the top of
+    φ and raises DomainError."""
+    disc = 1.0 + 4.0 * c * x
+    if np.any(disc <= 0.0):
+        raise DomainError("the radial profile cannot reach the requested level")
+    slope = np.sqrt(disc)
+    qstar = 2.0 * x / (1.0 + slope)
     with np.errstate(divide="ignore"):
-        rho = (d / 2.0) * qstar ** (d / 2.0 - 1.0) * vd / root_det / phi_p(qstar)
+        rho = (d / 2.0) * qstar ** (d / 2.0 - 1.0) * vd / root_det / slope
     at_zero = math.inf if d == 1 else (vd / root_det if d == 2 else 0.0)
     return np.where(x == 0.0, at_zero, rho)
 
 
 def _angular_density_2d(model: SpectralModel, x: np.ndarray) -> np.ndarray:
     """ρ(x) = ∫ r·(∂λ₀/∂r)⁻¹ dφ on the level curves of general 2-d models,
-    by 64-point Gauss–Legendre in the angle.  All len(x) × 64 radii are
-    solved in one batch by safeguarded Newton (``_stencils._newton_roots``)
-    on [0, min U], started from the quadratic guess √(x/Q(e)) of each unit
-    direction e: each root is certified within 1e-15 + 8.9e-16·r of a sign
-    change of λ₀(r·e) − x, and bisection takes any that is not.
-    ∂λ₀/∂r comes from one 5-point stencil evaluation."""
+    by 64-point Gauss–Legendre in the angle.
+
+    Every perturbation preset is a homogeneous quartic, so along a unit
+    direction e, λ₀(r·e) = Q(e)·r² + C(e)·r⁴ with Q the quadratic part and
+    C = p(e) (0 without a perturbation).  The level radius has
+    r*² = 2x/(Q + √(Q² + 4Cx)) and ∂λ₀/∂r = 2r*·√(Q² + 4Cx) there, so
+    r*·(∂λ₀/∂r)⁻¹ = 1/(2√(Q² + 4Cx)) and no radius is solved.  A level
+    set that reaches the working box, λ₀(min U·e) ≤ x, raises DomainError;
+    below it Q² + 4Cx > 0.
+    """
     phis, wts = gauss_legendre(0.0, 2.0 * math.pi, 64)
     directions = np.stack([np.cos(phis), np.sin(phis)], axis=-1)
-    rmax = float(np.min(model.domain_u))
     level = np.asarray(x, float)[:, None]
-
-    def lam_r(r):
-        # the points r·e, stored coordinate first, so λ₀ reads each
-        # coordinate as one contiguous array
-        pts = np.empty((2,) + r.shape)
-        np.multiply(r, directions.T.reshape((2,) + (1,) * (r.ndim - 1) + phis.shape), out=pts)
-        return model.lambda0_batch(np.moveaxis(pts, 0, -1))
-
-    if np.any(lam_r(np.full(phis.shape, rmax)) <= level):
+    rmax = float(np.min(model.domain_u))
+    if np.any(model.lambda0_batch(rmax * directions) <= level):
         raise DomainError("level set touches the working box; reduce epsilon")
-    r_root = _newton_roots(
-        lambda r: lam_r(r) - level, np.sqrt(level / model.quadratic_part(directions)),
-        0.0, rmax, xtol=1e-15, rtol=8.9e-16,
-    )
-    # ∂λ₀/∂r by the 5-point stencil at step 1e-3·r (every level, so r, is > 0)
-    offsets, step = np.arange(-2.0, 3.0), 1e-3 * r_root
-    on_nodes = lam_r(r_root + step * offsets[:, None, None])
-    dlam = np.tensordot(fornberg_weights(offsets, 0.0, 1)[:, 1], on_nodes, axes=1) / step
-    return (wts * r_root / dlam).sum(axis=1)
+    quad = model.quadratic_part(directions)
+    pert = model.perturbation
+    quartic = 0.0 if pert is None else pert(directions, quad)
+    return (wts / (2.0 * np.sqrt(quad * quad + 4.0 * quartic * level))).sum(axis=1)
 
 
 def limit_density(
@@ -339,30 +327,30 @@ def limit_density(
     """Pushforward density of torus Lebesgue measure under λ₀ on [0, ε].
 
     Models with a :meth:`SpectralModel.radial_profile` (pure quadratic,
-    radial quartic, rank-1 quartic) reduce exactly to one dimension, whose
-    inverse φ(q*) = x is solved by ``_stencils.monotone_inverse``.  Other
-    2-d models integrate over level curves (:func:`_angular_density_2d`).
-    Both solve their roots by certified safeguarded Newton, with bisection
-    for any root that fails its certificate.
+    radial quartic, rank-1 quartic) reduce exactly to one dimension,
+    λ₀ = q + c·q² (:func:`_radial_density`).  Other 2-d models integrate
+    over level curves (:func:`_angular_density_2d`).  Both are closed
+    forms: every level set is a quadratic in r², so no root is solved.
     The x^(d/2−1) factor is split off into ``zeta_tilde``, which stays
-    bounded near 0.
+    bounded near 0.  A grid level outside [0, ε], NaN included, raises
+    DomainError.
     """
     if not 0.0 < epsilon <= model.gap_delta:
         raise DomainError("epsilon must lie in (0, gap_delta]")
     grid = np.asarray(grid, dtype=float)
-    if np.any(grid < 0.0) or np.any(grid > epsilon):
+    if not np.all((0.0 <= grid) & (grid <= epsilon)):
         raise DomainError("density grid must lie inside [0, epsilon]")
     d = model.rank_d
-    profile = model.radial_profile()
-    if profile is None and d != 2:
+    c = model.radial_profile()
+    if c is None and d != 2:
         raise DomainError("general non-radial models are supported only in dimension 2")
     expo = d / 2.0 - 1.0
     vd = _unit_ball_volume(d)
     root_det = math.sqrt(float(np.linalg.det(model.quad_coeff * model.gram)))
-    if profile is not None:
-        rho = _radial_density(profile, d, vd, root_det, grid)
+    if c is not None:
+        rho = _radial_density(c, d, vd, root_det, grid)
     else:
-        rho = _angular_density_2d(model, np.where(grid > 0.0, grid, 1e-12 * epsilon))
+        rho = _angular_density_2d(model, grid)
     with np.errstate(divide="ignore", invalid="ignore"):
         safe = np.where(grid > 0.0, grid, 1.0)
         zt = np.where(grid > 0.0, rho * safe ** (-expo), np.nan)

@@ -160,10 +160,13 @@ class PhaseProblem:
     def __post_init__(self):
         self.box = np.asarray(self.box, dtype=float)
         self.hessian = np.atleast_2d(np.asarray(self.hessian, dtype=float))
-        if self.box.shape != (self.dim,) or np.any(self.box <= 0):
-            raise DomainError("box must hold positive half-widths per dimension")
+        box = self.box
+        if box.shape != (self.dim,) or not np.all((0.0 < box) & (box < math.inf)):
+            raise DomainError("box must hold finite positive half-widths per dimension")
         if self.hessian.shape != (self.dim, self.dim):
             raise DomainError("hessian shape mismatch")
+        if not np.all(np.isfinite(self.hessian)):
+            raise DomainError("hessian entries must be finite")
         if np.linalg.eigvalsh(self.hessian)[0] <= 0.0:
             raise ModelValidityError("hessian H = -D^2 v(0) must be positive definite")
         if isinstance(self.v, Polynomial):
@@ -267,9 +270,13 @@ def _cone_value(problem: PhaseProblem, T: np.ndarray, nodes: int, face_nodes: in
     rule with underflow raising.
     """
     d, u = problem.dim, problem.box
-    # the ray through the centre of face i decays like e^{−T·Hᵢᵢuᵢ²·s²/2}
-    kappa = float(np.max(np.diag(problem.hessian) * u * u))
-    edges = _radial_edges(1.0 / math.sqrt(T.max(initial=1.0) * kappa))
+    # the ray through the centre of face i decays like e^{−T·Hᵢᵢuᵢ²·s²/2};
+    # Python floats, so an overflow to inf is refused rather than warned
+    kappa = max(h * x * x for h, x in zip(np.diag(problem.hessian).tolist(), u.tolist()))
+    scale = float(T.max(initial=1.0)) * kappa
+    if not math.isfinite(scale):
+        raise DomainError(f"T_max·κ overflows float64 (κ = maxᵢ Hᵢᵢuᵢ² = {kappa})")
+    edges = _radial_edges(1.0 / math.sqrt(scale))
     x_ref, w_ref = legendre_rule(nodes)
     mid, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * (edges[1:] - edges[:-1])
     s = (mid[:, None] + half[:, None] * x_ref).ravel()
@@ -335,7 +342,8 @@ def laplace_quadrature(problem: PhaseProblem, t_value, nodes: int = 24):
     e^(−600)·Σ|w| ≈ 2.6e-261·Σ|w| over the rule's weighted amplitudes w;
     with that floor and both shortcuts the values keep the bits of the
     plain rule (TestConeOracle in tests/test_laplace.py).  A rule above
-    the grid cap raises LatticeSizeError before anything is allocated.
+    the grid cap raises LatticeSizeError, and a ladder whose T_max·κ
+    overflows float64 raises DomainError, before anything is allocated.
     """
     T = np.asarray(t_value, dtype=float)
     if not np.all(np.isfinite(T) & (T >= 0.0)):

@@ -69,10 +69,15 @@ class Perturbation:
     Presets:
       quartic        coeff * sum_i ω_i⁴
       radial_quartic coeff * q(ω)² with q the model's quadratic part
-    Both vanish to second order at 0.  ``radial_quartic`` keeps the model
-    in the radial Morse class, which downstream density and expansion
-    code can exploit exactly.  Both are plain IEEE products and sums, with
-    no ``pow``: the bits are the same on every host, and on ω and −ω.
+    Both vanish to second order at 0, and both are homogeneous quartics,
+    p(r·ω) = r⁴·p(ω): along every ray λ₀(r·e) = Q(e)·r² + p(e)·r⁴, which
+    the limit density of ``cover_spectrum`` solves in closed form.  A new
+    preset must be a homogeneous quartic too (TestHomogeneousQuartic in
+    tests/test_spectral_model.py).  ``radial_quartic`` keeps the
+    model in the radial Morse class, which downstream density and
+    expansion code can exploit exactly.  Both are plain IEEE products and
+    sums, with no ``pow``: the bits are the same on every host, and on ω
+    and −ω.
     A new preset must be even in that sense too, p(−ω) = p(ω) bit for
     bit: the lattice sweep evaluates one member of each ±ω pair and counts
     it twice.
@@ -85,6 +90,8 @@ class Perturbation:
             raise ConfigError(f"unknown perturbation preset {name!r}")
         self.name = name
         self.coeff = float(coeff)
+        if not math.isfinite(self.coeff):
+            raise ConfigError(f"perturbation coeff must be finite, got {self.coeff}")
 
     def __call__(self, pts: np.ndarray, quad_form: np.ndarray) -> np.ndarray:
         # pts: (..., d); quad_form: the values q(ω) at the same points.
@@ -144,8 +151,9 @@ class SpectralModel:
             object.__setattr__(
                 self, "domain_u", np.asarray(self.domain_u, dtype=float)
             )
-        if self.domain_u.shape != (self.rank_d,) or np.any(self.domain_u <= 0):
-            raise ModelValidityError("domain_u must be positive half-widths")
+        u = self.domain_u
+        if u.shape != (self.rank_d,) or not np.all((0.0 < u) & (u < math.inf)):
+            raise ModelValidityError("domain_u must be finite positive half-widths")
         gram.setflags(write=False)
         self.domain_u.setflags(write=False)
 
@@ -162,12 +170,14 @@ class SpectralModel:
             raise ModelValidityError(
                 f"gram must be {self.rank_d}x{self.rank_d}, got {self.gram.shape}"
             )
+        if not np.all(np.isfinite(self.gram)):
+            raise ModelValidityError("gram entries must be finite")
         if not np.allclose(self.gram, self.gram.T, rtol=0, atol=1e-12):
             raise ModelValidityError("gram not symmetric")
         if np.linalg.eigvalsh(self.gram)[0] <= 0:
             raise ModelValidityError("gram not positive definite")
-        if self.gap_delta <= 0:
-            raise ModelValidityError("gap_delta must be positive")
+        if not 0.0 < self.gap_delta < math.inf:
+            raise ModelValidityError("gap_delta must be finite and positive")
 
     @property
     def quad_coeff(self) -> float:
@@ -214,24 +224,22 @@ class SpectralModel:
         """D²λ₀(0) = (2π/(g−1)) G, exact for admissible perturbations."""
         return (2.0 * math.pi / (self.genus - 1)) * self.gram
 
-    def radial_profile(self):
-        """(φ, φ′) with λ₀ = φ(q), q the quadratic part, or None when λ₀ is
-        not a function of q alone.
+    def radial_profile(self) -> float | None:
+        """The coefficient c with λ₀ = q + c·q², q the quadratic part, or
+        None when λ₀ is not a function of q alone.
 
-        φ(q) = q + c·q² covers the unperturbed model (c = 0), the radial
-        quartic (c = coeff) and the rank-1 quartic, where q = qc·g·ω² turns
+        This covers the unperturbed model (c = 0), the radial quartic
+        (c = coeff) and the rank-1 quartic, where q = qc·g·ω² turns
         coeff·ω⁴ into (coeff/(qc·g)²)·q².
         """
         pert = self.perturbation
         if pert is None:
-            c = 0.0
-        elif pert.name == "radial_quartic":
-            c = pert.coeff
-        elif pert.name == "quartic" and self.rank_d == 1:
-            c = pert.coeff / (self.quad_coeff * self.gram[0, 0]) ** 2
-        else:
-            return None
-        return (lambda q: q + c * q * q), (lambda q: 1.0 + 2.0 * c * q)
+            return 0.0
+        if pert.name == "radial_quartic":
+            return pert.coeff
+        if pert.name == "quartic" and self.rank_d == 1:
+            return pert.coeff / (self.quad_coeff * self.gram[0, 0]) ** 2
+        return None
 
     def mixing_hessian(self) -> np.ndarray:
         """Hessian 2 D²λ₀(0) of the mixing exponent 1 − ν₀ at the origin."""

@@ -1,11 +1,11 @@
-"""The 64-angle level-curve density with every radius found by bisection,
-kept as an oracle for ``cover_spectrum._angular_density_2d``, which solves
-the radii by certified safeguarded Newton.
+"""The 64-angle level-curve density with every radius found by bisection
+and ∂λ₀/∂r by a 5-point stencil, kept as an oracle for
+``cover_spectrum._angular_density_2d``, which takes both in closed form.
 
 All len(x) × 64 radii are bisected in one batch on the full bracket
-[0, min U] by ``_stencils.bracketed_roots``, to the tolerance the Newton
-route certifies, 1e-15 + 8.9e-16·r; the angle rule and the 5-point
-∂λ₀/∂r stencil are those of the library route.
+[0, min U] by ``monotone_bisect.bracketed_roots``, to 1e-15 + 8.9e-16·r;
+the angle rule is that of the library route.  Nothing here assumes that
+λ₀ is a homogeneous quartic along each ray.
 """
 
 from __future__ import annotations
@@ -14,8 +14,9 @@ import math
 
 import numpy as np
 
-from horomix._stencils import bracketed_roots, fornberg_weights, gauss_legendre
+from horomix._stencils import fornberg_weights, gauss_legendre
 from horomix.errors import DomainError
+from monotone_bisect import bracketed_roots
 
 
 def bisected_angular_density(model, x) -> np.ndarray:

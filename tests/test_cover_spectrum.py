@@ -417,7 +417,7 @@ class TestLimitDensity:
 
     @pytest.mark.parametrize("seed", range(4))
     @pytest.mark.parametrize("sign", [1.0, -1.0])
-    def test_newton_route_matches_the_bisection_oracle(self, seed, sign):
+    def test_angular_closed_form_matches_the_bisection_oracle(self, seed, sign):
         from horomix.cover_spectrum import _angular_density_2d
 
         model = _seeded_quartic(seed, sign)
@@ -426,24 +426,28 @@ class TestLimitDensity:
         assert got == pytest.approx(bisected_angular_density(model, xs), rel=1e-12)
 
     @pytest.mark.parametrize("sign", [1.0, -1.0])
-    def test_every_root_is_certified(self, monkeypatch, sign):
-        # each radius the density uses lies within 1e-15 + 8.9e-16·r of a
-        # sign change of λ₀(r·e) − x
+    def test_closed_form_radii_lie_on_the_level_sets(self, sign):
+        # the radii r*² = 2x/(Q + √(Q² + 4Cx)) the density rests on meet
+        # λ₀(r*·e) = x within a few ulp: about 5 roundings reach r*² and 8
+        # more λ₀ (6 to 8 ulp of x over seeds 0–9 of both signs)
         model = _seeded_quartic(7, sign)
-        solved = []
-        solve = cover_spectrum._newton_roots
-
-        def recording(fn, start, lo, hi, xtol, rtol):
-            roots = solve(fn, start, lo, hi, xtol, rtol)
-            solved.append((fn, roots, xtol + rtol * np.abs(roots)))
-            return roots
-
-        monkeypatch.setattr(cover_spectrum, "_newton_roots", recording)
+        phis, _ = cover_spectrum.gauss_legendre(0.0, 2.0 * math.pi, 64)
+        e = np.stack([np.cos(phis), np.sin(phis)], axis=-1)
         s, _ = cover_spectrum.gauss_legendre(0.0, math.sqrt(0.05), 200)
-        limit_density(model, 0.05, s * s)
-        [(fn, roots, tol)] = solved
-        assert roots.shape == (200, 64)
-        assert np.all(fn(roots - tol) <= 0.0) and np.all(fn(roots + tol) >= 0.0)
+        x = (s * s)[:, None]
+        quad = model.quadratic_part(e)
+        quartic = model.perturbation(e, quad)
+        r = np.sqrt(2.0 * x / (quad + np.sqrt(quad * quad + 4.0 * quartic * x)))
+        lam = model.lambda0_batch(r[..., None] * e)
+        assert np.all(np.abs(lam - x) <= 16.0 * np.spacing(x))
+
+    def test_angular_density_at_zero_is_the_hessian_limit(self):
+        # the closed form is finite at x = 0: ∫ dφ / (2Q(e)) = π/√det M
+        model = _seeded_quartic(2, -1.0)
+        table = limit_density(model, 0.05, np.array([0.0, 1e-6]))
+        root_det = math.sqrt(float(np.linalg.det(model.quad_coeff * model.gram)))
+        assert table.density[0] == pytest.approx(math.pi / root_det, rel=1e-14)
+        assert table.zeta_tilde[0] == pytest.approx(table.density[0], rel=1e-14)
 
     @pytest.mark.parametrize("gram, pert", [
         ([[1.0]], Perturbation("radial_quartic", 0.5)),
@@ -454,34 +458,35 @@ class TestLimitDensity:
         ([[1.0, 0.2, 0.1], [0.2, 0.9, -0.1], [0.1, -0.1, 1.1]], None),
     ], ids=["d1-radial-quartic", "d1-quartic", "d2-radial-quartic", "d2-gram-radial-quartic",
             "d3-radial-quartic", "d3-gram-quadratic"])
-    def test_radial_route_matches_the_bisection_oracle(self, monkeypatch, gram, pert):
-        # φ(q*) = x by certified Newton against the bisection route: each
-        # root within xtol + rtol·q* of the oracle's and of a sign change
+    def test_radial_closed_form_matches_the_bisection_oracle(self, gram, pert):
         gram = np.asarray(gram, float)
         model = SpectralModel(genus=2, rank_d=gram.shape[0], gram=gram,
                               perturbation=pert, gap_delta=0.1)
         s, _ = cover_spectrum.gauss_legendre(0.0, math.sqrt(0.05), 200)
         grid = np.concatenate([[0.0], s * s])
-        solved = []
-        solve = cover_spectrum.monotone_inverse
-
-        def recording(psi, target, xtol, rtol):
-            q = solve(psi, target, xtol, rtol)
-            solved.append((psi, target, q, xtol, rtol))
-            return q
-
-        monkeypatch.setattr(cover_spectrum, "monotone_inverse", recording)
         got = limit_density(model, 0.05, grid)
-        [(psi, target, q, xtol, rtol)] = solved
-        tol = xtol + rtol * q
-        assert np.all(np.abs(q - monotone_bisect.monotone_inverse(psi, target, xtol, rtol)) <= tol)
-        assert np.all(psi(q - tol) <= target) and np.all(psi(q + tol) >= target)
-        monkeypatch.setattr(cover_spectrum, "monotone_inverse", monotone_bisect.monotone_inverse)
-        ref = limit_density(model, 0.05, grid)
-        np.testing.assert_allclose(got.density, ref.density, rtol=1e-12, atol=0.0)
+        ref = monotone_bisect.bisected_radial_density(model, grid)
+        np.testing.assert_allclose(got.density, ref, rtol=1e-12, atol=0.0)
+
+    def test_radial_level_above_the_profile_refused(self):
+        # φ(q) = q − q²/2 tops out at 1/2
+        from horomix.cover_spectrum import _radial_density
+
+        with pytest.raises(DomainError, match="cannot reach"):
+            _radial_density(-0.5, 1, 2.0, 1.0, np.array([0.1, 0.6]))
+
+    @pytest.mark.parametrize("model", [
+        SpectralModel(genus=2, rank_d=2, gram=np.eye(2), gap_delta=0.1),
+        SpectralModel(genus=2, rank_d=2, gram=np.eye(2), gap_delta=0.1,
+                      perturbation=Perturbation("quartic", 0.2)),
+    ], ids=["radial", "angular"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_grid_refused(self, model, bad):
+        with pytest.raises(DomainError, match="grid"):
+            limit_density(model, 0.05, np.array([0.01, bad]))
 
     def test_lambda0_call_budget(self, monkeypatch):
-        # bisection took 52 batched λ₀ calls for 200 levels
+        # the box check is the only λ₀ call: Q and C are read per direction
         model = _seeded_quartic(3, 1.0)
         calls = []
         evaluate = SpectralModel.lambda0_batch
@@ -493,7 +498,7 @@ class TestLimitDensity:
         monkeypatch.setattr(SpectralModel, "lambda0_batch", counting)
         s, _ = cover_spectrum.gauss_legendre(0.0, math.sqrt(0.05), 200)
         limit_density(model, 0.05, s * s)
-        assert len(calls) <= 20
+        assert len(calls) <= 3
 
     @pytest.mark.parametrize(
         "gram, pert",
@@ -515,7 +520,7 @@ class TestLimitDensity:
         xs = np.geomspace(1e-6, 0.05, 40)
         root_det = math.sqrt(float(np.linalg.det(m.quad_coeff * m.gram)))
         closed = _radial_density(m.radial_profile(), 2, _unit_ball_volume(2), root_det, xs)
-        assert _angular_density_2d(m, xs) == pytest.approx(closed, rel=1e-12)
+        assert _angular_density_2d(m, xs) == pytest.approx(closed, rel=1e-14)
 
     def test_angular_route_refuses_level_sets_leaving_the_box(self):
         m = SpectralModel(

@@ -152,6 +152,31 @@ class TestQuadrature:
         with pytest.raises(DomainError):
             laplace_quadrature(preset_gauss1d(), bad)
 
+    @pytest.mark.parametrize("preset, ladder", [
+        (preset_gauss1d, [1e307, 1e308]),  # κ = 64
+        (preset_quartic1d, 1e308),         # κ = 9
+    ])
+    def test_overflowing_ladder_refused_before_any_rule(self, preset, ladder, monkeypatch):
+        # T_max·κ = ∞ would start the panel edges at 0, which never double
+        # to 1, so the refusal must come before any edge is built
+        def no_edges(s0):
+            raise AssertionError(f"panel edges built from s0 = {s0}")
+
+        monkeypatch.setattr(laplace, "_radial_edges", no_edges)
+        with pytest.raises(DomainError, match="overflows"):
+            laplace_quadrature(preset(), ladder)
+
+    @pytest.mark.parametrize("box, hessian", [
+        ([math.inf], [[1.0]]),
+        ([math.nan], [[1.0]]),
+        ([1.0], [[math.inf]]),
+        ([1.0], [[math.nan]]),
+    ], ids=["inf-box", "nan-box", "inf-hessian", "nan-hessian"])
+    def test_non_finite_box_or_hessian_refused(self, box, hessian):
+        # an infinite box makes κ infinite: the same endless panel edges
+        with pytest.raises(DomainError, match="finite"):
+            custom_problem(1, {(2,): -0.5}, {(0,): 1.0}, hessian, box)
+
     @pytest.mark.parametrize("preset", [preset_gauss1d, preset_gauss2d, preset_quartic1d])
     def test_ladder_matches_scalar_calls(self, preset):
         # one grid graded for the largest T serves the whole ladder

@@ -125,6 +125,37 @@ class TestBranchBits:
             assert abs(Fraction(value) - exact) <= bound * abs(exact)
 
 
+class TestHomogeneousQuartic:
+    """The limit density takes each level set as a quadratic in r²: every
+    preset must be a homogeneous quartic, p(r·ω) = r⁴·p(ω)."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("preset", Perturbation.PRESETS)
+    @pytest.mark.parametrize("coeff", [0.4, -0.3])
+    def test_doubling_scales_by_sixteen(self, preset, d, coeff):
+        # scaling by 2 is exact, so p(2ω) = 16·p(ω) bit for bit
+        model = _random_model(d, preset, coeff)
+        p = model.perturbation
+        pts = np.random.default_rng(d).uniform(-0.5, 0.5, (10_000, d))
+        doubled = p(2.0 * pts, model.quadratic_part(2.0 * pts))
+        assert doubled.tobytes() == (16.0 * p(pts, model.quadratic_part(pts))).tobytes()
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("preset", Perturbation.PRESETS)
+    @pytest.mark.parametrize("coeff", [0.4, -0.3])
+    def test_branch_along_a_ray_is_quadratic_in_r_squared(self, preset, d, coeff):
+        # λ₀(r·e) = Q(e)·r² + C(e)·r⁴ on seeded rays of a correlated Gram
+        model = _random_model(d, preset, coeff)
+        rng = np.random.default_rng(20 + d)
+        e = rng.standard_normal((500, d))
+        e /= np.linalg.norm(e, axis=1, keepdims=True)
+        r = rng.uniform(0.0, float(np.min(model.domain_u)), 500)
+        quad = model.quadratic_part(e)
+        quartic = model.perturbation(e, quad)
+        expected = quad * r**2 + quartic * r**4
+        np.testing.assert_allclose(model.lambda0_batch(r[:, None] * e), expected, rtol=1e-14)
+
+
 class TestHessians:
     def test_identity_gram_d1(self, model_d1):
         np.testing.assert_allclose(
@@ -184,6 +215,34 @@ class TestValidation:
     def test_rank_bound(self):
         with pytest.raises(ModelValidityError):
             SpectralModel(genus=2, rank_d=5, gram=np.eye(5))
+
+    @pytest.mark.parametrize("field, value", [
+        ("gram", [[math.inf, 0.0], [0.0, 1.0]]),
+        ("gram", [[1.0, math.nan], [math.nan, 1.0]]),
+        ("gap_delta", math.nan),
+        ("gap_delta", math.inf),
+        ("domain_u", [math.inf, math.inf]),
+        ("domain_u", [math.nan, math.nan]),
+        ("domain_u", [0.1, math.inf]),
+    ])
+    def test_non_finite_fields_refused(self, field, value):
+        # NaN fails every comparison, so a sign check alone lets it through
+        fields = {"genus": 2, "rank_d": 2, "gram": np.eye(2), field: value}
+        with pytest.raises(ModelValidityError, match="finite"):
+            SpectralModel(**fields)
+
+    def test_non_finite_domain_refused_from_json(self):
+        doc = {"genus": 2, "rank_d": 2, "gram": [1.0, 0.0, 0.0, 1.0],
+               "domain_u": [math.inf, math.inf]}
+        with pytest.raises(ModelValidityError, match="finite"):
+            SpectralModel.from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize("coeff", [math.nan, math.inf, -math.inf])
+    def test_non_finite_perturbation_coeff_refused(self, coeff):
+        with pytest.raises(ConfigError, match="finite"):
+            Perturbation("quartic", coeff)
+        with pytest.raises(ConfigError, match="finite"):
+            Perturbation.from_json({"name": "radial_quartic", "params": {"coeff": coeff}})
 
     def test_perturbation_must_vanish_to_second_order(self):
         # a perturbation with curvature at 0 breaks the Hessian identity
@@ -266,14 +325,10 @@ class TestRadialProfile:
     )
     def test_branch_is_function_of_quadratic_part(self, gram, pert):
         m = SpectralModel(genus=2, rank_d=len(gram), gram=gram, perturbation=pert)
-        phi, phi_p = m.radial_profile()
+        c = m.radial_profile()
         pts = np.random.default_rng(0).uniform(-1, 1, (50, m.rank_d)) * m.domain_u
         q = m.quadratic_part(pts)
-        np.testing.assert_allclose(phi(q), m.lambda0_batch(pts), rtol=1e-13)
-        h = 1e-6
-        np.testing.assert_allclose(
-            phi_p(q), (phi(q + h) - phi(q - h)) / (2 * h), rtol=1e-8
-        )
+        np.testing.assert_allclose(q + c * q * q, m.lambda0_batch(pts), rtol=1e-13)
 
     def test_quartic_d2_not_radial(self):
         m = SpectralModel(

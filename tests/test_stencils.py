@@ -11,21 +11,19 @@ from scipy.optimize import brentq
 from horomix import _stencils
 from horomix._stencils import (
     SWEEP_BUDGET,
-    bracketed_roots,
     exact_sum,
     finite_difference_gradient,
     finite_difference_hessian,
     fornberg_weights,
     gauss_legendre,
     legendre_rule,
-    monotone_inverse,
     quadratic_form,
     sweep_grid,
     tensor_grid,
 )
 from horomix.errors import DomainError, LatticeSizeError
 from horomix.spectral_model import Perturbation, SpectralModel
-import monotone_bisect
+from monotone_bisect import bracketed_roots
 
 
 class TestGaussLegendre:
@@ -268,6 +266,9 @@ _MONOTONE = st.tuples(
 
 
 class TestBracketedRoots:
+    """The batched bisection of tests/monotone_bisect.py, which the density
+    and Morse-chart oracles solve their radii with."""
+
     @settings(deadline=None, max_examples=60)
     @given(
         st.lists(_MONOTONE, min_size=1, max_size=8),
@@ -313,135 +314,6 @@ class TestBracketedRoots:
         got = bracketed_roots(fn, root - 1.0, root + 2.0, xtol=1e-300, rtol=0.0)
         assert abs(got - root) <= np.spacing(abs(root))
         assert len(calls) < 200
-
-
-class TestNewtonRoots:
-    @settings(deadline=None, max_examples=60)
-    @given(
-        # the start, as a fraction of the bracket
-        st.lists(st.tuples(_MONOTONE, st.floats(0.0, 1.0)), min_size=1, max_size=8),
-        st.floats(1e-16, 1e-6),
-        st.sampled_from([8.9e-16, 1e-12, 1e-8]),
-    )
-    def test_agrees_with_bracketed_roots(self, cases, xtol, rtol):
-        # the contract of test_agrees_with_brentq, on the rising a(x − r) + b(x − r)³
-        r, a, b, _, below, above, at = (np.array(c) for c in zip(*(c + (t,) for c, t in cases)))
-
-        def fn(x):
-            return a * (x - r) + b * (x - r) ** 3
-
-        lo, hi = r - below, r + above
-        got = _stencils._newton_roots(fn, lo + at * (hi - lo), lo, hi, xtol, rtol)
-        ref = bracketed_roots(fn, lo, hi, xtol, rtol)
-        tol = xtol + rtol * np.abs(r) + 2.0 * np.spacing(r)
-        assert np.all(np.abs(got - r) <= tol)
-        assert np.all(np.abs(got - ref) <= 2.0 * tol)
-
-    @pytest.mark.parametrize("fn, start, lo, hi", [
-        # Newton from 0 cycles 0 → 1 → 0; the step to 1 leaves the bracket
-        pytest.param(lambda x: x**3 - 2.0 * x + 2.0, 0.0, -3.0, 2.0, id="cycle"),
-        # zero slope at the start: the first step is infinite
-        pytest.param(lambda x: x**3 - 0.2, 0.0, -1.0, 1.0, id="flat-start"),
-        # an inflection between the start and the root
-        pytest.param(lambda x: np.arctan(x - 0.7) + 0.1, 4.0, -10.0, 10.0, id="inflection"),
-    ])
-    def test_steps_leaving_the_bracket_still_certify(self, fn, start, lo, hi):
-        xtol, rtol = 1e-15, 8.9e-16
-        x = float(_stencils._newton_roots(fn, start, lo, hi, xtol, rtol))
-        tol = xtol + rtol * abs(x)
-        assert lo <= x <= hi
-        assert fn(x - tol) <= 0.0 <= fn(x + tol)
-
-    def test_uncertified_roots_fall_back_to_bisection(self, monkeypatch):
-        # a jump has no slope to follow: twelve midpoint steps cannot reach
-        # the tolerance, so that element is bisected; the smooth one keeps
-        # its Newton root
-        bisected = []
-        bisect = _stencils.bracketed_roots
-
-        def recording(fn, lo, hi, xtol, rtol):
-            bisected.append(np.shape(lo))
-            return bisect(fn, lo, hi, xtol, rtol)
-
-        monkeypatch.setattr(_stencils, "bracketed_roots", recording)
-        jump = np.array([False, True])
-
-        def fn(x):
-            return np.where(jump, np.where(x < 0.3, -1.0, 1.0), x * x - 0.5)
-
-        got = _stencils._newton_roots(fn, [1.0, 0.9], 0.0, 1.0, 1e-15, 8.9e-16)
-        assert bisected == [(2,)]
-        assert abs(got[0] - math.sqrt(0.5)) <= 2e-15
-        assert abs(got[1] - 0.3) <= 1e-15 + 8.9e-16 * 0.3
-        tol = 1e-15 + 8.9e-16 * got
-        assert np.all(fn(got - tol) <= 0.0) and np.all(fn(got + tol) >= 0.0)
-
-    def test_bracket_without_a_sign_change_raises(self):
-        with pytest.raises(DomainError):
-            _stencils._newton_roots(lambda x: x * x + 1.0, 0.5, -1.0, 1.0, 1e-12, 1e-12)
-
-
-class TestMonotoneInverse:
-    def test_inverts_quadratic_profile(self):
-        c = 0.5
-        x = np.array([0.0, 1e-10, 0.05, 3.0, 1e5])
-        q = monotone_inverse(lambda q: q + c * q * q, x, xtol=1e-16, rtol=8.9e-16)
-        exact = 2.0 * x / (1.0 + np.sqrt(1.0 + 4.0 * c * x))
-        np.testing.assert_allclose(q, exact, rtol=4e-16, atol=0.0)
-
-    def test_unreachable_level_raises(self):
-        with pytest.raises(DomainError):
-            monotone_inverse(np.tanh, np.array([0.5, 2.0]), xtol=1e-15, rtol=1e-15)
-
-    @staticmethod
-    def _check_against_bisection(psi, x, xtol, rtol):
-        """Newton agrees with the bisection oracle within xtol + rtol·|q|,
-        and every root carries a sign change of ψ − x within that width."""
-        q = monotone_inverse(psi, x, xtol, rtol)
-        ref = monotone_bisect.monotone_inverse(psi, x, xtol, rtol)
-        tol = xtol + rtol * np.abs(q)
-        assert np.all(np.abs(q - ref) <= tol)
-        assert np.all(psi(q - tol) - x <= 0.0) and np.all(psi(q + tol) - x >= 0.0)
-
-    @pytest.mark.parametrize("gram, pert", [
-        ([1.0], None),
-        ([1.0], Perturbation("radial_quartic", 0.5)),
-        ([1.0], Perturbation("quartic", 1.0)),
-        ([1.0], Perturbation("quartic", -0.5)),
-        ([[1.0, 0.3], [0.3, 0.8]], Perturbation("radial_quartic", 0.3)),
-    ], ids=["quadratic", "radial-quartic", "rank1-quartic", "rank1-negative-quartic",
-            "gram-radial-quartic"])
-    def test_agrees_with_bisection_on_model_profiles(self, gram, pert):
-        gram = np.atleast_2d(gram)
-        model = SpectralModel(genus=2, rank_d=gram.shape[0], gram=gram,
-                              perturbation=pert, gap_delta=0.1)
-        psi, _ = model.radial_profile()
-        x = np.concatenate([[0.0], np.geomspace(1e-14, 0.1, 60)])
-        self._check_against_bisection(psi, x, 1e-16, 8.9e-16)
-
-    def test_agrees_with_bisection_on_the_quartic_chart_radii(self):
-        # the radial Morse chart of v = −q − q² inverts q + q² at ½|θ|² over
-        # its stencil radii
-        x = 0.5 * np.linspace(0.0, 0.35, 71) ** 2
-        self._check_against_bisection(lambda q: q + q * q, x, 1e-15, 1e-15)
-
-    @settings(deadline=None, max_examples=60)
-    @given(
-        st.floats(0.0, 10.0),
-        hnp.arrays(float, st.integers(1, 16), elements=st.floats(0.0, 1e6)),
-        st.sampled_from([(1e-16, 8.9e-16), (1e-15, 1e-15), (1e-12, 1e-10)]),
-    )
-    def test_agrees_with_bisection_on_quartic_profiles(self, c, x, tols):
-        self._check_against_bisection(lambda q: q + c * q * q, x, *tols)
-
-    def test_solves_by_newton(self, monkeypatch):
-        # started at the target, ψ(q) = q + q²/2 needs no bisection
-        bisected = []
-        monkeypatch.setattr(_stencils, "bracketed_roots",
-                            lambda *args: bisected.append(args))
-        x = np.geomspace(1e-12, 1e3, 40)
-        monotone_inverse(lambda q: q + 0.5 * q * q, x, xtol=1e-16, rtol=8.9e-16)
-        assert bisected == []
 
 
 _DBL_MAX = np.finfo(float).max
