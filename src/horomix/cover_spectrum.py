@@ -15,11 +15,13 @@ twice, and every sum is exactly rounded over the full multiset.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _stencils
 from ._stencils import GRID_CAP, _exact_total, _round_total, gauss_legendre, tensor_grid
 from .errors import DomainError, LatticeSizeError, ModelValidityError
 from .spectral_model import SpectralModel
@@ -80,29 +82,38 @@ def _box_ranges(lattice: CharacterLattice, halves, cap: int) -> list:
     return box
 
 
-def _box_blocks(axes):
-    """The points of the box ∏ axes in lex order, as (B, d) blocks of at
-    most _BLOCK points: a slab of the leading axis times the tensor of the
+def _box_blocks(ranges, axis):
+    """The points of the sub-box ∏ ranges, each range (n, j0, j1) the
+    indices of :func:`_axis`, in lex order, as (B, d) blocks of at most
+    _BLOCK points: a slab of the leading axis times the tensor of the
     other axes, or times a run of that tensor's rows where it alone holds
-    more than _BLOCK points.  The box itself is never built."""
-    lead = axes[0]
-    rest = tensor_grid(axes[1:]) if len(axes) > 1 else np.empty((1, 0))
-    step = min(len(rest), _BLOCK)
+    more than _BLOCK points.  The other axes come from ``axis``; the
+    leading axis is built by :func:`_axis` one slab per block, or by
+    ``axis`` where one slab holds it whole.  At d = 1 a block is its slab,
+    as a (B, 1) view.  Neither the box nor a leading axis longer than a
+    slab is ever built."""
+    (n, j0, j1), rest = ranges[0], ranges[1:]
+    tail = tensor_grid([axis(*r) for r in rest]) if rest else np.empty((1, 0))
+    step = min(len(tail), _BLOCK)
     slab = _BLOCK // step
-    for i in range(0, lead.size, slab):
-        heads = lead[i : i + slab]
-        for r in range(0, len(rest), step):
-            rows = rest[r : r + step]
-            block = np.empty((heads.size * len(rows), len(axes)))
-            block[:, 0] = np.repeat(heads, len(rows))
-            block[:, 1:] = np.tile(rows, (heads.size, 1))
-            yield block
+    lead = axis if j1 - j0 <= slab else _axis
+    for i in range(j0, j1, slab):
+        heads = lead(n, i, min(i + slab, j1))
+        if not rest:
+            yield heads[:, None]
+            continue
+        for r in range(0, len(tail), step):
+            rows = tail[r : r + step]
+            block = np.empty((heads.size, len(rows), len(ranges)))
+            block[..., 0] = heads[:, None]
+            block[..., 1:] = rows
+            yield block.reshape(-1, len(ranges))
 
 
 def _half_box(box) -> tuple[list, list]:
-    """The box of :func:`_box_ranges` as disjoint sub-boxes (lists of
-    axes), split by the weight their points carry: (pair boxes, single
-    boxes).
+    """The box of :func:`_box_ranges` as disjoint sub-boxes, each a list of
+    per-axis index ranges (n, j0, j1) of :func:`_axis`, split by the weight
+    their points carry: (pair boxes, single boxes).
 
     The indices of an axis are a symmetric core −m … m, after at most one
     unpaired edge index −n/2.  The core of the box is swept once per ±ω
@@ -111,29 +122,21 @@ def _half_box(box) -> tuple[list, list]:
     for itself and its mirror (weight 2); the origin stands for itself
     alone (weight 1).  The edge shell, the points with an unpaired index,
     is swept whole at weight 1, as one sub-box per axis k with an edge:
-    the core before k, the edge on k, the full axes after.  Only these
-    pieces are built, each by :func:`_axis`, so the leading axis, the
-    longest of a rank-1 box, never builds its negative half unless a
-    later axis has an edge.
+    the core before k, the edge on k, the full axes after.  Nothing is
+    built here, so the leading axis, the longest of a rank-1 box, never
+    builds its negative half unless a later axis has an edge.
     """
     tops = [idx.stop - 1 for _, idx in box]
-    edged = [k for k, (_, idx) in enumerate(box) if idx.start < -tops[k]]
-    # the pairs of earlier axes read the core of every later axis; the
-    # leading axis's core is read only by the edge sub-boxes of later axes
-    lead_core = any(k > 0 for k in edged)
-    cores = [
-        _axis(n, -m, m + 1) if k > 0 or lead_core else None
-        for k, ((n, _), m) in enumerate(zip(box, tops))
-    ]
-    origin = [_axis(n, 0, 1) for n, _ in box]
+    core = [(n, -m, m + 1) for (n, _), m in zip(box, tops)]
+    origin = [(n, 0, 1) for n, _ in box]
+    full = [(n, idx.start, idx.stop) for n, idx in box]
     pairs = [
-        origin[:k] + [_axis(n, 1, m + 1)] + cores[k + 1 :]
+        origin[:k] + [(n, 1, m + 1)] + core[k + 1 :]
         for k, ((n, _), m) in enumerate(zip(box, tops)) if m > 0
     ]
     singles = [
-        cores[:k] + [_axis(box[k][0], box[k][1].start, -tops[k])]
-        + [_axis(n, idx.start, idx.stop) for n, idx in box[k + 1 :]]
-        for k in edged
+        core[:k] + [(n, idx.start, -tops[k])] + full[k + 1 :]
+        for k, (n, idx) in enumerate(box) if idx.start < -tops[k]
     ]
     singles.append(origin)
     return pairs, singles
@@ -160,12 +163,11 @@ class SpectralHistogram:
     moments: tuple             # (first, second) weighted moments
 
 
-def _multiset_sum(pairs: np.ndarray, singles: np.ndarray) -> float:
-    """The exactly rounded sum of the full multiset, each value of
-    ``pairs`` counted twice and each of ``singles`` once, through the
-    exact integer totals of :func:`exact_sum`: bit for bit ``math.fsum``
-    over the full sweep, with no doubled copy built."""
-    return _round_total(2 * _exact_total(pairs) + _exact_total(singles))
+def _weighted_total(chunks, f) -> int:
+    """Σ weight·Σ f(values) over (weight, values) chunks, exactly, as the
+    integer of :func:`_stencils._exact_total`: integer totals add without
+    rounding, so its rounding is ``math.fsum`` over the full multiset."""
+    return sum(w * _exact_total(f(vals)) for w, vals in chunks)
 
 
 def build_histogram(
@@ -173,8 +175,13 @@ def build_histogram(
 ) -> SpectralHistogram:
     """The kept branch values of every character, sorted (each ±ω pair
     twice), with moments that are exactly rounded sums divided by ∏Nᵢ, as
-    in :func:`spectral_average`."""
-    pairs, singles = _branch_values(model, lattice, epsilon)
+    in :func:`spectral_average`.  The sweep's chunks share one buffer, so
+    each is copied."""
+    chunks = [(w, vals.copy()) for w, vals in _kept_chunks(model, lattice, epsilon)]
+    pairs, singles = (
+        np.concatenate([np.empty(0)] + [v for w, v in chunks if w == weight])
+        for weight in (2, 1)
+    )
     w = 1.0 / lattice.size
     vals = np.sort(np.concatenate([pairs, pairs, singles]))
     return SpectralHistogram(
@@ -184,29 +191,30 @@ def build_histogram(
         count=vals.size,
         mass=vals.size * w,
         moments=tuple(
-            _multiset_sum(pairs**k, singles**k) / lattice.size for k in (1, 2)
+            _round_total(_weighted_total(chunks, lambda v: v**k)) / lattice.size
+            for k in (1, 2)
         ),
     )
 
 
-def _branch_values(
-    model: SpectralModel, lattice: CharacterLattice, epsilon: float
-) -> tuple[np.ndarray, np.ndarray]:
+def _kept_chunks(model: SpectralModel, lattice: CharacterLattice, epsilon: float):
     """λ₀ ≤ ε over the box around the ellipsoid {q ≤ ε}, q the quadratic
-    part, as (pairs, singles): each value of ``pairs`` is λ₀ at a character
-    and at its mirror, each of ``singles`` at one character.  Every
-    preset adds coeff × a non-negative term, so λ₀ ≥ q unless coeff < 0
-    (whole torus).
+    part, as (weight, values) chunks of at most _SUM_CHUNK values: each
+    value of weight 2 is λ₀ at a character and at its mirror, each of
+    weight 1 at one character.  Every preset adds coeff × a non-negative
+    term, so λ₀ ≥ q unless coeff < 0 (whole torus).
 
     λ₀ is even and the representatives j/n are exact mirrors, so the
-    sweep visits one member of each ±ω pair (:func:`_half_box`).  Each
-    sub-box is swept in (B, d) blocks of :func:`_box_blocks`, one
-    ``lambda0_batch`` call each, and only the values ≤ ε are kept, written
-    once into a buffer per weight whose unkept tail is never touched.  The
-    bits do not depend on the blocking (λ₀ is evaluated point by point)
-    nor on the host.  A kept point outside the working box U raises
-    ModelValidityError; U is symmetric, so checking the swept member of a
-    pair checks both.
+    sweep visits one member of each ±ω pair (:func:`_half_box`), all
+    pairs before the singles.  Each sub-box is swept in (B, d) blocks of
+    :func:`_box_blocks`, one ``lambda0_batch`` call each; a range that is
+    built whole is built once per sweep.  The values ≤ ε are copied into
+    one buffer of _SUM_CHUNK values, reused for every chunk, so a chunk
+    is valid only until the next is asked for.  The bits do not depend on
+    the blocking (λ₀ is evaluated point by point) nor on the host.  A kept
+    point outside the working box U raises ModelValidityError from its
+    block; U is symmetric, so checking the swept member of a pair checks
+    both.
     """
     if not 0.0 < epsilon <= model.gap_delta:
         raise DomainError(
@@ -219,12 +227,12 @@ def _branch_values(
     bound = model.domain_u + 1e-12
     # where every axis lies in U, no kept point can leave it
     inside_u = all(max(-idx.start, idx.stop - 1) / n <= u for (n, idx), u in zip(box, bound))
-
-    def sweep(boxes):
-        kept = np.empty(sum(math.prod(a.size for a in box) for box in boxes))
+    axis = functools.cache(_axis)
+    buf = np.empty(_stencils._SUM_CHUNK)
+    for weight, boxes in zip((2, 1), _half_box(box)):
         count = 0
-        for box in boxes:
-            for pts in _box_blocks(box):
+        for ranges in boxes:
+            for pts in _box_blocks(ranges, axis):
                 lam = model.lambda0_batch(pts)
                 keep = lam <= epsilon
                 if not inside_u and np.any(np.abs(pts[keep]) > bound):
@@ -233,12 +241,15 @@ def _branch_values(
                         "model does not control those characters"
                     )
                 vals = lam[keep]
-                kept[count : count + vals.size] = vals
-                count += vals.size
-        return kept[:count]
-
-    pairs, singles = _half_box(box)
-    return sweep(pairs), sweep(singles)
+                while vals.size:
+                    take = min(vals.size, buf.size - count)
+                    buf[count : count + take] = vals[:take]
+                    count, vals = count + take, vals[take:]
+                    if count == buf.size:
+                        yield weight, buf
+                        count = 0
+        if count:
+            yield weight, buf[:count]
 
 
 def spectral_average(
@@ -249,17 +260,18 @@ def spectral_average(
 ) -> float:
     """(1/∏Nᵢ) Σ_{λ₀(ω) ≤ ε} f(λ₀(ω)) over the character lattice.
 
-    ``f`` must be vectorized on arrays of branch values and supported in
+    ``f`` must be elementwise on arrays of branch values and supported in
     [0, ε); ε may not exceed the branch gap, above which unmodeled
-    eigenvalue branches would contribute.  f is evaluated once per ±ω
-    pair, and the sum over the full multiset is exactly rounded before
-    the division, so the result is ``math.fsum`` over every character's
-    value, divided by ∏Nᵢ, in whatever order the values arrive.  A
-    non-finite value of ``f``, or a sum that overflows float64, raises
-    DomainError.
+    eigenvalue branches would contribute.  The sweep streams: f is called
+    on chunks of at most _SUM_CHUNK kept values, each value once per ±ω
+    pair, and each chunk's sum is added exactly into one integer total,
+    rounded once before the division.  The result is ``math.fsum`` over
+    every character's value, divided by ∏Nᵢ, in whatever order the values
+    arrive.  A non-finite value of ``f``, or a sum that overflows float64,
+    raises DomainError.
     """
-    pairs, singles = _branch_values(model, lattice, epsilon)
-    return _multiset_sum(f(pairs), f(singles)) / lattice.size
+    total = _weighted_total(_kept_chunks(model, lattice, epsilon), f)
+    return _round_total(total) / lattice.size
 
 
 # ---------------------------------------------------------------------------

@@ -313,14 +313,17 @@ def _cone_value(problem: PhaseProblem, T: np.ndarray, nodes: int, face_nodes: in
     terms = np.empty_like(weighted)
     flat = terms.reshape(-1)
     value, l1 = np.empty_like(T), np.empty_like(T)
-    for k, t in enumerate(T):
-        np.multiply(t, src, out=expo)
-        np.exp(np.maximum(expo, _EXP_FLOOR, out=expo), out=expo)
-        np.multiply(exp_plus, weighted[:, 0], out=terms[:, 0])
-        np.multiply(exp_minus, weighted[:, 1], out=terms[:, 1])
-        # np.sum, not np.dot: BLAS orders a dot product by its thread count
-        value[k] = np.sum(flat)
-        l1[k] = value[k] if nonneg else np.sum(np.abs(flat, out=flat))
+    # κ bounds only the quadratic part at the face centres, so T·v may still
+    # overflow to −inf where T_max·κ is finite; the floor then takes it
+    with np.errstate(over="ignore"):
+        for k, t in enumerate(T):
+            np.multiply(t, src, out=expo)
+            np.exp(np.maximum(expo, _EXP_FLOOR, out=expo), out=expo)
+            np.multiply(exp_plus, weighted[:, 0], out=terms[:, 0])
+            np.multiply(exp_minus, weighted[:, 1], out=terms[:, 1])
+            # np.sum, not np.dot: BLAS orders a dot product by its thread count
+            value[k] = np.sum(flat)
+            l1[k] = value[k] if nonneg else np.sum(np.abs(flat, out=flat))
     return value, l1
 
 

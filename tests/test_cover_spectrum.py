@@ -1,5 +1,6 @@
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from horomix.errors import DomainError, LatticeSizeError, ModelValidityError
 from horomix.spectral_model import Perturbation, SpectralModel
 from angular_bisect import bisected_angular_density
 import monotone_bisect
-from lattice_full import full_characters, full_sweep_kept
+from lattice_full import full_characters, full_sweep_kept, half_sweep_kept
 
 ONE = make_test_function("one", 0.05)
 
@@ -347,11 +348,92 @@ class TestBlockedSweep:
         monkeypatch.setattr(cover_spectrum, "_axis", recording)
         spectral_average(model, CharacterLattice(orders), ONE, 0.05)
         assert sum(sizes) == built
+        if len(orders) == 1:
+            # the leading axis is built one slab per block, never whole
+            assert max(sizes) <= cover_spectrum._BLOCK
 
     def test_oracle_characters_are_the_enumerated_ones(self):
         for orders in [(1,), (4,), (5, 6), (2, 3, 4)]:
             pts = enumerate_characters(CharacterLattice(orders))
             assert pts.tobytes() == full_characters(orders).tobytes()
+
+
+# a rank-1 box and a d = 2 torus with an edge shell, each of which spans
+# several chunks at every (_BLOCK, _SUM_CHUNK) of STREAM_SIZES; (7, 5) has
+# chunks smaller than a block
+STREAM_CASES = {
+    "rank1_quartic_gram": SWEEP_CASES["rank1_quartic_gram"],
+    "negative_quartic-256x255": EDGE_CASES["negative_quartic-256x255"],
+}
+STREAM_SIZES = [(7, 5), (100, 64), (64, 300)]
+
+
+class TestStreamedSweep:
+    """The kept values stream through one buffer of _SUM_CHUNK values into
+    the exact sum: f sees at most _SUM_CHUNK of them per call, one per ±ω
+    pair, and the results keep the bits of one full-box sweep."""
+
+    @pytest.fixture(params=STREAM_SIZES, ids=lambda p: f"block{p[0]}-chunk{p[1]}")
+    def chunk(self, request, monkeypatch):
+        block, chunk = request.param
+        monkeypatch.setattr(cover_spectrum, "_BLOCK", block)
+        monkeypatch.setattr(_stencils, "_SUM_CHUNK", chunk)
+        return chunk
+
+    @pytest.mark.parametrize("fn", ["one", "linear", "bump"])
+    @pytest.mark.parametrize("name", sorted(STREAM_CASES))
+    def test_average_is_the_exactly_rounded_sum(self, chunk, name, fn):
+        model, orders = STREAM_CASES[name]
+        lattice = CharacterLattice(orders)
+        f = make_test_function(fn, 0.05)
+        kept = full_sweep_kept(model, orders, 0.05)
+        assert kept.size > 4 * chunk
+        assert spectral_average(model, lattice, f, 0.05) == (
+            math.fsum(f(kept).tolist()) / lattice.size
+        )
+
+    @pytest.mark.parametrize("name", sorted(STREAM_CASES))
+    def test_f_sees_chunks_of_the_swept_representatives(self, chunk, name):
+        model, orders = STREAM_CASES[name]
+        seen = []
+
+        def recording(x):
+            seen.append(np.array(x))  # a copy: the sweep reuses its buffer
+            return np.ones_like(x)
+
+        spectral_average(model, CharacterLattice(orders), recording, 0.05)
+        assert len(seen) > 4 and max(s.size for s in seen) <= chunk
+        swept = np.sort(half_sweep_kept(model, orders, 0.05))
+        assert np.sort(np.concatenate(seen)).tobytes() == swept.tobytes()
+
+    def test_traced_peak_does_not_grow_with_the_lattice(self):
+        # 1.25e5 and 1.0e6 kept values; the swept half axis of the larger
+        # box alone would take 4 MB
+        model = _model([[1.0]], Perturbation("quartic", 1.0))
+        f = make_test_function("linear", 0.05)
+        peaks = []
+        for n in (1_000_001, 8_000_000):
+            tracemalloc.start()
+            try:
+                spectral_average(model, CharacterLattice((n,)), f, 0.05)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= peaks[0] + 2**16
+
+    @pytest.mark.parametrize("name", sorted(STREAM_CASES))
+    def test_histogram_keeps_its_bytes_across_chunk_boundaries(self, monkeypatch, name):
+        model, orders = STREAM_CASES[name]
+        lattice = CharacterLattice(orders)
+        reference = build_histogram(model, lattice, 0.05)
+        for block, chunk in STREAM_SIZES:
+            monkeypatch.setattr(cover_spectrum, "_BLOCK", block)
+            monkeypatch.setattr(_stencils, "_SUM_CHUNK", chunk)
+            hist = build_histogram(model, lattice, 0.05)
+            assert hist.values.tobytes() == reference.values.tobytes()
+            assert (hist.count, hist.mass, hist.moments) == (
+                reference.count, reference.mass, reference.moments
+            )
 
 
 class TestLimitDensity:

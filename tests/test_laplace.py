@@ -1,5 +1,6 @@
 import math
 import time
+import warnings
 from itertools import product
 
 import numpy as np
@@ -165,6 +166,16 @@ class TestQuadrature:
         monkeypatch.setattr(laplace, "_radial_edges", no_edges)
         with pytest.raises(DomainError, match="overflows"):
             laplace_quadrature(preset(), ladder)
+
+    def test_overflowing_exponents_floored_without_a_warning(self):
+        # T_max·κ = 9e307 is finite, but T·v at the box edge (v = −24.75)
+        # overflows to −inf, which the exponent floor takes; with warnings
+        # raised as errors the value still comes back
+        ladder = np.array([1e306, 1e307])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            vals = laplace_quadrature(preset_quartic1d(), ladder)
+        assert vals == pytest.approx(np.sqrt(2 * math.pi / ladder), rel=1e-12)
 
     @pytest.mark.parametrize("box, hessian", [
         ([math.inf], [[1.0]]),
