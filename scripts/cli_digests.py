@@ -38,7 +38,7 @@ IDENTITY = [1.0, 0.0, 0.0, 1.0]
 MODELS = {
     "identity.json": (IDENTITY, None),
     "radial_quartic.json": (IDENTITY, {"name": "radial_quartic", "params": {"coeff": 0.5}}),
-    # non-radial, so the cover limit takes the angular route
+    # non-radial, so the cover limit integrates over the cone rule's faces
     "quartic.json": (IDENTITY, {"name": "quartic", "params": {"coeff": 0.2}}),
     # (G⁻¹)ᵢᵢ ≠ 1/Gᵢᵢ: the lattice sweep box is not read off the diagonal
     "correlated.json": ([1.0, 0.4, 0.4, 1.2], None),
@@ -53,6 +53,9 @@ MODELS = {
     # q* = 2x/(1 + √(1 + 4cx))
     "rank1_radial_quartic.json": ([1.0], {"name": "radial_quartic", "params": {"coeff": 0.5}}),
     "identity3.json": ([1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0], None),
+    # non-radial at rank 3: the face route beyond rank 2
+    "quartic3.json": ([1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0],
+                      {"name": "quartic", "params": {"coeff": 0.2}}),
 }
 
 # custom-json phase documents, written into the run directory next to the models
@@ -101,6 +104,9 @@ RUNS = [
                                            "--orders", "255,256", "--test-fn", "linear"]),
     # rank 3: the half sweep splits its pairs over all three axes
     ("cover-identity3.csv", ["cover", "--model", "identity3.json", "--orders", "31,32,33"]),
+    # the lattice averages of a non-radial rank-3 model approach its limit
+    ("cover-quartic3-study.csv", ["cover", "--model", "quartic3.json", "--orders",
+                                  "256,256,256", "--test-fn", "bump", "--study"]),
     # a sum that is not exactly rounded (np.sum) moves the last digit of
     # `empirical` here
     ("cover-identity-bump.csv", ["cover", "--model", "identity.json", "--orders", "512,512",

@@ -158,12 +158,15 @@ def fornberg_weights(nodes, x0, order: int) -> np.ndarray:
 def tensor_grid(axes, cap: int = GRID_CAP) -> np.ndarray:
     """All points of the product of 1-d ``axes`` as an (N, d) array.
 
-    Points are in lex order (the last axis varies fastest).  A grid of more
-    than ``cap`` points is refused before anything is allocated.
+    Points are in lex order (the last axis varies fastest); no axes give
+    the one point of a (1, 0) array.  A grid of more than ``cap`` points is
+    refused before anything is allocated.
     """
     size = math.prod(len(a) for a in axes)
     if size > cap:
         raise LatticeSizeError(f"tensor grid has {size} points, above the cap {cap}")
+    if not axes:
+        return np.empty((1, 0))
     mesh = np.meshgrid(*axes, indexing="ij")
     return np.stack([m.reshape(-1) for m in mesh], axis=-1)
 
@@ -219,6 +222,28 @@ def gauss_legendre(lo: float, hi: float, n: int) -> tuple[np.ndarray, np.ndarray
     x, w = legendre_rule(n)
     half = 0.5 * (hi - lo)
     return lo + half * (x + 1.0), half * w
+
+
+def _cube_faces(d: int, n: int, lead) -> tuple[np.ndarray, np.ndarray]:
+    """(points, weights) of an n-point Gauss–Legendre tensor rule on each
+    face of [−1, 1]^d, the 2d faces in the order +e₁, −e₁, +e₂, ...
+
+    ``points`` is (2d, n^(d−1), d): on face ±eᵢ coordinate i is ±1 and the
+    others are the face coordinates in lex order (a rank-1 face is ±1).
+    The weights, shared by every face, are ((lead·w₁)·w₂)···, ``lead``
+    broadcast against a new last axis of n^(d−1) entries.
+    """
+    x, w = legendre_rule(n)
+    coords = tensor_grid([x] * (d - 1))
+    weights = np.asarray(lead, dtype=float)[..., None]
+    for col in tensor_grid([w] * (d - 1)).T:
+        weights = weights * col
+    points = np.empty((2 * d, len(coords), d))
+    for i in range(d):
+        face = points[2 * i : 2 * i + 2]
+        face[..., i] = [[1.0], [-1.0]]
+        face[..., :i], face[..., i + 1 :] = coords[:, :i], coords[:, i:]
+    return points, weights
 
 
 def finite_difference_gradient(fn, x0: np.ndarray) -> np.ndarray:

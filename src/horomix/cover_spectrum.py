@@ -23,7 +23,8 @@ import numpy as np
 
 from . import _stencils
 from ._stencils import GRID_CAP, _exact_total, _round_total, gauss_legendre, tensor_grid
-from .errors import DomainError, LatticeSizeError, ModelValidityError
+from .errors import DomainError, LatticeSizeError, ModelValidityError, QuadratureError
+from .laplace import _FACE_NODES, _FACE_NODES_HIGH, _QUAD_REL_TOL
 from .spectral_model import SpectralModel
 
 _BLOCK = 8192
@@ -93,7 +94,7 @@ def _box_blocks(ranges, axis):
     as a (B, 1) view.  Neither the box nor a leading axis longer than a
     slab is ever built."""
     (n, j0, j1), rest = ranges[0], ranges[1:]
-    tail = tensor_grid([axis(*r) for r in rest]) if rest else np.empty((1, 0))
+    tail = tensor_grid([axis(*r) for r in rest])
     step = min(len(tail), _BLOCK)
     slab = _BLOCK // step
     lead = axis if j1 - j0 <= slab else _axis
@@ -153,48 +154,11 @@ def enumerate_characters(lattice: CharacterLattice, cap: int = GRID_CAP) -> np.n
     return tensor_grid([_axis(n, idx.start, idx.stop) for n, idx in box], cap)
 
 
-@dataclass
-class SpectralHistogram:
-    epsilon: float
-    values: np.ndarray         # branch values <= epsilon, sorted
-    weight: float              # 1/|lattice|
-    count: int
-    mass: float
-    moments: tuple             # (first, second) weighted moments
-
-
 def _weighted_total(chunks, f) -> int:
     """Σ weight·Σ f(values) over (weight, values) chunks, exactly, as the
     integer of :func:`_stencils._exact_total`: integer totals add without
     rounding, so its rounding is ``math.fsum`` over the full multiset."""
     return sum(w * _exact_total(f(vals)) for w, vals in chunks)
-
-
-def build_histogram(
-    model: SpectralModel, lattice: CharacterLattice, epsilon: float
-) -> SpectralHistogram:
-    """The kept branch values of every character, sorted (each ±ω pair
-    twice), with moments that are exactly rounded sums divided by ∏Nᵢ, as
-    in :func:`spectral_average`.  The sweep's chunks share one buffer, so
-    each is copied."""
-    chunks = [(w, vals.copy()) for w, vals in _kept_chunks(model, lattice, epsilon)]
-    pairs, singles = (
-        np.concatenate([np.empty(0)] + [v for w, v in chunks if w == weight])
-        for weight in (2, 1)
-    )
-    w = 1.0 / lattice.size
-    vals = np.sort(np.concatenate([pairs, pairs, singles]))
-    return SpectralHistogram(
-        epsilon=epsilon,
-        values=vals,
-        weight=w,
-        count=vals.size,
-        mass=vals.size * w,
-        moments=tuple(
-            _round_total(_weighted_total(chunks, lambda v: v**k)) / lattice.size
-            for k in (1, 2)
-        ),
-    )
 
 
 def _kept_chunks(model: SpectralModel, lattice: CharacterLattice, epsilon: float):
@@ -309,28 +273,44 @@ def _radial_density(c: float, d: int, vd: float, root_det: float, x) -> np.ndarr
     return np.where(x == 0.0, at_zero, rho)
 
 
-def _angular_density_2d(model: SpectralModel, x: np.ndarray) -> np.ndarray:
-    """ρ(x) = ∫ r·(∂λ₀/∂r)⁻¹ dφ on the level curves of general 2-d models,
-    by 64-point Gauss–Legendre in the angle.
+def _face_density(model: SpectralModel, x: np.ndarray, zeta0: float) -> np.ndarray:
+    """ρ(x) = ∏uᵢ·Σ_faces ∫ s*^(d−2)/(2√(Q² + 4Cx)) dp over the faces of the
+    cone rule's pyramids, by its fine face rule (:func:`_stencils._cube_faces`).
 
-    Every perturbation preset is a homogeneous quartic, so along a unit
-    direction e, λ₀(r·e) = Q(e)·r² + C(e)·r⁴ with Q the quadratic part and
-    C = p(e) (0 without a perturbation).  The level radius has
-    r*² = 2x/(Q + √(Q² + 4Cx)) and ∂λ₀/∂r = 2r*·√(Q² + 4Cx) there, so
-    r*·(∂λ₀/∂r)⁻¹ = 1/(2√(Q² + 4Cx)) and no radius is solved.  A level
-    set that reaches the working box, λ₀(min U·e) ≤ x, raises DomainError;
-    below it Q² + 4Cx > 0.
+    Along the ray s·w, w = u ⊙ p, a perturbed model has λ₀ = Q(w)·s² + C(w)·s⁴
+    (Q the quadratic part, C the quartic preset), so the level x is met at
+    s*² = 2x/(Q + √(Q² + 4Cx)), where ∂λ₀/∂s = 2s*·√(Q² + 4Cx), and the
+    coarea formula over dξ = ∏uᵢ·s^(d−1) ds dp gives ρ.  As x → 0 the face
+    sum tends to (∏uᵢ/2)·Σ_faces ∫ Q^(−d/2) dp = ``zeta0``; a rule that
+    misses it by more than _QUAD_REL_TOL relative raises QuadratureError.
+    λ₀ ≤ x at a face node (the level set reaches the box, or its ray turns
+    back below x) raises DomainError.  Levels go in blocks of at most _BLOCK
+    (level, face point) pairs, or one level; a rule above the cone rule's
+    cap GRID_CAP // (2d) raises LatticeSizeError before allocation.
     """
-    phis, wts = gauss_legendre(0.0, 2.0 * math.pi, 64)
-    directions = np.stack([np.cos(phis), np.sin(phis)], axis=-1)
-    level = np.asarray(x, float)[:, None]
-    rmax = float(np.min(model.domain_u))
-    if np.any(model.lambda0_batch(rmax * directions) <= level):
+    d, u = model.rank_d, model.domain_u
+    n = _FACE_NODES.get(d, _FACE_NODES_HIGH) + 8
+    cap, size = GRID_CAP // (2 * d), 2 * d * n ** (d - 1)
+    if size > cap:
+        raise LatticeSizeError(f"face rule has {size} points, above the cap {cap}")
+    faces, wts = _stencils._cube_faces(d, n, math.prod(u))
+    w, wts = (faces * u).reshape(-1, d), np.tile(wts, 2 * d)
+    quad = model.quadratic_part(w)
+    quartic = model.perturbation(w, quad)
+    achieved = abs(0.5 * np.sum(wts * quad ** (-d / 2.0)) / zeta0 - 1.0)
+    if achieved > _QUAD_REL_TOL:
+        msg = f"the {n}-point face rule misses its x → 0 limit by {achieved:.3e} relative"
+        raise QuadratureError(msg, achieved=achieved)
+    if x.size and np.max(x) >= np.min(quad + quartic):
         raise DomainError("level set touches the working box; reduce epsilon")
-    quad = model.quadratic_part(directions)
-    pert = model.perturbation
-    quartic = 0.0 if pert is None else pert(directions, quad)
-    return (wts / (2.0 * np.sqrt(quad * quad + 4.0 * quartic * level))).sum(axis=1)
+    rho = np.empty_like(x)
+    step = max(1, _BLOCK // quad.size)
+    for k in range(0, x.size, step):
+        level = x[k : k + step, None]
+        root = np.sqrt(quad * quad + 4.0 * quartic * level)
+        s2 = 2.0 * level / (quad + root)
+        rho[k : k + step] = np.sum(wts * s2 ** (0.5 * (d - 2)) / (2.0 * root), axis=1)
+    return rho
 
 
 def limit_density(
@@ -340,12 +320,13 @@ def limit_density(
 
     Models with a :meth:`SpectralModel.radial_profile` (pure quadratic,
     radial quartic, rank-1 quartic) reduce exactly to one dimension,
-    λ₀ = q + c·q² (:func:`_radial_density`).  Other 2-d models integrate
-    over level curves (:func:`_angular_density_2d`).  Both are closed
-    forms: every level set is a quadratic in r², so no root is solved.
-    The x^(d/2−1) factor is split off into ``zeta_tilde``, which stays
-    bounded near 0.  A grid level outside [0, ε], NaN included, raises
-    DomainError.
+    λ₀ = q + c·q² (:func:`_radial_density`).  Every other model, in every
+    rank, integrates over the faces of the cone rule's pyramids
+    (:func:`_face_density`), checked against the closed form of its x → 0
+    limit.  Both are closed forms along each ray: every level set is a
+    quadratic in r², so no root is solved.  The x^(d/2−1) factor is split
+    off into ``zeta_tilde``, which stays bounded near 0.  A grid level
+    outside [0, ε], NaN included, raises DomainError.
     """
     if not 0.0 < epsilon <= model.gap_delta:
         raise DomainError("epsilon must lie in (0, gap_delta]")
@@ -354,21 +335,20 @@ def limit_density(
         raise DomainError("density grid must lie inside [0, epsilon]")
     d = model.rank_d
     c = model.radial_profile()
-    if c is None and d != 2:
-        raise DomainError("general non-radial models are supported only in dimension 2")
     expo = d / 2.0 - 1.0
     vd = _unit_ball_volume(d)
     root_det = math.sqrt(float(np.linalg.det(model.quad_coeff * model.gram)))
+    # small-x limit from the Hessian: (d/2) V_d / sqrt(det M)
+    zeta0 = (d / 2.0) * vd / root_det
     if c is not None:
         rho = _radial_density(c, d, vd, root_det, grid)
     else:
-        rho = _angular_density_2d(model, grid)
+        rho = _face_density(model, grid, zeta0)
     with np.errstate(divide="ignore", invalid="ignore"):
         safe = np.where(grid > 0.0, grid, 1.0)
         zt = np.where(grid > 0.0, rho * safe ** (-expo), np.nan)
     if grid.size and grid[0] == 0.0:
-        # small-x limit from the Hessian: (d/2) V_d / sqrt(det M)
-        zt[0] = (d / 2.0) * vd / root_det
+        zt[0] = zeta0
     return DensityTable(
         x=grid, density=rho, zeta_tilde=zt, exponent=expo, epsilon=epsilon
     )

@@ -26,6 +26,7 @@ import numpy as np
 
 from ._stencils import (
     GRID_CAP,
+    _cube_faces,
     finite_difference_hessian,
     legendre_rule,
     sweep_grid,
@@ -43,11 +44,13 @@ from .errors import (
 # as the noise floor of sampled values.
 _QUAD_REL_TOL = 1e-10
 # Coarse-level Gauss points per face axis of the cone rule, by rank; the fine
-# level adds 8, and a rank-1 face is a point.  Read off the refinement gap of
-# mixing models with random Grams (diagonal in [0.5, 2], |correlation| ≤ 0.5):
-# at d = 2, 300 of 300 gap below 3e-12 with 28 or 32 points; at d = 3, 28 of 30
-# pass at 24 points (the two misses, of condition about 6, gap 1.3e-10) and
-# all 30 at 28, which costs about 1.3× the time.
+# level adds 8 (the count the cover density uses), and a rank-1 face is a
+# point.  Read off the refinement gap of mixing models with random Grams
+# (diagonal in [0.5, 2], |correlation| ≤ 0.5): at d = 2, 300 of 300 gap below
+# 3e-12 with 28 or 32 points; at d = 3, 28 of 30 pass at 24 points (the two
+# misses, of condition about 6, gap 1.3e-10) and all 30 at 28, at about 1.3×
+# the time.  No count fits every Gram: one of condition 15 misses at 24
+# (1.31e-10 at T = 316) and at 28 (1.49e-10 at T = 562).
 _FACE_NODES = {2: 48, 3: 24}
 _FACE_NODES_HIGH = 16
 # Floor of every cone-rule exponent T·v.  exp below about −708 gives a
@@ -250,10 +253,11 @@ def _cone_value(problem: PhaseProblem, T: np.ndarray, nodes: int, face_nodes: in
     The box splits into 2d pyramids with apex 0, one per face ξᵢ = ±uᵢ.
     With ξ = s·p, p on the face, dξ = uᵢ·s^{d−1} ds dp: the radial rule
     puts ``nodes`` Gauss points on each panel of ``_radial_edges``, and
-    each face carries one ``face_nodes``-point Gauss tensor rule.  The
-    points are written in place into one (2d, s, face coordinates..., d)
-    array, the faces in the order +u₁, −u₁, +u₂, ...; coordinate j of a
-    point is x·(s·uⱼ) and its weight ((w_s·w₁)·w₂···)·∏u times a.
+    each face carries one ``face_nodes``-point Gauss tensor rule, that of
+    ``_stencils._cube_faces``, which the cover density shares.  The points
+    form one (2d, s, face point, d) array, the faces in the order +u₁,
+    −u₁, +u₂, ...; coordinate j of a point is pⱼ·(s·uⱼ) and its weight
+    ((w_s·w₁)·w₂···)·∏u times a.
 
     Gauss nodes are antisymmetric, so the −uᵢ face holds the mirror images
     −p of the +uᵢ face's points with its face coordinates reversed.  Where
@@ -281,27 +285,17 @@ def _cone_value(problem: PhaseProblem, T: np.ndarray, nodes: int, face_nodes: in
     mid, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * (edges[1:] - edges[:-1])
     s = (mid[:, None] + half[:, None] * x_ref).ravel()
     radial_w = (half[:, None] * w_ref).ravel() * s ** (d - 1)
-    x_face, w_face = legendre_rule(face_nodes)
     # the cap counts all 2d faces before anything is allocated
     cap, per_face = GRID_CAP // (2 * d), s.size * face_nodes ** (d - 1)
     if per_face > cap:
         raise LatticeSizeError(f"cone rule has {per_face} points per face, above the cap {cap}")
-    # one face is an (s, face coordinates...) grid: s along axis 0, face
-    # coordinate m along axis m + 1
-    lead = (s.size,) + (1,) * (d - 1)
-    axes = [(1,) * (m + 1) + (face_nodes,) + (1,) * (d - 2 - m) for m in range(d - 1)]
-    su = s[:, None] * u
-    pts = np.empty((2 * d, s.size) + (face_nodes,) * (d - 1) + (d,))
-    for f in range(2 * d):
-        i = f // 2
-        pts[f, ..., i] = (su[:, i] if f % 2 == 0 else -su[:, i]).reshape(lead)
-        for axis, j in zip(axes, [j for j in range(d) if j != i]):
-            np.multiply(x_face.reshape(axis), su[:, j].reshape(lead), out=pts[f, ..., j])
-    face_w = radial_w.reshape(lead)
-    for axis in axes:
-        face_w = face_w * w_face.reshape(axis)
-    face_w = face_w * math.prod(u)
+    # one face is an (s, face point) grid; the ±1 coordinate times s·uᵢ is exact
+    faces, face_w = _cube_faces(d, face_nodes, radial_w)
+    pts = np.empty((2 * d, s.size, faces.shape[1], d))
+    for j in range(d):
+        np.multiply(faces[:, None, :, j], (s * u[j])[:, None], out=pts[..., j])
     pts = pts.reshape(-1, d)
+    face_w = face_w * math.prod(u)
     weighted = (problem.a(pts).reshape(2 * d, -1) * face_w.reshape(-1)).reshape(d, 2, s.size, -1)
     v = problem.v(pts).reshape(d, 2, s.size, -1)
     mirrored = np.array_equal(v[:, 1], v[:, 0, :, ::-1])

@@ -6,10 +6,9 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from horomix import _stencils, cover_spectrum
+from horomix import _stencils, cover_spectrum, laplace
 from horomix.cover_spectrum import (
     CharacterLattice,
-    build_histogram,
     convergence_study,
     enumerate_characters,
     limit_density,
@@ -17,11 +16,12 @@ from horomix.cover_spectrum import (
     spectral_average,
     make_test_function,
 )
-from horomix.errors import DomainError, LatticeSizeError, ModelValidityError
+from horomix.errors import DomainError, LatticeSizeError, ModelValidityError, QuadratureError
 from horomix.spectral_model import Perturbation, SpectralModel
-from angular_bisect import bisected_angular_density
+from angular_bisect import angular_density, bisected_angular_density
 import monotone_bisect
 from lattice_full import full_characters, full_sweep_kept, half_sweep_kept
+from lattice_histogram import build_histogram
 
 ONE = make_test_function("one", 0.05)
 
@@ -436,6 +436,9 @@ class TestStreamedSweep:
             )
 
 
+CORRELATED_D3 = [[1.0, 0.2, 0.1], [0.2, 0.9, -0.1], [0.1, -0.1, 1.1]]
+
+
 class TestLimitDensity:
     def test_quadratic_d2_constant_density(self, model_d2):
         xs = np.linspace(0.0, 0.05, 21)
@@ -491,40 +494,44 @@ class TestLimitDensity:
         got = limit_integral(m, ONE, eps)
         assert got == pytest.approx(2.0 * w_star, rel=1e-12)
 
-    def test_angular_route_matches_closed_form(self, model_d2):
-        from horomix.cover_spectrum import _angular_density_2d
-
-        got = _angular_density_2d(model_d2, np.geomspace(1e-12, 0.05, 50))
+    def test_face_route_matches_closed_form(self):
+        # π|ω|² as a perturbed model, C = 0: the density is 1
+        model = _model(np.eye(2), Perturbation("radial_quartic", 0.0))
+        got = _face_density(model, np.geomspace(1e-12, 0.05, 50))
         assert got == pytest.approx(np.ones(50), rel=1e-12)
 
     @pytest.mark.parametrize("seed", range(4))
     @pytest.mark.parametrize("sign", [1.0, -1.0])
-    def test_angular_closed_form_matches_the_bisection_oracle(self, seed, sign):
-        from horomix.cover_spectrum import _angular_density_2d
-
+    def test_face_route_matches_the_angular_oracles(self, seed, sign):
+        # the 64-angle closed form, and the same rule with bisected radii
         model = _seeded_quartic(seed, sign)
         xs = np.geomspace(1e-12 * 0.05, 0.05, 60)
-        got = _angular_density_2d(model, xs)
-        assert got == pytest.approx(bisected_angular_density(model, xs), rel=1e-12)
+        got = limit_density(model, 0.05, xs).density
+        closed = angular_density(model, xs)
+        assert got == pytest.approx(closed, rel=1e-12)
+        assert closed == pytest.approx(bisected_angular_density(model, xs), rel=1e-12)
 
+    @pytest.mark.parametrize("d", [2, 3])
     @pytest.mark.parametrize("sign", [1.0, -1.0])
-    def test_closed_form_radii_lie_on_the_level_sets(self, sign):
-        # the radii r*² = 2x/(Q + √(Q² + 4Cx)) the density rests on meet
-        # λ₀(r*·e) = x within a few ulp: about 5 roundings reach r*² and 8
-        # more λ₀ (6 to 8 ulp of x over seeds 0–9 of both signs)
-        model = _seeded_quartic(7, sign)
-        phis, _ = cover_spectrum.gauss_legendre(0.0, 2.0 * math.pi, 64)
-        e = np.stack([np.cos(phis), np.sin(phis)], axis=-1)
-        s, _ = cover_spectrum.gauss_legendre(0.0, math.sqrt(0.05), 200)
+    def test_closed_form_radii_lie_on_the_level_sets(self, d, sign):
+        # the radii s*² = 2x/(Q + √(Q² + 4Cx)) the density rests on meet
+        # λ₀(s*·w) = x within a few ulp at every face node w = u ⊙ p: about
+        # 5 roundings reach s*² and 8 more λ₀ (6 to 8 ulp of x over seeds
+        # 0–9 of both signs at d = 2)
+        model = _seeded_quartic(7, sign) if d == 2 else _quartic_d3(sign, CORRELATED_D3)
+        faces, _ = _stencils._cube_faces(d, 24, 1.0)
+        w = (faces * model.domain_u).reshape(-1, d)
+        s, _ = cover_spectrum.gauss_legendre(0.0, math.sqrt(0.05 if d == 2 else 0.02), 200)
         x = (s * s)[:, None]
-        quad = model.quadratic_part(e)
-        quartic = model.perturbation(e, quad)
+        quad = model.quadratic_part(w)
+        quartic = model.perturbation(w, quad)
         r = np.sqrt(2.0 * x / (quad + np.sqrt(quad * quad + 4.0 * quartic * x)))
-        lam = model.lambda0_batch(r[..., None] * e)
+        assert np.all(r < 1.0)
+        lam = model.lambda0_batch(r[..., None] * w)
         assert np.all(np.abs(lam - x) <= 16.0 * np.spacing(x))
 
-    def test_angular_density_at_zero_is_the_hessian_limit(self):
-        # the closed form is finite at x = 0: ∫ dφ / (2Q(e)) = π/√det M
+    def test_face_density_at_zero_is_the_hessian_limit(self):
+        # the closed form is finite at x = 0: (∏u/2)·Σ∫ dp / Q(u ⊙ p) = π/√det M
         model = _seeded_quartic(2, -1.0)
         table = limit_density(model, 0.05, np.array([0.0, 1e-6]))
         root_det = math.sqrt(float(np.linalg.det(model.quad_coeff * model.gram)))
@@ -561,14 +568,15 @@ class TestLimitDensity:
         SpectralModel(genus=2, rank_d=2, gram=np.eye(2), gap_delta=0.1),
         SpectralModel(genus=2, rank_d=2, gram=np.eye(2), gap_delta=0.1,
                       perturbation=Perturbation("quartic", 0.2)),
-    ], ids=["radial", "angular"])
+    ], ids=["radial", "face"])
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_grid_refused(self, model, bad):
         with pytest.raises(DomainError, match="grid"):
             limit_density(model, 0.05, np.array([0.01, bad]))
 
     def test_lambda0_call_budget(self, monkeypatch):
-        # the box check is the only λ₀ call: Q and C are read per direction
+        # Q and C are read per face node, and the box check adds them: λ₀
+        # itself is never called
         model = _seeded_quartic(3, 1.0)
         calls = []
         evaluate = SpectralModel.lambda0_batch
@@ -580,37 +588,83 @@ class TestLimitDensity:
         monkeypatch.setattr(SpectralModel, "lambda0_batch", counting)
         s, _ = cover_spectrum.gauss_legendre(0.0, math.sqrt(0.05), 200)
         limit_density(model, 0.05, s * s)
-        assert len(calls) <= 3
+        assert calls == []
 
-    @pytest.mark.parametrize(
-        "gram, pert",
-        [
-            (np.eye(2), Perturbation("radial_quartic", 0.5)),
-            ([[1.0, 0.2], [0.2, 0.9]], Perturbation("radial_quartic", 0.3)),
-            ([[1.0, 0.2], [0.2, 0.9]], None),
-        ],
-        ids=["radial-quartic", "gram-radial-quartic", "gram-quadratic"],
-    )
-    def test_batched_angular_route_matches_radial_closed_form(self, gram, pert):
-        # the angular route does not use the radial profile, so on radial
+    @pytest.mark.parametrize("gram", [
+        [[1.0]], [[1.7]],
+        np.eye(2), [[1.0, 0.2], [0.2, 0.9]],
+        np.eye(3), CORRELATED_D3,
+        np.eye(4), np.eye(4) + 0.15 * (1.0 - np.eye(4)),
+    ], ids=["d1", "d1-gram", "d2", "d2-gram", "d3", "d3-gram", "d4", "d4-gram"])
+    @pytest.mark.parametrize("coeff", [0.0, 0.3, -0.5],
+                             ids=["quadratic", "radial-quartic", "negative-radial-quartic"])
+    def test_face_route_matches_radial_closed_form(self, gram, coeff):
+        # the face route does not use the radial profile, so on radial
         # models the closed form φ(q*) = x is an independent oracle
-        from horomix.cover_spectrum import (
-            _angular_density_2d, _radial_density, _unit_ball_volume,
-        )
-
-        m = SpectralModel(genus=2, rank_d=2, gram=gram, perturbation=pert, gap_delta=0.1)
-        xs = np.geomspace(1e-6, 0.05, 40)
+        gram = np.asarray(gram, float)
+        d = gram.shape[0]
+        m = SpectralModel(genus=2, rank_d=d, gram=gram, gap_delta=0.1,
+                          perturbation=Perturbation("radial_quartic", coeff))
+        xs = np.geomspace(1e-8, 0.02, 40)
         root_det = math.sqrt(float(np.linalg.det(m.quad_coeff * m.gram)))
-        closed = _radial_density(m.radial_profile(), 2, _unit_ball_volume(2), root_det, xs)
-        assert _angular_density_2d(m, xs) == pytest.approx(closed, rel=1e-14)
-
-    def test_angular_route_refuses_level_sets_leaving_the_box(self):
-        m = SpectralModel(
-            genus=2, rank_d=2, gram=np.eye(2),
-            perturbation=Perturbation("quartic", 0.2), gap_delta=0.2,
+        closed = cover_spectrum._radial_density(
+            m.radial_profile(), d, cover_spectrum._unit_ball_volume(d), root_det, xs
         )
+        assert _face_density(m, xs) == pytest.approx(closed, rel=1e-14)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_face_route_refuses_level_sets_leaving_the_box(self, d):
+        # λ₀ at the face nodes of U falls below 0.19 at d = 2 and below 0.05
+        # on a box of half-width 0.05 at d = 3
+        m = SpectralModel(
+            genus=2, rank_d=d, gram=np.eye(d),
+            perturbation=Perturbation("quartic", 0.2), gap_delta=0.2,
+            domain_u=None if d == 2 else [0.05] * d,
+        )
+        level = 0.19 if d == 2 else 0.05
         with pytest.raises(DomainError, match="working box"):
-            limit_density(m, 0.2, np.array([0.01, 0.19]))
+            limit_density(m, 0.2, np.array([0.01, level]))
+
+    def test_levels_go_in_blocks(self, monkeypatch):
+        # 400 levels × 6144 face points would take 19.7 MB as one array;
+        # each level's sum is the same whatever block it lands in
+        model = _quartic_d3(1.0, np.eye(3))
+        xs = np.linspace(0.0, 0.02, 400)
+        tracemalloc.start()
+        try:
+            reference = _face_density(model, xs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**21
+        for block in (1, 10**7):
+            monkeypatch.setattr(cover_spectrum, "_BLOCK", block)
+            assert _face_density(model, xs).tobytes() == reference.tobytes()
+
+    def test_coarse_face_rule_refused_with_its_error(self, monkeypatch):
+        # the condition-15 rank-3 Gram: 24 face points miss the x → 0 limit
+        # by 1.1e-8, the error of the face rule itself; 32 points pass
+        model = _quartic_d3(1.0, FOUND_GRAM)
+        xs = np.linspace(0.0, 0.002, 5)
+        assert np.all(np.isfinite(limit_density(model, 0.002, xs).zeta_tilde))
+        monkeypatch.setitem(laplace._FACE_NODES, 3, 16)
+        with pytest.raises(QuadratureError, match="24-point") as info:
+            limit_density(model, 0.002, xs)
+        assert 1e-9 < info.value.achieved < 1e-7
+
+    def test_rank6_face_rule_refused_before_allocation(self):
+        # genus 3, rank 6: 12·24⁵ ≈ 9.6e7 face points, above the cone
+        # rule's cap GRID_CAP // 12 ≈ 8.3e6
+        model = SpectralModel(genus=3, rank_d=6, gram=np.eye(6),
+                              perturbation=Perturbation("quartic", 0.2))
+        tracemalloc.start()
+        try:
+            with pytest.raises(LatticeSizeError, match="face rule"):
+                limit_density(model, 0.05, np.linspace(0.0, 0.05, 200))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_consistency_of_density_and_torus_quadrature(self, model_d2):
         # int f(x) x^(d/2-1) zeta(x) dx == int_{lambda0 <= eps} f(lambda0) dw
@@ -631,6 +685,27 @@ def _seeded_quartic(seed, sign):
     c = rng.uniform(-0.25, 0.25) * math.sqrt(a * b)
     pert = Perturbation("quartic", sign * rng.uniform(0.1, 0.5))
     return SpectralModel(genus=2, rank_d=2, gram=[[a, c], [c, b]], perturbation=pert)
+
+
+# condition 15: the cone rule's 24 and 28 face points miss its refinement gap
+FOUND_GRAM = [[1.361592, 0.401569, 0.53899],
+              [0.401569, 0.55953, -0.438512],
+              [0.53899, -0.438512, 1.702497]]
+
+
+def _quartic_d3(sign, gram):
+    """A non-radial rank-3 quartic model with coefficient 0.3·sign."""
+    return SpectralModel(genus=2, rank_d=3, gram=gram, gap_delta=0.1,
+                         perturbation=Perturbation("quartic", 0.3 * sign))
+
+
+def _face_density(model, x):
+    """The face route of ``limit_density``, on any perturbed model, radial
+    or not."""
+    d = model.rank_d
+    root_det = math.sqrt(float(np.linalg.det(model.quad_coeff * model.gram)))
+    zeta0 = (d / 2.0) * cover_spectrum._unit_ball_volume(d) / root_det
+    return cover_spectrum._face_density(model, np.asarray(x, float), zeta0)
 
 
 def _indicator_volume(model, level, n=2400):
@@ -667,6 +742,19 @@ class TestConvergence:
         )
         errs = [r.abs_err for r in rep.rows]
         assert errs[2] < errs[0]
+
+    def test_rank3_non_radial_average_approaches_the_limit(self):
+        # the face route's limit; the misses fall about 100× per doubling of
+        # N (4.2e-7, 3.6e-9 and 2.7e-11 at N = 64, 128 and 256)
+        model = SpectralModel(genus=2, rank_d=3, gram=np.eye(3),
+                              perturbation=Perturbation("quartic", 0.2))
+        bump = make_test_function("bump", 0.05)
+        start = time.perf_counter()
+        rep = convergence_study(model, bump, 0.05, [(64,) * 3, (128,) * 3, (256,) * 3])
+        assert time.perf_counter() - start < 1.0
+        errs = [r.abs_err for r in rep.rows]
+        assert errs[0] > 30.0 * errs[1] > 900.0 * errs[2]
+        assert errs[2] < 1e-10
 
     def test_non_increasing_sequence_rejected(self, model_d2):
         with pytest.raises(DomainError):
