@@ -56,6 +56,10 @@ MODELS = {
     # non-radial at rank 3: the face route beyond rank 2
     "quartic3.json": ([1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0],
                       {"name": "quartic", "params": {"coeff": 0.2}}),
+    # a rank-3 Gram of condition 15: its face rule needs 40 points per axis,
+    # where the identity's needs 16
+    "condition15.json": ([1.361592, 0.401569, 0.53899, 0.401569, 0.55953, -0.438512,
+                          0.53899, -0.438512, 1.702497], None),
 }
 
 # custom-json phase documents, written into the run directory next to the models
@@ -125,6 +129,9 @@ RUNS = [
     # below the floor of laplace._cone_value
     ("mix-radial-quartic-1e6.csv",
      ["mix", "--model", "radial_quartic.json", "--log-t-min", "1e2", "--log-t-max", "1e6"]),
+    ("mix-condition15.csv",
+     ["mix", "--model", "condition15.json", "--log-t-min", "100", "--log-t-max", "10000",
+      "--points-per-decade", "8"]),
 ]
 
 # the runs whose sums a BLAS library could order by its thread count

@@ -29,6 +29,7 @@ from ._stencils import (
     _cube_faces,
     finite_difference_hessian,
     legendre_rule,
+    quadratic_form,
     sweep_grid,
 )
 from .errors import (
@@ -43,16 +44,6 @@ from .errors import (
 # Relative refinement gap laplace_quadrature accepts; remainder_slope takes it
 # as the noise floor of sampled values.
 _QUAD_REL_TOL = 1e-10
-# Coarse-level Gauss points per face axis of the cone rule, by rank; the fine
-# level adds 8 (the count the cover density uses), and a rank-1 face is a
-# point.  Read off the refinement gap of mixing models with random Grams
-# (diagonal in [0.5, 2], |correlation| ≤ 0.5): at d = 2, 300 of 300 gap below
-# 3e-12 with 28 or 32 points; at d = 3, 28 of 30 pass at 24 points (the two
-# misses, of condition about 6, gap 1.3e-10) and all 30 at 28, at about 1.3×
-# the time.  No count fits every Gram: one of condition 15 misses at 24
-# (1.31e-10 at T = 316) and at 28 (1.49e-10 at T = 562).
-_FACE_NODES = {2: 48, 3: 24}
-_FACE_NODES_HIGH = 16
 # Floor of every cone-rule exponent T·v.  exp below about −708 gives a
 # subnormal and below about −745 a zero, both on numpy's slow path; e^(−600)
 # times any weight above 1e-47 is a normal float, where a floor of −707
@@ -64,6 +55,48 @@ _EXP_FLOOR = -600.0
 # every cubic and quartic term took 1.3 s at d = 4, order 4 (20 475) and
 # 1.9 s at d = 5, order 3 (33 649); d = 6, order 3 (134 596) took 7.5 s.
 _SERIES_BUDGET = 50_000
+
+
+def _face_count(m: np.ndarray, u: np.ndarray, cap: int) -> int:
+    """Gauss points per face axis of the face rule on the box ∏[−uᵢ, uᵢ]
+    for a phase whose quadratic part is Q(ω) = ωᵀMω.
+
+    The count is the smallest n = 8, 16, 24, ... whose face rule
+    (:func:`_stencils._cube_faces`) meets the face identity
+    Σ_faces ∫ Q(u⊙p)^(−d/2) dp = 2π^(d/2)/(Γ(d/2)·∏uᵢ·√det M) to a tenth
+    of _QUAD_REL_TOL relative.  Its integrand is the large-T limit of the
+    cone rule's face integrand and the x → 0 limit of the cover density's,
+    and the complex zeros of Q set the Gauss error of both (Trefethen,
+    SIAM Review 50, 2008).  A rank-1 face is one point, so d = 1 takes 8.
+    Only counts whose fine level n + 8 puts at most ``cap`` points on a
+    face are tried, and whose (n + 8)² fits it too, since numpy builds an
+    n-point Gauss rule from an n × n matrix: where even 16 points per axis
+    do not fit, LatticeSizeError is raised before anything is allocated,
+    and where no count that fits meets the identity, QuadratureError with
+    the error of the largest.
+    """
+    d = len(u)
+    e = max(d - 1, 2)
+    if 16**e > cap:
+        raise LatticeSizeError(
+            f"face rule of 16 points per axis counts {16**e} against the cap {cap}"
+        )
+    root_det = math.sqrt(float(np.linalg.det(m)))
+    exact = 2.0 * math.pi ** (d / 2.0) / (math.gamma(d / 2.0) * math.prod(u) * root_det)
+    n = 8
+    while True:
+        faces, wts = _cube_faces(d, n, 1.0)
+        total = np.sum(wts * quadratic_form(faces * u, m) ** (-d / 2.0))
+        achieved = abs(total / exact - 1.0)
+        if achieved <= 0.1 * _QUAD_REL_TOL:
+            return n
+        if (n + 16) ** e > cap:
+            raise QuadratureError(
+                f"the {n}-point face rule, the largest under the cap {cap}, "
+                f"misses the face identity by {achieved:.3e} relative",
+                achieved=achieved,
+            )
+        n += 8
 
 
 class Polynomial(dict):
@@ -246,6 +279,24 @@ def _radial_edges(s0: float) -> np.ndarray:
     return np.array(edges)
 
 
+def _radial_rule(problem: PhaseProblem, T: np.ndarray, nodes: int):
+    """Radial points s and weights w_s·s^(d−1) of the cone rule graded for
+    the ladder's largest T: ``nodes`` Gauss points on each panel of
+    ``_radial_edges(1/√(T_max·κ))``, κ = maxᵢ Hᵢᵢuᵢ²."""
+    # the ray through the centre of face i decays like e^{−T·Hᵢᵢuᵢ²·s²/2};
+    # Python floats, so an overflow to inf is refused rather than warned
+    u = problem.box.tolist()
+    kappa = max(h * x * x for h, x in zip(np.diag(problem.hessian).tolist(), u))
+    scale = float(T.max(initial=1.0)) * kappa
+    if not math.isfinite(scale):
+        raise DomainError(f"T_max·κ overflows float64 (κ = maxᵢ Hᵢᵢuᵢ² = {kappa})")
+    edges = _radial_edges(1.0 / math.sqrt(scale))
+    x_ref, w_ref = legendre_rule(nodes)
+    mid, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * (edges[1:] - edges[:-1])
+    s = (mid[:, None] + half[:, None] * x_ref).ravel()
+    return s, (half[:, None] * w_ref).ravel() * s ** (problem.dim - 1)
+
+
 def _cone_value(problem: PhaseProblem, T: np.ndarray, nodes: int, face_nodes: int):
     """Cone-rule values and integrand L¹ masses on the ladder T, from one rule
     graded for its largest T where v and a are evaluated once.
@@ -274,17 +325,7 @@ def _cone_value(problem: PhaseProblem, T: np.ndarray, nodes: int, face_nodes: in
     rule with underflow raising.
     """
     d, u = problem.dim, problem.box
-    # the ray through the centre of face i decays like e^{−T·Hᵢᵢuᵢ²·s²/2};
-    # Python floats, so an overflow to inf is refused rather than warned
-    kappa = max(h * x * x for h, x in zip(np.diag(problem.hessian).tolist(), u.tolist()))
-    scale = float(T.max(initial=1.0)) * kappa
-    if not math.isfinite(scale):
-        raise DomainError(f"T_max·κ overflows float64 (κ = maxᵢ Hᵢᵢuᵢ² = {kappa})")
-    edges = _radial_edges(1.0 / math.sqrt(scale))
-    x_ref, w_ref = legendre_rule(nodes)
-    mid, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * (edges[1:] - edges[:-1])
-    s = (mid[:, None] + half[:, None] * x_ref).ravel()
-    radial_w = (half[:, None] * w_ref).ravel() * s ** (d - 1)
+    s, radial_w = _radial_rule(problem, T, nodes)
     # the cap counts all 2d faces before anything is allocated
     cap, per_face = GRID_CAP // (2 * d), s.size * face_nodes ** (d - 1)
     if per_face > cap:
@@ -326,40 +367,58 @@ def laplace_quadrature(problem: PhaseProblem, t_value, nodes: int = 24):
 
     Each pyramid is graded toward 0 in its one radial variable, by
     Gauss–Legendre panels that start at 1/√(T_max·κ), κ = maxᵢ Hᵢᵢuᵢ², and
-    double in width, and carries a fixed Gauss tensor rule on its face (see
-    :func:`_cone_value`).  The accuracy is a refinement-gap estimate, not
-    a proven bound: two levels (``nodes`` and ``nodes + 8`` radial points
-    per panel, with the face rule raised by 8 points per axis) must agree
-    to ``_QUAD_REL_TOL``, measured against the integrand's L¹ mass so
-    cancellation to an exact zero (odd amplitudes) passes cleanly.  A
-    ladder of T values shares one rule per level and returns an array;
-    each T keeps its own refinement-gap estimate.  An even phase costs
-    one exp per point pair ±p and T, and a non-negative amplitude one sum
-    per T.  Exponents are floored at −600, which moves a sum by at most
+    double in width, and carries a Gauss tensor rule on its face (see
+    :func:`_cone_value`) whose n points per axis :func:`_face_count` reads
+    off the face identity of the quadratic part ½ξᵀHξ.  The accuracy is a
+    refinement-gap estimate, not a proven bound: two levels (``nodes`` and
+    ``nodes + 8`` radial points per panel, with n and n + 8 face points per
+    axis) must agree to ``_QUAD_REL_TOL``, measured against the integrand's
+    L¹ mass so cancellation to an exact zero (odd amplitudes) passes
+    cleanly; where they do not, at d ≥ 2 both face levels step up by 8
+    once, within the cap, before QuadratureError.  A ladder of T values shares one rule per level and returns
+    an array; each T keeps its own refinement-gap estimate.  An even phase
+    costs one exp per point pair ±p and T, and a non-negative amplitude
+    one sum per T.  Exponents are floored at −600, which moves a sum by at most
     e^(−600)·Σ|w| ≈ 2.6e-261·Σ|w| over the rule's weighted amplitudes w;
     with that floor and both shortcuts the values keep the bits of the
-    plain rule (TestConeOracle in tests/test_laplace.py).  A rule above
-    the grid cap raises LatticeSizeError, and a ladder whose T_max·κ
-    overflows float64 raises DomainError, before anything is allocated.
+    plain rule (TestConeOracle in tests/test_laplace.py).  Before the cone
+    rule is built, a ladder whose T_max·κ overflows float64 raises
+    DomainError; a fine level whose 16-point faces put more than
+    GRID_CAP // (2d) points on a pyramid raises LatticeSizeError; and face
+    counts that fit that cap but all miss the identity raise
+    QuadratureError; so do levels that still disagree after the step.
     """
     T = np.asarray(t_value, dtype=float)
     if not np.all(np.isfinite(T) & (T >= 0.0)):
         raise DomainError("t_value must be finite and nonnegative")
     ladder = T.reshape(-1)
-    face_nodes = _FACE_NODES.get(problem.dim, _FACE_NODES_HIGH)
-    coarse, _ = _cone_value(problem, ladder, nodes, face_nodes)
-    fine, l1 = _cone_value(problem, ladder, nodes + 8, face_nodes + 8)
-    err = np.abs(fine - coarse)
-    allowance = _QUAD_REL_TOL * np.abs(fine) + 5e-15 * l1  # roundoff floor on cancellation
-    if np.any(err > allowance):
-        k = np.flatnonzero(err > allowance)[0]
-        achieved = float(err[k] / max(abs(fine[k]), 1e-300))
-        raise QuadratureError(
-            f"refinement levels disagree at T={ladder[k]}: "
-            f"relative deviation {achieved:.3e} > {_QUAD_REL_TOL:.1e}",
-            achieved=achieved,
-        )
-    return float(fine[0]) if T.ndim == 0 else fine.reshape(T.shape)
+    d = problem.dim
+    # the fine level is the larger rule: the face count is sized under its cap
+    radial = _radial_rule(problem, ladder, nodes + 8)[0].size
+    cap = GRID_CAP // (2 * d) // radial
+    face_nodes = _face_count(0.5 * problem.hessian, problem.box, cap)
+    # The identity is the face rule's error at large T.  At the low end of
+    # a ladder e^{T·v} is not yet negligible on the box faces, and where v
+    # nears a singularity there (λ₀ → 1/4 at the corners of a mixing box)
+    # that part's error ran to 400× the identity's at T = 1e2, which one
+    # more step of 8 face points took below 1e-14.
+    for step in (0, 8):
+        n = face_nodes + step
+        if step and (d == 1 or (n + 8) ** (d - 1) > cap):
+            break
+        coarse, _ = _cone_value(problem, ladder, nodes, n)
+        fine, l1 = _cone_value(problem, ladder, nodes + 8, n + 8)
+        err = np.abs(fine - coarse)
+        allowance = _QUAD_REL_TOL * np.abs(fine) + 5e-15 * l1  # roundoff floor on cancellation
+        if not np.any(err > allowance):
+            return float(fine[0]) if T.ndim == 0 else fine.reshape(T.shape)
+    k = np.flatnonzero(err > allowance)[0]
+    achieved = float(err[k] / max(abs(fine[k]), 1e-300))
+    raise QuadratureError(
+        f"refinement levels disagree at T={ladder[k]}: "
+        f"relative deviation {achieved:.3e} > {_QUAD_REL_TOL:.1e}",
+        achieved=achieved,
+    )
 
 
 # ---------------------------------------------------------------------------

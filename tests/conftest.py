@@ -28,3 +28,12 @@ def model_d1_quartic():
     )
     m.validate()
     return m
+
+
+@pytest.fixture(scope="session")
+def found_gram():
+    """A rank-3 Gram of condition 15, whose face rule needs 40 points per
+    axis where an identity Gram needs 16."""
+    return np.array([[1.361592, 0.401569, 0.53899],
+                     [0.401569, 0.55953, -0.438512],
+                     [0.53899, -0.438512, 1.702497]])

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from horomix import _stencils, cover_spectrum, laplace
+from horomix import _stencils, cover_spectrum
 from horomix.cover_spectrum import (
     CharacterLattice,
     convergence_study,
@@ -641,20 +641,21 @@ class TestLimitDensity:
             monkeypatch.setattr(cover_spectrum, "_BLOCK", block)
             assert _face_density(model, xs).tobytes() == reference.tobytes()
 
-    def test_coarse_face_rule_refused_with_its_error(self, monkeypatch):
+    def test_coarse_face_rule_refused_with_its_error(self, monkeypatch, found_gram):
         # the condition-15 rank-3 Gram: 24 face points miss the x → 0 limit
-        # by 1.1e-8, the error of the face rule itself; 32 points pass
-        model = _quartic_d3(1.0, FOUND_GRAM)
+        # by 1.1e-8, the error of the face rule itself; the sized count
+        # (40, so 48 points) passes
+        model = _quartic_d3(1.0, found_gram)
         xs = np.linspace(0.0, 0.002, 5)
         assert np.all(np.isfinite(limit_density(model, 0.002, xs).zeta_tilde))
-        monkeypatch.setitem(laplace._FACE_NODES, 3, 16)
+        monkeypatch.setattr(cover_spectrum, "_face_count", lambda m, u, cap: 16)
         with pytest.raises(QuadratureError, match="24-point") as info:
             limit_density(model, 0.002, xs)
         assert 1e-9 < info.value.achieved < 1e-7
 
     def test_rank6_face_rule_refused_before_allocation(self):
-        # genus 3, rank 6: 12·24⁵ ≈ 9.6e7 face points, above the cone
-        # rule's cap GRID_CAP // 12 ≈ 8.3e6
+        # genus 3, rank 6: even the smallest fine face rule, 12·16⁵ ≈ 1.3e7
+        # points, is above the cone rule's cap GRID_CAP // 12 ≈ 8.3e6
         model = SpectralModel(genus=3, rank_d=6, gram=np.eye(6),
                               perturbation=Perturbation("quartic", 0.2))
         tracemalloc.start()
@@ -685,12 +686,6 @@ def _seeded_quartic(seed, sign):
     c = rng.uniform(-0.25, 0.25) * math.sqrt(a * b)
     pert = Perturbation("quartic", sign * rng.uniform(0.1, 0.5))
     return SpectralModel(genus=2, rank_d=2, gram=[[a, c], [c, b]], perturbation=pert)
-
-
-# condition 15: the cone rule's 24 and 28 face points miss its refinement gap
-FOUND_GRAM = [[1.361592, 0.401569, 0.53899],
-              [0.401569, 0.55953, -0.438512],
-              [0.53899, -0.438512, 1.702497]]
 
 
 def _quartic_d3(sign, gram):

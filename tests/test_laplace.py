@@ -1,5 +1,6 @@
 import math
 import time
+import tracemalloc
 import warnings
 from itertools import product
 
@@ -224,7 +225,8 @@ class TestQuadrature:
         )
 
     def test_oversized_rule_refused_before_allocation(self):
-        # rank 8 at T = 1e6: 16 faces × 336 radial × 16^7 face points
+        # rank 8 at T = 1e6: the smallest fine rule has 16 faces × 448
+        # radial × 16^7 face points
         p = quadratic_problem(np.eye(8))
         start = time.perf_counter()
         with pytest.raises(LatticeSizeError):
@@ -306,6 +308,12 @@ CONE_CASES = {
 }
 
 
+def _face_count(p):
+    """The coarse face count laplace_quadrature sizes for ``p`` where its
+    cap does not bind."""
+    return laplace._face_count(0.5 * p.hessian, p.box, laplace.GRID_CAP)
+
+
 class TestConeOracle:
     """The cone rule against the plain rule of tests/cone_plain.py."""
 
@@ -315,7 +323,7 @@ class TestConeOracle:
     @pytest.mark.parametrize("case", sorted(CONE_CASES))
     def test_same_bits_as_plain_rule(self, case, level):
         p = CONE_CASES[case]()
-        face_nodes = laplace._FACE_NODES.get(p.dim, laplace._FACE_NODES_HIGH) + level
+        face_nodes = _face_count(p) + level
         value, l1 = laplace._cone_value(p, self.T, 24 + level, face_nodes)
         plain_value, plain_l1 = plain_cone_value(p, self.T, 24 + level, face_nodes)
         assert np.array_equal(value, plain_value)
@@ -335,7 +343,7 @@ class TestConeOracle:
         # vanish in every sum
         p = CONE_CASES[case]()
         T = log_grid(1.0, 1e6, 2)
-        face_nodes = laplace._FACE_NODES.get(p.dim, laplace._FACE_NODES_HIGH) + level
+        face_nodes = _face_count(p) + level
         with np.errstate(under="raise"):
             value, l1 = laplace._cone_value(p, T, 24 + level, face_nodes)
         plain_value, plain_l1 = plain_cone_value(p, T, 24 + level, face_nodes)
@@ -345,7 +353,7 @@ class TestConeOracle:
     @pytest.mark.parametrize("case", ["gauss2d", "quartic-d3"])
     def test_grid_cap_refusal_unchanged(self, case, monkeypatch):
         p = CONE_CASES[case]()
-        face_nodes = laplace._FACE_NODES.get(p.dim, laplace._FACE_NODES_HIGH)
+        face_nodes = _face_count(p)
         seen = []
         v = p.v
         p.v = lambda pts: seen.append(pts.shape[0]) or v(pts)
@@ -360,6 +368,90 @@ class TestConeOracle:
                         fn(p, self.T, 24, face_nodes)
                 else:
                     fn(p, self.T, 24, face_nodes)
+
+
+def _face_identity_error(m, u, n):
+    """Relative error of an n-point Gauss rule per face axis on the face
+    identity Σ_faces ∫ Q(u⊙p)^(−d/2) dp = 2π^(d/2)/(Γ(d/2)·∏uᵢ·√det M),
+    built here face by face from leggauss, not from the library's faces."""
+    d = len(u)
+    x, w = np.polynomial.legendre.leggauss(n)
+    coords = np.array(list(product(x, repeat=d - 1)))
+    wts = np.prod(np.array(list(product(w, repeat=d - 1))), axis=-1)
+    total = 0.0
+    for i, sign in product(range(d), (1.0, -1.0)):
+        omega = np.insert(coords, i, sign, axis=1) * u
+        total += np.sum(wts * np.sum((omega @ m) * omega, axis=-1) ** (-d / 2))
+    root_det = math.sqrt(np.linalg.det(m))
+    exact = 2 * math.pi ** (d / 2) / (math.gamma(d / 2) * math.prod(u) * root_det)
+    return abs(total / exact - 1.0)
+
+
+def _seeded_face_case(d, seed):
+    """A Gram within 0.1 of the identity off its diagonal, on a cube box of
+    seeded side."""
+    rng = np.random.default_rng(seed)
+    a = rng.uniform(-0.2, 0.2, (d, d))
+    return np.eye(d) + 0.5 * (a + a.T) * (1.0 - np.eye(d)), np.full(d, rng.uniform(0.5, 2.0))
+
+
+class TestFaceCount:
+    """The face count is the smallest multiple of 8 that meets the face
+    identity to a tenth of the refinement tolerance."""
+
+    TARGET = 0.1 * laplace._QUAD_REL_TOL
+
+    @pytest.mark.parametrize(
+        "case, expected",
+        [pytest.param((d, seed), 16, id=f"d{d}-seed{seed}")
+         for d in (2, 3, 4, 5) for seed in (0, 1)]
+        + [pytest.param("correlated", 24, id="correlated"), pytest.param("found", 40, id="found")],
+    )
+    def test_smallest_count_meeting_the_identity(self, case, expected, found_gram):
+        if case == "correlated":
+            m, u = np.array([[1.3, -0.5], [-0.5, 1.8]]), np.ones(2)
+        elif case == "found":
+            model = SpectralModel(genus=2, rank_d=3, gram=found_gram)
+            m, u = model.quad_coeff * model.gram, model.domain_u
+        else:
+            m, u = _seeded_face_case(*case)
+        n = laplace._face_count(m, u, laplace.GRID_CAP)
+        assert n == expected
+        assert _face_identity_error(m, u, n) <= self.TARGET
+        assert _face_identity_error(m, u, n - 8) > self.TARGET
+
+    def test_rank1_face_is_one_point(self):
+        # its count is 8 at once; the cap still counts the 16² entries of
+        # the matrix numpy builds the fine level's 1-d rule from
+        assert laplace._face_count(np.array([[0.7]]), np.array([2.0]), 16**2) == 8
+        with pytest.raises(LatticeSizeError, match="face rule"):
+            laplace._face_count(np.array([[0.7]]), np.array([2.0]), 16**2 - 1)
+
+    def test_ill_conditioned_gram_refused_under_the_cap(self):
+        # condition 1e4 at d = 2: the 200 points per axis that n² ≤ cap
+        # admits still miss the identity by more than 1e-3, so the count is
+        # refused within 2 MiB, before any larger eigenproblem
+        p = quadratic_problem(np.diag([1.0, 1e-4]))
+        tracemalloc.start()
+        try:
+            with pytest.raises(QuadratureError, match="face identity") as info:
+                laplace_quadrature(p, 1e4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**21
+        assert info.value.achieved > 1e-3
+
+    def test_cap_bounds_the_fine_level(self, found_gram):
+        # the fine level of 40 is 48 points per axis: 48² fits, one less
+        # stops at 32, whose error is 2.3e-11
+        m = np.asarray(found_gram)
+        assert laplace._face_count(m, np.ones(3), 48**2) == 40
+        with pytest.raises(QuadratureError, match="32-point") as info:
+            laplace._face_count(m, np.ones(3), 48**2 - 1)
+        assert self.TARGET < info.value.achieved < 1e-10
+        with pytest.raises(LatticeSizeError, match="face rule"):
+            laplace._face_count(m, np.ones(3), 16**2 - 1)
 
 
 def _quartic_closed_form(j):

@@ -5,6 +5,7 @@ import time
 import numpy as np
 import pytest
 
+from horomix import laplace
 from horomix.corr_ode import log_grid
 from horomix.errors import DomainError
 from horomix.laplace import fit_expansion, remainder_slope
@@ -77,6 +78,23 @@ class TestCorrelationIntegral:
             tensor_quadrature(induced_phase_problem(problem), T),
             rtol=1e-10, atol=0,
         )
+
+    def test_face_rule_steps_once_where_the_ladder_starts_low(self, monkeypatch):
+        # the face identity picks 16 points per axis, but at T = 1e2 the box
+        # faces still carry e^{T·v}, and 16 and 24 points differ by 6.0e-10;
+        # one step to 24 and 32 passes
+        m = SpectralModel(genus=2, rank_d=2, gram=[[1.4544, 0.2455], [0.2455, 0.6213]],
+                          perturbation=Perturbation("radial_quartic", 0.3069))
+        m.validate()
+        problem = MixingProblem(model=m)
+        T = log_grid(1e2, 1e6, 8)
+        cone, counts = laplace._cone_value, []
+        monkeypatch.setattr(laplace, "_cone_value",
+                            lambda p, t, nodes, n: counts.append(n) or cone(p, t, nodes, n))
+        got = correlation_integral(problem, T)
+        assert counts == [16, 24, 24, 32]
+        ref, _ = cone(induced_phase_problem(problem), T, 32, 48)
+        np.testing.assert_allclose(got, ref, rtol=1e-14, atol=0)
 
     def test_induced_problem_audits(self, model_d2):
         induced = induced_phase_problem(MixingProblem(model=model_d2))
@@ -219,4 +237,12 @@ class TestRankThree:
         assert time.process_time() - start < 5.0
         assert sum(points) < 2.5e6
         assert verdict["c0_closed_form"] == pytest.approx(1.0, rel=1e-13)
+        assert verdict["rel_dev"] <= 5e-3
+
+    def test_condition15_gram_passes_its_ladder(self, found_gram):
+        # correlation_integral on this ladder: 24 and 28 face points per
+        # axis left refinement gaps of 1.31e-10 at T = 316 and 1.49e-10 at
+        # T = 562, and the sized face rule takes 40
+        m = SpectralModel(genus=2, rank_d=3, gram=found_gram)
+        _, verdict = mixing_expansion(MixingProblem(model=m), np.logspace(2, 4, 17), 2)
         assert verdict["rel_dev"] <= 5e-3
