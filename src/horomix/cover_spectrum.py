@@ -275,10 +275,10 @@ def _radial_density(c: float, d: int, vd: float, root_det: float, x) -> np.ndarr
 
 def _face_density(model: SpectralModel, x: np.ndarray, zeta0: float) -> np.ndarray:
     """ρ(x) = ∏uᵢ·Σ_faces ∫ s*^(d−2)/(2√(Q² + 4Cx)) dp over the faces of the
-    cone rule's pyramids, by a Gauss tensor rule of n + 8 points per face
-    axis (:func:`_stencils._cube_faces`), n the count
-    :func:`laplace._face_count` reads off the face identity of
-    Q(ω) = quad_coeff·ωᵀGω.
+    cone rule's pyramids, by a Gauss tensor rule of n points per face axis
+    (:func:`_stencils._cube_faces`), n the first of 24, 32, ... that
+    :func:`laplace._face_count` finds meeting the face identity of
+    Q(ω) = quad_coeff·ωᵀGω to _QUAD_REL_TOL.
 
     Along the ray s·w, w = u ⊙ p, a perturbed model has λ₀ = Q(w)·s² + C(w)·s⁴
     (Q the quadratic part, C the quartic preset), so the level x is met at
@@ -288,12 +288,14 @@ def _face_density(model: SpectralModel, x: np.ndarray, zeta0: float) -> np.ndarr
     misses it by more than _QUAD_REL_TOL relative raises QuadratureError.
     λ₀ ≤ x at a face node (the level set reaches the box, or its ray turns
     back below x) raises DomainError.  Levels go in blocks of at most _BLOCK
-    (level, face point) pairs, or one level; a rule whose 2d faces hold
-    more points than the cone rule's cap GRID_CAP // (2d) raises
-    LatticeSizeError before allocation.
+    (level, face point) pairs, or one level.  The 2d faces share the cone
+    rule's cap GRID_CAP // (2d): where 24 points per axis exceed it,
+    LatticeSizeError is raised before allocation, and where no count that
+    fits meets the identity, QuadratureError.
     """
     d, u = model.rank_d, model.domain_u
-    n = _face_count(model.quad_coeff * model.gram, u, GRID_CAP // (2 * d) // (2 * d)) + 8
+    cap = GRID_CAP // (2 * d) // (2 * d)
+    n = _face_count(model.quad_coeff * model.gram, u, cap, _QUAD_REL_TOL, 0)
     faces, wts = _stencils._cube_faces(d, n, math.prod(u))
     w, wts = (faces * u).reshape(-1, d), np.tile(wts, 2 * d)
     quad = model.quadratic_part(w)

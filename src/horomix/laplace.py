@@ -57,46 +57,69 @@ _EXP_FLOOR = -600.0
 _SERIES_BUDGET = 50_000
 
 
-def _face_count(m: np.ndarray, u: np.ndarray, cap: int) -> int:
-    """Gauss points per face axis of the face rule on the box ∏[−uᵢ, uᵢ]
-    for a phase whose quadratic part is Q(ω) = ωᵀMω.
+def _face_count(m: np.ndarray, u: np.ndarray, cap: int, tol: float, extra: int) -> int:
+    """Gauss points per axis n of a face rule on the box ∏[−uᵢ, uᵢ] for a
+    phase whose quadratic part is Q(ω) = ωᵀMω, where the caller's largest
+    rule has n + ``extra`` points per axis.
 
-    The count is the smallest n = 8, 16, 24, ... whose face rule
+    n is the first of 24 − extra, 32 − extra, ... whose rule
     (:func:`_stencils._cube_faces`) meets the face identity
-    Σ_faces ∫ Q(u⊙p)^(−d/2) dp = 2π^(d/2)/(Γ(d/2)·∏uᵢ·√det M) to a tenth
-    of _QUAD_REL_TOL relative.  Its integrand is the large-T limit of the
-    cone rule's face integrand and the x → 0 limit of the cover density's,
-    and the complex zeros of Q set the Gauss error of both (Trefethen,
-    SIAM Review 50, 2008).  A rank-1 face is one point, so d = 1 takes 8.
-    Only counts whose fine level n + 8 puts at most ``cap`` points on a
-    face are tried, and whose (n + 8)² fits it too, since numpy builds an
-    n-point Gauss rule from an n × n matrix: where even 16 points per axis
-    do not fit, LatticeSizeError is raised before anything is allocated,
-    and where no count that fits meets the identity, QuadratureError with
-    the error of the largest.
+    Σ_faces ∫ Q(u⊙p)^(−d/2) dp = 2π^(d/2)/(Γ(d/2)·∏uᵢ·√det M) to ``tol``
+    relative.  Its integrand is the large-T limit of the cone rule's face
+    integrand and the x → 0 limit of the cover density's, and the complex
+    zeros of Q set the Gauss error of both (Trefethen, SIAM Review 50,
+    2008).  The largest rule has at least 24 points per axis: a 16-point
+    one met the identity only to 2e-12 on a seeded rank-2 Gram, where the
+    cover density is held to 1e-12 against its angular closed form.  A
+    rank-1 face is one point, so d = 1 takes the first count.  A count is
+    tried only where its n + extra points per axis fit: the first puts at
+    most ``cap`` points on a face, and every larger one at most ``cap``
+    coordinates, d a point, so that a rule grows past the first only
+    within the memory the cap stands for; and (n + extra)³ is at most
+    GRID_CAP, since numpy builds an n-point Gauss rule by an n × n
+    eigenproblem.  Where the first does not fit, LatticeSizeError is
+    raised before anything is allocated.  Gauss errors fall geometrically in n, so after each miss
+    the last two errors predict the count that meets ``tol``; where that
+    count does not fit, or the largest count that fits misses,
+    QuadratureError is raised with the last error.
     """
     d = len(u)
-    e = max(d - 1, 2)
-    if 16**e > cap:
+    if 24 ** (d - 1) > cap:
         raise LatticeSizeError(
-            f"face rule of 16 points per axis counts {16**e} against the cap {cap}"
+            f"face rule of 24 points per axis counts {24 ** (d - 1)} against the cap {cap}"
         )
+    # counting coordinates past the first count keeps rank-4 mixing at 24
+    # points per axis, about 2.4 GB of arrays at T = 1e4; counting points
+    # would admit 32 on a correlated Gram, about 6 GB
+    top = 24
+    while d * (top + 8) ** (d - 1) <= cap and (top + 8) ** 3 <= GRID_CAP:
+        top += 8
     root_det = math.sqrt(float(np.linalg.det(m)))
     exact = 2.0 * math.pi ** (d / 2.0) / (math.gamma(d / 2.0) * math.prod(u) * root_det)
-    n = 8
-    while True:
+    prev = None
+    for size in range(24, top + 1, 8):
+        n = size - extra
         faces, wts = _cube_faces(d, n, 1.0)
         total = np.sum(wts * quadratic_form(faces * u, m) ** (-d / 2.0))
         achieved = abs(total / exact - 1.0)
-        if achieved <= 0.1 * _QUAD_REL_TOL:
+        if achieved <= tol:
             return n
-        if (n + 16) ** e > cap:
-            raise QuadratureError(
-                f"the {n}-point face rule, the largest under the cap {cap}, "
-                f"misses the face identity by {achieved:.3e} relative",
-                achieved=achieved,
-            )
-        n += 8
+        if prev is not None and achieved < prev:
+            need = size + 8 * math.ceil(math.log(tol / achieved) / math.log(achieved / prev))
+            if need > top:
+                raise QuadratureError(
+                    f"the {n}-point face rule misses the face identity by "
+                    f"{achieved:.3e} relative, and its rate of convergence puts a "
+                    f"rule that meets {tol:.0e} at {need} points per axis, past {top}, "
+                    f"the largest that fits the cap of {cap}",
+                    achieved=achieved,
+                )
+        prev = achieved
+    raise QuadratureError(
+        f"the {n}-point face rule, the largest that fits the cap of {cap}, "
+        f"misses the face identity by {achieved:.3e} relative",
+        achieved=achieved,
+    )
 
 
 class Polynomial(dict):
@@ -279,10 +302,9 @@ def _radial_edges(s0: float) -> np.ndarray:
     return np.array(edges)
 
 
-def _radial_rule(problem: PhaseProblem, T: np.ndarray, nodes: int):
-    """Radial points s and weights w_s·s^(d−1) of the cone rule graded for
-    the ladder's largest T: ``nodes`` Gauss points on each panel of
-    ``_radial_edges(1/√(T_max·κ))``, κ = maxᵢ Hᵢᵢuᵢ²."""
+def _cone_edges(problem: PhaseProblem, T: np.ndarray) -> np.ndarray:
+    """Radial panel edges of the cone rule graded for the ladder's largest
+    T: ``_radial_edges(1/√(T_max·κ))``, κ = maxᵢ Hᵢᵢuᵢ²."""
     # the ray through the centre of face i decays like e^{−T·Hᵢᵢuᵢ²·s²/2};
     # Python floats, so an overflow to inf is refused rather than warned
     u = problem.box.tolist()
@@ -290,11 +312,7 @@ def _radial_rule(problem: PhaseProblem, T: np.ndarray, nodes: int):
     scale = float(T.max(initial=1.0)) * kappa
     if not math.isfinite(scale):
         raise DomainError(f"T_max·κ overflows float64 (κ = maxᵢ Hᵢᵢuᵢ² = {kappa})")
-    edges = _radial_edges(1.0 / math.sqrt(scale))
-    x_ref, w_ref = legendre_rule(nodes)
-    mid, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * (edges[1:] - edges[:-1])
-    s = (mid[:, None] + half[:, None] * x_ref).ravel()
-    return s, (half[:, None] * w_ref).ravel() * s ** (problem.dim - 1)
+    return _radial_edges(1.0 / math.sqrt(scale))
 
 
 def _cone_value(problem: PhaseProblem, T: np.ndarray, nodes: int, face_nodes: int):
@@ -325,7 +343,11 @@ def _cone_value(problem: PhaseProblem, T: np.ndarray, nodes: int, face_nodes: in
     rule with underflow raising.
     """
     d, u = problem.dim, problem.box
-    s, radial_w = _radial_rule(problem, T, nodes)
+    edges = _cone_edges(problem, T)
+    x_ref, w_ref = legendre_rule(nodes)
+    mid, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * (edges[1:] - edges[:-1])
+    s = (mid[:, None] + half[:, None] * x_ref).ravel()
+    radial_w = (half[:, None] * w_ref).ravel() * s ** (d - 1)
     # the cap counts all 2d faces before anything is allocated
     cap, per_face = GRID_CAP // (2 * d), s.size * face_nodes ** (d - 1)
     if per_face > cap:
@@ -368,25 +390,28 @@ def laplace_quadrature(problem: PhaseProblem, t_value, nodes: int = 24):
     Each pyramid is graded toward 0 in its one radial variable, by
     Gauss–Legendre panels that start at 1/√(T_max·κ), κ = maxᵢ Hᵢᵢuᵢ², and
     double in width, and carries a Gauss tensor rule on its face (see
-    :func:`_cone_value`) whose n points per axis :func:`_face_count` reads
-    off the face identity of the quadratic part ½ξᵀHξ.  The accuracy is a
-    refinement-gap estimate, not a proven bound: two levels (``nodes`` and
-    ``nodes + 8`` radial points per panel, with n and n + 8 face points per
-    axis) must agree to ``_QUAD_REL_TOL``, measured against the integrand's
-    L¹ mass so cancellation to an exact zero (odd amplitudes) passes
-    cleanly; where they do not, at d ≥ 2 both face levels step up by 8
-    once, within the cap, before QuadratureError.  A ladder of T values shares one rule per level and returns
-    an array; each T keeps its own refinement-gap estimate.  An even phase
-    costs one exp per point pair ±p and T, and a non-negative amplitude
-    one sum per T.  Exponents are floored at −600, which moves a sum by at most
-    e^(−600)·Σ|w| ≈ 2.6e-261·Σ|w| over the rule's weighted amplitudes w;
-    with that floor and both shortcuts the values keep the bits of the
-    plain rule (TestConeOracle in tests/test_laplace.py).  Before the cone
-    rule is built, a ladder whose T_max·κ overflows float64 raises
-    DomainError; a fine level whose 16-point faces put more than
-    GRID_CAP // (2d) points on a pyramid raises LatticeSizeError; and face
-    counts that fit that cap but all miss the identity raise
-    QuadratureError; so do levels that still disagree after the step.
+    :func:`_cone_value`) of n points per axis, n the first of 16, 24, ...
+    that :func:`_face_count` finds meeting the face identity of the
+    quadratic part ½ξᵀHξ to a tenth of ``_QUAD_REL_TOL``.  The accuracy is
+    a refinement-gap estimate, not a proven bound: two levels (``nodes``
+    and ``nodes + 8`` radial points per panel, with n and n + 8 face points
+    per axis) must agree to ``_QUAD_REL_TOL``, measured against the
+    integrand's L¹ mass so cancellation to an exact zero (odd amplitudes)
+    passes cleanly; where they do not, at d ≥ 2 both face levels step up by
+    8 once, within the cap, before QuadratureError.  A ladder of T values
+    shares one rule per level and returns an array; each T keeps its own
+    refinement-gap estimate.  An even phase costs one exp per point pair
+    ±p and T, and a non-negative amplitude one sum per T.  Exponents are
+    floored at −600, which moves a sum by at most e^(−600)·Σ|w| ≈
+    2.6e-261·Σ|w| over the rule's weighted amplitudes w; with that floor
+    and both shortcuts the values keep the bits of the plain rule
+    (TestConeOracle in tests/test_laplace.py).  Before the cone rule is
+    built, a ladder whose T_max·κ overflows float64 raises DomainError; a
+    fine level whose 24-point faces put more than GRID_CAP // (2d) points
+    on a pyramid raises LatticeSizeError; and a face count that meets the
+    identity but does not fit that cap, by the rate of convergence of the
+    counts that do, raises QuadratureError; so do levels that still
+    disagree after the step.
     """
     T = np.asarray(t_value, dtype=float)
     if not np.all(np.isfinite(T) & (T >= 0.0)):
@@ -394,17 +419,20 @@ def laplace_quadrature(problem: PhaseProblem, t_value, nodes: int = 24):
     ladder = T.reshape(-1)
     d = problem.dim
     # the fine level is the larger rule: the face count is sized under its cap
-    radial = _radial_rule(problem, ladder, nodes + 8)[0].size
+    radial = (_cone_edges(problem, ladder).size - 1) * (nodes + 8)
     cap = GRID_CAP // (2 * d) // radial
-    face_nodes = _face_count(0.5 * problem.hessian, problem.box, cap)
+    face_nodes = _face_count(0.5 * problem.hessian, problem.box, cap, 0.1 * _QUAD_REL_TOL, 8)
     # The identity is the face rule's error at large T.  At the low end of
     # a ladder e^{T·v} is not yet negligible on the box faces, and where v
     # nears a singularity there (λ₀ → 1/4 at the corners of a mixing box)
     # that part's error ran to 400× the identity's at T = 1e2, which one
-    # more step of 8 face points took below 1e-14.
+    # more step of 8 face points took below 1e-14.  One step is an
+    # empirical bound: it sufficed for every d = 2 mix-verdict job of seven
+    # seeds (about 1 in 600 needs it), and none of 360 seeded rank-3 mixing
+    # models needed it.
     for step in (0, 8):
         n = face_nodes + step
-        if step and (d == 1 or (n + 8) ** (d - 1) > cap):
+        if step and (d == 1 or d * (n + 8) ** (d - 1) > cap or (n + 8) ** 3 > GRID_CAP):
             break
         coarse, _ = _cone_value(problem, ladder, nodes, n)
         fine, l1 = _cone_value(problem, ladder, nodes + 8, n + 8)

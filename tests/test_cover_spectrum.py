@@ -643,18 +643,18 @@ class TestLimitDensity:
 
     def test_coarse_face_rule_refused_with_its_error(self, monkeypatch, found_gram):
         # the condition-15 rank-3 Gram: 24 face points miss the x → 0 limit
-        # by 1.1e-8, the error of the face rule itself; the sized count
-        # (40, so 48 points) passes
+        # by 1.1e-8, the error of the face rule itself; the sized count,
+        # 32, passes
         model = _quartic_d3(1.0, found_gram)
         xs = np.linspace(0.0, 0.002, 5)
         assert np.all(np.isfinite(limit_density(model, 0.002, xs).zeta_tilde))
-        monkeypatch.setattr(cover_spectrum, "_face_count", lambda m, u, cap: 16)
+        monkeypatch.setattr(cover_spectrum, "_face_count", lambda m, u, cap, tol, extra: 24)
         with pytest.raises(QuadratureError, match="24-point") as info:
             limit_density(model, 0.002, xs)
         assert 1e-9 < info.value.achieved < 1e-7
 
     def test_rank6_face_rule_refused_before_allocation(self):
-        # genus 3, rank 6: even the smallest fine face rule, 12·16⁵ ≈ 1.3e7
+        # genus 3, rank 6: even the smallest face rule, 12·24⁵ ≈ 9.6e7
         # points, is above the cone rule's cap GRID_CAP // 12 ≈ 8.3e6
         model = SpectralModel(genus=3, rank_d=6, gram=np.eye(6),
                               perturbation=Perturbation("quartic", 0.2))
@@ -666,6 +666,41 @@ class TestLimitDensity:
         finally:
             tracemalloc.stop()
         assert peak < 2**20
+
+    def test_rank5_correlated_density_meets_its_check(self):
+        # genus 3, rank 5, condition 9.5: 24 points per face axis, the most
+        # the cap GRID_CAP // 10 admits, meet the x → 0 limit to 7.2e-11,
+        # where 16 miss it by 1.8e-7
+        gram = [[1.7075, -0.1994, -0.1349, -0.5682, -0.2644],
+                [-0.1994, 1.7119, -0.6713, 0.6294, -0.0649],
+                [-0.1349, -0.6713, 1.273, 0.1657, 0.4078],
+                [-0.5682, 0.6294, 0.1657, 0.9287, 0.2921],
+                [-0.2644, -0.0649, 0.4078, 0.2921, 0.5809]]
+        model = SpectralModel(genus=3, rank_d=5, gram=gram, gap_delta=0.1,
+                              perturbation=Perturbation("quartic", 0.2))
+        table = limit_density(model, 0.005, np.linspace(0.0, 0.005, 5))
+        assert table.zeta_tilde == pytest.approx(
+            [6.25774336338747, 6.25437862663425, 6.25102027084496,
+             6.24766827192968, 6.24432260549476], rel=1e-9)
+
+    def test_ill_conditioned_density_refused_before_its_ladder(self):
+        # condition 1e4 at rank 2: 24 and 32 face points miss the x → 0
+        # limit by 0.76 and 0.69, a rate that puts the count that meets it
+        # near 1800 points per axis, past the 464 whose eigenproblem fits
+        # GRID_CAP, so the density is refused at once
+        model = SpectralModel(genus=2, rank_d=2, gram=[[1.0, 0.0], [0.0, 1e-4]],
+                              gap_delta=0.1, perturbation=Perturbation("quartic", 0.2))
+        start = time.perf_counter()
+        tracemalloc.start()
+        try:
+            with pytest.raises(QuadratureError, match="32-point face rule misses") as info:
+                limit_density(model, 0.05, np.linspace(0.0, 1e-9, 3))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert time.perf_counter() - start < 1.0
+        assert peak < 2**20
+        assert info.value.achieved > 0.5
 
     def test_consistency_of_density_and_torus_quadrature(self, model_d2):
         # int f(x) x^(d/2-1) zeta(x) dx == int_{lambda0 <= eps} f(lambda0) dw

@@ -311,7 +311,8 @@ CONE_CASES = {
 def _face_count(p):
     """The coarse face count laplace_quadrature sizes for ``p`` where its
     cap does not bind."""
-    return laplace._face_count(0.5 * p.hessian, p.box, laplace.GRID_CAP)
+    return laplace._face_count(0.5 * p.hessian, p.box, laplace.GRID_CAP,
+                               0.1 * laplace._QUAD_REL_TOL, 8)
 
 
 class TestConeOracle:
@@ -395,19 +396,32 @@ def _seeded_face_case(d, seed):
     return np.eye(d) + 0.5 * (a + a.T) * (1.0 - np.eye(d)), np.full(d, rng.uniform(0.5, 2.0))
 
 
+# (tol, extra) of laplace_quadrature's and of the cover density's face counts
+_CONE_SIZING = (0.1 * laplace._QUAD_REL_TOL, 8)
+_DENSITY_SIZING = (laplace._QUAD_REL_TOL, 0)
+
+
 class TestFaceCount:
     """The face count is the smallest multiple of 8 that meets the face
-    identity to a tenth of the refinement tolerance."""
+    identity: a tenth of the refinement tolerance under the cone rule's
+    fine level, the tolerance itself at the cover density's one rule."""
 
     TARGET = 0.1 * laplace._QUAD_REL_TOL
+    CONE = _CONE_SIZING
+    DENSITY = _DENSITY_SIZING
 
     @pytest.mark.parametrize(
-        "case, expected",
-        [pytest.param((d, seed), 16, id=f"d{d}-seed{seed}")
+        "case, sizing, expected",
+        [pytest.param((d, seed), _CONE_SIZING, 16, id=f"cone-d{d}-seed{seed}")
          for d in (2, 3, 4, 5) for seed in (0, 1)]
-        + [pytest.param("correlated", 24, id="correlated"), pytest.param("found", 40, id="found")],
+        + [pytest.param((d, seed), _DENSITY_SIZING, 24, id=f"density-d{d}-seed{seed}")
+           for d in (2, 3, 4) for seed in (0, 1)]
+        + [pytest.param("correlated", _CONE_SIZING, 24, id="cone-correlated"),
+           pytest.param("correlated", _DENSITY_SIZING, 24, id="density-correlated"),
+           pytest.param("found", _CONE_SIZING, 40, id="cone-found"),
+           pytest.param("found", _DENSITY_SIZING, 32, id="density-found")],
     )
-    def test_smallest_count_meeting_the_identity(self, case, expected, found_gram):
+    def test_smallest_count_meeting_the_identity(self, case, sizing, expected, found_gram):
         if case == "correlated":
             m, u = np.array([[1.3, -0.5], [-0.5, 1.8]]), np.ones(2)
         elif case == "found":
@@ -415,26 +429,29 @@ class TestFaceCount:
             m, u = model.quad_coeff * model.gram, model.domain_u
         else:
             m, u = _seeded_face_case(*case)
-        n = laplace._face_count(m, u, laplace.GRID_CAP)
+        tol, extra = sizing
+        n = laplace._face_count(m, u, laplace.GRID_CAP, tol, extra)
         assert n == expected
-        assert _face_identity_error(m, u, n) <= self.TARGET
-        assert _face_identity_error(m, u, n - 8) > self.TARGET
+        assert _face_identity_error(m, u, n) <= tol
+        if n > 24 - extra:
+            assert _face_identity_error(m, u, n - 8) > tol
 
     def test_rank1_face_is_one_point(self):
-        # its count is 8 at once; the cap still counts the 16² entries of
-        # the matrix numpy builds the fine level's 1-d rule from
-        assert laplace._face_count(np.array([[0.7]]), np.array([2.0]), 16**2) == 8
+        # its count is the first, 16 under a fine level of 24, at any cap
+        # that holds the face's one point
+        m, u = np.array([[0.7]]), np.array([2.0])
+        assert laplace._face_count(m, u, 1, *self.CONE) == 16
         with pytest.raises(LatticeSizeError, match="face rule"):
-            laplace._face_count(np.array([[0.7]]), np.array([2.0]), 16**2 - 1)
+            laplace._face_count(m, u, 0, *self.CONE)
 
     def test_ill_conditioned_gram_refused_under_the_cap(self):
-        # condition 1e4 at d = 2: the 200 points per axis that n² ≤ cap
-        # admits still miss the identity by more than 1e-3, so the count is
-        # refused within 2 MiB, before any larger eigenproblem
+        # condition 1e4 at d = 2: 16 and 24 points miss the identity by
+        # 0.84 and 0.76, a rate that puts the count that meets it past the
+        # largest the cap admits, so it is refused at once, within 2 MiB
         p = quadratic_problem(np.diag([1.0, 1e-4]))
         tracemalloc.start()
         try:
-            with pytest.raises(QuadratureError, match="face identity") as info:
+            with pytest.raises(QuadratureError, match="24-point face rule misses") as info:
                 laplace_quadrature(p, 1e4)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -443,15 +460,44 @@ class TestFaceCount:
         assert info.value.achieved > 1e-3
 
     def test_cap_bounds_the_fine_level(self, found_gram):
-        # the fine level of 40 is 48 points per axis: 48² fits, one less
-        # stops at 32, whose error is 2.3e-11
+        # the count is 40, a fine level of 48 points per axis, which fits
+        # where its 48² points of 3 coordinates do.  Under one coordinate
+        # less the rate of 16 and 24 points (5.8e-6, 1.1e-8) puts it at 40
+        # already, so 32 is not tried; under 3·32² − 1 the 16-point rule is
+        # the largest that fits, and under 24² − 1 none does
         m = np.asarray(found_gram)
-        assert laplace._face_count(m, np.ones(3), 48**2) == 40
-        with pytest.raises(QuadratureError, match="32-point") as info:
-            laplace._face_count(m, np.ones(3), 48**2 - 1)
-        assert self.TARGET < info.value.achieved < 1e-10
+        assert laplace._face_count(m, np.ones(3), 3 * 48**2, *self.CONE) == 40
+        with pytest.raises(QuadratureError, match="24-point.* 48 points per axis") as info:
+            laplace._face_count(m, np.ones(3), 3 * 48**2 - 1, *self.CONE)
+        assert 1e-9 < info.value.achieved < 1e-7
+        with pytest.raises(QuadratureError, match="16-point face rule, the largest") as info:
+            laplace._face_count(m, np.ones(3), 3 * 32**2 - 1, *self.CONE)
+        assert 1e-6 < info.value.achieved < 1e-5
         with pytest.raises(LatticeSizeError, match="face rule"):
-            laplace._face_count(m, np.ones(3), 16**2 - 1)
+            laplace._face_count(m, np.ones(3), 24**2 - 1, *self.CONE)
+
+    def test_first_count_held_to_points_larger_to_coordinates(self):
+        # rank 4: a cap of 32³ points admits the first fine level, 24, but
+        # not 32, whose 4·32³ coordinates exceed it; a Gram whose 16 points
+        # miss the identity is refused there, one that meets it passes
+        gram = np.array([[1.0, 0.4, 0.0, 0.0], [0.4, 1.0, 0.4, 0.0],
+                         [0.0, 0.4, 1.0, 0.4], [0.0, 0.0, 0.4, 1.0]])
+        assert _face_identity_error(gram, np.ones(4), 16) > self.TARGET
+        assert _face_identity_error(gram, np.ones(4), 24) <= self.TARGET
+        with pytest.raises(QuadratureError, match="16-point face rule, the largest"):
+            laplace._face_count(gram, np.ones(4), 32**3, *self.CONE)
+        assert laplace._face_count(gram, np.ones(4), 4 * 32**3, *self.CONE) == 24
+        assert laplace._face_count(np.eye(4), np.ones(4), 24**3, *self.CONE) == 16
+
+    def test_eigenproblem_bounds_the_count(self):
+        # at d = 2 a face of n points fits any cap above n, but numpy's
+        # n-point rule is an n × n eigenproblem: counts stop at n³ ≤ GRID_CAP,
+        # 464 points, which the condition-1e3 Gram (about 380) fits and the
+        # condition-1e4 one (about 1200) does not
+        m, u = np.diag([1.0, 1e-3]), np.ones(2)
+        assert 300 < laplace._face_count(m, u, laplace.GRID_CAP, *self.DENSITY) <= 464
+        with pytest.raises(QuadratureError, match="largest that fits"):
+            laplace._face_count(np.diag([1.0, 1e-4]), u, laplace.GRID_CAP, *self.DENSITY)
 
 
 def _quartic_closed_form(j):
