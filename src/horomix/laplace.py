@@ -90,7 +90,7 @@ def _face_count(m: np.ndarray, u: np.ndarray, cap: int, tol: float, extra: int) 
         )
     # counting coordinates past the first count keeps rank-4 mixing at 24
     # points per axis, about 2.4 GB of arrays at T = 1e4; counting points
-    # would admit 32 on a correlated Gram, about 6 GB
+    # would admit 32 on a correlated Gram, over 3.2 GB
     top = 24
     while d * (top + 8) ** (d - 1) <= cap and (top + 8) ** 3 <= GRID_CAP:
         top += 8
