@@ -60,6 +60,10 @@ MODELS = {
     # where the identity's needs 16
     "condition15.json": ([1.361592, 0.401569, 0.53899, 0.401569, 0.55953, -0.438512,
                           0.53899, -0.438512, 1.702497], None),
+    # non-radial on a correlated rank-4 Gram: the face route at d = 4
+    "quartic4.json": ([1.0, 0.15, 0.0, -0.1, 0.15, 0.9, 0.1, 0.0,
+                       0.0, 0.1, 1.1, 0.12, -0.1, 0.0, 0.12, 0.95],
+                      {"name": "quartic", "params": {"coeff": 0.2}}),
 }
 
 # custom-json phase documents, written into the run directory next to the models
@@ -113,6 +117,9 @@ RUNS = [
                                   "256,256,256", "--test-fn", "bump", "--study"]),
     # a sum that is not exactly rounded (np.sum) moves the last digit of
     # `empirical` here
+    # rank 4; at ε = 0.05 its sublevel set leaves the working box
+    ("cover-quartic4.csv", ["cover", "--model", "quartic4.json", "--orders", "64,64,64,64",
+                            "--epsilon", "0.03", "--test-fn", "bump"]),
     ("cover-identity-bump.csv", ["cover", "--model", "identity.json", "--orders", "512,512",
                                  "--test-fn", "bump"]),
     ("cover-rank1-quartic.csv", ["cover", "--model", "rank1_quartic.json",

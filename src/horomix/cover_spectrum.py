@@ -23,7 +23,7 @@ import numpy as np
 
 from . import _stencils
 from ._stencils import GRID_CAP, _exact_total, _round_total, gauss_legendre, tensor_grid
-from .errors import DomainError, LatticeSizeError, ModelValidityError, QuadratureError
+from .errors import DomainError, LatticeSizeError, ModelValidityError
 from .laplace import _QUAD_REL_TOL, _face_count
 from .spectral_model import SpectralModel
 
@@ -273,19 +273,17 @@ def _radial_density(c: float, d: int, vd: float, root_det: float, x) -> np.ndarr
     return np.where(x == 0.0, at_zero, rho)
 
 
-def _face_density(model: SpectralModel, x: np.ndarray, zeta0: float) -> np.ndarray:
+def _face_density(model: SpectralModel, x: np.ndarray) -> np.ndarray:
     """ρ(x) = ∏uᵢ·Σ_faces ∫ s*^(d−2)/(2√(Q² + 4Cx)) dp over the faces of the
-    cone rule's pyramids, by a Gauss tensor rule of n points per face axis
-    (:func:`_stencils._cube_faces`), n the first of 24, 32, ... that
-    :func:`laplace._face_count` finds meeting the face identity of
-    Q(ω) = quad_coeff·ωᵀGω to _QUAD_REL_TOL.
+    cone rule's pyramids, on the face rule :func:`laplace._face_count`
+    accepts for Q(ω) = quad_coeff·ωᵀGω at _QUAD_REL_TOL.
 
     Along the ray s·w, w = u ⊙ p, a perturbed model has λ₀ = Q(w)·s² + C(w)·s⁴
     (Q the quadratic part, C the quartic preset), so the level x is met at
     s*² = 2x/(Q + √(Q² + 4Cx)), where ∂λ₀/∂s = 2s*·√(Q² + 4Cx), and the
     coarea formula over dξ = ∏uᵢ·s^(d−1) ds dp gives ρ.  As x → 0 the face
-    sum tends to (∏uᵢ/2)·Σ_faces ∫ Q^(−d/2) dp = ``zeta0``; a rule that
-    misses it by more than _QUAD_REL_TOL relative raises QuadratureError.
+    sum tends to (∏uᵢ/2)·Σ_faces ∫ Q^(−d/2) dp, half the identity's left
+    side, so the identity the helper checks is this density's x → 0 limit.
     λ₀ ≤ x at a face node (the level set reaches the box, or its ray turns
     back below x) raises DomainError.  Levels go in blocks of at most _BLOCK
     (level, face point) pairs, or one level.  The 2d faces share the cone
@@ -293,17 +291,12 @@ def _face_density(model: SpectralModel, x: np.ndarray, zeta0: float) -> np.ndarr
     LatticeSizeError is raised before allocation, and where no count that
     fits meets the identity, QuadratureError.
     """
-    d, u = model.rank_d, model.domain_u
+    d = model.rank_d
     cap = GRID_CAP // (2 * d) // (2 * d)
-    n = _face_count(model.quad_coeff * model.gram, u, cap, _QUAD_REL_TOL, 0)
-    faces, wts = _stencils._cube_faces(d, n, math.prod(u))
-    w, wts = (faces * u).reshape(-1, d), np.tile(wts, 2 * d)
-    quad = model.quadratic_part(w)
+    _, _, (w, wts, quad) = _face_count(model.quad_coeff, model.gram, model.domain_u, cap,
+                                       _QUAD_REL_TOL, 0)
+    w, wts, quad = w.reshape(-1, d), np.tile(wts, 2 * d), quad.reshape(-1)
     quartic = model.perturbation(w, quad)
-    achieved = abs(0.5 * np.sum(wts * quad ** (-d / 2.0)) / zeta0 - 1.0)
-    if achieved > _QUAD_REL_TOL:
-        msg = f"the {n}-point face rule misses its x → 0 limit by {achieved:.3e} relative"
-        raise QuadratureError(msg, achieved=achieved)
     if x.size and np.max(x) >= np.min(quad + quartic):
         raise DomainError("level set touches the working box; reduce epsilon")
     rho = np.empty_like(x)
@@ -325,11 +318,11 @@ def limit_density(
     radial quartic, rank-1 quartic) reduce exactly to one dimension,
     λ₀ = q + c·q² (:func:`_radial_density`).  Every other model, in every
     rank, integrates over the faces of the cone rule's pyramids
-    (:func:`_face_density`), checked against the closed form of its x → 0
-    limit.  Both are closed forms along each ray: every level set is a
-    quadratic in r², so no root is solved.  The x^(d/2−1) factor is split
-    off into ``zeta_tilde``, which stays bounded near 0.  A grid level
-    outside [0, ε], NaN included, raises DomainError.
+    (:func:`_face_density`), on the face rule whose x → 0 limit
+    :func:`laplace._face_count` checks.  Both are closed forms along each
+    ray: every level set is a quadratic in r², so no root is solved.  The
+    x^(d/2−1) factor is split off into ``zeta_tilde``, which stays bounded
+    near 0.  A grid level outside [0, ε], NaN included, raises DomainError.
     """
     if not 0.0 < epsilon <= model.gap_delta:
         raise DomainError("epsilon must lie in (0, gap_delta]")
@@ -346,7 +339,7 @@ def limit_density(
     if c is not None:
         rho = _radial_density(c, d, vd, root_det, grid)
     else:
-        rho = _face_density(model, grid, zeta0)
+        rho = _face_density(model, grid)
     with np.errstate(divide="ignore", invalid="ignore"):
         safe = np.where(grid > 0.0, grid, 1.0)
         zt = np.where(grid > 0.0, rho * safe ** (-expo), np.nan)

@@ -57,30 +57,32 @@ _EXP_FLOOR = -600.0
 _SERIES_BUDGET = 50_000
 
 
-def _face_count(m: np.ndarray, u: np.ndarray, cap: int, tol: float, extra: int) -> int:
-    """Gauss points per axis n of a face rule on the box ∏[−uᵢ, uᵢ] for a
-    phase whose quadratic part is Q(ω) = ωᵀMω, where the caller's largest
-    rule has n + ``extra`` points per axis.
+def _face_count(coeff: float, m: np.ndarray, u: np.ndarray, cap: int, tol: float, extra: int):
+    """``(n, largest, (w, wts, q))``: the face rule on the box ∏[−uᵢ, uᵢ] for
+    a phase whose quadratic part is Q(ω) = coeff·ωᵀmω, where the caller's
+    largest rule has n + ``extra`` points per axis.  The rule is that of
+    :func:`_stencils._cube_faces` with n points per axis: the (2d, n^(d−1), d)
+    ray directions w = u ⊙ p, their weights scaled by ∏uᵢ, and
+    Q(w) = coeff·quadratic_form(w, m); ``largest`` is the largest n that fits.
 
-    n is the first of 24 − extra, 32 − extra, ... whose rule
-    (:func:`_stencils._cube_faces`) meets the face identity
-    Σ_faces ∫ Q(u⊙p)^(−d/2) dp = 2π^(d/2)/(Γ(d/2)·∏uᵢ·√det M) to ``tol``
-    relative.  Its integrand is the large-T limit of the cone rule's face
-    integrand and the x → 0 limit of the cover density's, and the complex
-    zeros of Q set the Gauss error of both (Trefethen, SIAM Review 50,
-    2008).  The largest rule has at least 24 points per axis: a 16-point
-    one met the identity only to 2e-12 on a seeded rank-2 Gram, where the
-    cover density is held to 1e-12 against its angular closed form.  A
-    rank-1 face is one point, so d = 1 takes the first count.  A count is
-    tried only where its n + extra points per axis fit: the first puts at
-    most ``cap`` points on a face, and every larger one at most ``cap``
-    coordinates, d a point, so that a rule grows past the first only
-    within the memory the cap stands for; and (n + extra)³ is at most
-    GRID_CAP, since numpy builds an n-point Gauss rule by an n × n
-    eigenproblem.  Where the first does not fit, LatticeSizeError is
-    raised before anything is allocated.  Gauss errors fall geometrically in n, so after each miss
-    the last two errors predict the count that meets ``tol``; where that
-    count does not fit, or the largest count that fits misses,
+    n is the first of 24 − extra, 32 − extra, ... whose rule meets the face
+    identity Σ_faces ∫ Q(u⊙p)^(−d/2) dp = 2π^(d/2)/(Γ(d/2)·∏uᵢ·√det(coeff·m))
+    to ``tol`` relative: the large-T limit of the cone rule's face integrand
+    and the x → 0 limit of the cover density's, whose Gauss error the
+    complex zeros of Q set (Trefethen, SIAM Review 50, 2008).  The largest
+    rule has at least 24 points per axis: a 16-point one met the identity
+    only to 2e-12 on a seeded rank-2 Gram, where the cover density is held
+    to 1e-12 against its angular closed form.  A rank-1 face is one point,
+    so d = 1 takes the first count and reports it as the largest.  A count
+    fits where its n + extra points per axis do: the first puts at most
+    ``cap`` points on a face, and every larger one at most ``cap``
+    coordinates, d a point, so that a rule grows past the first only within
+    the memory the cap stands for; and (n + extra)³ is at most GRID_CAP,
+    since numpy builds an n-point Gauss rule by an n × n eigenproblem.
+    Where the first does not fit, LatticeSizeError is raised before
+    anything is allocated.  Gauss errors fall geometrically in n, so after
+    each miss the last two errors predict the count that meets ``tol``;
+    where that count does not fit, or the largest count that fits misses,
     QuadratureError is raised with the last error.
     """
     d = len(u)
@@ -92,18 +94,19 @@ def _face_count(m: np.ndarray, u: np.ndarray, cap: int, tol: float, extra: int) 
     # points per axis, about 2.4 GB of arrays at T = 1e4; counting points
     # would admit 32 on a correlated Gram, over 3.2 GB
     top = 24
-    while d * (top + 8) ** (d - 1) <= cap and (top + 8) ** 3 <= GRID_CAP:
+    while d > 1 and d * (top + 8) ** (d - 1) <= cap and (top + 8) ** 3 <= GRID_CAP:
         top += 8
-    root_det = math.sqrt(float(np.linalg.det(m)))
-    exact = 2.0 * math.pi ** (d / 2.0) / (math.gamma(d / 2.0) * math.prod(u) * root_det)
+    root_det = math.sqrt(float(np.linalg.det(coeff * m)))
+    exact = 2.0 * math.pi ** (d / 2.0) / (math.gamma(d / 2.0) * root_det)
     prev = None
     for size in range(24, top + 1, 8):
         n = size - extra
-        faces, wts = _cube_faces(d, n, 1.0)
-        total = np.sum(wts * quadratic_form(faces * u, m) ** (-d / 2.0))
-        achieved = abs(total / exact - 1.0)
+        faces, wts = _cube_faces(d, n, math.prod(u))
+        faces *= u
+        q = coeff * quadratic_form(faces, m)
+        achieved = abs(np.sum(wts * q ** (-d / 2.0)) / exact - 1.0)
         if achieved <= tol:
-            return n
+            return n, top - extra, (faces, wts, q)
         if prev is not None and achieved < prev:
             need = size + 8 * math.ceil(math.log(tol / achieved) / math.log(achieved / prev))
             if need > top:
@@ -397,9 +400,10 @@ def laplace_quadrature(problem: PhaseProblem, t_value, nodes: int = 24):
     and ``nodes + 8`` radial points per panel, with n and n + 8 face points
     per axis) must agree to ``_QUAD_REL_TOL``, measured against the
     integrand's L¹ mass so cancellation to an exact zero (odd amplitudes)
-    passes cleanly; where they do not, at d ≥ 2 both face levels step up by
-    8 once, within the cap, before QuadratureError.  A ladder of T values
-    shares one rule per level and returns an array; each T keeps its own
+    passes cleanly; where they do not, both face levels step up by 8 once,
+    if n + 8 is at most the largest count :func:`_face_count` reports fits
+    (never at d = 1), before QuadratureError.  A ladder of T values shares
+    one rule per level and returns an array; each T keeps its own
     refinement-gap estimate.  An even phase costs one exp per point pair
     ±p and T, and a non-negative amplitude one sum per T.  Exponents are
     floored at −600, which moves a sum by at most e^(−600)·Σ|w| ≈
@@ -421,7 +425,8 @@ def laplace_quadrature(problem: PhaseProblem, t_value, nodes: int = 24):
     # the fine level is the larger rule: the face count is sized under its cap
     radial = (_cone_edges(problem, ladder).size - 1) * (nodes + 8)
     cap = GRID_CAP // (2 * d) // radial
-    face_nodes = _face_count(0.5 * problem.hessian, problem.box, cap, 0.1 * _QUAD_REL_TOL, 8)
+    face_nodes, largest = _face_count(0.5, problem.hessian, problem.box, cap,
+                                      0.1 * _QUAD_REL_TOL, 8)[:2]
     # The identity is the face rule's error at large T.  At the low end of
     # a ladder e^{T·v} is not yet negligible on the box faces, and where v
     # nears a singularity there (λ₀ → 1/4 at the corners of a mixing box)
@@ -432,7 +437,7 @@ def laplace_quadrature(problem: PhaseProblem, t_value, nodes: int = 24):
     # models needed it.
     for step in (0, 8):
         n = face_nodes + step
-        if step and (d == 1 or d * (n + 8) ** (d - 1) > cap or (n + 8) ** 3 > GRID_CAP):
+        if n > largest:
             break
         coarse, _ = _cone_value(problem, ladder, nodes, n)
         fine, l1 = _cone_value(problem, ladder, nodes + 8, n + 8)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from horomix import _stencils, cover_spectrum
+from horomix import _stencils, cover_spectrum, laplace, spectral_model
 from horomix.cover_spectrum import (
     CharacterLattice,
     convergence_study,
@@ -642,16 +642,31 @@ class TestLimitDensity:
             assert _face_density(model, xs).tobytes() == reference.tobytes()
 
     def test_coarse_face_rule_refused_with_its_error(self, monkeypatch, found_gram):
-        # the condition-15 rank-3 Gram: 24 face points miss the x → 0 limit
-        # by 1.1e-8, the error of the face rule itself; the sized count,
-        # 32, passes
+        # the condition-15 rank-3 Gram: 24 face points miss the face
+        # identity, the x → 0 limit, by 1.1e-8, the error of the face rule
+        # itself; the sized count, 32, passes, and under a cap of 1388 face
+        # points, which 24 points per axis fit and 32 do not, it is refused
         model = _quartic_d3(1.0, found_gram)
         xs = np.linspace(0.0, 0.002, 5)
         assert np.all(np.isfinite(limit_density(model, 0.002, xs).zeta_tilde))
-        monkeypatch.setattr(cover_spectrum, "_face_count", lambda m, u, cap, tol, extra: 24)
-        with pytest.raises(QuadratureError, match="24-point") as info:
+        monkeypatch.setattr(cover_spectrum, "GRID_CAP", 50_000)
+        with pytest.raises(QuadratureError, match="24-point.*cap of 1388") as info:
             limit_density(model, 0.002, xs)
         assert 1e-9 < info.value.achieved < 1e-7
+
+    def test_density_builds_one_face_rule(self, monkeypatch):
+        # the rule the face identity accepts is the one the density sums:
+        # one face rule and one pass of the quadratic form per call
+        calls = []
+        for module, name in ((laplace, "_cube_faces"), (_stencils, "_cube_faces"),
+                             (laplace, "quadratic_form"), (spectral_model, "quadratic_form")):
+            fn = getattr(module, name)
+            monkeypatch.setattr(module, name,
+                                lambda *a, fn=fn, name=name: calls.append(name) or fn(*a))
+        model = SpectralModel(genus=2, rank_d=3, gram=np.eye(3),
+                              perturbation=Perturbation("quartic", 0.2))
+        limit_density(model, 0.05, np.linspace(0.0, 0.05, 5))
+        assert sorted(calls) == ["_cube_faces", "quadratic_form"]
 
     def test_rank6_face_rule_refused_before_allocation(self):
         # genus 3, rank 6: even the smallest face rule, 12·24⁵ ≈ 9.6e7
@@ -732,10 +747,7 @@ def _quartic_d3(sign, gram):
 def _face_density(model, x):
     """The face route of ``limit_density``, on any perturbed model, radial
     or not."""
-    d = model.rank_d
-    root_det = math.sqrt(float(np.linalg.det(model.quad_coeff * model.gram)))
-    zeta0 = (d / 2.0) * cover_spectrum._unit_ball_volume(d) / root_det
-    return cover_spectrum._face_density(model, np.asarray(x, float), zeta0)
+    return cover_spectrum._face_density(model, np.asarray(x, float))
 
 
 def _indicator_volume(model, level, n=2400):

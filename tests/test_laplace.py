@@ -311,8 +311,8 @@ CONE_CASES = {
 def _face_count(p):
     """The coarse face count laplace_quadrature sizes for ``p`` where its
     cap does not bind."""
-    return laplace._face_count(0.5 * p.hessian, p.box, laplace.GRID_CAP,
-                               0.1 * laplace._QUAD_REL_TOL, 8)
+    return laplace._face_count(0.5, p.hessian, p.box, laplace.GRID_CAP,
+                               0.1 * laplace._QUAD_REL_TOL, 8)[0]
 
 
 class TestConeOracle:
@@ -422,15 +422,17 @@ class TestFaceCount:
            pytest.param("found", _DENSITY_SIZING, 32, id="density-found")],
     )
     def test_smallest_count_meeting_the_identity(self, case, sizing, expected, found_gram):
+        coeff = 1.0
         if case == "correlated":
             m, u = np.array([[1.3, -0.5], [-0.5, 1.8]]), np.ones(2)
         elif case == "found":
             model = SpectralModel(genus=2, rank_d=3, gram=found_gram)
-            m, u = model.quad_coeff * model.gram, model.domain_u
+            coeff, m, u = model.quad_coeff, model.gram, model.domain_u
         else:
             m, u = _seeded_face_case(*case)
         tol, extra = sizing
-        n = laplace._face_count(m, u, laplace.GRID_CAP, tol, extra)
+        n = laplace._face_count(coeff, m, u, laplace.GRID_CAP, tol, extra)[0]
+        m = coeff * m
         assert n == expected
         assert _face_identity_error(m, u, n) <= tol
         if n > 24 - extra:
@@ -438,11 +440,12 @@ class TestFaceCount:
 
     def test_rank1_face_is_one_point(self):
         # its count is the first, 16 under a fine level of 24, at any cap
-        # that holds the face's one point
+        # that holds the face's one point, and it is reported as the
+        # largest, so laplace_quadrature never steps up at d = 1
         m, u = np.array([[0.7]]), np.array([2.0])
-        assert laplace._face_count(m, u, 1, *self.CONE) == 16
+        assert laplace._face_count(1.0, m, u, 1, *self.CONE)[:2] == (16, 16)
         with pytest.raises(LatticeSizeError, match="face rule"):
-            laplace._face_count(m, u, 0, *self.CONE)
+            laplace._face_count(1.0, m, u, 0, *self.CONE)
 
     def test_ill_conditioned_gram_refused_under_the_cap(self):
         # condition 1e4 at d = 2: 16 and 24 points miss the identity by
@@ -466,15 +469,15 @@ class TestFaceCount:
         # already, so 32 is not tried; under 3·32² − 1 the 16-point rule is
         # the largest that fits, and under 24² − 1 none does
         m = np.asarray(found_gram)
-        assert laplace._face_count(m, np.ones(3), 3 * 48**2, *self.CONE) == 40
+        assert laplace._face_count(1.0, m, np.ones(3), 3 * 48**2, *self.CONE)[0] == 40
         with pytest.raises(QuadratureError, match="24-point.* 48 points per axis") as info:
-            laplace._face_count(m, np.ones(3), 3 * 48**2 - 1, *self.CONE)
+            laplace._face_count(1.0, m, np.ones(3), 3 * 48**2 - 1, *self.CONE)
         assert 1e-9 < info.value.achieved < 1e-7
         with pytest.raises(QuadratureError, match="16-point face rule, the largest") as info:
-            laplace._face_count(m, np.ones(3), 3 * 32**2 - 1, *self.CONE)
+            laplace._face_count(1.0, m, np.ones(3), 3 * 32**2 - 1, *self.CONE)
         assert 1e-6 < info.value.achieved < 1e-5
         with pytest.raises(LatticeSizeError, match="face rule"):
-            laplace._face_count(m, np.ones(3), 24**2 - 1, *self.CONE)
+            laplace._face_count(1.0, m, np.ones(3), 24**2 - 1, *self.CONE)
 
     def test_first_count_held_to_points_larger_to_coordinates(self):
         # rank 4: a cap of 32³ points admits the first fine level, 24, but
@@ -485,9 +488,9 @@ class TestFaceCount:
         assert _face_identity_error(gram, np.ones(4), 16) > self.TARGET
         assert _face_identity_error(gram, np.ones(4), 24) <= self.TARGET
         with pytest.raises(QuadratureError, match="16-point face rule, the largest"):
-            laplace._face_count(gram, np.ones(4), 32**3, *self.CONE)
-        assert laplace._face_count(gram, np.ones(4), 4 * 32**3, *self.CONE) == 24
-        assert laplace._face_count(np.eye(4), np.ones(4), 24**3, *self.CONE) == 16
+            laplace._face_count(1.0, gram, np.ones(4), 32**3, *self.CONE)
+        assert laplace._face_count(1.0, gram, np.ones(4), 4 * 32**3, *self.CONE)[0] == 24
+        assert laplace._face_count(1.0, np.eye(4), np.ones(4), 24**3, *self.CONE)[0] == 16
 
     def test_eigenproblem_bounds_the_count(self):
         # at d = 2 a face of n points fits any cap above n, but numpy's
@@ -495,9 +498,9 @@ class TestFaceCount:
         # 464 points, which the condition-1e3 Gram (about 380) fits and the
         # condition-1e4 one (about 1200) does not
         m, u = np.diag([1.0, 1e-3]), np.ones(2)
-        assert 300 < laplace._face_count(m, u, laplace.GRID_CAP, *self.DENSITY) <= 464
+        assert 300 < laplace._face_count(1.0, m, u, laplace.GRID_CAP, *self.DENSITY)[0] <= 464
         with pytest.raises(QuadratureError, match="largest that fits"):
-            laplace._face_count(np.diag([1.0, 1e-4]), u, laplace.GRID_CAP, *self.DENSITY)
+            laplace._face_count(1.0, np.diag([1.0, 1e-4]), u, laplace.GRID_CAP, *self.DENSITY)
 
 
 def _quartic_closed_form(j):

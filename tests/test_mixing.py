@@ -7,7 +7,7 @@ import pytest
 
 from horomix import laplace
 from horomix.corr_ode import log_grid
-from horomix.errors import DomainError
+from horomix.errors import DomainError, QuadratureError
 from horomix.laplace import fit_expansion, remainder_slope
 from horomix.mixing import (
     MixingProblem,
@@ -95,6 +95,24 @@ class TestCorrelationIntegral:
         assert counts == [16, 24, 24, 32]
         ref, _ = cone(induced_phase_problem(problem), T, 32, 48)
         np.testing.assert_allclose(got, ref, rtol=1e-14, atol=0)
+
+    def test_face_rule_steps_only_where_the_helper_fits_it(self, monkeypatch):
+        # a cap of 40 face points per radial point admits the fine level of
+        # 24 points per axis but not the step's 32, whose 2·32 coordinates
+        # exceed it; the one pair tried then disagrees at T = 1e2
+        m = SpectralModel(genus=2, rank_d=2, gram=[[1.4544, 0.2455], [0.2455, 0.6213]],
+                          perturbation=Perturbation("radial_quartic", 0.3069))
+        problem = MixingProblem(model=m)
+        T = log_grid(1e2, 1e6, 8)
+        radial = (len(laplace._cone_edges(induced_phase_problem(problem), T)) - 1) * 32
+        monkeypatch.setattr(laplace, "GRID_CAP", 4 * radial * 40)
+        cone, counts = laplace._cone_value, []
+        monkeypatch.setattr(laplace, "_cone_value",
+                            lambda p, t, nodes, n: counts.append(n) or cone(p, t, nodes, n))
+        with pytest.raises(QuadratureError, match="T=100.0") as info:
+            correlation_integral(problem, T)
+        assert counts == [16, 24]
+        assert info.value.achieved == pytest.approx(5.96e-10, rel=1e-3)
 
     def test_induced_problem_audits(self, model_d2):
         induced = induced_phase_problem(MixingProblem(model=model_d2))
