@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._stencils import fornberg_weights, legendre_rule
-from .errors import ConsistencyError, ConvergenceError, DomainError
+from .errors import ConsistencyError, DomainError
 from .errors import QuadratureError, TruncationError
 from .spectral_model import nu_of_lambda
 
@@ -326,7 +326,6 @@ def solve_master(
     y0: complex,
     grid: np.ndarray,
     resonant_amplitude: complex = 1.0,
-    check_tol: float | None = None,
 ) -> Trajectory:
     """March the master relation over ``grid`` (which must start at 0).
 
@@ -395,12 +394,6 @@ def solve_master(
     )
     traj = Trajectory(grid=grid, y=y, y_prime=yp, meta=meta)
     meta.master_residual = master_relation_residual(traj, lam)
-    if check_tol is not None and meta.master_residual > check_tol:
-        raise ConvergenceError(
-            f"master residual {meta.master_residual:.3e} above {check_tol:.1e}; "
-            "refine the grid",
-            achieved=meta.master_residual,
-        )
     return traj
 
 
@@ -680,14 +673,12 @@ class ForcingProfile:
         ts = np.logspace(0.0, 4.0, 801)
         return float(np.max(np.abs(_evaluate(self.fn, ts)) * ts))
 
-    def _cutoff(
-        self, nu: float, tol: float | None, r_max: float
-    ) -> tuple[float, float]:
+    def _cutoff(self, nu: float, tol: float | None) -> tuple[float, float]:
         """(R, envelope tail bound at R) for tail integrals stopped at R.
 
         Samples stop at the last sample and raise :class:`TruncationError`
         when the bound there exceeds ``tol`` (None checks nothing).  A
-        callable stops at the smallest R ≤ r_max whose bound reaches ``tol``
+        callable stops at the smallest R ≤ _R_MAX whose bound reaches ``tol``
         (1e-9 when None) and raises when there is no such R.
         """
         if tol is not None and not tol >= 0.0:
@@ -711,10 +702,10 @@ class ForcingProfile:
             r_req = (self.decay_c / (2.0 * nu * nu * tol)) ** (1.0 / nu)
         except (ZeroDivisionError, OverflowError):  # tol = 0, or R beyond any float
             r_req = math.inf
-        if r_req > r_max:
-            achieved = _tail_bound(nu, self.decay_c, r_max)
+        if r_req > _R_MAX:
+            achieved = _tail_bound(nu, self.decay_c, _R_MAX)
             raise TruncationError(
-                f"tail bound cannot reach {tol:.1e} within R_max={r_max:.1e} "
+                f"tail bound cannot reach {tol:.1e} within R_max={_R_MAX:.1e} "
                 f"(achieved {achieved:.3e})",
                 achieved_bound=achieved,
             )
@@ -882,7 +873,6 @@ def asymptotic_constant(
     nu: float,
     forcing: ForcingProfile,
     tol: float | None = 1e-9,
-    r_max: float = _R_MAX,
 ) -> TailEstimate:
     """Tail functional −(1/2ν) ∫₁^∞ r^(−ν) f(r) dr, cut at R.
 
@@ -892,7 +882,7 @@ def asymptotic_constant(
     """
     if not 0.0 < nu <= 1.0:
         raise DomainError(f"nu must lie in (0, 1], got {nu}")
-    cutoff, bound = forcing._cutoff(nu, tol, r_max)
+    cutoff, bound = forcing._cutoff(nu, tol)
     integral = forcing._weighted(-nu, 1.0, cutoff)
     return TailEstimate(value=-integral / (2.0 * nu), tail_bound=bound, cutoff=cutoff)
 
@@ -909,7 +899,7 @@ def asymptotic_amplitude(
     """
     if not 0.0 < nu < 1.0:
         raise DomainError(f"nu must lie in (0, 1) for the amplitude, got {nu}")
-    cutoff, bound = forcing._cutoff(nu, tol, _R_MAX)
+    cutoff, bound = forcing._cutoff(nu, tol)
     integral = forcing._weighted(-nu, 0.0, cutoff)
     return TailEstimate(value=integral / (2.0 * nu), tail_bound=bound, cutoff=cutoff)
 
@@ -937,7 +927,7 @@ def particular_trajectory(
     ok = t.ndim == 1 and t.size and np.all(np.isfinite(t))
     if not (ok and np.all(np.diff(t, prepend=0.0) > 0.0)):  # the prepended 0 asks t[0] > 0
         raise DomainError("formula trajectories need 1-d, finite, increasing points > 0")
-    cutoff, _ = forcing._cutoff(nu, None, _R_MAX)
+    cutoff, _ = forcing._cutoff(nu, None)
     head = forcing._weighted(nu, 0.0, t)
     # the tail is empty (zero) once t reaches the cutoff
     tail = forcing._weighted(-nu, np.minimum(t, cutoff), cutoff)

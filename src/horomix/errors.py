@@ -17,14 +17,6 @@ class ConsistencyError(HoromixError):
     """Input data fails a required consistency relation."""
 
 
-class ConvergenceError(HoromixError):
-    """An iterative scheme did not reach the requested tolerance."""
-
-    def __init__(self, message, achieved=None):
-        super().__init__(message)
-        self.achieved = achieved
-
-
 class TruncationError(HoromixError):
     """A tail certificate cannot be pushed below tolerance within limits."""
 

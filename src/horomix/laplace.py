@@ -27,7 +27,6 @@ import numpy as np
 from ._stencils import (
     GRID_CAP,
     _cube_faces,
-    finite_difference_hessian,
     legendre_rule,
     quadratic_form,
     sweep_grid,
@@ -44,6 +43,8 @@ from .errors import (
 # Relative refinement gap laplace_quadrature accepts; remainder_slope takes it
 # as the noise floor of sampled values.
 _QUAD_REL_TOL = 1e-10
+# Gauss points per radial panel of laplace_quadrature's coarse level.
+_RADIAL_NODES = 24
 # Floor of every cone-rule exponent T·v.  exp below about −708 gives a
 # subnormal and below about −745 a zero, both on numpy's slow path; e^(−600)
 # times any weight above 1e-47 is a normal float, where a floor of −707
@@ -243,16 +244,29 @@ class PhaseProblem:
 
     def validate(self) -> None:
         """Audit v < 0 off 0 on a sweep of the box (9 points per axis while
-        the budget allows) and the Hessian against finite differences
-        (relative tolerance 1e-6)."""
+        the budget allows) and, for a :class:`Polynomial` phase, the declared
+        Hessian against the −D²v(0) of :func:`_peak_hessian` (relative
+        tolerance 1e-6)."""
         pts = sweep_grid(self.box, 9)
         vals = self.v(pts)
         interior = np.any(pts != 0.0, axis=1)
         if np.any(vals[interior] >= 0.0):
             raise ModelValidityError("phase audit failed: v(xi) >= 0 off the origin")
-        fd = finite_difference_hessian(self.v, np.zeros(self.dim))
-        if not np.allclose(-fd, self.hessian, rtol=1e-6, atol=1e-8):
+        if isinstance(self.v, Polynomial) and not np.allclose(
+            _peak_hessian(self.v), self.hessian, rtol=1e-6, atol=1e-8
+        ):
             raise ModelValidityError("-D^2 v(0) does not match the declared hessian")
+
+
+def _peak_hessian(v: Polynomial) -> np.ndarray:
+    """H = −D²v(0), read exactly from the degree-2 terms of ``v``."""
+    d = v.dim
+    hessian = np.zeros((d, d))
+    for k, c in v.items():
+        if sum(k) == 2:
+            i, j = [m for m, e in enumerate(k) for _ in range(e)]
+            hessian[i, j] = hessian[j, i] = -2.0 * c if i == j else -c
+    return hessian
 
 
 def quadratic_problem(hessian, a=None) -> PhaseProblem:
@@ -387,7 +401,7 @@ def _cone_value(problem: PhaseProblem, T: np.ndarray, nodes: int, face_nodes: in
     return value, l1
 
 
-def laplace_quadrature(problem: PhaseProblem, t_value, nodes: int = 24):
+def laplace_quadrature(problem: PhaseProblem, t_value):
     """∫_U e^{T v} a dξ by a cone rule: 2d pyramids with apex at the peak 0.
 
     Each pyramid is graded toward 0 in its one radial variable, by
@@ -396,19 +410,20 @@ def laplace_quadrature(problem: PhaseProblem, t_value, nodes: int = 24):
     :func:`_cone_value`) of n points per axis, n the first of 16, 24, ...
     that :func:`_face_count` finds meeting the face identity of the
     quadratic part ½ξᵀHξ to a tenth of ``_QUAD_REL_TOL``.  The accuracy is
-    a refinement-gap estimate, not a proven bound: two levels (``nodes``
-    and ``nodes + 8`` radial points per panel, with n and n + 8 face points
-    per axis) must agree to ``_QUAD_REL_TOL``, measured against the
-    integrand's L¹ mass so cancellation to an exact zero (odd amplitudes)
-    passes cleanly; where they do not, both face levels step up by 8 once,
-    if n + 8 is at most the largest count :func:`_face_count` reports fits
-    (never at d = 1), before QuadratureError.  A ladder of T values shares
-    one rule per level and returns an array; each T keeps its own
-    refinement-gap estimate.  An even phase costs one exp per point pair
-    ±p and T, and a non-negative amplitude one sum per T.  Exponents are
-    floored at −600, which moves a sum by at most e^(−600)·Σ|w| ≈
-    2.6e-261·Σ|w| over the rule's weighted amplitudes w; with that floor
-    and both shortcuts the values keep the bits of the plain rule
+    a refinement-gap estimate, not a proven bound: two levels
+    (_RADIAL_NODES and _RADIAL_NODES + 8 radial points per panel, with n
+    and n + 8 face points per axis) must agree to ``_QUAD_REL_TOL``,
+    measured against the integrand's L¹ mass so cancellation to an exact
+    zero (odd amplitudes) passes cleanly; where they do not, both face
+    levels step up by 8 once, if n + 8 is at most the largest count
+    :func:`_face_count` reports fits (never at d = 1), before
+    QuadratureError.  A ladder of T values shares one rule per level and
+    returns an array; each T keeps its own refinement-gap estimate.  An even
+    phase costs one exp per point pair ±p and T, and a non-negative
+    amplitude one sum per T.  Exponents are floored at −600, which moves a
+    sum by at most e^(−600)·Σ|w| ≈ 2.6e-261·Σ|w| over the rule's weighted
+    amplitudes w; with that floor and both shortcuts the values keep the
+    bits of the plain rule
     (TestConeOracle in tests/test_laplace.py).  Before the cone rule is
     built, a ladder whose T_max·κ overflows float64 raises DomainError; a
     fine level whose 24-point faces put more than GRID_CAP // (2d) points
@@ -423,7 +438,7 @@ def laplace_quadrature(problem: PhaseProblem, t_value, nodes: int = 24):
     ladder = T.reshape(-1)
     d = problem.dim
     # the fine level is the larger rule: the face count is sized under its cap
-    radial = (_cone_edges(problem, ladder).size - 1) * (nodes + 8)
+    radial = (_cone_edges(problem, ladder).size - 1) * (_RADIAL_NODES + 8)
     cap = GRID_CAP // (2 * d) // radial
     face_nodes, largest = _face_count(0.5, problem.hessian, problem.box, cap,
                                       0.1 * _QUAD_REL_TOL, 8)[:2]
@@ -439,8 +454,8 @@ def laplace_quadrature(problem: PhaseProblem, t_value, nodes: int = 24):
         n = face_nodes + step
         if n > largest:
             break
-        coarse, _ = _cone_value(problem, ladder, nodes, n)
-        fine, l1 = _cone_value(problem, ladder, nodes + 8, n + 8)
+        coarse, _ = _cone_value(problem, ladder, _RADIAL_NODES, n)
+        fine, l1 = _cone_value(problem, ladder, _RADIAL_NODES + 8, n + 8)
         err = np.abs(fine - coarse)
         allowance = _QUAD_REL_TOL * np.abs(fine) + 5e-15 * l1  # roundoff floor on cancellation
         if not np.any(err > allowance):
@@ -540,11 +555,7 @@ def laplace_expand(problem: PhaseProblem, order_n: int) -> ExpansionCoefficients
             f"series of order {order_n} in {d} variables tracks {monomials} "
             f"monomials, above the budget {_SERIES_BUDGET}"
         )
-    hessian = np.zeros((d, d))
-    for k, c in v.items():
-        if sum(k) == 2:
-            i, j = [m for m, e in enumerate(k) for _ in range(e)]
-            hessian[i, j] = hessian[j, i] = -2.0 * c if i == j else -c
+    hessian = _peak_hessian(v)
     if np.linalg.eigvalsh(hessian)[0] <= 0.0:
         raise ModelValidityError("the phase's degree-2 terms are not negative definite")
     sigma = np.linalg.inv(hessian).tolist()

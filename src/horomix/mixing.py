@@ -34,28 +34,17 @@ from .spectral_model import LAMBDA_MAX, SpectralModel
 
 @dataclass
 class MixingProblem:
-    """Spectral model plus the amplitude A(ω) standing in for the
-    observable pairing; ``amplitude=None`` selects the constant model
-    A ≡ vol_product."""
+    """Spectral model plus the constant amplitude A ≡ vol_product standing
+    in for the observable pairing."""
 
     model: SpectralModel
-    amplitude: object = None
     vol_product: float = 1.0
 
     def amplitude_at(self, pts: np.ndarray) -> np.ndarray:
-        pts = np.asarray(pts, dtype=float)
-        if self.amplitude is None:
-            return np.full(pts.shape[0], self.vol_product)
-        return np.asarray(self.amplitude(pts), dtype=float)
+        return np.full(len(pts), self.vol_product)
 
     def a0(self) -> float:
-        return float(self.amplitude_at(np.zeros((1, self.model.rank_d)))[0])
-
-    def validate(self) -> None:
-        if self.amplitude is not None:
-            a0 = self.a0()
-            if not math.isfinite(a0):
-                raise ModelValidityError("amplitude must be finite at 0")
+        return float(self.vol_product)
 
 
 def induced_phase_problem(problem: MixingProblem) -> PhaseProblem:

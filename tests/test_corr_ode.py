@@ -32,7 +32,6 @@ from horomix.corr_ode import (
 )
 from horomix.errors import (
     ConsistencyError,
-    ConvergenceError,
     DomainError,
     QuadratureError,
     TruncationError,
@@ -141,10 +140,10 @@ class TestSolveMaster:
         with pytest.raises(DomainError):
             ModePair(1, 0)
 
-    def test_coarse_grid_reports_convergence_error(self):
+    def test_coarse_grid_reports_its_residual(self):
         grid = np.concatenate([[0.0], np.linspace(0.6, 100.0, 40)])
-        with pytest.raises(ConvergenceError):
-            solve_master(ModePair(0, 0), 0.2, 1.0, grid, check_tol=1e-12)
+        traj = solve_master(ModePair(0, 0), 0.2, 1.0, grid)
+        assert 1e-4 < traj.meta.master_residual < 1e-2
 
     @pytest.mark.parametrize(
         "bad",
@@ -195,8 +194,6 @@ class TestSolveMaster:
         # 2.5-wide steps do not resolve the mode's oscillation, and the
         # residual says so instead of passing a zero trajectory
         assert 1e-2 < traj.meta.master_residual < 1.0
-        with pytest.raises(ConvergenceError):
-            solve_master(mode, lam, 0.0, coarse, check_tol=1e-6)
         # the same start on finer steps converges to the master-grid solution
         fine = np.concatenate([[0.0], np.linspace(0.6, 100.0, 4000)])
         assert abs(solve_master(mode, lam, 0.0, fine).y[-1] - ref.y[at[1]]) < 1e-6
@@ -670,12 +667,14 @@ class TestTailConstants:
             got = asymptotic_constant(nu, fp, tol=1e-8)
             assert abs(got.value) <= fp.decay_c / (2 * nu * nu) + 1e-12
 
-    def test_truncation_error_with_small_cap(self):
+    def test_truncation_error_past_the_largest_cutoff(self):
+        # the bound at the largest cutoff 1e280 is 1e-84/(2·0.3²)
         fp = ForcingProfile.from_callable(
             lambda r: (r**-2.0 if r >= 1.0 else 0.0) + 0j, breakpoints=(1.0,)
         )
-        with pytest.raises(TruncationError):
-            asymptotic_constant(0.3, fp, tol=1e-11, r_max=1e6)
+        with pytest.raises(TruncationError) as info:
+            asymptotic_constant(0.3, fp, tol=1e-90)
+        assert info.value.achieved_bound == pytest.approx(1e-84 / 0.18, rel=1e-12)
 
     def test_amplitude_closed_form_anchor(self):
         # Beta-function evaluation gives exactly 1; cross-check the module
@@ -837,7 +836,7 @@ class TestCallableQuadrature:
     def test_ends_past_the_cutoff_have_an_empty_tail(self):
         # a forcing this small has cutoff 1: the tail of every t > 1 is 0
         fp = ForcingProfile.from_callable(lambda t: 1e-12 / (1.0 + t) ** 2 + 0j)
-        assert fp._cutoff(0.5, None, 1e280)[0] == 1.0
+        assert fp._cutoff(0.5, None)[0] == 1.0
         t = np.array([0.5, 2.0, 5.0])
         traj = particular_trajectory(0.5, fp, t)
         head = fp._weighted(0.5, 0.0, t)

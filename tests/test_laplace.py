@@ -135,10 +135,11 @@ class TestQuadrature:
         val = laplace_quadrature(preset_gauss2d(), 50.0)
         assert val == pytest.approx(2 * math.pi / 50, rel=1e-10)
 
-    def test_quartic_self_refinement(self):
+    def test_quartic_self_refinement(self, monkeypatch):
         p = preset_quartic1d()
-        a = laplace_quadrature(p, 200.0, nodes=24)
-        b = laplace_quadrature(p, 200.0, nodes=40)
+        a = laplace_quadrature(p, 200.0)
+        monkeypatch.setattr(laplace, "_RADIAL_NODES", 40)
+        b = laplace_quadrature(p, 200.0)
         assert a == pytest.approx(b, rel=1e-10)
 
     def test_odd_amplitude_integrates_to_zero(self):
@@ -246,11 +247,23 @@ class TestQuadrature:
             custom_problem(1, v={(0,): 0.1, (2,): -1.0}, a={(0,): 1.0},
                            hessian=[[2.0]], box=[1.0])
 
-    def test_validation_rejects_wrong_declared_hessian(self):
-        # -D^2 v(0) = 2, declared 3: construction passes, validate must not
-        p = custom_problem(1, v={(2,): -1.0}, a={(0,): 1.0}, hessian=[[3.0]], box=[1.0])
+    @pytest.mark.parametrize("v, declared", [
+        ({(2,): -1.0}, [[3.0]]),  # -D^2 v(0) = 2
+        ({(2, 0): -0.5, (0, 2): -0.5, (1, 1): -0.25}, np.eye(2)),  # off-diagonal 0.25
+    ])
+    def test_validation_rejects_wrong_declared_hessian(self, v, declared):
+        # construction passes, validate must not
+        d = len(declared)
+        p = custom_problem(d, v=v, a={(0,) * d: 1.0}, hessian=declared, box=np.ones(d))
         with pytest.raises(ModelValidityError, match="declared hessian"):
             p.validate()
+
+    def test_validation_accepts_steep_sextic(self):
+        # -ξ²/2 - 1e11·ξ⁶: a finite-difference step of 1e-4 sees the sextic
+        # term, while the degree-2 term gives H = 1 exactly
+        p = custom_problem(1, {(2,): -0.5, (6,): -1e11}, {(0,): 1.0}, [[1.0]], [0.01])
+        p.validate()
+        assert laplace_expand(p, 0).c[0] == pytest.approx(math.sqrt(2 * math.pi), rel=1e-15)
 
     def test_validation_accepts_matching_hessian_2d(self):
         custom_problem(

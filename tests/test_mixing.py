@@ -18,6 +18,7 @@ from horomix.mixing import (
     sample_correlation,
 )
 from horomix.spectral_model import Perturbation, SpectralModel
+from finite_differences import finite_difference_hessian
 from tensor_panels import tensor_quadrature
 
 
@@ -120,6 +121,9 @@ class TestCorrelationIntegral:
         np.testing.assert_allclose(
             induced.hessian, model_d2.mixing_hessian(), rtol=1e-14
         )
+        # validate reads no Hessian off a phase that is not a Polynomial
+        fd = finite_difference_hessian(induced.v, np.zeros(2))
+        np.testing.assert_allclose(-fd, induced.hessian, rtol=1e-6, atol=1e-8)
 
     def test_phase_without_cancellation(self, model_d1):
         # v = √(1 − 4λ₀) − 1 against a 50-digit evaluation at the same float

@@ -13,10 +13,10 @@ from horomix.spectral_model import (
     CasimirPoint,
     Perturbation,
     SpectralModel,
-    finite_difference_hessian,
     lambda_of_nu,
     nu_of_lambda,
 )
+from finite_differences import finite_difference_hessian
 
 
 class TestCasimirMap:
@@ -155,6 +155,22 @@ class TestHomogeneousQuartic:
         expected = quad * r**2 + quartic * r**4
         np.testing.assert_allclose(model.lambda0_batch(r[:, None] * e), expected, rtol=1e-14)
 
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_sextic_perturbation_refused(self, d):
+        # vanishes to second order, so the Hessian identity holds, but a
+        # ray of λ₀ is no longer quadratic in r²
+        bad = SpectralModel(genus=2, rank_d=d, gram=np.eye(d))
+        object.__setattr__(bad, "perturbation", _PowerPerturbation(6))
+        with pytest.raises(ModelValidityError, match="homogeneous quartic"):
+            bad.validate()
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("preset", Perturbation.PRESETS)
+    @pytest.mark.parametrize("coeff", [1e-310, -1e-310])
+    def test_subnormal_values_validate(self, preset, d, coeff):
+        # p(2ω) and 16·p(ω) round differently where p is subnormal
+        _random_model(d, preset, coeff).validate()
+
 
 class TestHessians:
     def test_identity_gram_d1(self, model_d1):
@@ -252,8 +268,8 @@ class TestValidation:
         )
         m.validate()  # fine: q^2 vanishes to 4th order
         bad = SpectralModel(genus=2, rank_d=1, gram=[[1.0]])
-        object.__setattr__(bad, "perturbation", _CurvedPerturbation())
-        with pytest.raises(ModelValidityError, match="second order"):
+        object.__setattr__(bad, "perturbation", _PowerPerturbation(2))
+        with pytest.raises(ModelValidityError, match="homogeneous quartic"):
             bad.validate()
 
     def test_big_perturbation_breaks_quarter_sweep(self):
@@ -337,13 +353,16 @@ class TestRadialProfile:
         assert m.radial_profile() is None
 
 
-class _CurvedPerturbation(Perturbation):
-    def __init__(self):
+class _PowerPerturbation(Perturbation):
+    """0.01·Σᵢ ωᵢ^power, injected past the preset check."""
+
+    def __init__(self, power):
         self.name = "quartic"
         self.coeff = 1.0
+        self.power = power
 
     def __call__(self, pts, quad_form):
-        return 0.01 * np.sum(pts**2, axis=-1)
+        return 0.01 * np.sum(pts**self.power, axis=-1)
 
 
 class TestSerialization:

@@ -12,8 +12,6 @@ from horomix import _stencils
 from horomix._stencils import (
     SWEEP_BUDGET,
     exact_sum,
-    finite_difference_gradient,
-    finite_difference_hessian,
     fornberg_weights,
     gauss_legendre,
     legendre_rule,
@@ -23,6 +21,7 @@ from horomix._stencils import (
 )
 from horomix.errors import DomainError, LatticeSizeError
 from horomix.spectral_model import Perturbation, SpectralModel
+from finite_differences import finite_difference_gradient, finite_difference_hessian
 from monotone_bisect import bracketed_roots
 
 
