@@ -136,6 +136,10 @@ RUNS = [
     # below the floor of laplace._cone_value
     ("mix-radial-quartic-1e6.csv",
      ["mix", "--model", "radial_quartic.json", "--log-t-min", "1e2", "--log-t-max", "1e6"]),
+    # the one run whose amplitude vol_product is not 1
+    ("mix-amplitude.csv",
+     ["mix", "--model", "radial_quartic.json", "--amplitude", "const:2.5",
+      "--log-t-min", "1e2", "--log-t-max", "1e4"]),
     ("mix-condition15.csv",
      ["mix", "--model", "condition15.json", "--log-t-min", "100", "--log-t-max", "10000",
       "--points-per-decade", "8"]),

@@ -40,7 +40,6 @@ from .mixing import (
     mixing_expansion,
 )
 from .spectral_model import (
-    CasimirPoint,
     Perturbation,
     SpectralModel,
     lambda_of_nu,
@@ -48,7 +47,6 @@ from .spectral_model import (
 )
 
 __all__ = [
-    "CasimirPoint",
     "CharacterLattice",
     "ForcingProfile",
     "MixingProblem",

@@ -37,7 +37,7 @@ import numpy as np
 from ._stencils import fornberg_weights, legendre_rule
 from .errors import ConsistencyError, DomainError
 from .errors import QuadratureError, TruncationError
-from .spectral_model import nu_of_lambda
+from .spectral_model import lambda_of_nu, nu_of_lambda
 
 _SERIES_T = 0.5          # series radius actually used (convergence radius is 2)
 # farthest first node past 0 the series may reach: its 40-term tail is about
@@ -82,7 +82,6 @@ class TrajectoryMeta:
     nu: float
     mode: ModePair
     y0: complex
-    resonant_amplitude: complex = 0.0
     startup: str = "series"
     inconsistency: float = 0.0
     master_residual: float = float("nan")
@@ -108,14 +107,12 @@ class Trajectory:
 
 
 def master_grid(t_max: float, steps_per_decade: int = 400) -> np.ndarray:
-    """Composite grid: step 1e-3 on [0, 1], uniform in log t on [1, t_max]."""
+    """Composite grid: step 1e-3 on [0, 1], uniform in log t on [1, t_max].
+    t_max must be finite and exceed 1 (DomainError otherwise)."""
     if t_max <= 1.0:
         raise DomainError("t_max must exceed 1")
     lin = np.linspace(0.0, 1.0, 1001)
-    decades = math.log10(t_max)
-    n_log = max(2, round(decades * steps_per_decade))
-    logpart = np.logspace(0.0, decades, n_log + 1)[1:]
-    return np.concatenate([lin, logpart])
+    return np.concatenate([lin, log_grid(1.0, t_max, steps_per_decade)[1:]])
 
 
 def log_grid(t_min: float, t_max: float, steps_per_decade: int = 400) -> np.ndarray:
@@ -136,7 +133,7 @@ def taylor_coefficients(
     mode: ModePair,
     lam: float,
     y0: complex,
-    resonant_amplitude: complex = 0.0,
+    resonant_amplitude: complex,
 ) -> tuple[np.ndarray, np.ndarray, float]:
     """Startup expansion y = Σ a_k t^k + log t · Σ b_k t^k at the origin.
 
@@ -388,7 +385,6 @@ def solve_master(
         nu=nu_of_lambda(lam),
         mode=mode,
         y0=y0,
-        resonant_amplitude=amp,
         startup=startup,
         inconsistency=defect,
     )
@@ -491,7 +487,7 @@ def _check_samples(grid: np.ndarray, values: np.ndarray) -> None:
 
 def power_weighted_integral(
     grid: np.ndarray, values: np.ndarray, exponent: float,
-    a: float | np.ndarray | None = None, b: float | np.ndarray | None = None,
+    a: float | np.ndarray, b: float | np.ndarray,
 ) -> complex | np.ndarray:
     """∫ r^p f(r) dr over [a, b] ⊆ [grid[0], grid[-1]] for sampled f.
 
@@ -509,7 +505,7 @@ def power_weighted_integral(
     p = float(exponent)
     if p < -1.0:
         raise DomainError("exponent must be at least -1 for an integrable weight")
-    lo, hi = np.broadcast_arrays(grid[0] if a is None else a, grid[-1] if b is None else b)
+    lo, hi = np.broadcast_arrays(a, b)
     if not np.all((grid[0] - 1e-12 <= lo) & (lo <= hi) & (hi <= grid[-1] + 1e-12)):
         raise DomainError("integration range must lie within the sample grid")
     n, shape = grid.size, lo.shape
@@ -553,16 +549,16 @@ def _evaluate(fn, t) -> np.ndarray:
     return np.array([complex(fn(x)) for x in t.ravel().tolist()], complex).reshape(t.shape)
 
 
-def _panel_integral(fn, p: float, a, b, breakpoints) -> complex | np.ndarray:
+def _panel_integral(fn, p: float, a, b) -> complex | np.ndarray:
     """∫_a^b r^p f(r) dr for a callable f, finite ends 0 ≤ a ≤ b that broadcast,
     and a > 0 when p = −1.  In s = r^(1+p) (log r at p = −1) the weight is the
     constant 1/(1+p), so the integrand is bounded at 0.  Panel edges are the
-    ends and the breakpoints and powers of 10 between them.  The panel whose
-    24- and 32-point Gauss–Legendre values differ most is bisected until the
-    summed gaps are at most _PANEL_GAP of the summed L¹ mass (QuadratureError
-    after _MAX_BISECTIONS).  Each range is a difference of two entries of one
-    table of panel values: it depends on the other ranges of the call, within
-    the summed gap.
+    ends and the powers of 10 between them.  The panel whose 24- and 32-point
+    Gauss–Legendre values differ most is bisected until the summed gaps are
+    at most _PANEL_GAP of the summed L¹ mass (QuadratureError after
+    _MAX_BISECTIONS).  Each range is a difference of two entries of one table
+    of panel values: it depends on the other ranges of the call, within the
+    summed gap.
     """
     lo, hi = np.broadcast_arrays(np.asarray(a, float), np.asarray(b, float))
     q = 1.0 + p
@@ -570,7 +566,7 @@ def _panel_integral(fn, p: float, a, b, breakpoints) -> complex | np.ndarray:
         raise DomainError("callable integrals need p >= -1, finite 0 <= a <= b, a > 0 at p = -1")
     ends = np.union1d(lo, hi)
     k = np.log10(np.append(ends[ends > 0.0], 1.0))
-    inner = np.concatenate([breakpoints, 10.0 ** np.arange(np.floor(k.min()), k.max() + 1.0)])
+    inner = 10.0 ** np.arange(np.floor(k.min()), k.max() + 1.0)
     edges = np.union1d(ends, inner[(ends[0] < inner) & (inner < ends[-1])])
     to_s, to_r = ((lambda r: r**q), (lambda s: s ** (1.0 / q))) if q else (np.log, np.exp)
 
@@ -616,21 +612,15 @@ class ForcingProfile:
     grid: np.ndarray | None = None
     values: np.ndarray | None = None
     decay_c: float = 0.0
-    breakpoints: tuple = ()
     diagnostics: dict = field(default_factory=dict)
 
     @classmethod
-    def from_callable(
-        cls,
-        fn,
-        decay_c: float | None = None,
-        breakpoints: tuple = (),
-    ) -> "ForcingProfile":
-        """A callable f(t) → complex, integrated with panel edges at its
-        ``breakpoints``.  decay_c defaults to the audit, the max of t·|f| on
+    def from_callable(cls, fn, decay_c: float | None = None) -> "ForcingProfile":
+        """A callable f(t) → complex, integrated on panels with edges at the
+        powers of 10.  decay_c defaults to the audit, the max of t·|f| on
         801 log-spaced points of [1, 1e4]; a claimed decay_c below it raises
         ConsistencyError.  Past 1e4 the envelope is assumed, not checked."""
-        profile = cls(fn=fn, breakpoints=tuple(breakpoints))
+        profile = cls(fn=fn)
         sup = profile.envelope_audit()
         if decay_c is None:
             decay_c = sup
@@ -716,7 +706,7 @@ class ForcingProfile:
         """∫_a^b r^p f(r) dr for ends that broadcast, off one running table."""
         if self.sampled:
             return power_weighted_integral(self.grid, self.values, p, a=a, b=b)
-        return _panel_integral(self.fn, p, a, b, self.breakpoints)
+        return _panel_integral(self.fn, p, a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -936,9 +926,8 @@ def particular_trajectory(
         -((nu - 1.0) * t ** (nu - 2.0)) / (2 * nu) * tail
         + ((1.0 + nu) * t ** (-nu - 2.0)) / (2 * nu) * head
     )
-    lam = (1.0 - nu * nu) / 4.0
     meta = TrajectoryMeta(
-        lam=lam, nu=nu, mode=ModePair(0, 0), y0=complex("nan"), startup="formula"
+        lam=lambda_of_nu(nu), nu=nu, mode=ModePair(0, 0), y0=complex("nan"), startup="formula"
     )
     return Trajectory(grid=t, y=y, y_prime=yp, meta=meta)
 

@@ -143,15 +143,15 @@ def _half_box(box) -> tuple[list, list]:
     return pairs, singles
 
 
-def enumerate_characters(lattice: CharacterLattice, cap: int = GRID_CAP) -> np.ndarray:
+def enumerate_characters(lattice: CharacterLattice) -> np.ndarray:
     """All lattice characters as centered torus points j/n, lex-ordered.
 
     Centered representatives keep sublevel sets of λ₀ near 0 away from
     the fundamental-domain boundary; they are those the lattice sweep
-    uses.  Lattices above ``cap`` points raise LatticeSizeError.
+    uses.  Lattices above GRID_CAP points raise LatticeSizeError.
     """
-    box = _box_ranges(lattice, [0.5] * len(lattice.orders), cap)
-    return tensor_grid([_axis(n, idx.start, idx.stop) for n, idx in box], cap)
+    box = _box_ranges(lattice, [0.5] * len(lattice.orders), GRID_CAP)
+    return tensor_grid([_axis(n, idx.start, idx.stop) for n, idx in box])
 
 
 def _weighted_total(chunks, f) -> int:
@@ -249,7 +249,6 @@ class DensityTable:
     density: np.ndarray        # full pushforward density rho(x)
     zeta_tilde: np.ndarray     # rho(x) / x^(d/2 - 1)
     exponent: float            # d/2 - 1
-    epsilon: float
 
 
 def _unit_ball_volume(d: int) -> float:
@@ -345,9 +344,7 @@ def limit_density(
         zt = np.where(grid > 0.0, rho * safe ** (-expo), np.nan)
     if grid.size and grid[0] == 0.0:
         zt[0] = zeta0
-    return DensityTable(
-        x=grid, density=rho, zeta_tilde=zt, exponent=expo, epsilon=epsilon
-    )
+    return DensityTable(x=grid, density=rho, zeta_tilde=zt, exponent=expo)
 
 
 def limit_integral(model: SpectralModel, f, epsilon: float) -> float:

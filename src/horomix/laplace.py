@@ -476,7 +476,6 @@ def laplace_quadrature(problem: PhaseProblem, t_value):
 
 @dataclass
 class ExpansionCoefficients:
-    order_n: int
     c: np.ndarray
     fit_residual: float = 0.0
     dim: int = 1
@@ -571,7 +570,7 @@ def laplace_expand(problem: PhaseProblem, order_n: int) -> ExpansionCoefficients
             if degree % 2 == 0:
                 c[degree // 2 - n] += x * _moment(k, sigma, memo)
     c *= gaussian_moment((0,) * d) / math.sqrt(float(np.linalg.det(hessian)))
-    return ExpansionCoefficients(order_n=order_n, c=c, dim=d)
+    return ExpansionCoefficients(c=c, dim=d)
 
 
 # ---------------------------------------------------------------------------
@@ -669,7 +668,7 @@ def fit_expansion(samples, dim: int, order_n: int) -> ExpansionCoefficients:
             )
         coeffs[j] = est
         g = (g - est) * T
-    fit = ExpansionCoefficients(order_n=order_n, c=coeffs, dim=dim)
+    fit = ExpansionCoefficients(c=coeffs, dim=dim)
     fit.fit_residual = float(np.max(np.abs(fit.reconstruct(T) - vals)))
     return fit
 
@@ -684,9 +683,7 @@ def remainder_slope(samples, coeffs: ExpansionCoefficients, n_terms: int) -> flo
     samples = np.asarray(samples, dtype=float)
     order = np.argsort(samples[:, 0])
     T, vals = samples[order, 0], samples[order, 1]
-    partial = ExpansionCoefficients(
-        order_n=n_terms - 1, c=coeffs.c[:n_terms], dim=coeffs.dim
-    )
+    partial = ExpansionCoefficients(c=coeffs.c[:n_terms], dim=coeffs.dim)
     resid = np.abs(vals - partial.reconstruct(T))
     above = resid > 20.0 * _QUAD_REL_TOL * np.abs(vals)
     if not np.any(above):

@@ -40,12 +40,6 @@ class MixingProblem:
     model: SpectralModel
     vol_product: float = 1.0
 
-    def amplitude_at(self, pts: np.ndarray) -> np.ndarray:
-        return np.full(len(pts), self.vol_product)
-
-    def a0(self) -> float:
-        return float(self.vol_product)
-
 
 def induced_phase_problem(problem: MixingProblem) -> PhaseProblem:
     """The Laplace problem with v = ν₀ − 1 on the model's working box.
@@ -64,7 +58,7 @@ def induced_phase_problem(problem: MixingProblem) -> PhaseProblem:
     return PhaseProblem(
         dim=model.rank_d,
         v=v,
-        a=problem.amplitude_at,
+        a=lambda pts: np.full(len(pts), problem.vol_product),
         box=model.domain_u,
         hessian=model.mixing_hessian(),
     )
@@ -118,7 +112,7 @@ def mixing_expansion(
     fit = fit_expansion(samples, problem.model.rank_d, order_n)
 
     model = problem.model
-    a0 = problem.a0()
+    a0 = float(problem.vol_product)
     closed = leading_constant(model, a0)
     hess = model.mixing_hessian()
     closed_hessian_form = (

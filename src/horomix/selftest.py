@@ -101,11 +101,9 @@ def run_selftest() -> list[CheckResult]:
         complex(corr_ode.particular_trajectory(0.5, zero_f, [2.0]).y[0]) == 0.0,
         complex(corr_ode.particular_trajectory(0.5, zero_f, [2.0]).y[0]), 0.0,
     )
-    pow_f = corr_ode.ForcingProfile.from_callable(
-        lambda r: (r**-2.0 if r >= 1.0 else 0.0) + 0j, breakpoints=(1.0,)
-    )
+    pow_f = corr_ode.ForcingProfile.from_callable(lambda r: (r**-2.0 if r >= 1.0 else 0.0) + 0j)
     pow_f2 = corr_ode.ForcingProfile.from_callable(
-        lambda r: 2.0 * ((r**-2.0 if r >= 1.0 else 0.0) + 0j), breakpoints=(1.0,)
+        lambda r: 2.0 * ((r**-2.0 if r >= 1.0 else 0.0) + 0j)
     )
     v1 = complex(corr_ode.particular_trajectory(0.5, pow_f, [2.0]).y[0])
     v2 = complex(corr_ode.particular_trajectory(0.5, pow_f2, [2.0]).y[0])

@@ -41,22 +41,6 @@ def lambda_of_nu(nu: float) -> float:
     return (1.0 - nu * nu) / 4.0
 
 
-@dataclass(frozen=True)
-class CasimirPoint:
-    """A (λ, ν) pair with λ = (1 − ν²)/4."""
-
-    lam: float
-    nu: float
-
-    @classmethod
-    def from_lambda(cls, lam: float) -> "CasimirPoint":
-        return cls(lam=float(lam), nu=nu_of_lambda(lam))
-
-    @classmethod
-    def from_nu(cls, nu: float) -> "CasimirPoint":
-        return cls(lam=lambda_of_nu(nu), nu=float(nu))
-
-
 class Perturbation:
     """Named perturbation added to the quadratic eigenvalue model.
 
@@ -211,9 +195,6 @@ class SpectralModel:
             )
         return val
 
-    def nu0(self, omega) -> float:
-        return nu_of_lambda(self.lambda0(omega))
-
     def hessian_lambda0(self) -> np.ndarray:
         """D²λ₀(0) = (2π/(g−1)) G, exact for admissible perturbations."""
         return (2.0 * math.pi / (self.genus - 1)) * self.gram
@@ -257,8 +238,9 @@ class SpectralModel:
         The sweeps take 11 points per axis of U while the budget of
         :func:`horomix._stencils.sweep_grid` allows (d ≤ 5), fewer above;
         rank 20 and more raises LatticeSizeError.  The doubling check runs
-        on ``sweep_grid(domain_u, 3)``: the Hessian identity needs p to
-        vanish to second order, and the limit density needs it to be a
+        on ``sweep_grid(ones(d), 3)``, the points of the unit cube, since
+        homogeneity does not depend on the box: the Hessian identity needs
+        p to vanish to second order, and the limit density needs it to be a
         homogeneous quartic.  Doubling a point is exact, so both sides have
         the same bits where no value is subnormal; the check allows the 16
         units of the smallest subnormal that rounding such values costs.
@@ -271,13 +253,13 @@ class SpectralModel:
         if np.any(vals >= LAMBDA_MAX):
             raise ModelValidityError("sweep failed: lambda0 >= 1/4 inside U")
         if self.perturbation is not None:
-            pts = sweep_grid(self.domain_u, 3)
+            pts = sweep_grid(np.ones(self.rank_d), 3)
             p = self.perturbation(pts, self.quadratic_part(pts))
             doubled = self.perturbation(2.0 * pts, self.quadratic_part(2.0 * pts))
             slack = 16.0 * np.finfo(float).smallest_subnormal
             if np.any(np.abs(doubled - 16.0 * p) > slack):
                 raise ModelValidityError(
-                    "perturbation is not a homogeneous quartic: p(2w) != 16 p(w) on U"
+                    "perturbation is not a homogeneous quartic: p(2w) != 16 p(w)"
                 )
 
     # -- serialization -------------------------------------------------------

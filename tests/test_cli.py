@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from horomix.cli import dispatch, load_model
+from horomix.cli import _parse_amplitude, dispatch, load_model
 from horomix.errors import ConfigError
 from horomix.spectral_model import SpectralModel
 
@@ -241,6 +241,34 @@ class TestDispatch:
         assert rc == 0
         rows = _read_csv(out)
         assert all(math.isfinite(float(r[1])) for r in rows[1:])
+
+    @pytest.mark.parametrize("t_max", ["inf", "nan", "1e400", "1"])
+    def test_ode_bad_t_max_refused_in_one_line(self, tmp_path, capsys, t_max):
+        out = tmp_path / "ode_bad.csv"
+        rc = dispatch(["ode", "--lambda", "0.04", "--t-max", t_max, "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("amplitude", ["const:nan", "const:inf", "const:", "JSON"])
+    def test_mix_amplitude_must_be_a_finite_constant(
+        self, model_file, tmp_path, capsys, amplitude
+    ):
+        if amplitude == "JSON":  # a JSON amplitude document
+            amplitude = str(tmp_path / "amp.json")
+            Path(amplitude).write_text(json.dumps({"type": "const", "value": 2.0}))
+        with pytest.raises(ConfigError, match="const:<finite value>"):
+            _parse_amplitude(amplitude)
+        out = tmp_path / "mix_bad.csv"
+        rc = dispatch([
+            "mix", "--model", str(model_file), "--amplitude", amplitude,
+            "--log-t-min", "100", "--log-t-max", "10000", "--out", str(out),
+        ])
+        assert rc == 1
+        assert "const:<finite value>" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_json_logs(self, tmp_path, capsys):
         out = tmp_path / "ode_jl.csv"

@@ -559,9 +559,7 @@ class TestParticularSolution:
 
     def test_power_forcing_closed_form(self):
         # f(r) = r^-2 on r >= 1, nu = 1/2, t = 2: both integrals in closed form
-        fp = ForcingProfile.from_callable(
-            lambda r: (r**-2.0 if r >= 1.0 else 0.0) + 0j, breakpoints=(1.0,)
-        )
+        fp = ForcingProfile.from_callable(lambda r: (r**-2.0 if r >= 1.0 else 0.0) + 0j)
         nu = 0.5
         tail = 2.0 ** (-1.5) / 1.5          # int_2^inf r^(-2.5) dr
         head = 2.0 * (1.0 - 2.0**-0.5)      # int_1^2 r^(-1.5) dr
@@ -572,12 +570,8 @@ class TestParticularSolution:
         assert abs(got - expected) < 1e-8
 
     def test_linearity(self):
-        fp = ForcingProfile.from_callable(
-            lambda r: (r**-2.0 if r >= 1.0 else 0.0) + 0j, breakpoints=(1.0,)
-        )
-        fp2 = ForcingProfile.from_callable(
-            lambda r: 2.0 * ((r**-2.0 if r >= 1.0 else 0.0) + 0j), breakpoints=(1.0,)
-        )
+        fp = ForcingProfile.from_callable(lambda r: (r**-2.0 if r >= 1.0 else 0.0) + 0j)
+        fp2 = ForcingProfile.from_callable(lambda r: 2.0 * ((r**-2.0 if r >= 1.0 else 0.0) + 0j))
         assert particular_trajectory(0.5, fp2, [2.0]).y[0] == pytest.approx(
             2.0 * particular_trajectory(0.5, fp, [2.0]).y[0], rel=1e-12
         )
@@ -596,7 +590,7 @@ class TestParticularSolution:
         g = master_grid(1e3, steps_per_decade=400)
         v = 1.0 / (1.0 + g) + 0j
         nu, t = 0.5, g[-1]
-        head = power_weighted_integral(g, v, nu)
+        head = power_weighted_integral(g, v, nu, a=0.0, b=t)
         got = particular_trajectory(nu, ForcingProfile.from_samples(g, v), [t]).y[0]
         assert got == pytest.approx(-(t ** (-nu - 1.0)) / (2 * nu) * head, rel=1e-14)
 
@@ -643,9 +637,7 @@ class TestTailConstants:
 
     @pytest.mark.parametrize("nu", [0.3, 0.5, 0.9])
     def test_power_forcing_closed_form(self, nu):
-        fp = ForcingProfile.from_callable(
-            lambda r: (r**-2.0 if r >= 1.0 else 0.0) + 0j, breakpoints=(1.0,)
-        )
+        fp = ForcingProfile.from_callable(lambda r: (r**-2.0 if r >= 1.0 else 0.0) + 0j)
         got = asymptotic_constant(nu, fp, tol=1e-11)
         assert abs(got.value - (-1.0 / (2 * nu * (nu + 1)))) < 1e-10
         assert got.tail_bound <= 1e-11
@@ -658,20 +650,18 @@ class TestTailConstants:
 
     @pytest.mark.parametrize("nu", [0.25, 0.5, 0.75])
     def test_envelope_bound(self, nu):
-        for fn, brk in [
-            (lambda r: (r**-2.0 if r >= 1.0 else 0.0) + 0j, (1.0,)),
-            (lambda r: math.exp(-r) + 0j, ()),
-            (lambda r: 0.3 / (1.0 + r) + 0j, ()),
+        for fn in [
+            lambda r: (r**-2.0 if r >= 1.0 else 0.0) + 0j,
+            lambda r: math.exp(-r) + 0j,
+            lambda r: 0.3 / (1.0 + r) + 0j,
         ]:
-            fp = ForcingProfile.from_callable(fn, breakpoints=brk)
+            fp = ForcingProfile.from_callable(fn)
             got = asymptotic_constant(nu, fp, tol=1e-8)
             assert abs(got.value) <= fp.decay_c / (2 * nu * nu) + 1e-12
 
     def test_truncation_error_past_the_largest_cutoff(self):
         # the bound at the largest cutoff 1e280 is 1e-84/(2·0.3²)
-        fp = ForcingProfile.from_callable(
-            lambda r: (r**-2.0 if r >= 1.0 else 0.0) + 0j, breakpoints=(1.0,)
-        )
+        fp = ForcingProfile.from_callable(lambda r: (r**-2.0 if r >= 1.0 else 0.0) + 0j)
         with pytest.raises(TruncationError) as info:
             asymptotic_constant(0.3, fp, tol=1e-90)
         assert info.value.achieved_bound == pytest.approx(1e-84 / 0.18, rel=1e-12)
@@ -1077,7 +1067,7 @@ class TestSampleQuadrature:
     def test_rejects_samples_the_rule_cannot_integrate(self, grid, values):
         # the two-node grid returned -inf+nanj before the rule checked its grid
         with pytest.raises(DomainError):
-            power_weighted_integral(np.array(grid), np.array(values, complex), 0.0)
+            power_weighted_integral(np.array(grid), np.array(values, complex), 0.0, a=0.0, b=1.0)
 
     def test_master_residual_flags_foreign_data(self):
         grid = log_grid(1.0, 100.0, steps_per_decade=200)

@@ -64,11 +64,6 @@ class TestEnumeration:
         with pytest.raises(LatticeSizeError):
             enumerate_characters(CharacterLattice((100000, 100000)))
 
-    def test_size_cap_passed_through(self):
-        assert enumerate_characters(CharacterLattice((4, 4)), cap=16).shape == (16, 2)
-        with pytest.raises(LatticeSizeError):
-            enumerate_characters(CharacterLattice((4, 4)), cap=15)
-
     def test_bad_orders(self):
         with pytest.raises(DomainError):
             CharacterLattice((0, 3))

@@ -19,7 +19,7 @@ import pytest
 
 REPO = Path(__file__).resolve().parent.parent
 SRC = REPO / "src" / "horomix"
-MAX_DEFAULTED = 22
+MAX_DEFAULTED = 17
 THREADED = ("threading", "concurrent.futures", "multiprocessing")
 
 MODULES = {

@@ -538,7 +538,7 @@ def _assert_series_matches_quadrature(p, orders, T):
     quad = laplace_quadrature(p, T)
     for order_n in orders:
         c = laplace_expand(p, order_n + 1).c
-        series = ExpansionCoefficients(order_n=order_n, c=c[:-1], dim=p.dim)
+        series = ExpansionCoefficients(c=c[:-1], dim=p.dim)
         bound = abs(c[-1]) * T ** (-order_n - 1 - p.dim / 2) + 1e-10 * np.abs(quad)
         assert np.all(np.abs(series.reconstruct(T) - quad) <= bound), order_n
 
@@ -773,6 +773,6 @@ class TestRemainderOrder:
         assert slope == float("-inf")
 
     def test_reconstruct(self):
-        coeffs = ExpansionCoefficients(order_n=1, c=np.array([2.0, -1.0]), dim=2)
+        coeffs = ExpansionCoefficients(c=np.array([2.0, -1.0]), dim=2)
         got = coeffs.reconstruct(np.array([100.0]))
         assert got[0] == pytest.approx(2.0 / 100.0 - 1.0 / 100.0**2, rel=1e-14)

@@ -10,7 +10,6 @@ from hypothesis import given, strategies as st
 
 from horomix.errors import ConfigError, DomainError, ModelValidityError
 from horomix.spectral_model import (
-    CasimirPoint,
     Perturbation,
     SpectralModel,
     lambda_of_nu,
@@ -41,10 +40,6 @@ class TestCasimirMap:
     )
     def test_strictly_decreasing(self, lam, step):
         assert nu_of_lambda(lam + step) < nu_of_lambda(lam)
-
-    def test_casimir_point(self):
-        p = CasimirPoint.from_nu(0.5)
-        assert p.lam == pytest.approx(3.0 / 16.0, abs=1e-16)
 
 
 class TestBranchEvaluation:
@@ -170,6 +165,23 @@ class TestHomogeneousQuartic:
     def test_subnormal_values_validate(self, preset, d, coeff):
         # p(2ω) and 16·p(ω) round differently where p is subnormal
         _random_model(d, preset, coeff).validate()
+
+    def test_tiny_box_validates(self):
+        # on this box ω⁴ ≈ 1e-312 is subnormal, and the coefficient 1e10 would
+        # scale its rounding past the slack; the unit cube has no such values
+        model = SpectralModel(
+            genus=2, rank_d=2, gram=np.eye(2), perturbation=Perturbation("quartic", 1e10),
+            domain_u=[1e-78, 1e-78],
+        )
+        model.validate()
+
+    @pytest.mark.parametrize("power", [2, 6])
+    def test_other_powers_refused_on_a_small_box(self, power):
+        # the doubling check runs on the unit cube, whatever the box
+        bad = SpectralModel(genus=2, rank_d=2, gram=np.eye(2), domain_u=[1e-3, 1e-3])
+        object.__setattr__(bad, "perturbation", _PowerPerturbation(power))
+        with pytest.raises(ModelValidityError, match="homogeneous quartic"):
+            bad.validate()
 
 
 class TestHessians:
