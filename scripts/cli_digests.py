@@ -75,6 +75,15 @@ PHASES = {
         "v_poly": {"2,0": -0.5, "0,2": -0.5, "3,0": 0.05, "4,0": -0.05},
         "a_poly": {"0,0": 0.5, "1,0": 1.0},
     },
+    # an even phase, so the − faces reuse the + faces' exponentials, with
+    # a = 1/2 + ξ₁, which is not even and changes sign: the − faces multiply
+    # the reversed exponentials by their own weighted amplitudes, and the
+    # L¹ mass is summed apart from the value
+    "signed_amplitude.json": {
+        "dim": 2, "box": [3.0, 3.0], "hessian": [[1.0, 0.0], [0.0, 1.0]],
+        "v_poly": {"2,0": -0.5, "0,2": -0.5, "4,0": -0.05},
+        "a_poly": {"0,0": 0.5, "1,0": 1.0},
+    },
 }
 
 # (output CSV, CLI arguments before --out)
@@ -97,6 +106,8 @@ RUNS = [
     ("laplace-gauss2d.csv", ["laplace", "--preset", "gauss2d"]),
     ("laplace-odd-phase.csv",
      ["laplace", "--preset", "custom-json", "--custom", "odd_phase.json"]),
+    ("laplace-signed-amplitude.csv",
+     ["laplace", "--preset", "custom-json", "--custom", "signed_amplitude.json"]),
     ("cover-identity.csv", ["cover", "--model", "identity.json", "--orders", "64,64"]),
     ("cover-radial-quartic-study.csv",
      ["cover", "--model", "radial_quartic.json", "--orders", "64,64", "--study"]),

@@ -241,6 +241,6 @@ def _cube_faces(d: int, n: int, lead) -> tuple[np.ndarray, np.ndarray]:
     points = np.empty((2 * d, len(coords), d))
     for i in range(d):
         face = points[2 * i : 2 * i + 2]
-        face[..., i] = [[1.0], [-1.0]]
+        face[0, :, i], face[1, :, i] = 1.0, -1.0
         face[..., :i], face[..., i + 1 :] = coords[:, :i], coords[:, i:]
     return points, weights

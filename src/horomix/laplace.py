@@ -56,6 +56,9 @@ _EXP_FLOOR = -600.0
 # every cubic and quartic term took 1.3 s at d = 4, order 4 (20 475) and
 # 1.9 s at d = 5, order 3 (33 649); d = 6, order 3 (134 596) took 7.5 s.
 _SERIES_BUDGET = 50_000
+# Points per axis of the caller's largest level at the first count of
+# _face_count's ladder; laplace_quadrature takes that count at d = 1.
+_FACE_FIRST = 24
 
 
 def _face_count(coeff: float, m: np.ndarray, u: np.ndarray, cap: int, tol: float, extra: int):
@@ -66,8 +69,9 @@ def _face_count(coeff: float, m: np.ndarray, u: np.ndarray, cap: int, tol: float
     ray directions w = u ⊙ p, their weights scaled by ∏uᵢ, and
     Q(w) = coeff·quadratic_form(w, m); ``largest`` is the largest n that fits.
 
-    n is the first of 24 − extra, 32 − extra, ... whose rule meets the face
-    identity Σ_faces ∫ Q(u⊙p)^(−d/2) dp = 2π^(d/2)/(Γ(d/2)·∏uᵢ·√det(coeff·m))
+    n is the first of 24 − extra (``_FACE_FIRST`` − extra), 32 − extra, ...
+    whose rule meets the face identity
+    Σ_faces ∫ Q(u⊙p)^(−d/2) dp = 2π^(d/2)/(Γ(d/2)·∏uᵢ·√det(coeff·m))
     to ``tol`` relative: the large-T limit of the cone rule's face integrand
     and the x → 0 limit of the cover density's, whose Gauss error the
     complex zeros of Q set (Trefethen, SIAM Review 50, 2008).  The largest
@@ -84,23 +88,25 @@ def _face_count(coeff: float, m: np.ndarray, u: np.ndarray, cap: int, tol: float
     anything is allocated.  Gauss errors fall geometrically in n, so after
     each miss the last two errors predict the count that meets ``tol``;
     where that count does not fit, or the largest count that fits misses,
-    QuadratureError is raised with the last error.
+    QuadratureError is raised with the last error.  :func:`laplace_quadrature`
+    does not call this at d = 1: it takes the first count there itself.
     """
     d = len(u)
-    if 24 ** (d - 1) > cap:
+    if _FACE_FIRST ** (d - 1) > cap:
         raise LatticeSizeError(
-            f"face rule of 24 points per axis counts {24 ** (d - 1)} against the cap {cap}"
+            f"face rule of {_FACE_FIRST} points per axis counts {_FACE_FIRST ** (d - 1)} "
+            f"against the cap {cap}"
         )
     # counting coordinates past the first count keeps rank-4 mixing at 24
     # points per axis, about 2.4 GB of arrays at T = 1e4; counting points
     # would admit 32 on a correlated Gram, over 3.2 GB
-    top = 24
+    top = _FACE_FIRST
     while d > 1 and d * (top + 8) ** (d - 1) <= cap and (top + 8) ** 3 <= GRID_CAP:
         top += 8
     root_det = math.sqrt(float(np.linalg.det(coeff * m)))
     exact = 2.0 * math.pi ** (d / 2.0) / (math.gamma(d / 2.0) * root_det)
     prev = None
-    for size in range(24, top + 1, 8):
+    for size in range(_FACE_FIRST, top + 1, 8):
         n = size - extra
         faces, wts = _cube_faces(d, n, math.prod(u))
         faces *= u
@@ -156,13 +162,15 @@ class Polynomial(dict):
         powers = [[None, pts[:, i]] for i in range(self.dim)]  # ξᵢ^e at [i][e]
         out = np.zeros(pts.shape[0])
         for k, c in self.items():
-            term = np.full(pts.shape[0], c)
+            term = None  # c·ξᵢ^kᵢ from the first nonzero kᵢ on
             for col, ki in zip(powers, k):
                 while len(col) <= ki:
                     col.append(col[-1] * col[1])
-                if ki:
+                if ki and term is None:
+                    term = c * col[ki]
+                elif ki:
                     term *= col[ki]
-            out += term
+            out += c if term is None else term
         return out
 
 
@@ -332,14 +340,16 @@ def _cone_edges(problem: PhaseProblem, T: np.ndarray) -> np.ndarray:
     return _radial_edges(1.0 / math.sqrt(scale))
 
 
-def _cone_value(problem: PhaseProblem, T: np.ndarray, nodes: int, face_nodes: int):
+def _cone_value(problem: PhaseProblem, T: np.ndarray, edges: np.ndarray, nodes: int,
+                face_nodes: int):
     """Cone-rule values and integrand L¹ masses on the ladder T, from one rule
-    graded for its largest T where v and a are evaluated once.
+    on the radial panel ``edges`` (:func:`_cone_edges` of the ladder) where
+    v and a are evaluated once.
 
     The box splits into 2d pyramids with apex 0, one per face ξᵢ = ±uᵢ.
     With ξ = s·p, p on the face, dξ = uᵢ·s^{d−1} ds dp: the radial rule
-    puts ``nodes`` Gauss points on each panel of ``_radial_edges``, and
-    each face carries one ``face_nodes``-point Gauss tensor rule, that of
+    puts ``nodes`` Gauss points on each panel, and each face carries one
+    ``face_nodes``-point Gauss tensor rule, that of
     ``_stencils._cube_faces``, which the cover density shares.  The points
     form one (2d, s, face point, d) array, the faces in the order +u₁,
     −u₁, +u₂, ...; coordinate j of a point is pⱼ·(s·uⱼ) and its weight
@@ -360,7 +370,6 @@ def _cone_value(problem: PhaseProblem, T: np.ndarray, nodes: int, face_nodes: in
     rule with underflow raising.
     """
     d, u = problem.dim, problem.box
-    edges = _cone_edges(problem, T)
     x_ref, w_ref = legendre_rule(nodes)
     mid, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * (edges[1:] - edges[:-1])
     s = (mid[:, None] + half[:, None] * x_ref).ravel()
@@ -409,10 +418,12 @@ def laplace_quadrature(problem: PhaseProblem, t_value):
     double in width, and carries a Gauss tensor rule on its face (see
     :func:`_cone_value`) of n points per axis, n the first of 16, 24, ...
     that :func:`_face_count` finds meeting the face identity of the
-    quadratic part ½ξᵀHξ to a tenth of ``_QUAD_REL_TOL``.  The accuracy is
-    a refinement-gap estimate, not a proven bound: two levels
-    (_RADIAL_NODES and _RADIAL_NODES + 8 radial points per panel, with n
-    and n + 8 face points per axis) must agree to ``_QUAD_REL_TOL``,
+    quadratic part ½ξᵀHξ to a tenth of ``_QUAD_REL_TOL``.  A rank-1 face
+    is one point whatever n is, so d = 1 takes n = 16 without sizing it.
+    The panel edges are computed once per call and shared by every level.
+    The accuracy is a refinement-gap estimate, not a proven bound: two
+    levels (_RADIAL_NODES and _RADIAL_NODES + 8 radial points per panel,
+    with n and n + 8 face points per axis) must agree to ``_QUAD_REL_TOL``,
     measured against the integrand's L¹ mass so cancellation to an exact
     zero (odd amplitudes) passes cleanly; where they do not, both face
     levels step up by 8 once, if n + 8 is at most the largest count
@@ -437,11 +448,15 @@ def laplace_quadrature(problem: PhaseProblem, t_value):
         raise DomainError("t_value must be finite and nonnegative")
     ladder = T.reshape(-1)
     d = problem.dim
-    # the fine level is the larger rule: the face count is sized under its cap
-    radial = (_cone_edges(problem, ladder).size - 1) * (_RADIAL_NODES + 8)
-    cap = GRID_CAP // (2 * d) // radial
-    face_nodes, largest = _face_count(0.5, problem.hessian, problem.box, cap,
-                                      0.1 * _QUAD_REL_TOL, 8)[:2]
+    edges = _cone_edges(problem, ladder)
+    if d == 1:
+        # a rank-1 face is one point: _face_count would take its first count
+        face_nodes = largest = _FACE_FIRST - 8
+    else:
+        # the fine level is the larger rule: the face count is sized under its cap
+        cap = GRID_CAP // (2 * d) // ((edges.size - 1) * (_RADIAL_NODES + 8))
+        face_nodes, largest = _face_count(0.5, problem.hessian, problem.box, cap,
+                                          0.1 * _QUAD_REL_TOL, 8)[:2]
     # The identity is the face rule's error at large T.  At the low end of
     # a ladder e^{T·v} is not yet negligible on the box faces, and where v
     # nears a singularity there (λ₀ → 1/4 at the corners of a mixing box)
@@ -454,8 +469,8 @@ def laplace_quadrature(problem: PhaseProblem, t_value):
         n = face_nodes + step
         if n > largest:
             break
-        coarse, _ = _cone_value(problem, ladder, _RADIAL_NODES, n)
-        fine, l1 = _cone_value(problem, ladder, _RADIAL_NODES + 8, n + 8)
+        coarse, _ = _cone_value(problem, ladder, edges, _RADIAL_NODES, n)
+        fine, l1 = _cone_value(problem, ladder, edges, _RADIAL_NODES + 8, n + 8)
         err = np.abs(fine - coarse)
         allowance = _QUAD_REL_TOL * np.abs(fine) + 5e-15 * l1  # roundoff floor on cancellation
         if not np.any(err > allowance):
@@ -603,6 +618,19 @@ def _richardson_ladder(x: np.ndarray, g: np.ndarray):
     return float(diag[best]), float(increments[0]), float(increments[best - 1])
 
 
+def _sorted_samples(samples):
+    """(T, I) of sampled values, sorted by T.  Anything but an (M, 2) array,
+    M ≥ 1, of finite values with every T > 0 raises DomainError before any
+    arithmetic."""
+    samples = np.asarray(samples, dtype=float)
+    if samples.ndim != 2 or samples.shape[1] != 2 or samples.shape[0] == 0:
+        raise DomainError("samples must be an (M, 2) array of (T, I), M >= 1")
+    if not (np.all(np.isfinite(samples)) and np.all(samples[:, 0] > 0.0)):
+        raise DomainError("samples must be finite, with every T > 0")
+    order = np.argsort(samples[:, 0])
+    return samples[order, 0], samples[order, 1]
+
+
 def fit_expansion(samples, dim: int, order_n: int) -> ExpansionCoefficients:
     """Sequential extraction of c₀ … c_N from samples (T, I(T)).
 
@@ -613,14 +641,10 @@ def fit_expansion(samples, dim: int, order_n: int) -> ExpansionCoefficients:
     from lower decades (always using the top decade would amplify the
     roundoff of earlier stages past any useful tolerance).  A stage with
     no internally converging ladder raises ConditioningError carrying the
-    last stable order.
+    last stable order.  Samples that are not an (M, 2) array of finite
+    values with every T > 0 raise DomainError (:func:`_sorted_samples`).
     """
-    samples = np.asarray(samples, dtype=float)
-    if samples.ndim != 2 or samples.shape[1] != 2:
-        raise DomainError("samples must be an (M, 2) array of (T, I)")
-    order = np.argsort(samples[:, 0])
-    T = samples[order, 0]
-    vals = samples[order, 1]
+    T, vals = _sorted_samples(samples)
     if T[-1] / T[0] < 99.999:
         raise DomainError("samples must span at least two decades of T")
     if T.size < 2 * (order_n + 1):
@@ -678,11 +702,10 @@ def remainder_slope(samples, coeffs: ExpansionCoefficients, n_terms: int) -> flo
 
     Measured over the highest sample decade whose remainder sits above
     20× the relative noise floor of the samples; −inf when the remainder
-    is unmeasurable at that floor everywhere.
+    is unmeasurable at that floor everywhere.  Samples are checked as in
+    :func:`fit_expansion`.
     """
-    samples = np.asarray(samples, dtype=float)
-    order = np.argsort(samples[:, 0])
-    T, vals = samples[order, 0], samples[order, 1]
+    T, vals = _sorted_samples(samples)
     partial = ExpansionCoefficients(c=coeffs.c[:n_terms], dim=coeffs.dim)
     resid = np.abs(vals - partial.reconstruct(T))
     above = resid > 20.0 * _QUAD_REL_TOL * np.abs(vals)

@@ -106,6 +106,22 @@ class TestPolynomial:
         terms = [c * pts[:, 0] ** k[0] * pts[:, 1] ** k[1] for k, c in p.items()]
         scale = np.sum(np.abs(terms), axis=0)
         assert np.all(np.abs(p(pts) - np.sum(terms, axis=0)) <= 1e-15 * scale)
+        # the documented order, bit for bit: ((c·ξ₁^k₁)·ξ₂^k₂), each power
+        # ((ξ·ξ)·ξ)···, the terms added in map order to zeros
+        def power(x, e):
+            out = x
+            for _ in range(e - 1):
+                out = out * x
+            return out
+
+        expected = np.zeros(len(pts))
+        for k, c in p.items():
+            term = np.full(len(pts), c)
+            for x, e in zip(pts.T, k):
+                if e:
+                    term = term * power(x, e)
+            expected = expected + term
+        assert np.array_equal(p(pts), expected)
 
     def test_even_polynomial_has_the_same_bits_at_negated_points(self):
         p = Polynomial({(2, 0): -0.5, (0, 4): -0.25, (2, 2): 0.3, (6, 0): 1.0 / 3.0})
@@ -149,6 +165,26 @@ class TestQuadrature:
     def test_negative_t_rejected(self):
         with pytest.raises(DomainError):
             laplace_quadrature(preset_gauss1d(), -1.0)
+
+    @pytest.mark.parametrize("preset, face_counts", [(preset_quartic1d, 0), (preset_gauss2d, 1)])
+    def test_one_set_of_edges_and_no_rank1_face_sizing(self, preset, face_counts, monkeypatch):
+        # the panel edges are graded once per call and shared by both
+        # levels; a rank-1 face is one point, so d = 1 sizes no face rule,
+        # and its levels take the count _face_count would have returned
+        p, calls, levels = preset(), [], []
+        first = _face_count(p)
+        for name in ("_cone_edges", "_face_count"):
+            fn = getattr(laplace, name)
+            monkeypatch.setattr(laplace, name,
+                                lambda *a, fn=fn, name=name: calls.append(name) or fn(*a))
+        cone = laplace._cone_value
+        monkeypatch.setattr(laplace, "_cone_value",
+                            lambda p, t, edges, nodes, n: levels.append(n)
+                            or cone(p, t, edges, nodes, n))
+        laplace_quadrature(p, 1e4)
+        assert calls.count("_cone_edges") == 1
+        assert calls.count("_face_count") == face_counts
+        assert levels == [first, first + 8]
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, [1e2, np.nan], [1e2, -1.0]])
     def test_non_finite_or_negative_t_rejected(self, bad):
@@ -328,6 +364,35 @@ def _face_count(p):
                                0.1 * laplace._QUAD_REL_TOL, 8)[0]
 
 
+def _cone_value(p, T, nodes, face_nodes):
+    """laplace._cone_value on the panel edges laplace_quadrature grades for T."""
+    return laplace._cone_value(p, T, laplace._cone_edges(p, T), nodes, face_nodes)
+
+
+def _per_t_exps(p, nodes, face_nodes):
+    """(rule points, exponentials per T) of the cone rule on ``p``: the
+    difference between ladders of three and two T."""
+    counts = {"exp": 0, "points": 0}
+
+    class CountingNumpy:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def exp(self, x, **kwargs):
+            counts["exp"] += x.size
+            return np.exp(x, **kwargs)
+
+    v, work = p.v, []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(p, "v", lambda pts: counts.__setitem__("points", len(pts)) or v(pts))
+        mp.setattr(laplace, "np", CountingNumpy())
+        for T in (np.array([1.0, 10.0, 100.0]), np.array([1.0, 100.0])):
+            counts["exp"] = 0
+            _cone_value(p, T, nodes, face_nodes)
+            work.append(counts["exp"])
+    return counts["points"], work[0] - work[1]
+
+
 class TestConeOracle:
     """The cone rule against the plain rule of tests/cone_plain.py."""
 
@@ -338,15 +403,18 @@ class TestConeOracle:
     def test_same_bits_as_plain_rule(self, case, level):
         p = CONE_CASES[case]()
         face_nodes = _face_count(p) + level
-        value, l1 = laplace._cone_value(p, self.T, 24 + level, face_nodes)
+        value, l1 = _cone_value(p, self.T, 24 + level, face_nodes)
         plain_value, plain_l1 = plain_cone_value(p, self.T, 24 + level, face_nodes)
         assert np.array_equal(value, plain_value)
         assert np.array_equal(l1, plain_l1)
         # which branches the case takes: mirrored faces for an even phase,
         # one sum for a non-negative amplitude
         pts = np.random.default_rng(3).uniform(-1.0, 1.0, (64, p.dim)) * p.box
-        assert np.array_equal(p.v(pts), p.v(-pts)) == (case != "odd-phase")
+        mirrored = case != "odd-phase"
+        assert np.array_equal(p.v(pts), p.v(-pts)) == mirrored
         assert np.array_equal(value, l1) == (case != "signed-amplitude")
+        points, exps = _per_t_exps(p, 24 + level, face_nodes)
+        assert exps == (points // 2 if mirrored else points)
 
     @pytest.mark.parametrize("level", [0, 8])
     @pytest.mark.parametrize("case", sorted(CONE_CASES))
@@ -359,7 +427,7 @@ class TestConeOracle:
         T = log_grid(1.0, 1e6, 2)
         face_nodes = _face_count(p) + level
         with np.errstate(under="raise"):
-            value, l1 = laplace._cone_value(p, T, 24 + level, face_nodes)
+            value, l1 = _cone_value(p, T, 24 + level, face_nodes)
         plain_value, plain_l1 = plain_cone_value(p, T, 24 + level, face_nodes)
         assert np.array_equal(value, plain_value)
         assert np.array_equal(l1, plain_l1)
@@ -371,12 +439,12 @@ class TestConeOracle:
         seen = []
         v = p.v
         p.v = lambda pts: seen.append(pts.shape[0]) or v(pts)
-        laplace._cone_value(p, self.T, 24, face_nodes)
+        _cone_value(p, self.T, 24, face_nodes)
         rule = seen[-1]
         # a cap of exactly `rule` points admits the rule, one point less refuses it
         for cap, refused in ((rule, False), (rule - 1, True)):
             monkeypatch.setattr(laplace, "GRID_CAP", cap)
-            for fn in (laplace._cone_value, plain_cone_value):
+            for fn in (_cone_value, plain_cone_value):
                 if refused:
                     with pytest.raises(LatticeSizeError):
                         fn(p, self.T, 24, face_nodes)
@@ -746,6 +814,30 @@ class TestFitExpansion:
         vals = T**-0.5
         with pytest.raises((ConditioningError, DomainError)):
             fit_expansion(np.column_stack([T, vals]), 1, 2)
+
+
+_BAD_SAMPLES = {
+    "zero-T": (0, 0.0),
+    "negative-T": (0, -1.0),
+    "nan-T": (5, np.nan),
+    "nan-I": (5, np.nan),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_SAMPLES))
+@pytest.mark.parametrize("fn", ["fit_expansion", "remainder_slope"])
+def test_samples_refused_before_arithmetic(fn, case):
+    # at T = 0 the fit divided by zero, a NaN made it call the extraction
+    # unstable, and the slope dropped NaN samples and returned a number
+    T = np.logspace(2, 6, 33)
+    samples = np.column_stack([T, T**-0.5])
+    row, value = _BAD_SAMPLES[case]
+    samples[row, 1 if case == "nan-I" else 0] = value
+    with pytest.raises(DomainError, match="T > 0"):
+        if fn == "fit_expansion":
+            fit_expansion(samples, 1, 1)
+        else:
+            remainder_slope(samples, ExpansionCoefficients(c=np.array([1.0]), dim=1), 1)
 
 
 class TestRemainderOrder:

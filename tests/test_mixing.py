@@ -91,10 +91,12 @@ class TestCorrelationIntegral:
         T = log_grid(1e2, 1e6, 8)
         cone, counts = laplace._cone_value, []
         monkeypatch.setattr(laplace, "_cone_value",
-                            lambda p, t, nodes, n: counts.append(n) or cone(p, t, nodes, n))
+                            lambda p, t, edges, nodes, n: counts.append(n)
+                            or cone(p, t, edges, nodes, n))
         got = correlation_integral(problem, T)
         assert counts == [16, 24, 24, 32]
-        ref, _ = cone(induced_phase_problem(problem), T, 32, 48)
+        induced = induced_phase_problem(problem)
+        ref, _ = cone(induced, T, laplace._cone_edges(induced, T), 32, 48)
         np.testing.assert_allclose(got, ref, rtol=1e-14, atol=0)
 
     def test_face_rule_steps_only_where_the_helper_fits_it(self, monkeypatch):
@@ -109,7 +111,8 @@ class TestCorrelationIntegral:
         monkeypatch.setattr(laplace, "GRID_CAP", 4 * radial * 40)
         cone, counts = laplace._cone_value, []
         monkeypatch.setattr(laplace, "_cone_value",
-                            lambda p, t, nodes, n: counts.append(n) or cone(p, t, nodes, n))
+                            lambda p, t, edges, nodes, n: counts.append(n)
+                            or cone(p, t, edges, nodes, n))
         with pytest.raises(QuadratureError, match="T=100.0") as info:
             correlation_integral(problem, T)
         assert counts == [16, 24]
