@@ -133,6 +133,10 @@ RUNS = [
                             "--epsilon", "0.03", "--test-fn", "bump"]),
     ("cover-identity-bump.csv", ["cover", "--model", "identity.json", "--orders", "512,512",
                                  "--test-fn", "bump"]),
+    # the trailing axis alone holds more than a sweep block, so the sweep
+    # fixes the leading index and splits the trailing axis into slabs
+    ("cover-identity-long-axis.csv", ["cover", "--model", "identity.json", "--orders",
+                                      "16,300000", "--test-fn", "linear"]),
     ("cover-rank1-quartic.csv", ["cover", "--model", "rank1_quartic.json",
                                  "--orders", "1000000", "--test-fn", "linear"]),
     ("cover-rank1-radial-quartic.csv", ["cover", "--model", "rank1_radial_quartic.json",

@@ -20,12 +20,12 @@ from .errors import DomainError, LatticeSizeError
 GRID_CAP = 100_000_000
 # Points a validation sweep may use: 11 per axis fit up to d = 5.
 SWEEP_BUDGET = 1_000_000
-# Values per exact_sum chunk, small enough that a chunk and its two scratch
-# buffers stay in cache.  The extraction levels are exact for the M with
-# 2^M ≥ _SUM_CHUNK + 2, derived from it at call time; the per-exponent sums
-# of the tail route stay exact integers in float64 while
-# _SUM_CHUNK · 2²⁷ ≤ 2⁵³.
-_SUM_CHUNK = 1 << 16
+# Values per exact_sum chunk (256 KiB), chosen by timing the lattice
+# sweep's strata in one process: 2¹⁵ beat 2¹⁴ and 2¹⁶.  The extraction
+# levels are exact for the M with 2^M ≥ _SUM_CHUNK + 2, derived from it at
+# call time; the per-exponent sums of the tail route stay exact integers in
+# float64 while _SUM_CHUNK · 2²⁷ ≤ 2⁵³.
+_SUM_CHUNK = 1 << 15
 
 
 def exact_sum(values) -> float:
@@ -58,10 +58,12 @@ def _exact_total(values) -> int:
     size at most 2^(E−M) and r = x − q is exact, so ``np.sum(q)`` is exact
     in any order; |r| ≤ 2^(E−53), so the next level takes σ·2^(M−53).
     The chunk's max/min pass sets the first σ and refuses non-finite
-    values.  What the levels leave, the nonzero remainders of values whose
-    low bits lie more than 2·(53 − M) binary places under the chunk's
-    magnitude, goes to :func:`_exponent_total`, and so does a chunk whose
-    σ would leave the normal range (values near DBL_MAX, or only tiny ones).
+    values; a chunk of one repeated value leaves one remainder, so where
+    that is 0 after the first level the chunk is done.  What the levels
+    leave, the nonzero remainders of values whose low bits lie more than
+    2·(53 − M) binary places under the chunk's magnitude, goes to
+    :func:`_exponent_total`, and so does a chunk whose σ would leave the
+    normal range (values near DBL_MAX, or only tiny ones).
     """
     x = np.asarray(values, dtype=float).ravel()
     m = (_SUM_CHUNK + 1).bit_length()  # the M of 2^M ≥ _SUM_CHUNK + 2
@@ -79,8 +81,9 @@ def _exact_total(values) -> int:
         rem, q = rem_buf[: rest.size], q_buf[: rest.size]
         # σ = 2^exp with max|x| < 2^(exp − M)
         exp = math.frexp(max(hi, -lo))[1] + m
+        settled = False
         for level in range(2):
-            if not -1022 <= exp <= 1023:
+            if settled or not -1022 <= exp <= 1023:
                 break
             sigma = math.ldexp(1.0, exp)
             ext = rem if level == 0 else q
@@ -91,9 +94,12 @@ def _exact_total(values) -> int:
             total += num << (1127 - den.bit_length())
             rest = np.subtract(rest, ext, out=rem)
             exp += m - 53
-        nonzero = rest != 0.0
-        if nonzero.any():
-            total += _exponent_total(rest[nonzero])
+            # one value repeated leaves one remainder: where it is 0, stop
+            settled = hi == lo and rest[0] == 0.0
+        if not settled:
+            nonzero = rest != 0.0
+            if nonzero.any():
+                total += _exponent_total(rest[nonzero])
     return total
 
 
@@ -171,26 +177,53 @@ def tensor_grid(axes, cap: int = GRID_CAP) -> np.ndarray:
     return np.stack([m.reshape(-1) for m in mesh], axis=-1)
 
 
-def quadratic_form(pts, matrix) -> np.ndarray:
-    """ωᵀMω for each point ω along the last axis of ``pts``.
+def columns(pts) -> list:
+    """The d coordinates of points along the last axis of ``pts``, one
+    contiguous copy each: the coordinate arrays that :func:`quadratic_form`
+    and the λ₀ of ``spectral_model`` take."""
+    return list(np.ascontiguousarray(np.moveaxis(np.asarray(pts, dtype=float), -1, 0)))
 
-    The terms (ωᵢ·Mᵢⱼ)·ωⱼ are added in lex order of (i, j), which is bit
-    for bit numpy's Einstein summation "...i,ij,...j->..." when M₀₀ ≥ 0
-    (the first term then is never −0.0), at a fraction of its cost for
-    d ≤ 4.  Negating every point leaves the bits unchanged.
+
+def quadratic_form(coords, matrix) -> np.ndarray:
+    """ωᵀMω on the points whose d coordinates are the arrays ``coords``.
+
+    The coordinate arrays broadcast against each other: the columns of a
+    point array (:func:`columns`), or an open mesh, one axis per coordinate
+    as ``np.ix_`` gives, on which each term costs the size of its own axes
+    and only the running total the whole mesh.  The terms (ωᵢ·Mᵢⱼ)·ωⱼ are
+    added in lex order of (i, j), so every point has the same bits in
+    either form, and they are bit for bit numpy's Einstein summation
+    "...i,ij,...j->..." when M₀₀ ≥ 0 (the first term then is never −0.0),
+    at a fraction of its cost for d ≤ 4.  Negating every point leaves the
+    bits unchanged.
     """
-    # one contiguous copy per coordinate: the d² passes below then stream
-    cols = list(np.ascontiguousarray(np.moveaxis(np.asarray(pts, dtype=float), -1, 0)))
+    shape = np.broadcast_shapes(*(np.shape(c) for c in coords))
     total = None
-    for ci, row in zip(cols, matrix.tolist()):
-        for cj, entry in zip(cols, row):
+    for ci, row in zip(coords, matrix.tolist()):
+        for cj, entry in zip(coords, row):
             term = ci * entry
-            term *= cj
-            if total is None:
-                total = term
+            if np.shape(cj) == np.shape(term):
+                term *= cj
             else:
-                total += term
+                term = term * cj
+            total = _accumulate(total, term, shape)
     return total
+
+
+def _accumulate(total, term, shape):
+    """total + term, in place in whichever of the two is fresh and already
+    has the broadcast ``shape`` (IEEE addition is commutative, so the bits
+    do not depend on which); ``term`` is always fresh, ``total`` fresh or
+    None."""
+    if total is None:
+        return term
+    if np.shape(total) == shape:
+        total += term
+        return total
+    if np.shape(term) == shape:
+        term += total
+        return term
+    return total + term
 
 
 def sweep_grid(half_widths, per_axis: int) -> np.ndarray:

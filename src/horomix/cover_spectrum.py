@@ -16,6 +16,7 @@ twice, and every sum is exactly rounded over the full multiset.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -27,7 +28,9 @@ from .errors import DomainError, LatticeSizeError, ModelValidityError
 from .laplace import _QUAD_REL_TOL, _face_count
 from .spectral_model import SpectralModel
 
-_BLOCK = 8192
+# Points per open-mesh block of the lattice sweep, chosen by timing its
+# strata in one process: with 2¹⁵-value chunks, 2¹⁵ beat 2¹⁴ and 2¹⁶.
+_BLOCK = 1 << 15
 
 
 def __getattr__(name):
@@ -45,7 +48,18 @@ class CharacterLattice:
     orders: tuple
 
     def __post_init__(self):
-        orders = tuple(int(n) for n in self.orders)
+        try:
+            orders = tuple(self.orders)
+        except TypeError:  # a bare number
+            orders = None
+        # bool is an int subclass, and int() would truncate a float
+        if orders is None or not all(
+            isinstance(n, (int, np.integer)) and not isinstance(n, bool) for n in orders
+        ):
+            raise DomainError(
+                f"lattice orders must be a sequence of integers, got {self.orders!r}"
+            )
+        orders = tuple(int(n) for n in orders)
         object.__setattr__(self, "orders", orders)
         if not orders or any(n <= 0 for n in orders):
             raise DomainError(f"lattice orders must be positive, got {orders}")
@@ -53,6 +67,17 @@ class CharacterLattice:
     @property
     def size(self) -> int:
         return math.prod(self.orders)
+
+
+def _check_rank(model: SpectralModel, lattice: CharacterLattice) -> None:
+    """A lattice of another rank than the model's raises DomainError: the
+    box radii and the Gram rows would be zipped with its orders and cut
+    short, and the average would be that of another lattice."""
+    if len(lattice.orders) != model.rank_d:
+        raise DomainError(
+            f"a rank-{model.rank_d} model needs {model.rank_d} lattice orders, "
+            f"got {len(lattice.orders)}: {lattice.orders}"
+        )
 
 
 def _index_range(n: int, half: float) -> range:
@@ -68,8 +93,12 @@ def _axis(n: int, j0: int, j1: int) -> np.ndarray:
     """Representatives j/n of the signed indices j0 ≤ j < j1, ascending.
     Those of j and −j are exact negatives, so λ₀ has the same bits on
     both; for j ≥ 0 they are the fractions a/n, a = j.  Any run of indices
-    has the bits of the same entries of a longer run."""
-    return np.arange(j0, j1) / n
+    has the bits of the same entries of a longer run.  The indices are
+    counted in float64, exactly (|j| < 2⁵³), which spares the integer
+    array and its conversion: the same bits as ``np.arange(j0, j1) / n``."""
+    values = np.arange(j0, j1, dtype=float)
+    values /= n
+    return values
 
 
 def _box_ranges(lattice: CharacterLattice, halves, cap: int) -> list:
@@ -85,30 +114,34 @@ def _box_ranges(lattice: CharacterLattice, halves, cap: int) -> list:
 
 def _box_blocks(ranges, axis):
     """The points of the sub-box ∏ ranges, each range (n, j0, j1) the
-    indices of :func:`_axis`, in lex order, as (B, d) blocks of at most
-    _BLOCK points: a slab of the leading axis times the tensor of the
-    other axes, or times a run of that tensor's rows where it alone holds
-    more than _BLOCK points.  The other axes come from ``axis``; the
-    leading axis is built by :func:`_axis` one slab per block, or by
-    ``axis`` where one slab holds it whole.  At d = 1 a block is its slab,
-    as a (B, 1) view.  Neither the box nor a leading axis longer than a
-    slab is ever built."""
-    (n, j0, j1), rest = ranges[0], ranges[1:]
-    tail = tensor_grid([axis(*r) for r in rest])
-    step = min(len(tail), _BLOCK)
-    slab = _BLOCK // step
-    lead = axis if j1 - j0 <= slab else _axis
-    for i in range(j0, j1, slab):
-        heads = lead(n, i, min(i + slab, j1))
-        if not rest:
-            yield heads[:, None]
-            continue
-        for r in range(0, len(tail), step):
-            rows = tail[r : r + step]
-            block = np.empty((heads.size, len(rows), len(ranges)))
-            block[..., 0] = heads[:, None]
-            block[..., 1:] = rows
-            yield block.reshape(-1, len(ranges))
+    indices of :func:`_axis`, in lex order, as open meshes of at most
+    _BLOCK points: d coordinate arrays, one block axis each, that broadcast
+    to the block.  A block is fixed indices on the axes before k, a slab of
+    axis k and the whole axes after k, with k the first axis whose later
+    axes hold at most _BLOCK points together.  The fixed and the later axes
+    come from ``axis``; axis k comes from ``axis`` where one slab holds it
+    whole, and from :func:`_axis`, one slab per block, where it does not.
+    No point array is built, and neither is a rank-1 box longer than a
+    slab.  At d = 1 a block is its slab."""
+    d = len(ranges)
+    sizes = [j1 - j0 for _, j0, j1 in ranges]
+    k, tail = d - 1, 1
+    while k > 0 and tail * sizes[k] <= _BLOCK:
+        tail *= sizes[k]
+        k -= 1
+    slab = _BLOCK // tail
+    ndim = d - k
+    # a fixed axis as (size, 1, …, 1): its row i is the coordinate of index i
+    fixed = [axis(*r).reshape((-1,) + (1,) * ndim) for r in ranges[:k]]
+    later = [axis(*r).reshape((1,) * a + (-1,) + (1,) * (ndim - 1 - a))
+             for a, r in enumerate(ranges[k + 1 :], 1)]
+    n, j0, j1 = ranges[k]
+    build = axis if j1 - j0 <= slab else _axis
+    for index in itertools.product(*(range(size) for size in sizes[:k])):
+        at = [c[i] for c, i in zip(fixed, index)]
+        for i in range(j0, j1, slab):
+            run = build(n, i, min(i + slab, j1)).reshape((-1,) + (1,) * (ndim - 1))
+            yield at + [run] + later
 
 
 def _half_box(box) -> tuple[list, list]:
@@ -161,25 +194,41 @@ def _weighted_total(chunks, f) -> int:
     return sum(w * _exact_total(f(vals)) for w, vals in chunks)
 
 
+def _leaves(keep: np.ndarray, coords, bound) -> bool:
+    """Whether a kept point of the open mesh ``coords`` has a coordinate
+    beyond ``bound`` on its axis: the mask of each axis is built on that
+    axis alone, and only an axis with a value beyond it is checked
+    against ``keep``."""
+    for c, u in zip(coords, bound):
+        out = np.abs(c) > u
+        if out.any() and np.any(keep & out):
+            return True
+    return False
+
+
 def _kept_chunks(model: SpectralModel, lattice: CharacterLattice, epsilon: float):
     """λ₀ ≤ ε over the box around the ellipsoid {q ≤ ε}, q the quadratic
     part, as (weight, values) chunks of at most _SUM_CHUNK values: each
     value of weight 2 is λ₀ at a character and at its mirror, each of
     weight 1 at one character.  Every preset adds coeff × a non-negative
-    term, so λ₀ ≥ q unless coeff < 0 (whole torus).
+    term, so λ₀ ≥ q unless coeff < 0 (whole torus).  A lattice of another
+    rank than the model's raises DomainError before anything is built.
 
     λ₀ is even and the representatives j/n are exact mirrors, so the
     sweep visits one member of each ±ω pair (:func:`_half_box`), all
-    pairs before the singles.  Each sub-box is swept in (B, d) blocks of
-    :func:`_box_blocks`, one ``lambda0_batch`` call each; a range that is
-    built whole is built once per sweep.  The values ≤ ε are copied into
-    one buffer of _SUM_CHUNK values, reused for every chunk, so a chunk
-    is valid only until the next is asked for.  The bits do not depend on
-    the blocking (λ₀ is evaluated point by point) nor on the host.  A kept
-    point outside the working box U raises ModelValidityError from its
-    block; U is symmetric, so checking the swept member of a pair checks
-    both.
+    pairs before the singles.  Each sub-box is swept in the open-mesh
+    blocks of :func:`_box_blocks`, one ``lambda0_mesh`` call each; a range
+    that is built whole is built once per sweep.  The values ≤ ε are copied
+    into one buffer of _SUM_CHUNK values, reused for every chunk, so a
+    chunk is valid only until the next is asked for; a block that keeps
+    every value is copied without a mask.  The bits do not depend on the
+    blocking (λ₀ has the same bits at a point in any mesh) nor on the
+    host.  A kept point outside the working box U raises
+    ModelValidityError from its block, found from per-axis masks of the
+    coordinates outside U; U is symmetric, so checking the swept member of
+    a pair checks both.
     """
+    _check_rank(model, lattice)
     if not 0.0 < epsilon <= model.gap_delta:
         raise DomainError(
             f"epsilon must lie in (0, gap_delta = {model.gap_delta}], got {epsilon}"
@@ -196,15 +245,16 @@ def _kept_chunks(model: SpectralModel, lattice: CharacterLattice, epsilon: float
     for weight, boxes in zip((2, 1), _half_box(box)):
         count = 0
         for ranges in boxes:
-            for pts in _box_blocks(ranges, axis):
-                lam = model.lambda0_batch(pts)
+            for coords in _box_blocks(ranges, axis):
+                lam = model.lambda0_mesh(coords)
                 keep = lam <= epsilon
-                if not inside_u and np.any(np.abs(pts[keep]) > bound):
+                kept = np.count_nonzero(keep)
+                if not inside_u and kept and _leaves(keep, coords, bound):
                     raise ModelValidityError(
                         "epsilon sublevel set leaves the working box U; the branch "
                         "model does not control those characters"
                     )
-                vals = lam[keep]
+                vals = lam.reshape(-1) if kept == lam.size else lam[keep]
                 while vals.size:
                     take = min(vals.size, buf.size - count)
                     buf[count : count + take] = vals[:take]
@@ -295,7 +345,7 @@ def _face_density(model: SpectralModel, x: np.ndarray) -> np.ndarray:
     _, _, (w, wts, quad) = _face_count(model.quad_coeff, model.gram, model.domain_u, cap,
                                        _QUAD_REL_TOL, 0)
     w, wts, quad = w.reshape(-1, d), np.tile(wts, 2 * d), quad.reshape(-1)
-    quartic = model.perturbation(w, quad)
+    quartic = model.perturbation(_stencils.columns(w), quad)
     if x.size and np.max(x) >= np.min(quad + quartic):
         raise DomainError("level set touches the working box; reduce epsilon")
     rho = np.empty_like(x)
@@ -386,16 +436,20 @@ def convergence_study(
     """Empirical-vs-limit errors along a sequence of growing lattices.
 
     The fitted decay exponent of |error| against min Nᵢ is reported, not
-    asserted; zero errors are excluded from the fit.
+    asserted; zero errors are excluded from the fit.  Every lattice is
+    checked (integer orders of the model's rank) before anything is
+    computed.
     """
-    seq = [tuple(int(n) for n in entry) for entry in order_sequence]
-    mins = [min(entry) for entry in seq]
+    lattices = [CharacterLattice(entry) for entry in order_sequence]
+    for lattice in lattices:
+        _check_rank(model, lattice)
+    mins = [min(lattice.orders) for lattice in lattices]
     if any(b <= a for a, b in zip(mins, mins[1:])):
         raise DomainError("order sequence must strictly increase in min N")
     limit = limit_integral(model, f, epsilon)
     report = ConvergenceReport(limit_value=limit)
-    for orders, mn in zip(seq, mins):
-        emp = spectral_average(model, CharacterLattice(orders), f, epsilon)
+    for lattice, mn in zip(lattices, mins):
+        emp = spectral_average(model, lattice, f, epsilon)
         report.rows.append(
             ConvergenceRow(
                 min_n=mn, empirical=emp, limit=limit, abs_err=abs(emp - limit)

@@ -27,6 +27,7 @@ import numpy as np
 from ._stencils import (
     GRID_CAP,
     _cube_faces,
+    columns,
     legendre_rule,
     quadratic_form,
     sweep_grid,
@@ -110,7 +111,7 @@ def _face_count(coeff: float, m: np.ndarray, u: np.ndarray, cap: int, tol: float
         n = size - extra
         faces, wts = _cube_faces(d, n, math.prod(u))
         faces *= u
-        q = coeff * quadratic_form(faces, m)
+        q = coeff * quadratic_form(columns(faces), m)
         achieved = abs(np.sum(wts * q ** (-d / 2.0)) / exact - 1.0)
         if achieved <= tol:
             return n, top - extra, (faces, wts, q)

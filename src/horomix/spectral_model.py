@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._stencils import quadratic_form, sweep_grid, tensor_grid
+from ._stencils import _accumulate, columns, quadratic_form, sweep_grid, tensor_grid
 from .errors import ConfigError, DomainError, ModelValidityError
 
 LAMBDA_MAX = 0.25
@@ -71,16 +71,23 @@ class Perturbation:
         if not math.isfinite(self.coeff):
             raise ConfigError(f"perturbation coeff must be finite, got {self.coeff}")
 
-    def __call__(self, pts: np.ndarray, quad_form: np.ndarray) -> np.ndarray:
-        # pts: (..., d); quad_form: the values q(ω) at the same points.
+    def __call__(self, coords, quad_form: np.ndarray) -> np.ndarray:
+        """p at the points whose d coordinates are the arrays ``coords``, which
+        broadcast against each other as in :func:`_stencils.quadratic_form`;
+        ``quad_form`` holds q(ω) at the same points.  ``quartic`` squares each
+        coordinate array on its own axes, then adds ω₁⁴ + ω₂⁴ + ⋯ in order,
+        so a point has the same bits in a column array and in an open mesh."""
         if self.name == "quartic":
-            sq = pts * pts
-            sq *= sq
-            total = sq[..., 0]
-            for k in range(1, sq.shape[-1]):
-                total = total + sq[..., k]
-            return self.coeff * total
-        return self.coeff * (quad_form * quad_form)
+            shape = np.broadcast_shapes(*(np.shape(c) for c in coords))
+            total = None
+            for c in coords:
+                sq = c * c
+                sq *= sq
+                total = _accumulate(total, sq, shape)
+        else:
+            total = quad_form * quad_form
+        total *= self.coeff
+        return total
 
     def to_json(self) -> dict:
         return {"name": self.name, "params": {"coeff": self.coeff}}
@@ -164,23 +171,42 @@ class SpectralModel:
 
     # -- evaluation --------------------------------------------------------
 
-    def quadratic_part(self, pts: np.ndarray) -> np.ndarray:
-        return self.quad_coeff * quadratic_form(pts, self.gram)
+    def quadratic_part(self, coords) -> np.ndarray:
+        """q(ω) = (π/(g−1))·ωᵀGω at the points whose d coordinates are the
+        arrays ``coords`` (:func:`_stencils.quadratic_form`)."""
+        q = quadratic_form(coords, self.gram)
+        q *= self.quad_coeff
+        return q
+
+    def lambda0_mesh(self, coords) -> np.ndarray:
+        """λ₀ at the points whose d coordinates are the arrays ``coords``,
+        which broadcast against each other: the columns of a point array, or
+        an open mesh, on which every per-coordinate step runs once per axis
+        value and only the sums run once per point.  The operations and
+        their order do not depend on the form, so a point has the same bits
+        in both.  This is the one evaluator of λ₀; see :meth:`lambda0_batch`.
+        """
+        q = self.quadratic_part(coords)
+        if self.perturbation is None:
+            return q
+        total = self.perturbation(coords, q)
+        total += q
+        return total
 
     def lambda0_batch(self, pts: np.ndarray) -> np.ndarray:
-        """Evaluate the branch formula on arbitrary torus points.
+        """Evaluate the branch formula on arbitrary torus points, an
+        (..., d) array: :meth:`lambda0_mesh` on its columns
+        (:func:`_stencils.columns`).
 
         No domain checks: the analytic formula extends to the whole torus,
         which the lattice sweeps rely on.  Scalar entry points that promise
         λ₀ < 1/4 must go through :meth:`lambda0`.  Only IEEE products and
         sums in a fixed order (no ``pow``), so the bits do not depend on the
-        host's SIMD width, and λ₀(−ω) = λ₀(ω) exactly.  The lattice sweep
-        calls this on (B, d) blocks.
+        host's SIMD width, and λ₀(−ω) = λ₀(ω) exactly.  The cone rule and
+        the validation sweep call this; the lattice sweep calls
+        :meth:`lambda0_mesh` on open meshes.
         """
-        q = self.quadratic_part(pts)
-        if self.perturbation is None:
-            return q
-        return q + self.perturbation(np.asarray(pts, dtype=float), q)
+        return self.lambda0_mesh(columns(pts))
 
     def lambda0(self, omega) -> float:
         omega = np.atleast_1d(np.asarray(omega, dtype=float))
@@ -253,9 +279,10 @@ class SpectralModel:
         if np.any(vals >= LAMBDA_MAX):
             raise ModelValidityError("sweep failed: lambda0 >= 1/4 inside U")
         if self.perturbation is not None:
-            pts = sweep_grid(np.ones(self.rank_d), 3)
-            p = self.perturbation(pts, self.quadratic_part(pts))
-            doubled = self.perturbation(2.0 * pts, self.quadratic_part(2.0 * pts))
+            cols = columns(sweep_grid(np.ones(self.rank_d), 3))
+            p = self.perturbation(cols, self.quadratic_part(cols))
+            cols = [2.0 * c for c in cols]
+            doubled = self.perturbation(cols, self.quadratic_part(cols))
             slack = 16.0 * np.finfo(float).smallest_subnormal
             if np.any(np.abs(doubled - 16.0 * p) > slack):
                 raise ModelValidityError(

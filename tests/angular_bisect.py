@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 
-from horomix._stencils import fornberg_weights, gauss_legendre
+from horomix._stencils import columns, fornberg_weights, gauss_legendre
 from horomix.errors import DomainError
 from monotone_bisect import bracketed_roots
 
@@ -37,9 +37,10 @@ def angular_density(model, x) -> np.ndarray:
     rmax = float(np.min(model.domain_u))
     if np.any(model.lambda0_batch(rmax * directions) <= level):
         raise DomainError("level set touches the working box; reduce epsilon")
-    quad = model.quadratic_part(directions)
+    cols = columns(directions)
+    quad = model.quadratic_part(cols)
     pert = model.perturbation
-    quartic = 0.0 if pert is None else pert(directions, quad)
+    quartic = 0.0 if pert is None else pert(cols, quad)
     return (wts / (2.0 * np.sqrt(quad * quad + 4.0 * quartic * level))).sum(axis=1)
 
 

@@ -193,6 +193,21 @@ class TestDispatch:
         assert err.startswith("error:") and "working box U" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("orders", ["64", "64,64,64"])
+    @pytest.mark.parametrize("study", [False, True])
+    def test_cover_lattice_of_another_rank_refused(self, tmp_path, capsys, orders, study):
+        # a rank-2 model on one order used to print empirical 0.265625
+        path = tmp_path / "identity2.json"
+        path.write_text(SpectralModel(genus=2, rank_d=2, gram=np.eye(2)).to_json())
+        out = tmp_path / "cov_rank.csv"
+        rc = dispatch(["cover", "--model", str(path), "--orders", orders, "--out", str(out)]
+                      + ["--study"] * study)
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error:") and "rank-2 model needs 2 lattice orders" in err
+        assert err.count("\n") == 1
+        assert not out.exists()
+
     def test_mix_run_and_verdict(self, model_file, tmp_path, capsys):
         out = tmp_path / "mix.csv"
         rc = dispatch([

@@ -68,6 +68,61 @@ class TestEnumeration:
         with pytest.raises(DomainError):
             CharacterLattice((0, 3))
 
+    @pytest.mark.parametrize("bad", [64.7, 64.0, True, np.True_, math.nan, math.inf, "64",
+                                     None, np.float64(64.0)])
+    def test_orders_that_are_not_integers_refused(self, bad):
+        # int() truncated 64.7 to 64, took True for 1, and raised a raw
+        # ValueError or OverflowError on nan and inf
+        with pytest.raises(DomainError, match="must be a sequence of integers"):
+            CharacterLattice((64, bad))
+
+    @pytest.mark.parametrize("bad", [64, 64.0, None])
+    def test_orders_that_are_not_a_sequence_refused(self, bad):
+        # a bare 64 raised a raw TypeError
+        with pytest.raises(DomainError, match="must be a sequence of integers"):
+            CharacterLattice(bad)
+
+    def test_numpy_integer_orders_accepted(self):
+        lattice = CharacterLattice((np.int64(64), np.int32(3), np.uint8(5)))
+        assert lattice.orders == (64, 3, 5)
+        assert CharacterLattice(np.array([7, 9])).orders == (7, 9)
+        assert all(type(n) is int for n in lattice.orders)
+
+
+class TestLatticeRank:
+    """A lattice whose rank is not the model's is refused before anything
+    is swept: the box radii and the Gram rows were zipped with its orders
+    and cut short."""
+
+    # unchecked, these averages came out 0.265625, 8.1e-4 and 4.15e-3
+    @pytest.mark.parametrize("model_name, orders", [
+        ("model_d2", (64,)), ("model_d2", (64, 64, 64)), ("model_d1", (64, 64)),
+    ])
+    def test_spectral_average_refuses_another_rank(self, request, monkeypatch, model_name,
+                                                   orders):
+        model = request.getfixturevalue(model_name)
+        monkeypatch.setattr(cover_spectrum, "_box_ranges", _never)
+        with pytest.raises(DomainError, match=f"rank-{model.rank_d} model needs"):
+            spectral_average(model, CharacterLattice(orders), ONE, 0.05)
+        with pytest.raises(DomainError, match=f"rank-{model.rank_d} model needs"):
+            build_histogram(model, CharacterLattice(orders), 0.05)
+
+    def test_convergence_study_refuses_another_rank_before_its_limit(self, model_d2,
+                                                                     monkeypatch):
+        monkeypatch.setattr(cover_spectrum, "limit_integral", _never)
+        monkeypatch.setattr(cover_spectrum, "_box_ranges", _never)
+        with pytest.raises(DomainError, match="rank-2 model needs 2 lattice orders, got 1"):
+            convergence_study(model_d2, ONE, 0.05, [(16, 16), (32,), (64, 64)])
+
+    def test_convergence_study_refuses_non_integer_orders(self, model_d2, monkeypatch):
+        monkeypatch.setattr(cover_spectrum, "limit_integral", _never)
+        with pytest.raises(DomainError, match="must be a sequence of integers"):
+            convergence_study(model_d2, ONE, 0.05, [(16, 16), (32.5, 32)])
+
+
+def _never(*args, **kwargs):
+    raise AssertionError("reached past the lattice checks")
+
 
 class TestSpectralAverage:
     def test_disk_count_d2(self, model_d2):
@@ -268,9 +323,10 @@ class TestSweepBox:
 
 
 class TestBlockedSweep:
-    """The sweep builds (B, d) blocks from the per-axis representatives,
-    never the box, and visits one member of each ±ω pair; the kept
-    multiset and the average are those of one λ₀ call on every character."""
+    """The sweep evaluates λ₀ on open-mesh blocks of the per-axis
+    representatives, never on the box or a point array, and visits one
+    member of each ±ω pair; the kept multiset and the average are those of
+    one λ₀ call on every character."""
 
     @pytest.mark.parametrize("block", [7, 100, cover_spectrum._BLOCK])
     @pytest.mark.parametrize("name", sorted(SWEEP_CASES) + sorted(EDGE_CASES))
@@ -307,20 +363,29 @@ class TestBlockedSweep:
         # origin once, and every point with an index −N/2 (N even) once
         model, orders = {**SWEEP_CASES, **EDGE_CASES}[name]
         lattice = CharacterLattice(orders)
-        shapes = []
-        evaluate = SpectralModel.lambda0_batch
+        meshes = []
+        evaluate = SpectralModel.lambda0_mesh
 
-        def recording(self, pts):
-            shapes.append(np.shape(pts))
-            return evaluate(self, pts)
+        def recording(self, coords):
+            meshes.append([np.shape(c) for c in coords])
+            return evaluate(self, coords)
 
         monkeypatch.setattr(cover_spectrum, "_BLOCK", block)
-        monkeypatch.setattr(SpectralModel, "lambda0_batch", recording)
+        monkeypatch.setattr(SpectralModel, "lambda0_mesh", recording)
         spectral_average(model, lattice, ONE, 0.05)
         d = model.rank_d
-        assert all(len(s) == 2 and s[1] == d and 1 <= s[0] <= block for s in shapes)
+        sizes = []
+        for shapes in meshes:
+            # d coordinates, each varying along at most one axis of the
+            # block and no two along the same one
+            assert len(shapes) == d
+            axes = [[a for a, n in enumerate(shape) if n > 1] for shape in shapes]
+            assert all(len(a) <= 1 for a in axes)
+            assert len(sum(axes, [])) == len(set(sum(axes, [])))
+            sizes.append(math.prod(np.broadcast_shapes(*shapes)))
+        assert all(1 <= size <= block for size in sizes)
         core = math.prod(n - 1 + n % 2 for n in orders)
-        assert sum(s[0] for s in shapes) == (core + 1) // 2 + lattice.size - core
+        assert sum(sizes) == (core + 1) // 2 + lattice.size - core
 
     @pytest.mark.parametrize("orders, coeff, built", [
         # the box −12616 … 12616: its zero and positive half
@@ -518,8 +583,8 @@ class TestLimitDensity:
         w = (faces * model.domain_u).reshape(-1, d)
         s, _ = cover_spectrum.gauss_legendre(0.0, math.sqrt(0.05 if d == 2 else 0.02), 200)
         x = (s * s)[:, None]
-        quad = model.quadratic_part(w)
-        quartic = model.perturbation(w, quad)
+        quad = model.quadratic_part(_stencils.columns(w))
+        quartic = model.perturbation(_stencils.columns(w), quad)
         r = np.sqrt(2.0 * x / (quad + np.sqrt(quad * quad + 4.0 * quartic * x)))
         assert np.all(r < 1.0)
         lam = model.lambda0_batch(r[..., None] * w)

@@ -6,8 +6,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from horomix._stencils import columns, quadratic_form, tensor_grid
 from horomix.errors import ConfigError, DomainError, ModelValidityError
 from horomix.spectral_model import (
     Perturbation,
@@ -106,18 +107,66 @@ class TestBranchBits:
         model = _random_model(d)
         pts = np.random.default_rng(d).uniform(-0.5, 0.5, (50_000, d))
         expected = model.quad_coeff * np.einsum("...i,ij,...j->...", pts, model.gram, pts)
-        assert model.quadratic_part(pts).tobytes() == expected.tobytes()
+        assert model.quadratic_part(columns(pts)).tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     @pytest.mark.parametrize("coeff", [0.7, -1.3])
     def test_quartic_term_within_its_rounding_bound(self, d, coeff):
         # d + 3 roundings: ω², ω⁴, d − 1 sums and the coefficient
         pts = np.random.default_rng(d).uniform(-0.5, 0.5, (3000, d))
-        got = Perturbation("quartic", coeff)(pts, None)
+        got = Perturbation("quartic", coeff)(columns(pts), None)
         bound = (1 + Fraction(2) ** -53) ** (d + 3) - 1
         for row, value in zip(pts.tolist(), got.tolist()):
             exact = Fraction(coeff) * sum(Fraction(x) ** 4 for x in row)
             assert abs(Fraction(value) - exact) <= bound * abs(exact)
+
+
+@st.composite
+def _open_mesh_cases(draw):
+    """A model of rank 1–4 (correlated Gram, no perturbation or either preset
+    at a coefficient of either sign) and d axes of 1–6 torus coordinates."""
+    d = draw(st.integers(1, 4))
+    coord = st.floats(-0.5, 0.5, allow_nan=False)
+    axes = [np.array(draw(st.lists(coord, min_size=1, max_size=6))) for _ in range(d)]
+    entries = draw(st.lists(st.floats(-1.0, 1.0), min_size=d * d, max_size=d * d))
+    a = np.array(entries).reshape(d, d)
+    gram = (a @ a.T + a.T @ a) / (2 * d) + np.eye(d)
+    preset = draw(st.sampled_from((None,) + Perturbation.PRESETS))
+    coeff = draw(st.floats(-2.0, 2.0, allow_nan=False))
+    pert = None if preset is None else Perturbation(preset, coeff)
+    return SpectralModel(genus=2, rank_d=d, gram=gram, perturbation=pert), axes
+
+
+class TestOpenMesh:
+    """λ₀ on an open mesh, each coordinate on its own axis, has at every
+    point the bits of the same point in a (N, d) array: the lattice sweep
+    evaluates open meshes, the cone rule and the validation sweep arrays."""
+
+    @settings(deadline=None)
+    @given(_open_mesh_cases())
+    def test_mesh_has_the_bits_of_the_tensor_grid(self, case):
+        model, axes = case
+        mesh, grid = np.ix_(*axes), tensor_grid(axes)
+        shape = tuple(len(a) for a in axes)
+        lam = model.lambda0_mesh(mesh)
+        assert lam.shape == shape
+        assert lam.tobytes() == model.lambda0_batch(grid).tobytes()
+        form = quadratic_form(mesh, model.gram)
+        assert form.shape == shape
+        assert form.tobytes() == quadratic_form(columns(grid), model.gram).tobytes()
+
+    @pytest.mark.parametrize("preset", (None,) + Perturbation.PRESETS)
+    def test_fixed_leading_coordinates_broadcast(self, preset):
+        # the sweep's blocks: fixed values on the leading axes, as (1, 1)
+        # arrays, times a slab and a whole trailing axis
+        model = _random_model(4, preset, -0.4)
+        rng = np.random.default_rng(4)
+        slab, tail = rng.uniform(-0.5, 0.5, 7), rng.uniform(-0.5, 0.5, 5)
+        fixed = [np.full((1, 1), 0.3), np.full((1, 1), -0.1)]
+        lam = model.lambda0_mesh(fixed + [slab[:, None], tail[None, :]])
+        grid = tensor_grid([[0.3], [-0.1], slab, tail])
+        assert lam.shape == (7, 5)
+        assert lam.tobytes() == model.lambda0_batch(grid).tobytes()
 
 
 class TestHomogeneousQuartic:
@@ -132,8 +181,9 @@ class TestHomogeneousQuartic:
         model = _random_model(d, preset, coeff)
         p = model.perturbation
         pts = np.random.default_rng(d).uniform(-0.5, 0.5, (10_000, d))
-        doubled = p(2.0 * pts, model.quadratic_part(2.0 * pts))
-        assert doubled.tobytes() == (16.0 * p(pts, model.quadratic_part(pts))).tobytes()
+        cols, twice = columns(pts), columns(2.0 * pts)
+        doubled = p(twice, model.quadratic_part(twice))
+        assert doubled.tobytes() == (16.0 * p(cols, model.quadratic_part(cols))).tobytes()
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     @pytest.mark.parametrize("preset", Perturbation.PRESETS)
@@ -145,8 +195,8 @@ class TestHomogeneousQuartic:
         e = rng.standard_normal((500, d))
         e /= np.linalg.norm(e, axis=1, keepdims=True)
         r = rng.uniform(0.0, float(np.min(model.domain_u)), 500)
-        quad = model.quadratic_part(e)
-        quartic = model.perturbation(e, quad)
+        quad = model.quadratic_part(columns(e))
+        quartic = model.perturbation(columns(e), quad)
         expected = quad * r**2 + quartic * r**4
         np.testing.assert_allclose(model.lambda0_batch(r[:, None] * e), expected, rtol=1e-14)
 
@@ -355,7 +405,7 @@ class TestRadialProfile:
         m = SpectralModel(genus=2, rank_d=len(gram), gram=gram, perturbation=pert)
         c = m.radial_profile()
         pts = np.random.default_rng(0).uniform(-1, 1, (50, m.rank_d)) * m.domain_u
-        q = m.quadratic_part(pts)
+        q = m.quadratic_part(columns(pts))
         np.testing.assert_allclose(q + c * q * q, m.lambda0_batch(pts), rtol=1e-13)
 
     def test_quartic_d2_not_radial(self):
@@ -373,8 +423,8 @@ class _PowerPerturbation(Perturbation):
         self.coeff = 1.0
         self.power = power
 
-    def __call__(self, pts, quad_form):
-        return 0.01 * np.sum(pts**self.power, axis=-1)
+    def __call__(self, coords, quad_form):
+        return 0.01 * sum(c**self.power for c in coords)
 
 
 class TestSerialization:

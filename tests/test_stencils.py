@@ -11,6 +11,7 @@ from scipy.optimize import brentq
 from horomix import _stencils
 from horomix._stencils import (
     SWEEP_BUDGET,
+    columns,
     exact_sum,
     fornberg_weights,
     gauss_legendre,
@@ -153,7 +154,7 @@ class TestQuadraticForm:
         matrix = _spd(rng, d)
         pts = rng.uniform(-0.5, 0.5, (20_000, d))
         pts[::7, 0] = 0.0  # zero coordinates, so some terms are ±0.0
-        got = quadratic_form(pts, matrix)
+        got = quadratic_form(columns(pts), matrix)
         assert got.tobytes() == np.einsum("...i,ij,...j->...", pts, matrix, pts).tobytes()
         assert got.tobytes() == np.einsum("ni,ij,nj->n", pts, matrix, pts).tobytes()
 
@@ -161,16 +162,17 @@ class TestQuadraticForm:
         rng = np.random.default_rng(3)
         matrix = _spd(rng, 3)
         pts = rng.uniform(-0.5, 0.5, (4, 5, 3))
-        got = quadratic_form(pts, matrix)
+        got = quadratic_form(columns(pts), matrix)
         assert got.shape == (4, 5)
         assert got.tobytes() == np.einsum("...i,ij,...j->...", pts, matrix, pts).tobytes()
-        assert float(quadratic_form(pts[1, 2], matrix)) == got[1, 2]
+        assert float(quadratic_form(columns(pts[1, 2]), matrix)) == got[1, 2]
 
     def test_even_bit_for_bit(self):
         rng = np.random.default_rng(4)
         matrix = _spd(rng, 3)
         pts = rng.uniform(-0.5, 0.5, (20_000, 3))
-        assert quadratic_form(-pts, matrix).tobytes() == quadratic_form(pts, matrix).tobytes()
+        assert (quadratic_form(columns(-pts), matrix).tobytes()
+                == quadratic_form(columns(pts), matrix).tobytes())
 
 
 def _pointwise_gradient(fn, x0):
@@ -345,6 +347,9 @@ def _bump_shuffled(n):
     return np.random.default_rng(5).permutation(vals)
 
 
+_NP_ADD = np.add
+
+
 class TestExactSum:
     @settings(deadline=None, max_examples=300)
     @given(
@@ -375,6 +380,25 @@ class TestExactSum:
     ])
     def test_edge_cases(self, x):
         _same_sum_as_fsum(np.array(x, dtype=float))
+
+    @pytest.mark.parametrize("value", [1.0, 0.1, -3.0, 2.0**-1060, 5e-324, 1e300, 0.0])
+    @pytest.mark.parametrize("chunk", [1, 7, _stencils._SUM_CHUNK])
+    def test_repeated_value_chunks(self, monkeypatch, value, chunk):
+        # one value repeated: 1.0 leaves remainder 0 after the first level
+        # and stops there, 0.1 does not; tiny values take the exponent route
+        monkeypatch.setattr(_stencils, "_SUM_CHUNK", chunk)
+        x = np.full(50, value)
+        _same_sum_as_fsum(x)
+        _same_sum_as_fsum(np.concatenate([x, [value / 3.0]]))
+
+    def test_a_repeated_value_with_no_remainder_stops_after_one_level(self, monkeypatch):
+        sums = []
+        monkeypatch.setattr(np, "add", lambda *a, **k: sums.append(1) or _NP_ADD(*a, **k))
+        assert exact_sum(np.ones(3 * _stencils._SUM_CHUNK)) == 3.0 * _stencils._SUM_CHUNK
+        assert len(sums) == 3
+        sums.clear()
+        assert exact_sum(np.full(10, 0.1)) == math.fsum([0.1] * 10)
+        assert len(sums) == 2
 
     def test_empty_and_negative_zero_give_positive_zero(self):
         for x in ([], [-0.0], [-0.0, -0.0]):
