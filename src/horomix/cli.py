@@ -80,8 +80,6 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
 def _fmt(v):
     if isinstance(v, float):
         return repr(v)
-    if isinstance(v, (np.floating,)):
-        return repr(float(v))
     return v
 
 
@@ -221,7 +219,7 @@ def _cmd_cover(args) -> int:
             raise ConfigError("--study needs orders at least 16 to halve from")
         report = cover_spectrum.convergence_study(model, fn, args.epsilon, seq)
         rows = [
-            (r.min_n, float(r.empirical), float(r.limit), float(r.abs_err))
+            (r.min_n, float(r.empirical), float(report.limit_value), float(r.abs_err))
             for r in report.rows
         ]
     else:
@@ -391,9 +389,5 @@ def dispatch(argv=None) -> int:
         return _EXIT_USAGE
 
 
-def main(argv=None) -> int:
-    return dispatch(argv)
-
-
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(dispatch())

@@ -208,8 +208,8 @@ def _leaves(keep: np.ndarray, coords, bound) -> bool:
 
 def _kept_chunks(model: SpectralModel, lattice: CharacterLattice, epsilon: float):
     """λ₀ ≤ ε over the box around the ellipsoid {q ≤ ε}, q the quadratic
-    part, as (weight, values) chunks of at most _SUM_CHUNK values: each
-    value of weight 2 is λ₀ at a character and at its mirror, each of
+    part, as (weight, values) chunks, one per block that keeps a value:
+    each value of weight 2 is λ₀ at a character and at its mirror, each of
     weight 1 at one character.  Every preset adds coeff × a non-negative
     term, so λ₀ ≥ q unless coeff < 0 (whole torus).  A lattice of another
     rank than the model's raises DomainError before anything is built.
@@ -218,15 +218,14 @@ def _kept_chunks(model: SpectralModel, lattice: CharacterLattice, epsilon: float
     sweep visits one member of each ±ω pair (:func:`_half_box`), all
     pairs before the singles.  Each sub-box is swept in the open-mesh
     blocks of :func:`_box_blocks`, one ``lambda0_mesh`` call each; a range
-    that is built whole is built once per sweep.  The values ≤ ε are copied
-    into one buffer of _SUM_CHUNK values, reused for every chunk, so a
-    chunk is valid only until the next is asked for; a block that keeps
-    every value is copied without a mask.  The bits do not depend on the
-    blocking (λ₀ has the same bits at a point in any mesh) nor on the
-    host.  A kept point outside the working box U raises
-    ModelValidityError from its block, found from per-axis masks of the
-    coordinates outside U; U is symmetric, so checking the swept member of
-    a pair checks both.
+    that is built whole is built once per sweep.  A block's chunk is its
+    values ≤ ε, at most _BLOCK of them in a fresh array (the block's own,
+    unmasked, where it keeps them all); a block that keeps none yields
+    nothing.  The bits do not depend on the blocking (λ₀ has the same bits
+    at a point in any mesh) nor on the host.  A kept point outside the
+    working box U raises ModelValidityError from its block, found from
+    per-axis masks of the coordinates outside U; U is symmetric, so
+    checking the swept member of a pair checks both.
     """
     _check_rank(model, lattice)
     if not 0.0 < epsilon <= model.gap_delta:
@@ -241,29 +240,20 @@ def _kept_chunks(model: SpectralModel, lattice: CharacterLattice, epsilon: float
     # where every axis lies in U, no kept point can leave it
     inside_u = all(max(-idx.start, idx.stop - 1) / n <= u for (n, idx), u in zip(box, bound))
     axis = functools.cache(_axis)
-    buf = np.empty(_stencils._SUM_CHUNK)
     for weight, boxes in zip((2, 1), _half_box(box)):
-        count = 0
         for ranges in boxes:
             for coords in _box_blocks(ranges, axis):
                 lam = model.lambda0_mesh(coords)
                 keep = lam <= epsilon
                 kept = np.count_nonzero(keep)
-                if not inside_u and kept and _leaves(keep, coords, bound):
+                if not kept:
+                    continue
+                if not inside_u and _leaves(keep, coords, bound):
                     raise ModelValidityError(
                         "epsilon sublevel set leaves the working box U; the branch "
                         "model does not control those characters"
                     )
-                vals = lam.reshape(-1) if kept == lam.size else lam[keep]
-                while vals.size:
-                    take = min(vals.size, buf.size - count)
-                    buf[count : count + take] = vals[:take]
-                    count, vals = count + take, vals[take:]
-                    if count == buf.size:
-                        yield weight, buf
-                        count = 0
-        if count:
-            yield weight, buf[:count]
+                yield weight, lam.reshape(-1) if kept == lam.size else lam[keep]
 
 
 def spectral_average(
@@ -277,11 +267,11 @@ def spectral_average(
     ``f`` must be elementwise on arrays of branch values and supported in
     [0, ε); ε may not exceed the branch gap, above which unmodeled
     eigenvalue branches would contribute.  The sweep streams: f is called
-    on chunks of at most _SUM_CHUNK kept values, each value once per ±ω
-    pair, and each chunk's sum is added exactly into one integer total,
-    rounded once before the division.  The result is ``math.fsum`` over
-    every character's value, divided by ∏Nᵢ, in whatever order the values
-    arrive.  A non-finite value of ``f``, or a sum that overflows float64,
+    on the kept values of each block, at most _BLOCK of them in an array
+    it may keep, each value once per ±ω pair, and each call's sum is added
+    exactly into one integer total, rounded once before the division.  The
+    result is ``math.fsum`` over every character's value, divided by ∏Nᵢ,
+    in whatever order the values arrive.  A non-finite value of ``f``, or a sum that overflows float64,
     raises DomainError.
     """
     total = _weighted_total(_kept_chunks(model, lattice, epsilon), f)
@@ -295,7 +285,6 @@ def spectral_average(
 
 @dataclass
 class DensityTable:
-    x: np.ndarray
     density: np.ndarray        # full pushforward density rho(x)
     zeta_tilde: np.ndarray     # rho(x) / x^(d/2 - 1)
     exponent: float            # d/2 - 1
@@ -394,7 +383,7 @@ def limit_density(
         zt = np.where(grid > 0.0, rho * safe ** (-expo), np.nan)
     if grid.size and grid[0] == 0.0:
         zt[0] = zeta0
-    return DensityTable(x=grid, density=rho, zeta_tilde=zt, exponent=expo)
+    return DensityTable(density=rho, zeta_tilde=zt, exponent=expo)
 
 
 def limit_integral(model: SpectralModel, f, epsilon: float) -> float:
@@ -416,7 +405,6 @@ def limit_integral(model: SpectralModel, f, epsilon: float) -> float:
 class ConvergenceRow:
     min_n: int
     empirical: float
-    limit: float
     abs_err: float
 
 
@@ -451,9 +439,7 @@ def convergence_study(
     for lattice, mn in zip(lattices, mins):
         emp = spectral_average(model, lattice, f, epsilon)
         report.rows.append(
-            ConvergenceRow(
-                min_n=mn, empirical=emp, limit=limit, abs_err=abs(emp - limit)
-            )
+            ConvergenceRow(min_n=mn, empirical=emp, abs_err=abs(emp - limit))
         )
     errs = np.array([r.abs_err for r in report.rows])
     ns = np.array([r.min_n for r in report.rows], dtype=float)

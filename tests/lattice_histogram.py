@@ -3,9 +3,8 @@ an oracle for ``cover_spectrum._kept_chunks``: the values the streamed
 sweep hands to ``spectral_average``, collected whole, and their first two
 moments, exactly rounded as the average is.
 
-The sweep's chunks share one buffer, so each is copied before the next is
-asked for.  Each value of weight 2 stands for a character and its mirror,
-so it appears twice in the histogram.
+Each value of weight 2 stands for a character and its mirror, so it
+appears twice in the histogram.
 """
 
 from __future__ import annotations
@@ -32,7 +31,7 @@ def build_histogram(model, lattice, epsilon: float) -> SpectralHistogram:
     """The kept branch values of every character, sorted (each ±ω pair
     twice), with moments that are exactly rounded sums divided by ∏Nᵢ, as
     in ``spectral_average``."""
-    chunks = [(w, vals.copy()) for w, vals in _kept_chunks(model, lattice, epsilon)]
+    chunks = list(_kept_chunks(model, lattice, epsilon))
     pairs, singles = (
         np.concatenate([np.empty(0)] + [v for w, v in chunks if w == weight])
         for weight in (2, 1)

@@ -429,9 +429,10 @@ STREAM_SIZES = [(7, 5), (100, 64), (64, 300)]
 
 
 class TestStreamedSweep:
-    """The kept values stream through one buffer of _SUM_CHUNK values into
-    the exact sum: f sees at most _SUM_CHUNK of them per call, one per ±ω
-    pair, and the results keep the bits of one full-box sweep."""
+    """The kept values of each block go straight into the exact sum: f
+    sees at most _BLOCK of them per call, one per ±ω pair, in arrays it
+    may keep, and the results keep the bits of one full-box sweep at every
+    block and chunk size."""
 
     @pytest.fixture(params=STREAM_SIZES, ids=lambda p: f"block{p[0]}-chunk{p[1]}")
     def chunk(self, request, monkeypatch):
@@ -458,11 +459,11 @@ class TestStreamedSweep:
         seen = []
 
         def recording(x):
-            seen.append(np.array(x))  # a copy: the sweep reuses its buffer
+            seen.append(x)  # kept, not copied: no later call may write it
             return np.ones_like(x)
 
         spectral_average(model, CharacterLattice(orders), recording, 0.05)
-        assert len(seen) > 4 and max(s.size for s in seen) <= chunk
+        assert len(seen) > 4 and max(s.size for s in seen) <= cover_spectrum._BLOCK
         swept = np.sort(half_sweep_kept(model, orders, 0.05))
         assert np.sort(np.concatenate(seen)).tobytes() == swept.tobytes()
 

@@ -4,7 +4,9 @@ No knobs: the number of defaulted parameters (positional and keyword
 defaults of every ``def`` and ``lambda`` under ``src/horomix``) may not
 grow past MAX_DEFAULTED.  No threads: no module imports a thread or
 process pool.  No einsum: quadratic forms go through
-``_stencils.quadratic_form``, whose summation order is fixed.  Failed
+``_stencils.quadratic_form``, whose summation order is fixed.  One
+owner of the exact sum's chunk size: no module but ``_stencils`` names
+``_SUM_CHUNK``, so callers hand it arrays of any size.  Failed
 property tests report: the warning filters turn warnings into errors but
 still let a failed hypothesis test print its falsifying example.
 """
@@ -62,18 +64,26 @@ def test_no_module_imports_threads(module):
     assert not threaded, f"{module} imports {threaded}"
 
 
-def _names_einsum(node: ast.AST) -> bool:
-    return (
-        (isinstance(node, ast.Attribute) and node.attr == "einsum")
-        or (isinstance(node, ast.Name) and node.id == "einsum")
-        or (isinstance(node, ast.alias) and node.name.rsplit(".", 1)[-1] == "einsum")
-    )
+def _lines_naming(tree: ast.AST, name: str) -> list[int]:
+    """Lines where ``name`` appears as an attribute, a bare name or an import."""
+    return [
+        node.lineno for node in ast.walk(tree)
+        if (isinstance(node, ast.Attribute) and node.attr == name)
+        or (isinstance(node, ast.Name) and node.id == name)
+        or (isinstance(node, ast.alias) and node.name.rsplit(".", 1)[-1] == name)
+    ]
 
 
 @pytest.mark.parametrize("module", sorted(MODULES))
 def test_no_module_calls_einsum(module):
-    lines = [node.lineno for node in ast.walk(MODULES[module]) if _names_einsum(node)]
+    lines = _lines_naming(MODULES[module], "einsum")
     assert not lines, f"{module} names einsum on lines {lines}"
+
+
+@pytest.mark.parametrize("module", sorted(set(MODULES) - {"_stencils.py"}))
+def test_only_stencils_names_the_sum_chunk(module):
+    lines = _lines_naming(MODULES[module], "_SUM_CHUNK")
+    assert not lines, f"{module} names _SUM_CHUNK on lines {lines}"
 
 
 def test_failed_property_test_reports_normally(tmp_path):
