@@ -250,6 +250,9 @@ def _parse_amplitude(text: str) -> float:
 
 
 def _cmd_mix(args) -> int:
+    # a NaN threshold would make the gate's `>` always False
+    if args.max_c0_dev is not None and not args.max_c0_dev >= 0.0:
+        raise ConfigError(f"--max-c0-dev must be a number >= 0, got {args.max_c0_dev}")
     model = load_model(args.model)
     vol = _parse_amplitude(args.amplitude)
     problem = mixing.MixingProblem(model=model, vol_product=vol)

@@ -108,17 +108,25 @@ class Trajectory:
 
 def master_grid(t_max: float, steps_per_decade: int = 400) -> np.ndarray:
     """Composite grid: step 1e-3 on [0, 1], uniform in log t on [1, t_max].
-    t_max must be finite and exceed 1 (DomainError otherwise)."""
+    t_max must be finite and exceed 1, and steps_per_decade as
+    :func:`log_grid` needs (DomainError otherwise, before anything is
+    built)."""
     if t_max <= 1.0:
         raise DomainError("t_max must exceed 1")
-    lin = np.linspace(0.0, 1.0, 1001)
-    return np.concatenate([lin, log_grid(1.0, t_max, steps_per_decade)[1:]])
+    tail = log_grid(1.0, t_max, steps_per_decade)
+    return np.concatenate([np.linspace(0.0, 1.0, 1001), tail[1:]])
 
 
 def log_grid(t_min: float, t_max: float, steps_per_decade: int = 400) -> np.ndarray:
-    """Geometric grid from t_min to t_max; needs finite 0 < t_min < t_max."""
+    """Geometric grid from t_min to t_max, about steps_per_decade steps per
+    decade and at least 2 steps; needs finite 0 < t_min < t_max and a
+    finite steps_per_decade ≥ 1 (DomainError otherwise)."""
     if not (math.isfinite(t_min) and math.isfinite(t_max) and 0.0 < t_min < t_max):
         raise DomainError(f"log grid needs finite 0 < t_min < t_max, got {t_min}, {t_max}")
+    if not (math.isfinite(steps_per_decade) and steps_per_decade >= 1):
+        raise DomainError(
+            f"log grid needs a finite step count per decade of at least 1, got {steps_per_decade}"
+        )
     decades = math.log10(t_max / t_min)
     n = max(2, round(decades * steps_per_decade))
     return np.logspace(math.log10(t_min), math.log10(t_max), n + 1)

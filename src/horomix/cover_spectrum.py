@@ -187,11 +187,24 @@ def enumerate_characters(lattice: CharacterLattice) -> np.ndarray:
     return tensor_grid([_axis(n, idx.start, idx.stop) for n, idx in box])
 
 
+def _elementwise(f, x: np.ndarray):
+    """f(x), refused with DomainError unless it has x's shape: a scalar
+    or otherwise reshaped result would be counted once per call, not once
+    per value."""
+    y = f(x)
+    if np.shape(y) != x.shape:
+        raise DomainError(
+            f"f must be elementwise: an argument of shape {x.shape} gave shape {np.shape(y)}"
+        )
+    return y
+
+
 def _weighted_total(chunks, f) -> int:
     """Σ weight·Σ f(values) over (weight, values) chunks, exactly, as the
     integer of :func:`_stencils._exact_total`: integer totals add without
-    rounding, so its rounding is ``math.fsum`` over the full multiset."""
-    return sum(w * _exact_total(f(vals)) for w, vals in chunks)
+    rounding, so its rounding is ``math.fsum`` over the full multiset.
+    An f that is not elementwise raises DomainError (:func:`_elementwise`)."""
+    return sum(w * _exact_total(_elementwise(f, vals)) for w, vals in chunks)
 
 
 def _leaves(keep: np.ndarray, coords, bound) -> bool:
@@ -264,9 +277,10 @@ def spectral_average(
 ) -> float:
     """(1/∏Nᵢ) Σ_{λ₀(ω) ≤ ε} f(λ₀(ω)) over the character lattice.
 
-    ``f`` must be elementwise on arrays of branch values and supported in
-    [0, ε); ε may not exceed the branch gap, above which unmodeled
-    eigenvalue branches would contribute.  The sweep streams: f is called
+    ``f`` must be elementwise on arrays of branch values (same shape in,
+    same shape out; DomainError otherwise) and supported in [0, ε); ε may
+    not exceed the branch gap, above which unmodeled eigenvalue branches
+    would contribute.  The sweep streams: f is called
     on the kept values of each block, at most _BLOCK of them in an array
     it may keep, each value once per ±ω pair, and each call's sum is added
     exactly into one integer total, rounded once before the division.  The
@@ -388,11 +402,13 @@ def limit_density(
 
 def limit_integral(model: SpectralModel, f, epsilon: float) -> float:
     """∫₀^ε f(x) ρ(x) dx via the substitution x = s² (regular integrand),
-    by 200-point Gauss–Legendre in s."""
+    by 200-point Gauss–Legendre in s.  ``f`` must be elementwise, as for
+    :func:`spectral_average`: called once on the array of 200 nodes, it
+    must return an array of that shape (DomainError otherwise)."""
     s, w = gauss_legendre(0.0, math.sqrt(epsilon), 200)
     x = s * s
     table = limit_density(model, epsilon, x)
-    vals = np.asarray(f(x), dtype=float) * table.density * 2.0 * s
+    vals = np.asarray(_elementwise(f, x), dtype=float) * table.density * 2.0 * s
     return float(np.dot(w, vals))
 
 

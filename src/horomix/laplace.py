@@ -642,9 +642,12 @@ def fit_expansion(samples, dim: int, order_n: int) -> ExpansionCoefficients:
     from lower decades (always using the top decade would amplify the
     roundoff of earlier stages past any useful tolerance).  A stage with
     no internally converging ladder raises ConditioningError carrying the
-    last stable order.  Samples that are not an (M, 2) array of finite
-    values with every T > 0 raise DomainError (:func:`_sorted_samples`).
+    last stable order.  A negative order_n raises DomainError, as do
+    samples that are not an (M, 2) array of finite values with every
+    T > 0 (:func:`_sorted_samples`).
     """
+    if order_n < 0:
+        raise DomainError("order_n must be >= 0")
     T, vals = _sorted_samples(samples)
     if T[-1] / T[0] < 99.999:
         raise DomainError("samples must span at least two decades of T")

@@ -26,6 +26,48 @@ def _read_csv(path):
         return list(csv.reader(fh))
 
 
+# the selftest battery's checks in order, with their reference column
+SELFTEST_REFERENCES = [
+    ("nu_at_zero", "1.0"),
+    ("nu_at_3_16", "0.5"),
+    ("nu_domain_edge", "'DomainError'"),
+    ("lambda0_origin", "0.0"),
+    ("mixing_hessian_identity", "12.566370614359172"),
+    ("mixing_hessian_g3", "12.566370614359172"),
+    ("sigma_identity", "1.0"),
+    ("sigma_gram4", "0.5"),
+    ("master_constant_solution", "0.0"),
+    ("forcing_trivial_zero", "0.0"),
+    ("euler_homogeneous_power", "0.0"),
+    ("euler_constant_solution", "0.0"),
+    ("particular_zero_forcing", "0.0"),
+    ("particular_linearity", "(-0.7475468957064287+0j)"),
+    ("tail_constant_zero_forcing", "0.0"),
+    ("tail_check_exact_power", "0.0"),
+    ("tail_check_offset", "1.0"),
+    ("moment_0", "2.5066282746310002"),
+    ("moment_4", "7.519884823893001"),
+    ("moment_odd", "0.0"),
+    ("laplace_gauss1d", "0.25066282746310004"),
+    ("laplace_gauss2d", "0.12566370614359174"),
+    ("laplace_expand_quadratic", "[2.5066282746310002, 0.0, 0.0]"),
+    ("fit_zero_samples", "[0.0, 0.0, 0.0]"),
+    ("characters_order2", "[-0.5, 0.0]"),
+    ("characters_order23", "6"),
+    ("characters_counts", "True"),
+    ("single_character_average", "1.0"),
+    ("lattice_average_bound", "0.05"),
+    ("study_zero_function", "[0.0, 0.0, 0.0, 0.0]"),
+    ("mixing_t0_box_volume", "0.5077706251929807"),
+    ("mixing_zero_amplitude", "0.0"),
+    ("leading_d1", "0.7071067811865476"),
+    ("leading_d2", "0.5"),
+    ("leading_zero_a0", "0.0"),
+    ("leading_g3", "2.0"),
+    ("mixing_c0_d1", "0.7071067811865476"),
+]
+
+
 class TestDispatch:
     def test_unknown_subcommand(self, capsys):
         assert dispatch(["nope"]) == 1
@@ -246,6 +288,56 @@ class TestDispatch:
         ])
         assert rc == 2
 
+    @pytest.mark.parametrize("threshold", ["nan", "-1e-3", "-inf"])
+    def test_mix_gate_threshold_must_be_non_negative(
+        self, model_file, tmp_path, capsys, threshold
+    ):
+        out = tmp_path / "mix_gate.csv"
+        rc = dispatch([
+            "mix", "--model", str(model_file), "--log-t-min", "100",
+            # one token: argparse reads a separate "-1e-3" as an option
+            "--log-t-max", "10000", f"--max-c0-dev={threshold}", "--out", str(out),
+        ])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "--max-c0-dev" in err
+        assert not out.exists()
+
+    def test_mix_negative_order_refused_in_one_line(self, model_file, tmp_path, capsys):
+        out = tmp_path / "mix_order.csv"
+        rc = dispatch([
+            "mix", "--model", str(model_file), "--log-t-min", "100",
+            "--log-t-max", "10000", "--order", "-1", "--out", str(out),
+        ])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "order_n" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("steps", ["0", "-3"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["ode", "--lambda", "0.04", "--steps-per-decade"],
+            ["laplace", "--preset", "gauss1d", "--points-per-decade"],
+            ["mix", "--log-t-min", "100", "--log-t-max", "10000", "--points-per-decade"],
+        ],
+        ids=["ode", "laplace", "mix"],
+    )
+    def test_step_count_below_one_refused_in_one_line(
+        self, model_file, tmp_path, capsys, argv, steps
+    ):
+        out = tmp_path / "steps.csv"
+        if argv[0] == "mix":
+            argv = argv[:1] + ["--model", str(model_file)] + argv[1:]
+        assert dispatch(argv + [steps, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"step count per decade of at least 1, got {steps}" in err
+        assert not out.exists()
+
     def test_ode_resonant_mode_negative_flag(self, tmp_path):
         out = tmp_path / "ode_res.csv"
         rc = dispatch([
@@ -303,7 +395,9 @@ class TestDispatch:
         assert "FAIL" not in stdout
         rows = _read_csv(out)
         assert rows[0] == ["check", "status", "value", "reference"]
-        assert all(r[1] == "PASS" for r in rows[1:])
+        assert [(r[0], r[1], r[3]) for r in rows[1:]] == [
+            (name, "PASS", reference) for name, reference in SELFTEST_REFERENCES
+        ]
 
     def test_workers_flag_is_rejected(self, model_file, tmp_path, capsys):
         # HMIX_WORKERS is the one worker setting

@@ -86,6 +86,15 @@ class TestLogGrid:
         with pytest.raises(DomainError):
             log_grid(t_min, t_max, 8)
 
+    @pytest.mark.parametrize("steps", [0, -3, 0.5, math.nan, math.inf])
+    def test_refuses_bad_step_count(self, steps):
+        for build in (lambda: log_grid(1.0, 1e2, steps), lambda: master_grid(1e2, steps)):
+            with pytest.raises(DomainError, match="step count per decade"):
+                build()
+
+    def test_one_step_per_decade(self):
+        np.testing.assert_allclose(log_grid(1.0, 1e3, 1), [1.0, 1e1, 1e2, 1e3], rtol=1e-15)
+
 
 class TestSolveMaster:
     def test_constant_solution(self):

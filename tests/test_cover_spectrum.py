@@ -162,6 +162,21 @@ class TestSpectralAverage:
         with pytest.raises(DomainError):
             spectral_average(model_d2, CharacterLattice((64, 64)), f, 0.05)
 
+    @pytest.mark.parametrize("f", [
+        pytest.param(lambda x: 1.0, id="scalar"),
+        pytest.param(lambda x: np.ones(1), id="one-element"),
+    ])
+    def test_f_must_be_elementwise_on_both_routes(self, model_d2, f):
+        # a scalar 1 would count once per block in the sweep (7.63e-5 on
+        # 256²) but once per node in the limit (0.05)
+        lattice = CharacterLattice((256, 256))
+        with pytest.raises(DomainError, match="elementwise"):
+            spectral_average(model_d2, lattice, f, 0.05)
+        with pytest.raises(DomainError, match="elementwise"):
+            limit_integral(model_d2, f, 0.05)
+        emp = spectral_average(model_d2, lattice, ONE, 0.05)
+        assert abs(emp - limit_integral(model_d2, ONE, 0.05)) <= 2.0 / 256
+
     def test_histogram_summary(self, model_d2):
         hist = build_histogram(model_d2, CharacterLattice((32, 32)), 0.05)
         assert hist.count == 49  # frozen exact count at N=32

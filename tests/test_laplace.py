@@ -802,6 +802,11 @@ class TestFitExpansion:
         assert abs(fit.c[0] - S2PI) < 1e-8
         assert abs(fit.c[1]) < 1e-6
 
+    def test_negative_order_rejected(self):
+        # an empty fit has no c[0] for mixing_expansion's verdict
+        with pytest.raises(DomainError, match="order_n"):
+            fit_expansion(np.column_stack([self.T, self.T**-0.5]), 1, -1)
+
     def test_narrow_span_rejected(self):
         T = np.logspace(2, 3, 12)
         with pytest.raises(DomainError):

@@ -199,6 +199,10 @@ class TestExpansionVerdict:
         slope = remainder_slope(samples, fit, 2)
         assert slope <= -(1 + 1 + 0.5) + 0.1
 
+    def test_negative_order_rejected(self, model_d1):
+        with pytest.raises(DomainError, match="order_n"):
+            mixing_expansion(MixingProblem(model=model_d1), np.logspace(2, 4, 17), -1)
+
     def test_values_reused(self, model_d1):
         problem = MixingProblem(model=model_d1)
         grid = np.logspace(2, 4, 17)
