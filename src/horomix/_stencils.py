@@ -26,6 +26,10 @@ SWEEP_BUDGET = 1_000_000
 # call time; the per-exponent sums of the tail route stay exact integers in
 # float64 while _SUM_CHUNK · 2²⁷ ≤ 2⁵³.
 _SUM_CHUNK = 1 << 15
+# Points per face up to which unit_faces keeps a rule: every rank-2 count,
+# rank 3 up to 128 points per axis and rank 4 up to 25 (4.4 MB), where a
+# kept rank-5 cover-density rule of 24 points per axis would hold 137 MB.
+_FACE_CACHE_POINTS = 1 << 14
 
 
 def exact_sum(values) -> float:
@@ -257,23 +261,49 @@ def gauss_legendre(lo: float, hi: float, n: int) -> tuple[np.ndarray, np.ndarray
     return lo + half * (x + 1.0), half * w
 
 
-def _cube_faces(d: int, n: int, lead) -> tuple[np.ndarray, np.ndarray]:
-    """(points, weights) of an n-point Gauss–Legendre tensor rule on each
-    face of [−1, 1]^d, the 2d faces in the order +e₁, −e₁, +e₂, ...
+def unit_faces(d: int, n: int) -> tuple[np.ndarray, np.ndarray, bool]:
+    """(points, columns, mirrored): the unit n-point Gauss–Legendre tensor
+    rule on each face of [−1, 1]^d, read-only.  A rule of at most
+    _FACE_CACHE_POINTS points per face is built once per (d, n) on first
+    use and shared; a larger one is built afresh on every call.
 
-    ``points`` is (2d, n^(d−1), d): on face ±eᵢ coordinate i is ±1 and the
-    others are the face coordinates in lex order (a rank-1 face is ±1).
-    The weights, shared by every face, are ((lead·w₁)·w₂)···, ``lead``
-    broadcast against a new last axis of n^(d−1) entries.
+    ``points`` is (2d, n^(d−1), d), the 2d faces in the order +e₁, −e₁,
+    +e₂, ...: on face ±eᵢ coordinate i is ±1 and the others are the face
+    coordinates in lex order (a rank-1 face is ±1).  ``columns`` is the
+    (d − 1, n^(d−1)) array of the face coordinates' weights, row j the
+    weight of coordinate j at each face point.  ``mirrored`` is True where
+    every −eᵢ face holds, bit for bit, the negated points of the +eᵢ face
+    in reverse order, as it does where the nodes are exactly antisymmetric
+    (every even n; an odd n has a middle node whose negation is not it).
     """
+    build = _unit_faces.__wrapped__ if n ** (d - 1) > _FACE_CACHE_POINTS else _unit_faces
+    return build(d, n)
+
+
+@functools.lru_cache(maxsize=16)
+def _unit_faces(d: int, n: int) -> tuple[np.ndarray, np.ndarray, bool]:
     x, w = legendre_rule(n)
     coords = tensor_grid([x] * (d - 1))
-    weights = np.asarray(lead, dtype=float)[..., None]
-    for col in tensor_grid([w] * (d - 1)).T:
-        weights = weights * col
+    cols = np.ascontiguousarray(tensor_grid([w] * (d - 1)).T)
     points = np.empty((2 * d, len(coords), d))
     for i in range(d):
         face = points[2 * i : 2 * i + 2]
         face[0, :, i], face[1, :, i] = 1.0, -1.0
         face[..., :i], face[..., i + 1 :] = coords[:, :i], coords[:, i:]
+    # compared as bits, so a +0.0 node and its −0.0 negation differ
+    mirrored = np.array_equal(points[1::2].view(np.uint64), (-points[0::2, ::-1]).view(np.uint64))
+    points.flags.writeable = cols.flags.writeable = False
+    return points, cols, mirrored
+
+
+def _cube_faces(d: int, n: int, lead) -> tuple[np.ndarray, np.ndarray]:
+    """(points, weights) of an n-point Gauss–Legendre tensor rule on each
+    face of [−1, 1]^d: the read-only ``points`` of :func:`unit_faces` and
+    weights, shared by every face, ((lead·w₁)·w₂)···, ``lead`` broadcast
+    against a new last axis of n^(d−1) entries.
+    """
+    points, cols, _ = unit_faces(d, n)
+    weights = np.asarray(lead, dtype=float)[..., None]
+    for col in cols:
+        weights = weights * col
     return points, weights

@@ -15,6 +15,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -31,6 +32,14 @@ _EXIT_VALIDATION = 2
 
 
 class _Parser(argparse.ArgumentParser):
+    """argparse that raises ConfigError, and reads a token such as -1e-3
+    as a negative number, not an option: argparse's own pattern matches
+    only -1 and -1.5.  Subparsers are of this class too."""
+
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
     def error(self, message):
         raise ConfigError(message)
 
@@ -268,6 +277,8 @@ def _cmd_mix(args) -> int:
     if not 0.0 < lo < hi:
         raise ConfigError("need 0 < log-t-min < log-t-max")
     grid = corr_ode.log_grid(lo, hi, args.points_per_decade)
+    # refuse what the fit would refuse before sampling the whole ladder
+    laplace.fit_windows(grid, args.order)
     vals = mixing.sample_correlation(problem, grid)
     fit, verdict = mixing.mixing_expansion(problem, grid, args.order, values=vals)
     d = model.rank_d

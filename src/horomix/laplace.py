@@ -31,6 +31,7 @@ from ._stencils import (
     legendre_rule,
     quadratic_form,
     sweep_grid,
+    unit_faces,
 )
 from .errors import (
     ConditioningError,
@@ -110,7 +111,7 @@ def _face_count(coeff: float, m: np.ndarray, u: np.ndarray, cap: int, tol: float
     for size in range(_FACE_FIRST, top + 1, 8):
         n = size - extra
         faces, wts = _cube_faces(d, n, math.prod(u))
-        faces *= u
+        faces = faces * u
         q = coeff * quadratic_form(columns(faces), m)
         achieved = abs(np.sum(wts * q ** (-d / 2.0)) / exact - 1.0)
         if achieved <= tol:
@@ -142,6 +143,10 @@ class Polynomial(dict):
     order the map holds the terms, and the terms are added in that order.
     Multiplication is the same on every host, where the SIMD paths of pow
     are not, and an even power of −ξ has the bits of that power of ξ.
+
+    ``even`` is True where every term, zero coefficients included, has even
+    total degree: then p(−ξ) has the bits of p(ξ), and the cone rule of
+    :func:`laplace_quadrature` evaluates such a phase on half its points.
     """
 
     def __init__(self, coeffs):
@@ -157,19 +162,30 @@ class Polynomial(dict):
     def dim(self) -> int:
         return len(next(iter(self)))
 
+    @property
+    def even(self) -> bool:
+        return all(sum(k) % 2 == 0 for k in self)
+
     def __call__(self, pts):
-        if pts.shape[-1] != self.dim:
-            raise DomainError(f"polynomial in {self.dim} variables, points have {pts.shape[-1]}")
-        powers = [[None, pts[:, i]] for i in range(self.dim)]  # ξᵢ^e at [i][e]
+        d = self.dim
+        if pts.shape[-1] != d:
+            raise DomainError(f"polynomial in {d} variables, points have {pts.shape[-1]}")
+        # ξᵢ^e at [i][e], built only on the axes some term uses
+        powers = [None] * d
         out = np.zeros(pts.shape[0])
         for k, c in self.items():
             term = None  # c·ξᵢ^kᵢ from the first nonzero kᵢ on
-            for col, ki in zip(powers, k):
+            for i, ki in enumerate(k):
+                if not ki:
+                    continue
+                col = powers[i]
+                if col is None:
+                    col = powers[i] = [None, pts[:, i]]
                 while len(col) <= ki:
                     col.append(col[-1] * col[1])
-                if ki and term is None:
+                if term is None:
                     term = c * col[ki]
-                elif ki:
+                else:
                     term *= col[ki]
             out += c if term is None else term
         return out
@@ -220,7 +236,10 @@ class PhaseProblem:
     ``v`` and ``a`` take (N, d) arrays and return (N,).  Where both are
     :class:`Polynomial`, :func:`laplace_expand` gives the expansion
     coefficients; any other callable (such as the mixing phase ν₀ − 1)
-    has the quadrature and :func:`fit_expansion` only.
+    has the quadrature and :func:`fit_expansion` only.  A ``v`` may carry
+    the attribute ``even = True`` (as :attr:`Polynomial.even` does) only
+    where v(−ξ) has the bits of v(ξ) at every point: the cone rule then
+    evaluates it on half its points and never checks the other half.
     """
 
     dim: int
@@ -350,20 +369,25 @@ def _cone_value(problem: PhaseProblem, T: np.ndarray, edges: np.ndarray, nodes: 
     The box splits into 2d pyramids with apex 0, one per face ξᵢ = ±uᵢ.
     With ξ = s·p, p on the face, dξ = uᵢ·s^{d−1} ds dp: the radial rule
     puts ``nodes`` Gauss points on each panel, and each face carries one
-    ``face_nodes``-point Gauss tensor rule, that of
-    ``_stencils._cube_faces``, which the cover density shares.  The points
-    form one (2d, s, face point, d) array, the faces in the order +u₁,
-    −u₁, +u₂, ...; coordinate j of a point is pⱼ·(s·uⱼ) and its weight
-    ((w_s·w₁)·w₂···)·∏u times a.
+    ``face_nodes``-point Gauss tensor rule, the unit rule of
+    ``_stencils.unit_faces`` (built once per rank and count), which the
+    cover density shares.  Coordinate j of a point is pⱼ·(s·uⱼ) and its
+    weight ((w_s·w₁)·w₂···)·∏u times a; the terms form one (2d, s, face
+    point) array, the faces in the order +u₁, −u₁, +u₂, ..., summed in
+    that order.
 
-    Gauss nodes are antisymmetric, so the −uᵢ face holds the mirror images
-    −p of the +uᵢ face's points with its face coordinates reversed.  Where
-    v takes the same bits there (every even phase), each T exponentiates
-    the + faces only and the − faces read a reversed view of them; any
-    other phase exponentiates every face.  Where no weighted amplitude has
-    its sign bit set, the L¹ mass is the value itself.  Every exponent T·v
-    is floored at _EXP_FLOOR = −600 before its exp, so no exp or weight
-    product is subnormal or zero; the exact sum moves by at most
+    The −uᵢ face holds the mirror images −p of the +uᵢ face's points with
+    its face coordinates reversed, bit for bit, wherever the Gauss nodes
+    are exactly antisymmetric (every even count; ``unit_faces`` checks
+    it).  Where v takes the same bits there, each T exponentiates the +
+    faces only and the − faces read a reversed view of them; any other
+    phase exponentiates every face.  A v that declares ``even``
+    (:attr:`Polynomial.even`, the mixing phase) is evaluated on the +
+    faces only; any other v is evaluated everywhere and its two halves
+    compared.  Where no weighted amplitude has its sign bit set, the L¹
+    mass is the value itself.  Every exponent T·v is floored at
+    _EXP_FLOOR = −600 before its exp, so no exp or weight product is
+    subnormal or zero; the exact sum moves by at most
     e^(−600)·Σ|w| ≈ 2.6e-261·Σ|w|.  The values and masses are bit for bit
     those of the plain rule, one unfloored exp per point and one pairwise
     np.sum over all 2d faces in lex order, on every case and T ladder up
@@ -374,27 +398,34 @@ def _cone_value(problem: PhaseProblem, T: np.ndarray, edges: np.ndarray, nodes: 
     x_ref, w_ref = legendre_rule(nodes)
     mid, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * (edges[1:] - edges[:-1])
     s = (mid[:, None] + half[:, None] * x_ref).ravel()
-    radial_w = (half[:, None] * w_ref).ravel() * s ** (d - 1)
+    radial_w = (half[:, None] * w_ref).ravel()
+    if d > 1:  # s⁰ = 1 would multiply exactly
+        radial_w *= s ** (d - 1)
     # the cap counts all 2d faces before anything is allocated
     cap, per_face = GRID_CAP // (2 * d), s.size * face_nodes ** (d - 1)
     if per_face > cap:
         raise LatticeSizeError(f"cone rule has {per_face} points per face, above the cap {cap}")
-    # one face is an (s, face point) grid; the ±1 coordinate times s·uᵢ is exact
     faces, face_w = _cube_faces(d, face_nodes, radial_w)
-    pts = np.empty((2 * d, s.size, faces.shape[1], d))
+    # the points as a (±, axis, s, face point, d) array, so that the + faces
+    # are one contiguous block; the ±1 coordinate times s·uᵢ is exact
+    signed = faces.reshape(d, 2, 1, -1, d).transpose(1, 0, 2, 3, 4)
+    pts = np.empty((2, d, s.size, faces.shape[1], d))
     for j in range(d):
-        np.multiply(faces[:, None, :, j], (s * u[j])[:, None], out=pts[..., j])
-    pts = pts.reshape(-1, d)
+        np.multiply(signed[..., j], (s * u[j])[:, None], out=pts[..., j])
     face_w = face_w * math.prod(u)
-    weighted = (problem.a(pts).reshape(2 * d, -1) * face_w.reshape(-1)).reshape(d, 2, s.size, -1)
-    v = problem.v(pts).reshape(d, 2, s.size, -1)
-    mirrored = np.array_equal(v[:, 1], v[:, 0, :, ::-1])
+    weighted = problem.a(pts.reshape(-1, d)).reshape(pts.shape[:-1]) * face_w
     # the faces whose exponentials each T computes: the + faces, or all 2d
-    src = np.ascontiguousarray(v[:, 0]) if mirrored else v.reshape(2 * d, s.size, -1)
+    mirrored = unit_faces(d, face_nodes)[2] and getattr(problem.v, "even", False)
+    if mirrored:
+        src = problem.v(pts[0].reshape(-1, d)).reshape(weighted.shape[1:])
+    else:
+        v = problem.v(pts.reshape(-1, d)).reshape(weighted.shape)
+        mirrored = np.array_equal(v[1], v[0, ..., ::-1])
+        src = v[0] if mirrored else v
     expo = np.empty_like(src)
-    exp_plus, exp_minus = (expo, expo[..., ::-1]) if mirrored else (expo[0::2], expo[1::2])
+    exp_plus, exp_minus = (expo, expo[..., ::-1]) if mirrored else expo
     nonneg = not np.signbit(weighted).any()
-    terms = np.empty_like(weighted)
+    terms = np.empty((d, 2) + weighted.shape[2:])
     flat = terms.reshape(-1)
     value, l1 = np.empty_like(T), np.empty_like(T)
     # κ bounds only the quadratic part at the face centres, so T·v may still
@@ -403,11 +434,12 @@ def _cone_value(problem: PhaseProblem, T: np.ndarray, edges: np.ndarray, nodes: 
         for k, t in enumerate(T):
             np.multiply(t, src, out=expo)
             np.exp(np.maximum(expo, _EXP_FLOOR, out=expo), out=expo)
-            np.multiply(exp_plus, weighted[:, 0], out=terms[:, 0])
-            np.multiply(exp_minus, weighted[:, 1], out=terms[:, 1])
-            # np.sum, not np.dot: BLAS orders a dot product by its thread count
-            value[k] = np.sum(flat)
-            l1[k] = value[k] if nonneg else np.sum(np.abs(flat, out=flat))
+            np.multiply(exp_plus, weighted[0], out=terms[:, 0])
+            np.multiply(exp_minus, weighted[1], out=terms[:, 1])
+            # np.add.reduce is np.sum's pairwise sum; np.dot would order
+            # by BLAS thread count
+            value[k] = np.add.reduce(flat)
+            l1[k] = value[k] if nonneg else np.add.reduce(np.abs(flat, out=flat))
     return value, l1
 
 
@@ -432,10 +464,13 @@ def laplace_quadrature(problem: PhaseProblem, t_value):
     QuadratureError.  A ladder of T values shares one rule per level and
     returns an array; each T keeps its own refinement-gap estimate.  An even
     phase costs one exp per point pair ±p and T, and a non-negative
-    amplitude one sum per T.  Exponents are floored at −600, which moves a
-    sum by at most e^(−600)·Σ|w| ≈ 2.6e-261·Σ|w| over the rule's weighted
-    amplitudes w; with that floor and both shortcuts the values keep the
-    bits of the plain rule
+    amplitude one sum per T; a phase that declares ``even`` (a
+    :class:`Polynomial` whose terms all have even degree, or the mixing
+    phase) is also evaluated once per pair, where any other is evaluated at
+    every point and its evenness read off the values.  Exponents are floored
+    at −600, which moves a sum by at most e^(−600)·Σ|w| ≈ 2.6e-261·Σ|w| over
+    the rule's weighted amplitudes w; with that floor and the shortcuts the
+    values keep the bits of the plain rule
     (TestConeOracle in tests/test_laplace.py).  Before the cone rule is
     built, a ladder whose T_max·κ overflows float64 raises DomainError; a
     fine level whose 24-point faces put more than GRID_CAP // (2d) points
@@ -445,7 +480,7 @@ def laplace_quadrature(problem: PhaseProblem, t_value):
     disagree after the step.
     """
     T = np.asarray(t_value, dtype=float)
-    if not np.all(np.isfinite(T) & (T >= 0.0)):
+    if not (np.isfinite(T) & (T >= 0.0)).all():
         raise DomainError("t_value must be finite and nonnegative")
     ladder = T.reshape(-1)
     d = problem.dim
@@ -474,7 +509,7 @@ def laplace_quadrature(problem: PhaseProblem, t_value):
         fine, l1 = _cone_value(problem, ladder, edges, _RADIAL_NODES + 8, n + 8)
         err = np.abs(fine - coarse)
         allowance = _QUAD_REL_TOL * np.abs(fine) + 5e-15 * l1  # roundoff floor on cancellation
-        if not np.any(err > allowance):
+        if not (err > allowance).any():
             return float(fine[0]) if T.ndim == 0 else fine.reshape(T.shape)
     k = np.flatnonzero(err > allowance)[0]
     achieved = float(err[k] / max(abs(fine[k]), 1e-300))
@@ -632,6 +667,33 @@ def _sorted_samples(samples):
     return samples[order, 0], samples[order, 1]
 
 
+def fit_windows(T: np.ndarray, order_n: int) -> list:
+    """The decade windows :func:`fit_expansion` extracts from, on sorted
+    sample points T > 0: for each whole decade down from T's top, the mask
+    of the samples in it, where it holds at least 4.  Everything the fit
+    refuses before it reads a sampled value raises DomainError here, so a
+    caller can refuse a T grid before it samples anything: a negative
+    order_n, samples that span less than two decades, fewer than
+    2(order_n + 1) samples, or no window.
+    """
+    if order_n < 0:
+        raise DomainError("order_n must be >= 0")
+    if T[-1] / T[0] < 99.999:
+        raise DomainError("samples must span at least two decades of T")
+    if T.size < 2 * (order_n + 1):
+        raise DomainError(f"need at least {2 * (order_n + 1)} samples")
+    n_windows = int(math.floor(math.log10(T[-1] / T[0]) + 1e-9))
+    windows = []
+    for s in range(n_windows):
+        hi = T[-1] / 10.0**s
+        mask = (T >= hi / 10.0000001) & (T <= hi * 1.0000001)
+        if np.count_nonzero(mask) >= 4:
+            windows.append(mask)
+    if not windows:
+        raise DomainError("no decade window holds at least 4 samples")
+    return windows
+
+
 def fit_expansion(samples, dim: int, order_n: int) -> ExpansionCoefficients:
     """Sequential extraction of c₀ … c_N from samples (T, I(T)).
 
@@ -642,29 +704,14 @@ def fit_expansion(samples, dim: int, order_n: int) -> ExpansionCoefficients:
     from lower decades (always using the top decade would amplify the
     roundoff of earlier stages past any useful tolerance).  A stage with
     no internally converging ladder raises ConditioningError carrying the
-    last stable order.  A negative order_n raises DomainError, as do
-    samples that are not an (M, 2) array of finite values with every
-    T > 0 (:func:`_sorted_samples`).
+    last stable order.  Samples that are not an (M, 2) array of finite
+    values with every T > 0 raise DomainError (:func:`_sorted_samples`), and
+    so does what :func:`fit_windows` refuses.
     """
-    if order_n < 0:
-        raise DomainError("order_n must be >= 0")
     T, vals = _sorted_samples(samples)
-    if T[-1] / T[0] < 99.999:
-        raise DomainError("samples must span at least two decades of T")
-    if T.size < 2 * (order_n + 1):
-        raise DomainError(f"need at least {2 * (order_n + 1)} samples")
+    windows = fit_windows(T, order_n)
 
     x = 1.0 / T
-    n_windows = int(math.floor(math.log10(T[-1] / T[0]) + 1e-9))
-    windows = []
-    for s in range(n_windows):
-        hi = T[-1] / 10.0**s
-        mask = (T >= hi / 10.0000001) & (T <= hi * 1.0000001)
-        if np.count_nonzero(mask) >= 4:
-            windows.append(mask)
-    if not windows:
-        raise DomainError("no decade window holds at least 4 samples")
-
     g = vals * T ** (dim / 2.0)
     # stage j multiplies the roundoff of g by up to T^j: a window's
     # increment at or below that floor is converged to roundoff

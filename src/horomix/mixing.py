@@ -45,15 +45,20 @@ def induced_phase_problem(problem: MixingProblem) -> PhaseProblem:
     """The Laplace problem with v = ν₀ − 1 on the model's working box.
 
     v = √(1 − 4λ₀) − 1 is evaluated as −4λ₀/(1 + √(1 − 4λ₀)), which does
-    not cancel as λ₀ → 0.
+    not cancel as λ₀ → 0.  The phase carries ``even = True`` (see
+    :class:`~horomix.laplace.PhaseProblem`): v reads ω only through
+    :meth:`SpectralModel.lambda0_batch`, whose λ₀(−ω) has the bits of
+    λ₀(ω), so the cone rule evaluates it on half its points.
     """
     model = problem.model
 
     def v(pts):
         lam = model.lambda0_batch(pts)
-        if np.any(lam >= LAMBDA_MAX):
+        if (lam >= LAMBDA_MAX).any():
             raise ModelValidityError("lambda0 reaches 1/4 inside the box")
         return -4.0 * lam / (1.0 + np.sqrt(1.0 - 4.0 * lam))
+
+    v.even = True
 
     return PhaseProblem(
         dim=model.rank_d,

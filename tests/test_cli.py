@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from horomix import laplace
 from horomix.cli import _parse_amplitude, dispatch, load_model
 from horomix.errors import ConfigError
 from horomix.spectral_model import SpectralModel
@@ -295,7 +296,6 @@ class TestDispatch:
         out = tmp_path / "mix_gate.csv"
         rc = dispatch([
             "mix", "--model", str(model_file), "--log-t-min", "100",
-            # one token: argparse reads a separate "-1e-3" as an option
             "--log-t-max", "10000", f"--max-c0-dev={threshold}", "--out", str(out),
         ])
         err = capsys.readouterr().err
@@ -304,17 +304,50 @@ class TestDispatch:
         assert "--max-c0-dev" in err
         assert not out.exists()
 
-    def test_mix_negative_order_refused_in_one_line(self, model_file, tmp_path, capsys):
+    @pytest.mark.parametrize("order, message", [
+        ("-1", "order_n"),
+        # 17 samples on 1e2..1e4 at 8 per decade; order 8 needs 18
+        ("8", "need at least 18 samples"),
+    ])
+    def test_mix_order_refused_in_one_line_before_sampling(
+        self, model_file, tmp_path, capsys, monkeypatch, order, message
+    ):
+        calls = []
+        cone = laplace._cone_value
+        monkeypatch.setattr(laplace, "_cone_value", lambda *a: calls.append(a) or cone(*a))
         out = tmp_path / "mix_order.csv"
         rc = dispatch([
             "mix", "--model", str(model_file), "--log-t-min", "100",
-            "--log-t-max", "10000", "--order", "-1", "--out", str(out),
+            "--log-t-max", "10000", "--order", order, "--out", str(out),
         ])
         err = capsys.readouterr().err
         assert rc == 1
         assert err.startswith("error: ") and err.count("\n") == 1
-        assert "order_n" in err
+        assert message in err
         assert not out.exists()
+        assert not calls
+
+    @pytest.mark.parametrize("argv, rc, message", [
+        (["ode", "--lambda", "-1e-3"], 1, "lambda must lie in [0, 1/4), got -0.001"),
+        (["ode", "--lambda", "0.05", "--y0-re", "-1e-3", "--t-max", "100"], 0, None),
+        (["mix", "--log-t-min", "100", "--log-t-max", "1e4", "--max-c0-dev", "-1e-3"], 1,
+         "--max-c0-dev must be a number >= 0, got -0.001"),
+    ], ids=["ode-lambda", "ode-y0-re", "mix-max-c0-dev"])
+    def test_negative_number_with_exponent_is_a_value(
+        self, model_file, tmp_path, capsys, argv, rc, message
+    ):
+        # argparse's own pattern takes -1e-3 for an option ("expected one
+        # argument"); it is the value of the flag before it
+        out = tmp_path / "neg.csv"
+        if argv[0] == "mix":
+            argv = argv[:1] + ["--model", str(model_file)] + argv[1:]
+        assert dispatch(argv + ["--out", str(out)]) == rc
+        err = capsys.readouterr().err
+        if message is None:
+            assert out.exists()
+        else:
+            assert err == f"error: {message}\n"
+            assert not out.exists()
 
     @pytest.mark.parametrize("steps", ["0", "-3"])
     @pytest.mark.parametrize(

@@ -6,12 +6,14 @@ grow past MAX_DEFAULTED.  No threads: no module imports a thread or
 process pool.  No einsum: quadratic forms go through
 ``_stencils.quadratic_form``, whose summation order is fixed.  One
 owner of the exact sum's chunk size: no module but ``_stencils`` names
-``_SUM_CHUNK``, so callers hand it arrays of any size.  Failed
+``_SUM_CHUNK``, so callers hand it arrays of any size.  No numerical
+work at import: the cached Gauss and face rules fill on first use.  Failed
 property tests report: the warning filters turn warnings into errors but
 still let a failed hypothesis test print its falsifying example.
 """
 
 import ast
+import os
 import subprocess
 import sys
 import textwrap
@@ -84,6 +86,22 @@ def test_no_module_calls_einsum(module):
 def test_only_stencils_names_the_sum_chunk(module):
     lines = _lines_naming(MODULES[module], "_SUM_CHUNK")
     assert not lines, f"{module} names _SUM_CHUNK on lines {lines}"
+
+
+def test_import_builds_no_rule():
+    # a rule built at import would cost every process that never uses it
+    code = (
+        "import horomix\n"
+        "from horomix import _stencils\n"
+        "print(_stencils.legendre_rule.cache_info().currsize,"
+        " _stencils._unit_faces.cache_info().currsize)\n"
+    )
+    run = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": str(SRC.parent)},
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split() == ["0", "0"]
 
 
 def test_failed_property_test_reports_normally(tmp_path):

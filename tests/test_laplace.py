@@ -1,3 +1,4 @@
+import functools
 import math
 import time
 import tracemalloc
@@ -127,6 +128,19 @@ class TestPolynomial:
         p = Polynomial({(2, 0): -0.5, (0, 4): -0.25, (2, 2): 0.3, (6, 0): 1.0 / 3.0})
         pts = np.random.default_rng(29).standard_normal((128, 2))
         assert np.array_equal(p(pts), p(-pts))
+
+    @pytest.mark.parametrize("coeffs, even", [
+        ({(2, 0): -0.5, (1, 1): 0.3, (0, 4): -0.25}, True),
+        ({(0, 0): 1.0}, True),
+        ({(2, 0): -0.5, (3, 0): 0.05}, False),
+        # a zero coefficient still counts: the property reads degrees only
+        ({(2, 0): -0.5, (0, 2): -0.5, (1, 0): 0.0}, False),
+    ], ids=["mixed-even-terms", "constant", "cubic", "zero-linear"])
+    def test_even_means_every_term_has_even_degree(self, coeffs, even):
+        p = Polynomial(coeffs)
+        assert p.even is even
+        with pytest.raises(AttributeError):
+            p.even = not even
 
     @pytest.mark.parametrize("coeffs", [
         {(2,): 1.0, (1, 1): 1.0},
@@ -393,6 +407,26 @@ def _per_t_exps(p, nodes, face_nodes):
     return counts["points"], work[0] - work[1]
 
 
+def _counted_phase(v, seen):
+    """``v``, recording the number of points of each call in ``seen``, with
+    the ``even`` it declares: a Polynomial through a subclass, which keeps
+    the property, and any other callable through functools.update_wrapper,
+    which copies its attributes."""
+    if isinstance(v, Polynomial):
+        class Counted(Polynomial):
+            def __call__(self, pts):
+                seen.append(len(pts))
+                return super().__call__(pts)
+
+        return Counted(v)
+
+    def counted(pts):
+        seen.append(len(pts))
+        return v(pts)
+
+    return functools.update_wrapper(counted, v)
+
+
 class TestConeOracle:
     """The cone rule against the plain rule of tests/cone_plain.py."""
 
@@ -431,6 +465,27 @@ class TestConeOracle:
         plain_value, plain_l1 = plain_cone_value(p, T, 24 + level, face_nodes)
         assert np.array_equal(value, plain_value)
         assert np.array_equal(l1, plain_l1)
+
+    @pytest.mark.parametrize("case", sorted(CONE_CASES))
+    def test_declared_even_phase_sees_half_the_points(self, case):
+        # a phase that declares `even` is evaluated on the + faces only; a
+        # plain lambda hides the attribute and is evaluated everywhere; the
+        # bits are the same either way
+        p = CONE_CASES[case]()
+        face_nodes = _face_count(p)
+        edges = laplace._cone_edges(p, self.T)
+        rule = 2 * p.dim * (edges.size - 1) * 24 * face_nodes ** (p.dim - 1)
+        v, seen, plain_seen = p.v, [], []
+        declared = getattr(v, "even", False)
+        assert declared == (case != "odd-phase")
+        p.v = _counted_phase(v, seen)
+        assert getattr(p.v, "even", False) == declared
+        value, l1 = laplace._cone_value(p, self.T, edges, 24, face_nodes)
+        p.v = lambda pts: plain_seen.append(len(pts)) or v(pts)
+        plain_value, plain_l1 = laplace._cone_value(p, self.T, edges, 24, face_nodes)
+        assert seen == [rule // 2 if declared else rule]
+        assert plain_seen == [rule]
+        assert np.array_equal(value, plain_value) and np.array_equal(l1, plain_l1)
 
     @pytest.mark.parametrize("case", ["gauss2d", "quartic-d3"])
     def test_grid_cap_refusal_unchanged(self, case, monkeypatch):

@@ -128,6 +128,32 @@ class TestCorrelationIntegral:
         fd = finite_difference_hessian(induced.v, np.zeros(2))
         np.testing.assert_allclose(-fd, induced.hessian, rtol=1e-6, atol=1e-8)
 
+    @pytest.mark.parametrize("rank", [1, 2, 3])
+    def test_correlation_integral_takes_the_even_path(self, rank, monkeypatch):
+        # the induced phase declares `even`, so every level evaluates λ₀ on
+        # the + faces only, half its rule, with the bits of a phase that
+        # declares nothing and is evaluated everywhere
+        m = SpectralModel(genus=2, rank_d=rank, gram=np.eye(rank) + 0.2 * (1 - np.eye(rank)),
+                          perturbation=Perturbation("quartic", 0.2), gap_delta=0.1)
+        problem = MixingProblem(model=m)
+        induced = induced_phase_problem(problem)
+        assert induced.v.even is True
+        T = log_grid(1e2, 1e4, 4)
+        lam, seen, rules = SpectralModel.lambda0_batch, [], []
+        monkeypatch.setattr(SpectralModel, "lambda0_batch",
+                            lambda self, pts: seen.append(len(pts)) or lam(self, pts))
+        cone = laplace._cone_value
+        monkeypatch.setattr(laplace, "_cone_value",
+                            lambda p, t, edges, nodes, n: rules.append(
+                                2 * rank * (edges.size - 1) * nodes * n ** (rank - 1))
+                            or cone(p, t, edges, nodes, n))
+        got = correlation_integral(problem, T)
+        # the first call is PhaseProblem's audit of v(0), one point
+        assert len(rules) >= 2 and seen == [1] + [r // 2 for r in rules]
+        v = induced.v
+        induced.v = lambda pts: v(pts)
+        assert np.array_equal(got, laplace.laplace_quadrature(induced, T))
+
     def test_phase_without_cancellation(self, model_d1):
         # v = √(1 − 4λ₀) − 1 against a 50-digit evaluation at the same float
         # λ₀; the plain subtraction is about 1e-4 relative off at λ₀ = 1e-12

@@ -19,6 +19,7 @@ from horomix._stencils import (
     quadratic_form,
     sweep_grid,
     tensor_grid,
+    unit_faces,
 )
 from horomix.errors import DomainError, LatticeSizeError
 from horomix.spectral_model import Perturbation, SpectralModel
@@ -54,6 +55,38 @@ class TestGaussLegendre:
             x[0] = 0.0
         with pytest.raises(ValueError):
             w[0] = 0.0
+
+
+class TestUnitFaces:
+    @pytest.mark.parametrize("d, n", [(1, 16), (2, 16), (2, 17), (3, 24)])
+    def test_cached_read_only_and_as_built_face_by_face(self, d, n):
+        points, cols, mirrored = unit_faces(d, n)
+        again = unit_faces(d, n)
+        assert again[0] is points and again[1] is cols
+        assert not points.flags.writeable and not cols.flags.writeable
+        x, w = np.polynomial.legendre.leggauss(n)
+        coords = np.array(list(product(x, repeat=d - 1))).reshape(n ** (d - 1), d - 1)
+        for f in range(2 * d):
+            face = np.insert(coords, f // 2, 1.0 - 2.0 * (f % 2), axis=1)
+            assert np.array_equal(points[f], face)
+        assert np.array_equal(cols, np.array(list(product(w, repeat=d - 1))).T.reshape(d - 1, n ** (d - 1)))
+        # even counts have exactly antisymmetric nodes, odd ones a middle node
+        assert mirrored == (d == 1 or n % 2 == 0)
+
+    def test_large_rule_built_afresh_and_not_kept(self):
+        # 129² points per face, past the 2¹⁴ = 128² the cache keeps at rank 3
+        before = _stencils._unit_faces.cache_info().currsize
+        first, again = unit_faces(3, 129), unit_faces(3, 129)
+        assert first[0] is not again[0] and np.array_equal(first[0], again[0])
+        assert not first[0].flags.writeable and first[2] is False
+        assert _stencils._unit_faces.cache_info().currsize == before
+
+    def test_cube_face_weights_keep_their_product_order(self):
+        lead = np.linspace(0.5, 1.5, 7)
+        _, weights = _stencils._cube_faces(3, 16, lead)
+        _, w = legendre_rule(16)
+        expected = np.array([[(l * a) * b for a, b in product(w, w)] for l in lead])
+        assert np.array_equal(weights, expected)
 
 
 def _scalar_fornberg(nodes, x0, order):
