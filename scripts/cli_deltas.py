@@ -12,8 +12,9 @@ CSV whose bytes differ, one line per changed column gives the largest
 absolute change |head − base|, the largest relative change
 |head − base| / |base| over its rows, that largest absolute change over
 the column's largest |base| (a cell near 0 inflates the relative change,
-not this one), and how many rows changed; a
-non-numeric cell that changes is counted, not measured.  A run that fails
+not this one), and how many rows changed.  A complex cell, such as a
+selftest value ``(-0.75+0j)``, is measured by modulus; a non-numeric cell
+that changes is counted, not measured.  A run that fails
 on one side, or a CSV whose header or row count changed, is reported as
 such.  Manifests are not compared: they hash the CSVs.
 
@@ -23,6 +24,7 @@ Uses the standard library only.
 
 from __future__ import annotations
 
+import cmath
 import csv
 import math
 import os
@@ -50,9 +52,11 @@ def _outputs(checkout: Path, workdir: Path) -> dict[str, bytes | None]:
     return out
 
 
-def _number(cell: str) -> float | None:
+def _number(cell: str) -> complex | None:
+    """The cell as a number: a float, or a complex repr such as
+    ``(-0.75+0j)``, compared by modulus; None for text and lists."""
     try:
-        return float(cell)
+        return complex(cell)
     except ValueError:
         return None
 
@@ -71,7 +75,7 @@ def column_deltas(base: str, head: str) -> list[str]:
         text = 0
         for b, h in pairs:
             x, y = _number(b), _number(h)
-            if x is None or y is None or not (math.isfinite(x) and math.isfinite(y)):
+            if x is None or y is None or not (cmath.isfinite(x) and cmath.isfinite(y)):
                 text += 1
                 continue
             abs_max = max(abs_max, abs(y - x))
@@ -79,7 +83,7 @@ def column_deltas(base: str, head: str) -> list[str]:
         line = f"  {title}: {len(pairs)}/{len(rows_b) - 1} rows"
         if len(pairs) > text:
             numbers = (_number(b[col]) for b in rows_b[1:])
-            scale = max(abs(x) for x in numbers if x is not None and math.isfinite(x))
+            scale = max(abs(x) for x in numbers if x is not None and cmath.isfinite(x))
             line += f", max abs {abs_max:.3g}, max rel {rel_max:.3g}"
             line += f", max abs/max|base| {abs_max / scale if scale else math.inf:.3g}"
         if text:

@@ -17,6 +17,9 @@ behave like A·t^(ν−1) with ν = √(1−4λ).  This module solves the master
 relation, assembles and audits f, verifies the Euler identity with local
 stencils, evaluates the variation-of-parameters formula, and extracts the
 tail amplitude with truncation bounds from an audited decay envelope.
+The tail integrals take sampled forcing only, integrated by one rule,
+:func:`power_weighted_integral`; a callable forcing serves the Euler
+residual alone.
 
 Singular-term handling: for m ≠ n the master integrand carries y(s)/s, so
 an exact solution needs y(0) = 0; we integrate the regularized term
@@ -34,9 +37,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._stencils import fornberg_weights, legendre_rule
-from .errors import ConsistencyError, DomainError
-from .errors import QuadratureError, TruncationError
+from ._stencils import fornberg_weights
+from .errors import ConsistencyError, DomainError, TruncationError
 from .spectral_model import lambda_of_nu, nu_of_lambda
 
 _SERIES_T = 0.5          # series radius actually used (convergence radius is 2)
@@ -45,9 +47,6 @@ _SERIES_T = 0.5          # series radius actually used (convergence radius is 2)
 _SERIES_T_MAX = 1.0
 _SERIES_TERMS = 40
 _CONSISTENCY_TOL = 1e-6  # master residual above which a trajectory is rejected
-_R_MAX = 1e280           # largest tail cutoff
-_PANEL_GAP = 1e-10       # summed panel gaps allowed, relative to the L¹ mass
-_MAX_BISECTIONS = 4000   # panel bisections allowed in one callable integral
 # grids whose stencil plans stay cached: ode-tail cycles three master grids,
 # and an ode or selftest run reuses its one grid across calls
 _PLAN_CACHE = 8
@@ -557,49 +556,6 @@ def _evaluate(fn, t) -> np.ndarray:
     return np.array([complex(fn(x)) for x in t.ravel().tolist()], complex).reshape(t.shape)
 
 
-def _panel_integral(fn, p: float, a, b) -> complex | np.ndarray:
-    """∫_a^b r^p f(r) dr for a callable f, finite ends 0 ≤ a ≤ b that broadcast,
-    and a > 0 when p = −1.  In s = r^(1+p) (log r at p = −1) the weight is the
-    constant 1/(1+p), so the integrand is bounded at 0.  Panel edges are the
-    ends and the powers of 10 between them.  The panel whose 24- and 32-point
-    Gauss–Legendre values differ most is bisected until the summed gaps are
-    at most _PANEL_GAP of the summed L¹ mass (QuadratureError after
-    _MAX_BISECTIONS).  Each range is a difference of two entries of one table
-    of panel values: it depends on the other ranges of the call, within the
-    summed gap.
-    """
-    lo, hi = np.broadcast_arrays(np.asarray(a, float), np.asarray(b, float))
-    q = 1.0 + p
-    if q < 0.0 or not np.all((0.0 <= lo) & (lo <= hi) & (hi < np.inf) & ((lo > 0.0) | (q > 0.0))):
-        raise DomainError("callable integrals need p >= -1, finite 0 <= a <= b, a > 0 at p = -1")
-    ends = np.union1d(lo, hi)
-    k = np.log10(np.append(ends[ends > 0.0], 1.0))
-    inner = 10.0 ** np.arange(np.floor(k.min()), k.max() + 1.0)
-    edges = np.union1d(ends, inner[(ends[0] < inner) & (inner < ends[-1])])
-    to_s, to_r = ((lambda r: r**q), (lambda s: s ** (1.0 / q))) if q else (np.log, np.exp)
-
-    def rules(s):  # (32-point value, |24-point − 32-point| gap, L¹ mass) per panel
-        mid, half = 0.5 * (s[1:] + s[:-1]), 0.5 * (s[1:] - s[:-1])
-        (x24, w24), (x32, w32) = legendre_rule(24), legendre_rule(32)
-        f24, f32 = (_evaluate(fn, to_r(mid[:, None] + half[:, None] * x)) for x in (x24, x32))
-        value = half * (f32 @ w32)
-        return value, np.abs(value - half * (f24 @ w24)), half * (np.abs(f32) @ w32)
-
-    s = to_s(edges)
-    value, gap, mass = rules(s)
-    while not gap.sum() <= _PANEL_GAP * mass.sum():  # NaN values refine to the cap
-        if s.size - edges.size == _MAX_BISECTIONS:
-            achieved = gap.sum() / mass.sum()
-            raise QuadratureError(f"panel gaps at {achieved:.2e} of the mass", achieved=achieved)
-        j = int(np.argmax(gap))
-        s = np.insert(s, j + 1, 0.5 * (s[j] + s[j + 1]))
-        parts = zip((value, gap, mass), rules(s[j : j + 3]))
-        value, gap, mass = (np.concatenate([old[:j], new, old[j + 1 :]]) for old, new in parts)
-    table = np.concatenate([[0.0], np.cumsum(value)]) / (q or 1.0)
-    out = table[np.searchsorted(s, to_s(hi))] - table[np.searchsorted(s, to_s(lo))]
-    return out if out.ndim else complex(out)
-
-
 # ---------------------------------------------------------------------------
 # forcing profiles
 # ---------------------------------------------------------------------------
@@ -612,9 +568,9 @@ class ForcingProfile:
     The envelope is audited, not proved: decay_c is checked against t·|f|
     on the samples at t ≥ 1, or on 801 log-spaced points of [1, 1e4] for a
     callable (:meth:`envelope_audit`), and the tail bounds assume it holds
-    beyond those points.  Either a smooth callable or samples on a grid;
-    only this class branches on the form (see :meth:`_cutoff` and
-    :meth:`_weighted`)."""
+    beyond those points.  Either samples on a grid or a callable.  Only
+    samples are integrated: a callable serves :func:`euler_residual`
+    through :meth:`values_on`, and :meth:`_cutoff` refuses it."""
 
     fn: object = None
     grid: np.ndarray | None = None
@@ -624,10 +580,10 @@ class ForcingProfile:
 
     @classmethod
     def from_callable(cls, fn, decay_c: float | None = None) -> "ForcingProfile":
-        """A callable f(t) → complex, integrated on panels with edges at the
-        powers of 10.  decay_c defaults to the audit, the max of t·|f| on
-        801 log-spaced points of [1, 1e4]; a claimed decay_c below it raises
-        ConsistencyError.  Past 1e4 the envelope is assumed, not checked."""
+        """A callable f(t) → complex, for :func:`euler_residual`; the tail
+        integrals refuse it.  decay_c defaults to the audit, the max of t·|f|
+        on 801 log-spaced points of [1, 1e4]; a claimed decay_c below it
+        raises ConsistencyError."""
         profile = cls(fn=fn)
         sup = profile.envelope_audit()
         if decay_c is None:
@@ -672,49 +628,28 @@ class ForcingProfile:
         return float(np.max(np.abs(_evaluate(self.fn, ts)) * ts))
 
     def _cutoff(self, nu: float, tol: float | None) -> tuple[float, float]:
-        """(R, envelope tail bound at R) for tail integrals stopped at R.
-
-        Samples stop at the last sample and raise :class:`TruncationError`
-        when the bound there exceeds ``tol`` (None checks nothing).  A
-        callable stops at the smallest R ≤ _R_MAX whose bound reaches ``tol``
-        (1e-9 when None) and raises when there is no such R.
+        """(R, envelope tail bound at R) for tail integrals stopped at R, the
+        last sample.  A bound above ``tol`` raises :class:`TruncationError`
+        (None checks nothing).  A callable raises DomainError before
+        anything is evaluated.
         """
+        if not self.sampled:
+            raise DomainError(
+                "tail integrals take sampled forcing; build it with ForcingProfile.from_samples"
+            )
         if tol is not None and not tol >= 0.0:
             raise DomainError(f"tol must be non-negative, got {tol}")
         if not math.isfinite(self.decay_c):
             raise DomainError("forcing must carry a finite decay envelope")
-        if self.sampled:
-            cutoff = float(self.grid[-1])
-            bound = _tail_bound(nu, self.decay_c, cutoff)
-            if tol is not None and bound > tol:
-                raise TruncationError(
-                    f"sampled forcing ends at {cutoff:.3e}; tail bound {bound:.3e} "
-                    f"exceeds {tol:.1e}",
-                    achieved_bound=bound,
-                )
-            return cutoff, bound
-        if self.decay_c == 0.0:
-            return 1.0, 0.0
-        tol = 1e-9 if tol is None else tol
-        try:
-            r_req = (self.decay_c / (2.0 * nu * nu * tol)) ** (1.0 / nu)
-        except (ZeroDivisionError, OverflowError):  # tol = 0, or R beyond any float
-            r_req = math.inf
-        if r_req > _R_MAX:
-            achieved = _tail_bound(nu, self.decay_c, _R_MAX)
+        cutoff = float(self.grid[-1])
+        bound = _tail_bound(nu, self.decay_c, cutoff)
+        if tol is not None and bound > tol:
             raise TruncationError(
-                f"tail bound cannot reach {tol:.1e} within R_max={_R_MAX:.1e} "
-                f"(achieved {achieved:.3e})",
-                achieved_bound=achieved,
+                f"sampled forcing ends at {cutoff:.3e}; tail bound {bound:.3e} "
+                f"exceeds {tol:.1e}",
+                achieved_bound=bound,
             )
-        cutoff = max(r_req, 1.0)
-        return cutoff, _tail_bound(nu, self.decay_c, cutoff)
-
-    def _weighted(self, p: float, a, b) -> complex | np.ndarray:
-        """∫_a^b r^p f(r) dr for ends that broadcast, off one running table."""
-        if self.sampled:
-            return power_weighted_integral(self.grid, self.values, p, a=a, b=b)
-        return _panel_integral(self.fn, p, a, b)
+        return cutoff, bound
 
 
 # ---------------------------------------------------------------------------
@@ -872,16 +807,18 @@ def asymptotic_constant(
     forcing: ForcingProfile,
     tol: float | None = 1e-9,
 ) -> TailEstimate:
-    """Tail functional −(1/2ν) ∫₁^∞ r^(−ν) f(r) dr, cut at R.
+    """Tail functional −(1/2ν) ∫₁^∞ r^(−ν) f(r) dr, cut at R, the last
+    sample of the sampled ``forcing`` (a callable raises DomainError).
 
-    The truncation error at cutoff R is bounded by decay_c·R^(−ν)/(2ν²)
-    from the decay envelope, which is audited, not proved (see
-    :class:`ForcingProfile`), and |value| ≤ decay_c/(2ν²) always.
+    The truncation error at R is bounded by decay_c·R^(−ν)/(2ν²) from the
+    decay envelope, which is audited, not proved (see
+    :class:`ForcingProfile`), and |value| ≤ decay_c/(2ν²) always.  A bound
+    above ``tol`` raises TruncationError; ``tol=None`` checks nothing.
     """
     if not 0.0 < nu <= 1.0:
         raise DomainError(f"nu must lie in (0, 1], got {nu}")
     cutoff, bound = forcing._cutoff(nu, tol)
-    integral = forcing._weighted(-nu, 1.0, cutoff)
+    integral = power_weighted_integral(forcing.grid, forcing.values, -nu, a=1.0, b=cutoff)
     return TailEstimate(value=-integral / (2.0 * nu), tail_bound=bound, cutoff=cutoff)
 
 
@@ -892,13 +829,15 @@ def asymptotic_amplitude(
 
     The unique solution of the Euler equation that stays bounded at t = 0
     satisfies y(t)·t^(1−ν) → this value; see the module notes.  Requires
-    ν < 1 so the weight is integrable at 0, and sampled forcing to start
-    at t = 0.
+    ν < 1 so the weight is integrable at 0, and sampled forcing from t = 0
+    (a callable raises DomainError); the integral stops at the last sample,
+    with the tail bound of :func:`asymptotic_constant` checked against
+    ``tol`` (None checks nothing).
     """
     if not 0.0 < nu < 1.0:
         raise DomainError(f"nu must lie in (0, 1) for the amplitude, got {nu}")
     cutoff, bound = forcing._cutoff(nu, tol)
-    integral = forcing._weighted(-nu, 0.0, cutoff)
+    integral = power_weighted_integral(forcing.grid, forcing.values, -nu, a=0.0, b=cutoff)
     return TailEstimate(value=integral / (2.0 * nu), tail_bound=bound, cutoff=cutoff)
 
 
@@ -911,11 +850,11 @@ def particular_trajectory(
         P(t) = ∫_t^∞ r^(−ν) f dr,   Q(t) = ∫₀^t r^ν f dr.
 
     This is the particular solution that decays like 1/t; it differs from
-    the bounded-at-0 solution by a multiple of t^(ν−1).  Sampled forcing
-    must start at t = 0 and is integrated to its last sample, in one pass
-    for all points; callable forcing is cut where the envelope bounds the
-    tail by 1e-9.  Points not 1-d, non-empty, finite, strictly increasing
-    and > 0 raise DomainError before any integral.  The derivative is
+    the bounded-at-0 solution by a multiple of t^(ν−1).  The forcing must
+    be sampled from t = 0 (a callable raises DomainError) and is integrated
+    to its last sample, in one pass for all points.  Points not 1-d,
+    non-empty, finite, strictly increasing and > 0 raise DomainError before
+    any integral.  The derivative is
     analytic in the two running integrals:
         y' = −((ν−1) t^(ν−2)/2ν) P(t) + ((1+ν) t^(−ν−2)/2ν) Q(t).
     """
@@ -926,9 +865,11 @@ def particular_trajectory(
     if not (ok and np.all(np.diff(t, prepend=0.0) > 0.0)):  # the prepended 0 asks t[0] > 0
         raise DomainError("formula trajectories need 1-d, finite, increasing points > 0")
     cutoff, _ = forcing._cutoff(nu, None)
-    head = forcing._weighted(nu, 0.0, t)
+    head = power_weighted_integral(forcing.grid, forcing.values, nu, a=0.0, b=t)
     # the tail is empty (zero) once t reaches the cutoff
-    tail = forcing._weighted(-nu, np.minimum(t, cutoff), cutoff)
+    tail = power_weighted_integral(
+        forcing.grid, forcing.values, -nu, a=np.minimum(t, cutoff), b=cutoff
+    )
     y = -(t ** (nu - 1.0)) / (2 * nu) * tail - t ** (-nu - 1.0) / (2 * nu) * head
     yp = (
         -((nu - 1.0) * t ** (nu - 2.0)) / (2 * nu) * tail
@@ -995,20 +936,3 @@ def fit_tail_amplitude(traj: Trajectory, nu: float) -> complex:
     t = traj.grid[mask]
     coef, _ = _fit_powers(t, traj.y[mask] * t ** (1.0 - nu), (0.0, -nu))
     return complex(coef[0])
-
-
-def homogeneous_split(
-    traj: Trajectory, nu: float, forcing: ForcingProfile, window: tuple = (2.0, 50.0)
-) -> dict:
-    """Fit master − formula against the homogeneous pair (t^(ν−1), t^(−ν−1)).
-
-    The bounded master solution should equal the formula solution plus
-    its tail amplitude times t^(ν−1) with no t^(−ν−1) component.  A window
-    holding fewer than 3 grid nodes raises DomainError.
-    """
-    mask = (traj.grid >= window[0]) & (traj.grid <= window[1])
-    t = traj.grid[mask]
-    diff = traj.y[mask] - particular_trajectory(nu, forcing, t).y
-    coef, design = _fit_powers(t, diff, (nu - 1.0, -nu - 1.0))
-    resid = float(np.max(np.abs(diff - design @ coef)))
-    return {"c_plus": complex(coef[0]), "c_minus": complex(coef[1]), "residual": resid}

@@ -95,16 +95,19 @@ def run_selftest() -> list[CheckResult]:
     close("euler_constant_solution",
           corr_ode.euler_residual(const, const_f, lam), 0.0, 1e-13)
 
+    # the tail integrals take forcing sampled on the master grid from 0
+    def sampled(values):
+        return corr_ode.ForcingProfile.from_samples(grid, values)
+
+    zero_s = sampled(np.zeros(grid.size))
     same("particular_zero_forcing",
-         complex(corr_ode.particular_trajectory(0.5, zero_f, [2.0]).y[0]), 0.0)
-    pow_f = corr_ode.ForcingProfile.from_callable(lambda r: (r**-2.0 if r >= 1.0 else 0.0) + 0j)
-    pow_f2 = corr_ode.ForcingProfile.from_callable(
-        lambda r: 2.0 * ((r**-2.0 if r >= 1.0 else 0.0) + 0j)
-    )
-    v1 = complex(corr_ode.particular_trajectory(0.5, pow_f, [2.0]).y[0])
-    v2 = complex(corr_ode.particular_trajectory(0.5, pow_f2, [2.0]).y[0])
+         complex(corr_ode.particular_trajectory(0.5, zero_s, [2.0]).y[0]), 0.0)
+    pow_r = (grid >= 1.0) / np.maximum(grid, 1.0) ** 2  # r⁻² on r ≥ 1, 0 below
+    v1 = complex(corr_ode.particular_trajectory(0.5, sampled(pow_r), [2.0]).y[0])
+    v2 = complex(corr_ode.particular_trajectory(0.5, sampled(2.0 * pow_r), [2.0]).y[0])
     close("particular_linearity", v2, 2.0 * v1)
-    same("tail_constant_zero_forcing", corr_ode.asymptotic_constant(0.5, zero_f).value, 0.0)
+    same("tail_constant_zero_forcing",
+         complex(corr_ode.asymptotic_constant(0.5, zero_s).value), 0.0)
 
     close("tail_check_exact_power",
           corr_ode.tail_remainder_check(power(0.7, 0.0), 0.7, nu).sup, 0.0)

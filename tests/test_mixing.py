@@ -229,6 +229,24 @@ class TestExpansionVerdict:
         with pytest.raises(DomainError, match="order_n"):
             mixing_expansion(MixingProblem(model=model_d1), np.logspace(2, 4, 17), -1)
 
+    @pytest.mark.parametrize(
+        "grid, order",
+        [
+            (np.logspace(2, 4, 17), -1),
+            (np.logspace(2, 3, 17), 1),
+            (np.concatenate([[0.0], np.logspace(2, 4, 17)]), 1),
+            (np.concatenate([np.logspace(2, 4, 17), [np.nan]]), 1),
+            (np.concatenate([[-1e2], np.logspace(2, 4, 17)]), 1),
+        ],
+        ids=["negative-order", "one-decade", "t-zero", "nan", "negative-t"],
+    )
+    def test_refused_before_sampling(self, model_d1, monkeypatch, grid, order):
+        cone, calls = laplace._cone_value, []
+        monkeypatch.setattr(laplace, "_cone_value", lambda *a: calls.append(a) or cone(*a))
+        with pytest.raises(DomainError):
+            mixing_expansion(MixingProblem(model=model_d1), grid, order)
+        assert calls == []
+
     def test_values_reused(self, model_d1):
         problem = MixingProblem(model=model_d1)
         grid = np.logspace(2, 4, 17)
