@@ -712,6 +712,38 @@ class TestTailConstants:
         with pytest.raises(DomainError):
             asymptotic_amplitude(1.0, SAMPLED_ZERO)
 
+    # ν outside (0, 1], (0, 1) for the amplitude, is refused before any integral
+    @pytest.mark.parametrize(
+        "nu", [0.0, -0.5, 1.5, math.nan], ids=["zero", "negative", "above-one", "nan"]
+    )
+    @pytest.mark.parametrize(
+        "tail_fn",
+        [
+            lambda nu, fp: asymptotic_constant(nu, fp, tol=None),
+            lambda nu, fp: asymptotic_amplitude(nu, fp, tol=None),
+            lambda nu, fp: particular_trajectory(nu, fp, [2.0, 3.0]),
+        ],
+        ids=["constant", "amplitude", "particular"],
+    )
+    def test_nu_outside_its_range_refused(self, monkeypatch, tail_fn, nu):
+        monkeypatch.setattr(corr_ode, "power_weighted_integral", _no_integral)
+        with pytest.raises(DomainError, match="nu must lie"):
+            tail_fn(nu, SLOW)
+
+    @pytest.mark.parametrize("nu", [0.1, 0.5])
+    @pytest.mark.parametrize("tail_fn", [asymptotic_constant, asymptotic_amplitude])
+    def test_tol_is_checked_against_the_bound_at_the_last_sample(self, tail_fn, nu):
+        # tol=None checks nothing; a tol equal to the bound passes with the
+        # same value, and the next float below it raises with the bound
+        free = tail_fn(nu, SLOW, tol=None)
+        assert free.cutoff == SLOW.grid[-1]
+        assert free.tail_bound == SLOW.decay_c * free.cutoff ** (-nu) / (2.0 * nu * nu)
+        at = tail_fn(nu, SLOW, tol=free.tail_bound)
+        assert (at.value, at.tail_bound) == (free.value, free.tail_bound)
+        with pytest.raises(TruncationError) as info:
+            tail_fn(nu, SLOW, tol=math.nextafter(free.tail_bound, 0.0))
+        assert info.value.achieved_bound == free.tail_bound
+
     # every tail integral refuses a callable forcing before evaluating it
     @pytest.mark.parametrize(
         "tail_fn",
@@ -803,9 +835,13 @@ class TestTailChecks:
         with pytest.raises(DomainError):
             tail_remainder_check(traj, 0.7, 0.5)
 
-    def test_amplitude_fit_refuses_fewer_than_three_top_nodes(self):
-        # one node in the top two decades: the fit read 0.6993 for the exact 0.7
-        traj = _power_trajectory(0.5, np.array([0.5, 1.0, 1000.0]), coef=0.7)
+    @pytest.mark.parametrize(
+        "grid", [[0.5, 1.0, 1000.0], [0.5, 1.0, 100.0, 1000.0]], ids=["one-node", "two-nodes"]
+    )
+    def test_amplitude_fit_refuses_fewer_than_three_top_nodes(self, grid):
+        # nodes in the top two decades: with one the fit read 0.6993 for the
+        # exact 0.7; two leave the two unknowns no residual
+        traj = _power_trajectory(0.5, np.array(grid), coef=0.7)
         with pytest.raises(DomainError):
             fit_tail_amplitude(traj, 0.5)
 
@@ -1006,25 +1042,28 @@ class TestSampleQuadrature:
         got = power_weighted_integral(_GRADED, vals, -0.5, a=x, b=x)
         assert np.shape(got) == np.shape(x) and np.all(got == 0)
 
-    @pytest.mark.parametrize("p", [0.7, -0.5])
+    @pytest.mark.parametrize("p", [0.7, -0.5, -1.0])
     def test_array_ends_equal_scalar_calls_bit_for_bit(self, p):
-        # 254 ends: every tenth node and 133 points off the nodes
+        # 254 ends: every tenth node and 133 points off the nodes; the weight
+        # 1/r (the log moment) starts its ranges at the first node above 0
         rng = np.random.default_rng(11)
         ends = np.concatenate([_GRADED[::10], rng.uniform(0.0, 100.0, 133)])
+        start = 0.0 if p > -1.0 else _GRADED[1]
+        ends = ends[ends >= start]
         top = _GRADED[-1]
 
         def one(lo, hi):
             return power_weighted_integral(_GRADED, _WAVE, p, a=lo, b=hi)
 
         cases = [
-            (one(0.0, ends), [one(0.0, x) for x in ends]),  # head ranges
+            (one(start, ends), [one(start, x) for x in ends]),  # head ranges
             (one(ends, top), [one(x, top) for x in ends]),  # tail ranges
             (one(0.5 * ends, ends), [one(0.5 * x, x) for x in ends]),
         ]
         for got, single in cases:
             assert got.shape == ends.shape
             assert got.tobytes() == np.array(single).tobytes()
-        lo = np.array([[0.0], [_MID[0]], [_GRADED[1]]])  # (3, 1) against (m,)
+        lo = np.array([[start], [_MID[0]], [_GRADED[1]]])  # (3, 1) against (m,)
         hi = ends[ends >= _GRADED[1]]
         outer = one(lo, hi)
         assert outer.shape == (3, hi.size)

@@ -237,8 +237,14 @@ class TestExpansionVerdict:
             (np.concatenate([[0.0], np.logspace(2, 4, 17)]), 1),
             (np.concatenate([np.logspace(2, 4, 17), [np.nan]]), 1),
             (np.concatenate([[-1e2], np.logspace(2, 4, 17)]), 1),
+            (np.concatenate([np.logspace(2, 4, 17), [np.inf]]), 1),
+            (np.logspace(2, 4, 17), 8),
+            (np.logspace(2, 4, 5), 0),
         ],
-        ids=["negative-order", "one-decade", "t-zero", "nan", "negative-t"],
+        ids=[
+            "negative-order", "one-decade", "t-zero", "nan", "negative-t",
+            "inf", "too-few-samples", "thin-decades",
+        ],
     )
     def test_refused_before_sampling(self, model_d1, monkeypatch, grid, order):
         cone, calls = laplace._cone_value, []
