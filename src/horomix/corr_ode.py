@@ -550,12 +550,6 @@ def power_weighted_integral(
     return ((first + whole) + last).reshape(shape)[()]
 
 
-def _evaluate(fn, t) -> np.ndarray:
-    """A callable forcing at each point of ``t``, passed as a Python float."""
-    t = np.asarray(t, dtype=float)
-    return np.array([complex(fn(x)) for x in t.ravel().tolist()], complex).reshape(t.shape)
-
-
 # ---------------------------------------------------------------------------
 # forcing profiles
 # ---------------------------------------------------------------------------
@@ -563,14 +557,14 @@ def _evaluate(fn, t) -> np.ndarray:
 
 @dataclass
 class ForcingProfile:
-    """A forcing f(t) with a decay envelope |f(t)| ≤ decay_c / t for t ≥ 1.
+    """A forcing f(t), either samples on a grid or a callable.
 
-    The envelope is audited, not proved: decay_c is checked against t·|f|
-    on the samples at t ≥ 1, or on 801 log-spaced points of [1, 1e4] for a
-    callable (:meth:`envelope_audit`), and the tail bounds assume it holds
-    beyond those points.  Either samples on a grid or a callable.  Only
-    samples are integrated: a callable serves :func:`euler_residual`
-    through :meth:`values_on`, and :meth:`_cutoff` refuses it."""
+    Only samples are integrated.  They carry a decay envelope
+    |f(t)| ≤ decay_c / t for t ≥ 1, audited, not proved: decay_c is the max
+    of t·|f| over the samples at t ≥ 1 (:meth:`envelope_audit`), and the
+    tail bounds assume it holds beyond the last sample.  A callable serves
+    :func:`euler_residual` through :meth:`values_on` and carries no
+    envelope; :meth:`_cutoff` refuses it."""
 
     fn: object = None
     grid: np.ndarray | None = None
@@ -579,21 +573,10 @@ class ForcingProfile:
     diagnostics: dict = field(default_factory=dict)
 
     @classmethod
-    def from_callable(cls, fn, decay_c: float | None = None) -> "ForcingProfile":
+    def from_callable(cls, fn) -> "ForcingProfile":
         """A callable f(t) → complex, for :func:`euler_residual`; the tail
-        integrals refuse it.  decay_c defaults to the audit, the max of t·|f|
-        on 801 log-spaced points of [1, 1e4]; a claimed decay_c below it
-        raises ConsistencyError."""
-        profile = cls(fn=fn)
-        sup = profile.envelope_audit()
-        if decay_c is None:
-            decay_c = sup
-        elif sup > decay_c * (1.0 + 1e-9):
-            raise ConsistencyError(
-                f"claimed envelope {decay_c} violated: t|f(t)| reaches {sup}"
-            )
-        profile.decay_c = decay_c
-        return profile
+        integrals refuse it.  ``fn`` is not called here."""
+        return cls(fn=fn, decay_c=math.nan)
 
     @classmethod
     def from_samples(cls, grid: np.ndarray, values: np.ndarray) -> "ForcingProfile":
@@ -616,16 +599,14 @@ class ForcingProfile:
             ):
                 return self.values
             raise ConsistencyError("sampled forcing is not aligned with the grid")
-        return _evaluate(self.fn, grid)
+        t = np.asarray(grid, dtype=float)  # fn gets each point as a Python float
+        values = [complex(self.fn(x)) for x in t.ravel().tolist()]
+        return np.array(values, complex).reshape(t.shape)
 
     def envelope_audit(self) -> float:
-        """Max of t·|f(t)| over the samples at t ≥ 1 (0 if none), or over 801
-        log-spaced points of [1, 1e4] for a callable; must not exceed decay_c."""
-        if self.sampled:
-            mask = self.grid >= 1.0
-            return float(np.max(np.abs(self.values[mask]) * self.grid[mask], initial=0.0))
-        ts = np.logspace(0.0, 4.0, 801)
-        return float(np.max(np.abs(_evaluate(self.fn, ts)) * ts))
+        """Max of t·|f(t)| over the samples at t ≥ 1 (0 if none)."""
+        mask = self.grid >= 1.0
+        return float(np.max(np.abs(self.values[mask]) * self.grid[mask], initial=0.0))
 
     def _cutoff(self, nu: float, tol: float | None) -> tuple[float, float]:
         """(R, envelope tail bound at R) for tail integrals stopped at R, the
@@ -805,7 +786,7 @@ def _tail_bound(nu: float, decay_c: float, cutoff: float) -> float:
 def asymptotic_constant(
     nu: float,
     forcing: ForcingProfile,
-    tol: float | None = 1e-9,
+    tol: float | None = None,
 ) -> TailEstimate:
     """Tail functional −(1/2ν) ∫₁^∞ r^(−ν) f(r) dr, cut at R, the last
     sample of the sampled ``forcing`` (a callable raises DomainError).
@@ -866,10 +847,7 @@ def particular_trajectory(
         raise DomainError("formula trajectories need 1-d, finite, increasing points > 0")
     cutoff, _ = forcing._cutoff(nu, None)
     head = power_weighted_integral(forcing.grid, forcing.values, nu, a=0.0, b=t)
-    # the tail is empty (zero) once t reaches the cutoff
-    tail = power_weighted_integral(
-        forcing.grid, forcing.values, -nu, a=np.minimum(t, cutoff), b=cutoff
-    )
+    tail = power_weighted_integral(forcing.grid, forcing.values, -nu, a=t, b=cutoff)
     y = -(t ** (nu - 1.0)) / (2 * nu) * tail - t ** (-nu - 1.0) / (2 * nu) * head
     yp = (
         -((nu - 1.0) * t ** (nu - 2.0)) / (2 * nu) * tail

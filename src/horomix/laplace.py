@@ -667,25 +667,32 @@ def _sorted_samples(samples):
     return samples[order, 0], samples[order, 1]
 
 
-def fit_windows(T: np.ndarray, order_n: int) -> list:
-    """The decade windows :func:`fit_expansion` extracts from, on sorted
-    sample points T > 0: for each whole decade down from T's top, the mask
-    of the samples in it, where it holds at least 4.  Everything the fit
-    refuses before it reads a sampled value raises DomainError here, so a
-    caller can refuse a T grid before it samples anything: a negative
-    order_n, samples that span less than two decades, fewer than
+def fit_windows(T, order_n: int) -> list:
+    """The decade windows :func:`fit_expansion` extracts from, on sample
+    points T in any order: for each whole decade down from T's top, the
+    mask (in T's order) of the samples in it, where it holds at least 4.
+    Everything the fit refuses before it reads a sampled value raises
+    DomainError here, so a caller can refuse a T grid before it samples
+    anything: T that is not a non-empty 1-d array of finite values > 0, a
+    negative order_n, samples that span less than two decades, fewer than
     2(order_n + 1) samples, or no window.
     """
+    T = np.asarray(T, dtype=float)
+    if T.ndim != 1 or T.size == 0:
+        raise DomainError("T must be a non-empty 1-d array")
+    if not (np.all(np.isfinite(T)) and np.all(T > 0.0)):
+        raise DomainError("samples must be finite, with every T > 0")
     if order_n < 0:
         raise DomainError("order_n must be >= 0")
-    if T[-1] / T[0] < 99.999:
+    t_lo, t_hi = float(T.min()), float(T.max())
+    if t_hi / t_lo < 99.999:
         raise DomainError("samples must span at least two decades of T")
     if T.size < 2 * (order_n + 1):
         raise DomainError(f"need at least {2 * (order_n + 1)} samples")
-    n_windows = int(math.floor(math.log10(T[-1] / T[0]) + 1e-9))
+    n_windows = int(math.floor(math.log10(t_hi / t_lo) + 1e-9))
     windows = []
     for s in range(n_windows):
-        hi = T[-1] / 10.0**s
+        hi = t_hi / 10.0**s
         mask = (T >= hi / 10.0000001) & (T <= hi * 1.0000001)
         if np.count_nonzero(mask) >= 4:
             windows.append(mask)

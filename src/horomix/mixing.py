@@ -26,7 +26,6 @@ from .errors import ModelValidityError
 from .laplace import (
     ExpansionCoefficients,
     PhaseProblem,
-    _sorted_samples,
     fit_expansion,
     fit_windows,
     laplace_quadrature,
@@ -107,14 +106,12 @@ def mixing_expansion(
     Samples the integral over the T grid (or reuses ``values``), extracts
     coefficients with :func:`fit_expansion`, and returns a verdict
     comparing the fitted leading coefficient with both closed forms of
-    the leading constant.  Before it samples, a grid the fit would refuse
-    (a T that is not finite or not > 0, or what :func:`fit_windows`
-    refuses for ``order_n``) raises DomainError.
+    the leading constant.  Before it samples, a grid :func:`fit_windows`
+    refuses for ``order_n`` raises DomainError.
     """
     t_log_grid = np.asarray(t_log_grid, dtype=float)
     if values is None:
-        T, _ = _sorted_samples(np.column_stack([t_log_grid, np.zeros_like(t_log_grid)]))
-        fit_windows(T, order_n)
+        fit_windows(t_log_grid, order_n)
         vals = sample_correlation(problem, t_log_grid)
     else:
         vals = np.asarray(values, dtype=float)

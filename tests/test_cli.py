@@ -564,7 +564,7 @@ t = master_grid(1e4, 400)
 anchor = ForcingProfile.from_samples(t, (3.0 - 2.0 * t * t) / (4.0 * (1.0 + t * t) ** 2.25))
 assert particular_trajectory(0.5, anchor, np.linspace(1.0, 10.0, 50)).y.shape == (50,)
 assert abs(asymptotic_amplitude(0.5, anchor).value - 1.0) < 1e-7
-asymptotic_constant(0.5, anchor, tol=None)
+asymptotic_constant(0.5, anchor)
 loaded = sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
 assert sys.modules["scipy"] is None and loaded == ["scipy"], loaded
 """

@@ -757,7 +757,6 @@ class TestTailConstants:
     def test_callable_forcing_refused(self, tail_fn):
         calls = []
         fp = ForcingProfile.from_callable(lambda t: calls.append(t) or _slow_forcing(t))
-        calls.clear()
         with pytest.raises(DomainError, match="from_samples"):
             tail_fn(fp)
         assert calls == []
@@ -924,14 +923,14 @@ _UNINTEGRABLE_SAMPLES = [
 
 
 class TestForcingProfile:
-    def test_claimed_envelope_is_audited(self):
-        with pytest.raises(ConsistencyError):
-            ForcingProfile.from_callable(lambda t: 1.0 / t + 0j, decay_c=0.5)
-
-    def test_envelope_from_audit_grid(self):
-        fp = ForcingProfile.from_callable(lambda t: 0.3 / t + 0j)
-        assert fp.decay_c == pytest.approx(0.3, rel=1e-12)
-        assert fp.envelope_audit() <= fp.decay_c * (1 + 1e-12)
+    def test_callable_is_evaluated_only_on_request(self):
+        # construction calls nothing and claims no envelope; values_on
+        # calls fn once per point
+        calls = []
+        fp = ForcingProfile.from_callable(lambda t: calls.append(t) or 0.3 / t + 0j)
+        assert calls == [] and math.isnan(fp.decay_c)
+        assert np.array_equal(fp.values_on(np.array([1.0, 2.0])), [0.3 + 0j, 0.15 + 0j])
+        assert calls == [1.0, 2.0]
 
     def test_envelope_audit_of_samples_below_one(self):
         fp = ForcingProfile.from_samples(np.linspace(0.0, 0.9, 10), np.ones(10, complex))

@@ -23,7 +23,7 @@ import pytest
 
 REPO = Path(__file__).resolve().parent.parent
 SRC = REPO / "src" / "horomix"
-MAX_DEFAULTED = 15
+MAX_DEFAULTED = 14
 THREADED = ("threading", "concurrent.futures", "multiprocessing")
 
 MODULES = {

@@ -867,6 +867,22 @@ class TestFitExpansion:
         with pytest.raises(DomainError):
             fit_expansion(np.column_stack([T, T**-0.5]), 1, 1)
 
+    @pytest.mark.parametrize(
+        "T",
+        [[], [[100.0, 1e4]], [0.0, 100.0, 1e4], [-1.0, 1e4], [100.0, np.nan], [100.0, np.inf]],
+        ids=["empty", "two-d", "zero", "negative", "nan", "inf"],
+    )
+    def test_windows_refuse_raw_T(self, T):
+        with pytest.raises(DomainError, match="T"):
+            laplace.fit_windows(T, 1)
+
+    def test_windows_of_unsorted_T_follow_its_order(self):
+        order = np.random.default_rng(3).permutation(self.T.size)
+        got = laplace.fit_windows(self.T[order], 2)
+        assert [m.tolist() for m in got] == [
+            m[order].tolist() for m in laplace.fit_windows(self.T, 2)
+        ]
+
     def test_non_geometric_ladder_rejected(self):
         # both decade windows (10^3.11..10^4.11 and 10^2.11..10^3.11) hold
         # at least 4 samples, and neither is geometric
